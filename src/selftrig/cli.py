@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/synthesis error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -29,11 +28,12 @@ from .errors import (
     SynthesisError,
 )
 from .scenario import load_scenario
-from .scheduler import verify_conflict_free
+from .scheduler import _check_admissible, verify_conflict_free
 from .simulator import (
     MODE_PERIODIC,
     average_sampling_interval,
     empiric_cost,
+    periodic_baseline,
     run_periodic,
     run_self_triggered,
     sweep_alpha,
@@ -65,17 +65,6 @@ def _table_path(out_dir: Path, loop_id: str) -> Path:
     return out_dir / f"{loop_id}.gains.json"
 
 
-def _check_network_admissible(scn) -> None:
-    s = len(scn.loops)
-    if s >= 2:
-        missing = [i for i in range(1, s + 1) if i not in scn.I0]
-        if missing or s > scn.p:
-            raise ConfigurationError(
-                f"inadmissible network: {s} loops sharing one channel need waits "
-                f"{{1..{s}}} in I0 and s <= p (I0={list(scn.I0)}, p={scn.p})"
-            )
-
-
 def _print_table(gt, cert) -> None:
     print(
         f"loop {gt.loop_id}: n={gt.n} m={gt.m} alpha={gt.alpha:g} "
@@ -92,7 +81,7 @@ def _print_table(gt, cert) -> None:
 
 def cmd_synth(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    _check_network_admissible(scn)
+    _check_admissible(len(scn.loops), scn.I0, scn.p)
     tables = {}
     for spec in scn.loops:
         try:
@@ -208,7 +197,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    _check_network_admissible(scn)
+    _check_admissible(len(scn.loops), scn.I0, scn.p)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     n_runs = args.runs
     horizon = scn.horizon
@@ -237,54 +226,18 @@ def cmd_sweep(args) -> int:
     for name in summary.loop_names:
         write_sweep_csv(summary, name, out_path(name, periodic=False))
 
-    # Periodic baseline at the matched (rounded) mean interval per alpha.
-    baseline = _periodic_baseline(replace(scn, seed=args.seed), summary, n_runs)
+    baseline = periodic_baseline(scn, summary, args.seed)
     for name in summary.loop_names:
-        _write_baseline_csv(baseline, name, summary, out_path(name, periodic=True))
+        write_sweep_csv(baseline, name, out_path(name, periodic=True))
     print(f"sweep written to {out}")
     return EXIT_OK
-
-
-def _periodic_baseline(scn, summary, n_runs: int) -> dict:
-    """Mean periodic cost per loop at each alpha's matched sampling interval."""
-    results = {name: {} for name in summary.loop_names}
-    s = len(scn.loops)
-    for ai, alpha in enumerate(summary.alphas):
-        if ai not in summary.mean_interval[summary.loop_names[0]]:
-            continue
-        interval = np.mean(
-            [summary.mean_interval[name][ai] for name in summary.loop_names]
-        )
-        ts = int(min(max(round(interval), 1, s), scn.p))
-        costs = {name: np.empty(n_runs) for name in summary.loop_names}
-        for r in range(n_runs):
-            trace = run_periodic(scn, ts, alpha_index=ai, run_index=r)
-            for spec in scn.loops:
-                tr = trace.loops[spec.name]
-                costs[spec.name][r] = empiric_cost(tr, spec.weights.Q, spec.weights.R)
-        for name in summary.loop_names:
-            results[name][ai] = (ts, float(np.mean(costs[name])),
-                                 float(np.std(costs[name], ddof=1) / np.sqrt(n_runs))
-                                 if n_runs > 1 else 0.0)
-    return results
-
-
-def _write_baseline_csv(baseline, loop_name, summary, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "mean_interval", "mean_cost", "se_cost", "n_runs"])
-        for ai, alpha in enumerate(summary.alphas):
-            if ai not in baseline[loop_name]:
-                continue
-            ts, cost, se = baseline[loop_name][ai]
-            writer.writerow([repr(float(alpha)), repr(float(ts)), repr(cost), repr(se), summary.n_runs])
 
 
 def cmd_verify(args) -> int:
     scn, _ = load_scenario(args.scenario)
     stored = _load_tables(Path(args.tables))
     systems = {spec.name: spec.system for spec in scn.loops}
-    _check_network_admissible(scn)
+    _check_admissible(len(scn.loops), scn.I0, scn.p)
     pstar = select_pstar(list(systems.values()), scn.I0)
     pg = pstar_is_gamma(list(systems.values()), scn.I0)
     print(f"terminal period {pstar}; equals max wait gamma: {'yes' if pg else 'no'}")

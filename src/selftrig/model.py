@@ -8,6 +8,7 @@ simulation all consume them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,44 @@ def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
     if length is not None and out.size != length:
         raise ConfigurationError(f"{name} must have length {length}, got {out.size}")
     return out
+
+
+def _json_int(value, what: str) -> int:
+    """A parsed JSON integer field; floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    """A parsed finite JSON number field; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A parsed JSON flat list of numbers, as a float array.
+
+    Finiteness is left to the consumer (``as_matrix``, ``as_vector``, or
+    the parser for table files).
+    """
+    # json yields exact int and float objects; bool is its own type.
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise ConfigurationError(f"{what} must be a flat list of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from None
+
+
+def _json_string(value, what: str) -> str:
+    """A parsed JSON string field."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -143,6 +182,23 @@ class LiftedModel:
     Ni: np.ndarray
 
 
+def _transition_pairs(sys: LtiSystem, gamma: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The i-step transition pairs ``(A_i, B_i)`` for i = 1..gamma.
+
+    ``A_1 = A``, ``B_1 = B``, ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``.
+    Every lift takes its pairs from here so that all of them agree bit for
+    bit.
+    """
+    if gamma < 1:
+        raise ConfigurationError(f"downsampling factor must be >= 1, got {gamma}")
+    A, B = sys.A, sys.B
+    pairs = [(A, B)]
+    for _ in range(gamma - 1):
+        Ai, Bi = pairs[-1]
+        pairs.append((A @ Ai, A @ Bi + B))
+    return pairs
+
+
 def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedModel]:
     """All lifted models for factors 1..gamma, in one forward pass.
 
@@ -156,9 +212,7 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
     with base case ``(A, B, Q, R, 0)``.  Q_i and R_i are re-symmetrized at
     every step to suppress accumulated floating-point asymmetry.
     """
-    if gamma < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {gamma}")
-    A, B = sys.A, sys.B
+    pairs = _transition_pairs(sys, gamma)
     Q, R = weights.Q, weights.R
     if Q.shape[0] != sys.n:
         raise ConfigurationError(
@@ -170,9 +224,8 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
         )
 
     models = []
-    Ai, Bi = A.copy(), B.copy()
-    Qi, Ri, Ni = Q.copy(), R.copy(), np.zeros((sys.n, sys.m))
-    for i in range(1, gamma + 1):
+    Qi, Ri, Ni = Q, R, np.zeros((sys.n, sys.m))
+    for i, (Ai, Bi) in enumerate(pairs, start=1):
         models.append(
             LiftedModel(
                 i,
@@ -185,22 +238,17 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
         )
         if i == gamma:
             break
-        Qi_next = symmetrize(Qi + Ai.T @ Q @ Ai)
-        Ri_next = symmetrize(Ri + Bi.T @ Q @ Bi + R)
-        Ni_next = Ni + Ai.T @ Q @ Bi
-        Ai, Bi = A @ Ai, A @ Bi + B
-        Qi, Ri, Ni = Qi_next, Ri_next, Ni_next
+        Qi, Ri, Ni = (
+            symmetrize(Qi + Ai.T @ Q @ Ai),
+            symmetrize(Ri + Bi.T @ Q @ Bi + R),
+            Ni + Ai.T @ Q @ Bi,
+        )
     return models
 
 
 def lift_dynamics(sys: LtiSystem, i: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``i``-step transition pair (A^i, sum_{q<i} A^q B), accumulated incrementally."""
-    if i < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
-    Ai, Bi = sys.A.copy(), sys.B.copy()
-    for _ in range(i - 1):
-        Bi = sys.A @ Bi + sys.B
-        Ai = sys.A @ Ai
+    Ai, Bi = _transition_pairs(sys, i)[-1]
     return _readonly(Ai), _readonly(Bi)
 
 

@@ -12,8 +12,15 @@ import json
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import LtiSystem, WeightSpec
-from .simulator import MODE_PERIODIC, MODE_SELF_TRIGGERED, LoopSpec, Scenario
+from .model import (
+    LtiSystem,
+    WeightSpec,
+    _json_int,
+    _json_number,
+    _json_numbers,
+    _json_string,
+)
+from .simulator import MODE_SELF_TRIGGERED, LoopSpec, Scenario
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -41,12 +48,7 @@ def _get(doc: dict, key: str, context: str):
 
 
 def _matrix(doc: dict, key: str, rows: int, cols: int, context: str) -> np.ndarray:
-    flat = _get(doc, key, context)
-    if not isinstance(flat, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in flat
-    ):
-        raise ConfigurationError(f"{context}: {key} must be a flat list of numbers")
-    arr = np.asarray(flat, dtype=float)
+    arr = _json_numbers(_get(doc, key, context), f"{context}: {key}")
     if arr.size != rows * cols:
         raise ConfigurationError(
             f"{context}: {key} needs {rows * cols} row-major entries "
@@ -60,10 +62,10 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{context}: must be an object")
     _require_keys(doc, _LOOP_KEYS, context)
-    name = str(_get(doc, "name", context))
-    n = int(_get(doc, "n", context))
-    m = int(_get(doc, "m", context))
-    w = int(doc.get("w", 1))
+    name = _json_string(_get(doc, "name", context), f"{context}: name")
+    n = _json_int(_get(doc, "n", context), f"{context}: n")
+    m = _json_int(_get(doc, "m", context), f"{context}: m")
+    w = _json_int(doc.get("w", 1), f"{context}: w")
     if n < 1 or m < 1 or w < 1:
         raise ConfigurationError(f"{context}: dimensions must be positive")
     A = _matrix(doc, "A", n, n, context)
@@ -71,17 +73,17 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
     E = _matrix(doc, "E", n, w, context) if "E" in doc else None
     Q = _matrix(doc, "Q", n, n, context)
     R = _matrix(doc, "R", m, m, context)
-    alpha = float(_get(doc, "alpha", context))
+    alpha = _json_number(_get(doc, "alpha", context), f"{context}: alpha")
     x0 = None
     x0_variance = None
     if "x0" in doc and "x0_variance" in doc:
         raise ConfigurationError(f"{context}: give x0 or x0_variance, not both")
     if "x0" in doc:
-        x0 = np.asarray(doc["x0"], dtype=float)
+        x0 = _json_numbers(doc["x0"], f"{context}: x0")
         if x0.size != n:
             raise ConfigurationError(f"{context}: x0 must have length {n}")
     elif "x0_variance" in doc:
-        x0_variance = float(doc["x0_variance"])
+        x0_variance = _json_number(doc["x0_variance"], f"{context}: x0_variance")
     else:
         raise ConfigurationError(f"{context}: one of x0 or x0_variance is required")
     return LoopSpec(
@@ -90,7 +92,9 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
         weights=WeightSpec(Q=Q, R=R, alpha=alpha),
         x0=x0,
         x0_variance=x0_variance,
-        noise_variance=float(doc.get("noise_variance", 0.0)),
+        noise_variance=_json_number(
+            doc.get("noise_variance", 0.0), f"{context}: noise_variance"
+        ),
     )
 
 
@@ -109,22 +113,23 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
     if not isinstance(loops_doc, list) or not loops_doc:
         raise ConfigurationError("scenario: loops must be a non-empty list")
     loops = tuple(_loop_from_dict(lp, i) for i, lp in enumerate(loops_doc))
-    mode = str(doc.get("mode", MODE_SELF_TRIGGERED))
-    if mode not in (MODE_SELF_TRIGGERED, MODE_PERIODIC):
-        raise ConfigurationError(f"scenario: unknown mode {mode!r}")
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigurationError("scenario: outputs must be an object")
     _require_keys(outputs, _OUTPUT_KEYS, "outputs")
+    I0 = _get(doc, "I0", "scenario")
+    if not isinstance(I0, list):
+        raise ConfigurationError("scenario: I0 must be a list of integers")
+    ts = doc.get("ts")
     scenario = Scenario(
         loops=loops,
-        I0=tuple(int(i) for i in _get(doc, "I0", "scenario")),
-        p=int(_get(doc, "p", "scenario")),
-        horizon=int(_get(doc, "horizon", "scenario")),
-        seed=int(_get(doc, "seed", "scenario")),
-        mode=mode,
-        ts=int(doc["ts"]) if "ts" in doc and doc["ts"] is not None else None,
-        name=str(doc.get("name", "scenario")),
+        I0=tuple(_json_int(i, "scenario: I0 entry") for i in I0),
+        p=_json_int(_get(doc, "p", "scenario"), "scenario: p"),
+        horizon=_json_int(_get(doc, "horizon", "scenario"), "scenario: horizon"),
+        seed=_json_int(_get(doc, "seed", "scenario"), "scenario: seed"),
+        mode=_json_string(doc.get("mode", MODE_SELF_TRIGGERED), "scenario: mode"),
+        ts=None if ts is None else _json_int(ts, "scenario: ts"),
+        name=_json_string(doc.get("name", "scenario"), "scenario: name"),
     )
     return scenario, dict(outputs)
 

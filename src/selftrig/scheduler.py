@@ -16,6 +16,23 @@ from types import MappingProxyType
 from .errors import ConfigurationError, SchedulingError
 
 
+def _check_admissible(s: int, I0, p: int) -> None:
+    """Admissibility of ``s`` loops sharing one channel.
+
+    With s >= 2 loops the waits 1..s must all be in I0 and s must not
+    exceed p; otherwise non-emptiness of the feasible sets is not
+    guaranteed.
+    """
+    if s < 2:
+        return
+    missing = [i for i in range(1, s + 1) if i not in I0]
+    if missing or s > p:
+        raise ConfigurationError(
+            f"inadmissible network: {s} loops sharing one channel need waits "
+            f"{{1..{s}}} in I0 and s <= p (I0={list(I0)}, p={p})"
+        )
+
+
 @dataclass(frozen=True)
 class ReservationLedger:
     """Next reserved transmission slot per sensor, plus the shared parameters.
@@ -48,21 +65,7 @@ class ReservationLedger:
         if len(set(slots)) != len(slots):
             raise ConfigurationError(f"two sensors share a reserved slot: {tx}")
         object.__setattr__(self, "next_tx", MappingProxyType(tx))
-        s = len(order)
-        if s >= 2:
-            # Admissibility for shared-channel operation: with s loops the
-            # waits 1..s must all be available and s must not exceed p,
-            # otherwise non-emptiness of the feasible sets is not guaranteed.
-            missing = [i for i in range(1, s + 1) if i not in I0]
-            if missing:
-                raise ConfigurationError(
-                    f"inadmissible network: {s} loops need waits {{1..{s}}} in I0, "
-                    f"missing {missing}"
-                )
-            if s > self.p:
-                raise ConfigurationError(
-                    f"inadmissible network: {s} loops exceed the shared period p={self.p}"
-                )
+        _check_admissible(len(order), I0, self.p)
 
     @property
     def gamma(self) -> int:

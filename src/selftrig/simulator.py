@@ -1,10 +1,15 @@
-"""Closed-loop simulation of the joint control-and-scheduling law.
+"""Closed-loop simulation of the joint control-and-scheduling law and its
+periodic baseline.
 
-The event loop advances all plants one step at a time; whenever a sensor's
-reserved slot comes up, its state is "transmitted", the controller picks a
-new wait and input from the lookup table, and the next slot is reserved.
-Initial states are assumed known to the controller at k = 0 without
-consuming channel slots, so coordinated start-up needs no transmissions.
+One event loop advances all plants one step at a time.  Whenever a loop's
+next sample comes up, its state is "transmitted" and a decision policy
+picks the input to hold and the wait until the next sample.  There are two
+policies: the self-triggered law (table argmin over the waits the
+reservation ledger allows, then a reservation) and fixed-interval sampling
+with the periodic Riccati gain.  Initial states are assumed known to the
+controller at k = 0 without consuming channel slots, so coordinated
+start-up needs no transmissions.  Sweeps over the sampling cost aggregate
+both laws through one per-run statistics path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -227,6 +232,73 @@ def _check_tables(scn: Scenario, tables: dict) -> list:
     return ordered
 
 
+def _event_loop(
+    scn: Scenario, first_samples, policy, mode: str, alpha_index: int, run_index: int
+) -> SimTrace:
+    """Advance every plant one step at a time and sample each loop on its own
+    clock.
+
+    Loop ``j`` first samples at ``first_samples[j]``.  At a sample the
+    decision rule ``policy(j, k, x) -> (wait, u, value, feasible_waits)``
+    picks the input to hold and the wait until the loop's next sample.
+    Loops sampling at the same ``k`` decide in increasing index order.
+    Every sample at ``k > 0`` is logged as a transmission.
+    """
+    T = scn.horizon
+    specs = scn.loops
+    x, u, noise, states, inputs = [], [], [], [], []
+    for j, spec in enumerate(specs):
+        x0, w = _draw_initial_and_noise(
+            spec, T, rng_substream(scn.seed, alpha_index, run_index, j)
+        )
+        x.append(x0)
+        u.append(np.zeros(spec.system.m))
+        noise.append(w)
+        states.append(np.empty((T + 1, spec.system.n)))
+        inputs.append(np.empty((T, spec.system.m)))
+        states[j][0] = x0
+    next_sample = list(first_samples)
+    samples, waits, values, feas_log = ([[] for _ in specs] for _ in range(4))
+    tx_events = []
+
+    for k in range(T + 1):
+        if k > 0:
+            for j, spec in enumerate(specs):
+                w = None if noise[j] is None else noise[j][k - 1]
+                inputs[j][k - 1] = u[j]
+                x[j] = step_plant(spec.system, x[j], u[j], w)
+                states[j][k] = x[j]
+        if k == T:
+            break
+        for j, spec in enumerate(specs):
+            if next_sample[j] != k:
+                continue
+            wait, u[j], value, feas = policy(j, k, x[j])
+            next_sample[j] = k + wait
+            samples[j].append(k)
+            waits[j].append(wait)
+            values[j].append(value)
+            feas_log[j].append(feas)
+            if k > 0:
+                tx_events.append(TxEvent(k, spec.name, wait, tuple(sorted(feas))))
+
+    loops = {}
+    for j, spec in enumerate(specs):
+        states[j].setflags(write=False)
+        inputs[j].setflags(write=False)
+        loops[spec.name] = LoopTrace(
+            name=spec.name,
+            gamma=scn.gamma,
+            states=states[j],
+            inputs=inputs[j],
+            sample_times=np.array(samples[j], dtype=int),
+            waits=np.array(waits[j], dtype=int),
+            values=np.array(values[j], dtype=float),
+            feasible_sets=tuple(feas_log[j]),
+        )
+    return SimTrace(loops=loops, tx_events=tuple(tx_events), mode=mode)
+
+
 def run_self_triggered(
     scn: Scenario,
     tables: dict,
@@ -241,85 +313,21 @@ def run_self_triggered(
     its reserved slots, which are logged as transmissions.
     """
     gts = _check_tables(scn, tables)
-    T = scn.horizon
-    names = [spec.name for spec in scn.loops]
-    ledger = ReservationLedger(p=scn.p, I0=scn.I0, loop_order=tuple(names), next_tx={})
+    names = tuple(spec.name for spec in scn.loops)
+    ledger = ReservationLedger(p=scn.p, I0=scn.I0, loop_order=names, next_tx={})
 
-    x, u, noise = {}, {}, {}
-    states, inputs = {}, {}
-    samples = {name: [] for name in names}
-    waits = {name: [] for name in names}
-    values = {name: [] for name in names}
-    feas_log = {name: [] for name in names}
-    tx_events = []
-
-    for idx, spec in enumerate(scn.loops):
-        rng = rng_substream(scn.seed, alpha_index, run_index, idx)
-        x0, w = _draw_initial_and_noise(spec, T, rng)
-        x[spec.name] = x0
-        noise[spec.name] = w
-        u[spec.name] = np.zeros(spec.system.m)
-        states[spec.name] = np.empty((T + 1, spec.system.n))
-        inputs[spec.name] = np.empty((T, spec.system.m))
-        states[spec.name][0] = x0
-
-    def sample_loop(name, gt, k):
+    def policy(j, k, x):
         nonlocal ledger
+        name = names[j]
         feas = feasible_set(ledger, name, k)
         try:
-            dec = decide(gt, x[name], feas)
+            dec = decide(gts[j], x, feas)
         except SelfTrigError as exc:
             raise type(exc)(f"at step k={k}, loop {name!r}: {exc}") from exc
-        samples[name].append(k)
-        waits[name].append(dec.i_star)
-        values[name].append(dec.value)
-        feas_log[name].append(feas)
-        u[name] = np.asarray(dec.u, dtype=float)
         ledger = reserve(ledger, name, k, dec.i_star)
-        return dec
+        return dec.i_star, dec.u, dec.value, feas
 
-    for spec, gt in zip(scn.loops, gts):
-        sample_loop(spec.name, gt, 0)
-
-    for k in range(1, T + 1):
-        for spec in scn.loops:
-            name = spec.name
-            w = None if noise[name] is None else noise[name][k - 1]
-            inputs[name][k - 1] = u[name]
-            x[name] = step_plant(spec.system, x[name], u[name], w)
-            states[name][k] = x[name]
-        if k == T:
-            break
-        for spec, gt in zip(scn.loops, gts):
-            name = spec.name
-            if ledger.next_tx.get(name) == k:
-                dec = sample_loop(name, gt, k)
-                tx_events.append(
-                    TxEvent(k, name, dec.i_star, tuple(sorted(feas_log[name][-1])))
-                )
-
-    return _assemble_trace(scn, states, inputs, samples, waits, values, feas_log, tx_events)
-
-
-def _assemble_trace(scn, states, inputs, samples, waits, values, feas_log, tx_events):
-    loops = {}
-    for spec in scn.loops:
-        name = spec.name
-        st = states[name]
-        inp = inputs[name]
-        st.setflags(write=False)
-        inp.setflags(write=False)
-        loops[name] = LoopTrace(
-            name=name,
-            gamma=scn.gamma,
-            states=st,
-            inputs=inp,
-            sample_times=np.array(samples[name], dtype=int),
-            waits=np.array(waits[name], dtype=int),
-            values=np.array(values[name], dtype=float),
-            feasible_sets=tuple(feas_log[name]),
-        )
-    return SimTrace(loops=loops, tx_events=tuple(tx_events), mode=scn.mode)
+    return _event_loop(scn, [0] * len(names), policy, scn.mode, alpha_index, run_index)
 
 
 def run_periodic(
@@ -345,59 +353,16 @@ def run_periodic(
             f"{s} loops cannot share the channel at period ts={ts}; "
             f"phase offsets need s <= ts"
         )
-    T = scn.horizon
-    gains = {}
-    for spec in scn.loops:
-        P, L = solve_periodic_riccati(spec.system, spec.weights, ts)
-        gains[spec.name] = (P, L)
+    gains = [
+        solve_periodic_riccati(spec.system, spec.weights, ts) for spec in scn.loops
+    ]
+    feas = frozenset({ts})
 
-    x, u, noise = {}, {}, {}
-    states, inputs = {}, {}
-    samples = {name.name: [] for name in scn.loops}
-    waits = {name.name: [] for name in scn.loops}
-    values = {name.name: [] for name in scn.loops}
-    feas_log = {name.name: [] for name in scn.loops}
-    tx_events = []
+    def policy(j, k, x):
+        P, L = gains[j]
+        return ts, -(L @ x), float(x @ P @ x), feas
 
-    for idx, spec in enumerate(scn.loops):
-        rng = rng_substream(scn.seed, alpha_index, run_index, idx)
-        x0, w = _draw_initial_and_noise(spec, T, rng)
-        x[spec.name] = x0
-        noise[spec.name] = w
-        u[spec.name] = np.zeros(spec.system.m)
-        states[spec.name] = np.empty((T + 1, spec.system.n))
-        inputs[spec.name] = np.empty((T, spec.system.m))
-        states[spec.name][0] = x0
-
-    def sample_loop(name, k):
-        P, L = gains[name]
-        xn = x[name]
-        samples[name].append(k)
-        waits[name].append(ts)
-        values[name].append(float(xn @ P @ xn))
-        feas_log[name].append(frozenset({ts}))
-        u[name] = -(L @ xn)
-        if k > 0:
-            tx_events.append(TxEvent(k, name, ts, (ts,)))
-
-    for k in range(T + 1):
-        if k > 0:
-            for spec in scn.loops:
-                name = spec.name
-                w = None if noise[name] is None else noise[name][k - 1]
-                inputs[name][k - 1] = u[name]
-                x[name] = step_plant(spec.system, x[name], u[name], w)
-                states[name][k] = x[name]
-        if k == T:
-            break
-        for idx, spec in enumerate(scn.loops):
-            if k >= idx and (k - idx) % ts == 0:
-                sample_loop(spec.name, k)
-
-    scn_periodic = replace(scn, mode=MODE_PERIODIC, ts=ts)
-    return _assemble_trace(
-        scn_periodic, states, inputs, samples, waits, values, feas_log, tx_events
-    )
+    return _event_loop(scn, range(s), policy, MODE_PERIODIC, alpha_index, run_index)
 
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
@@ -435,6 +400,31 @@ class SweepSummary:
     errors: dict
 
 
+def _empty_stats(names) -> dict:
+    keys = ("mean_interval", "se_interval", "mean_cost", "se_cost")
+    return {key: {name: {} for name in names} for key in keys}
+
+
+def _record_runs(stats: dict, ai: int, loops, n_runs: int, run) -> None:
+    """Run ``run(r)`` for r < n_runs and store, at alpha index ``ai`` of
+    ``stats``, each loop's mean and standard error of the sampling interval
+    and the empiric cost."""
+    intervals = {spec.name: np.empty(n_runs) for spec in loops}
+    costs = {spec.name: np.empty(n_runs) for spec in loops}
+    for r in range(n_runs):
+        trace = run(r)
+        for spec in loops:
+            tr = trace.loops[spec.name]
+            intervals[spec.name][r] = average_sampling_interval(tr)
+            costs[spec.name][r] = empiric_cost(tr, spec.weights.Q, spec.weights.R)
+    for key, per_loop in (("interval", intervals), ("cost", costs)):
+        for name, v in per_loop.items():
+            stats["mean_" + key][name][ai] = float(np.mean(v))
+            stats["se_" + key][name][ai] = (
+                float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
+            )
+
+
 def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     """Re-synthesize and re-run the scenario across a grid of sampling costs.
 
@@ -454,10 +444,7 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
 
     names = tuple(spec.name for spec in scn.loops)
-    mean_interval = {name: {} for name in names}
-    se_interval = {name: {} for name in names}
-    mean_cost = {name: {} for name in names}
-    se_cost = {name: {} for name in names}
+    stats = _empty_stats(names)
     errors = {}
 
     for ai, alpha in enumerate(alphas):
@@ -483,36 +470,40 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
             ),
             seed=seed,
         )
-        intervals = {name: np.empty(n_runs) for name in names}
-        costs = {name: np.empty(n_runs) for name in names}
-        for r in range(n_runs):
-            trace = run_self_triggered(swept, tables, alpha_index=ai, run_index=r)
-            for spec in swept.loops:
-                tr = trace.loops[spec.name]
-                intervals[spec.name][r] = average_sampling_interval(tr)
-                costs[spec.name][r] = empiric_cost(tr, spec.weights.Q, spec.weights.R)
-        for name in names:
-            mean_interval[name][ai] = float(np.mean(intervals[name]))
-            mean_cost[name][ai] = float(np.mean(costs[name]))
-            if n_runs > 1:
-                se_interval[name][ai] = float(
-                    np.std(intervals[name], ddof=1) / np.sqrt(n_runs)
-                )
-                se_cost[name][ai] = float(np.std(costs[name], ddof=1) / np.sqrt(n_runs))
-            else:
-                se_interval[name][ai] = 0.0
-                se_cost[name][ai] = 0.0
+        _record_runs(
+            stats, ai, swept.loops, n_runs,
+            lambda r: run_self_triggered(swept, tables, alpha_index=ai, run_index=r),
+        )
 
     return SweepSummary(
-        alphas=tuple(alphas),
-        loop_names=names,
-        mean_interval=mean_interval,
-        se_interval=se_interval,
-        mean_cost=mean_cost,
-        se_cost=se_cost,
-        n_runs=n_runs,
-        errors=errors,
+        alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
     )
+
+
+def periodic_baseline(scn: Scenario, summary: SweepSummary, seed: int) -> SweepSummary:
+    """Fixed-interval baseline matched to each alpha of an adaptive sweep.
+
+    At every alpha the sweep has results for, the period ``ts`` is the mean
+    sampling interval over loops, rounded and clamped to ``[s, p]``;
+    ``summary.n_runs`` periodic runs then execute on the sweep's substreams.
+    The returned ``mean_interval`` holds the matched ``float(ts)``.
+    """
+    scn = replace(scn, seed=seed)
+    names = summary.loop_names
+    stats = _empty_stats(names)
+    s = len(scn.loops)
+    for ai in range(len(summary.alphas)):
+        if ai not in summary.mean_interval[names[0]]:
+            continue
+        interval = np.mean([summary.mean_interval[name][ai] for name in names])
+        ts = int(min(max(round(interval), s), scn.p))
+        _record_runs(
+            stats, ai, scn.loops, summary.n_runs,
+            lambda r: run_periodic(scn, ts, alpha_index=ai, run_index=r),
+        )
+        for name in names:
+            stats["mean_interval"][name][ai] = float(ts)
+    return replace(summary, **stats)
 
 
 def write_trace_csv(trace: LoopTrace, path) -> None:

@@ -22,7 +22,19 @@ from .errors import (
     GainLookupError,
     SynthesisError,
 )
-from .model import LiftedModel, LtiSystem, WeightSpec, _readonly, lift_range, symmetrize
+from .model import (
+    LiftedModel,
+    LtiSystem,
+    WeightSpec,
+    _json_int,
+    _json_number,
+    _json_numbers,
+    _json_string,
+    _readonly,
+    _transition_pairs,
+    lift_range,
+    symmetrize,
+)
 
 # |lambda^i - 1| below this counts as a root of unity; |lambda - 1| below it
 # counts as the eigenvalue one.
@@ -329,12 +341,11 @@ def stability_certificate(
         raise ConfigurationError(
             f"table for loop {gt.loop_id!r} was built with p={gt.p}, not pstar={pstar}"
         )
-    # Only the transition part of the lift is needed here, so the i-step
-    # pairs are accumulated directly instead of re-lifting the weights.
+    # Only the transition part of the lift is needed here, so the weights
+    # are not re-lifted.
     ratios = {}
     Si = {}
-    Ai, Bi = sys.A.copy(), sys.B.copy()
-    for i in range(1, gt.gamma + 1):
+    for i, (Ai, Bi) in enumerate(_transition_pairs(sys, gt.gamma), start=1):
         if i in gt.entries:
             Pi, Li = gt.entries[i]
             F = Ai - Bi @ Li
@@ -348,8 +359,6 @@ def stability_certificate(
                     f"indefinite (min eigenvalue {s_eigs[0]:.3e})"
                 )
             Si[i] = _readonly(S)
-        Bi = sys.A @ Bi + sys.B
-        Ai = sys.A @ Ai
     rho_max = max(ratios.values())
     if rho_max >= 1.0:
         worst = max(ratios, key=ratios.get)
@@ -433,10 +442,16 @@ def serialize_gain_table(gt: GainTable, cert: StabilityCertificate) -> str:
 
 def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
     """Parse serialized table text; returns (table, stored epsilon, stored pstar)."""
+
+    def reject(constant):
+        raise ConfigurationError(f"gain table holds the non-finite number {constant}")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"gain table is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError("gain table must be a JSON object")
     required = {
         "schema_version", "loop_id", "n", "m", "alpha", "p", "I0",
         "entries", "Pp", "Lp", "epsilon", "pstar",
@@ -451,10 +466,16 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         raise ConfigurationError(
             f"unsupported gain table schema version {doc['schema_version']}"
         )
-    n, m = int(doc["n"]), int(doc["m"])
+    n = _json_int(doc["n"], "gain table n")
+    m = _json_int(doc["m"], "gain table m")
+    if not isinstance(doc["I0"], list):
+        raise ConfigurationError("gain table I0 must be a list of integers")
+    I0 = [_json_int(i, "gain table I0 entry") for i in doc["I0"]]
+    if not isinstance(doc["entries"], list):
+        raise ConfigurationError("gain table entries must be a list")
 
     def mat(flat, rows, cols, name):
-        arr = np.asarray(flat, dtype=float)
+        arr = _json_numbers(flat, name)
         if arr.size != rows * cols:
             raise ConfigurationError(
                 f"{name} should have {rows * cols} row-major entries, got {arr.size}"
@@ -463,21 +484,24 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
 
     entries = {}
     for rec in doc["entries"]:
+        if not isinstance(rec, dict):
+            raise ConfigurationError("gain table entries must be objects")
         if set(rec) != {"i", "P", "L"}:
             raise ConfigurationError(f"bad table entry fields: {sorted(rec)}")
-        i = int(rec["i"])
+        i = _json_int(rec["i"], "gain table entry i")
         entries[i] = (
             _readonly(mat(rec["P"], n, n, f"P({i})")),
             _readonly(mat(rec["L"], m, n, f"L({i})")),
         )
     gt = GainTable(
-        loop_id=str(doc["loop_id"]),
-        alpha=float(doc["alpha"]),
+        loop_id=_json_string(doc["loop_id"], "gain table loop_id"),
+        alpha=_json_number(doc["alpha"], "gain table alpha"),
         entries=entries,
-        p=int(doc["p"]),
+        p=_json_int(doc["p"], "gain table p"),
         Pp=_readonly(mat(doc["Pp"], n, n, "Pp")),
         Lp=_readonly(mat(doc["Lp"], m, n, "Lp")),
-        I0=tuple(int(i) for i in doc["I0"]),
-        gamma=max(int(i) for i in doc["I0"]),
+        I0=tuple(I0),
+        gamma=max(I0, default=0),
     )
-    return gt, float(doc["epsilon"]), int(doc["pstar"])
+    epsilon = _json_number(doc["epsilon"], "gain table epsilon")
+    return gt, epsilon, _json_int(doc["pstar"], "gain table pstar")

@@ -218,3 +218,48 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [r["alpha"] for r in rows] == ["0.0", "2.5"]
         assert all(float(r["mean_interval"]) >= 1.0 for r in rows)
+        with open(tmp_path / "a.periodic.csv") as fh:
+            baseline = list(csv.DictReader(fh))
+        assert [r["alpha"] for r in baseline] == ["0.0", "2.5"]
+        s, p = len(doc["loops"]), doc["p"]
+        for row, matched in zip(rows, baseline):
+            ts = min(max(round(float(row["mean_interval"])), s), p)
+            assert matched["mean_interval"] == repr(float(ts))
+            assert matched["n_runs"] == row["n_runs"] == "1"
+
+
+def _set_field(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("target,path,value", [
+    pytest.param("scenario", ("loops", 0, "x0"), ["a"], id="x0-string"),
+    pytest.param("scenario", ("loops", 0, "alpha"), "abc", id="alpha-string"),
+    pytest.param("scenario", ("loops", 0, "n"), "one", id="n-string"),
+    pytest.param("scenario", ("p",), None, id="p-null"),
+    pytest.param("scenario", ("I0",), ["x"], id="I0-string"),
+    pytest.param("scenario", ("horizon",), 60.7, id="horizon-fraction"),
+    pytest.param("table", ("n",), 1.5, id="table-n-fraction"),
+    pytest.param("table", ("I0",), [], id="table-I0-empty"),
+    pytest.param("table", ("entries", 0, "P"), ["x"], id="table-P-string"),
+])
+def test_malformed_field_exits_2(target, path, value, synth_out, tmp_path, capsys):
+    scen_doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for table in synth_out.glob("*.gains.json"):
+        doc = json.loads(table.read_text())
+        if target == "table" and doc["loop_id"] == "integrator":
+            _set_field(doc, path, value)
+        (tables / table.name).write_text(json.dumps(doc))
+    scen = tmp_path / "scenario.json"
+    if target == "scenario":
+        _set_field(scen_doc, path, value)
+        argv = ("synth", "-c", str(scen), "-o", str(tmp_path / "out"))
+    else:
+        argv = ("verify", "-t", str(tables), "-c", str(scen))
+    scen.write_text(json.dumps(scen_doc))
+    assert run_cli(*argv) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -185,19 +185,44 @@ class TestPeriodicBaseline:
     def test_singleton_wait_set_equals_periodic(self, integrator,
                                                 integrator_weights):
         ts = 3
-        scn = Scenario(
-            loops=(LoopSpec(name="integrator", system=integrator,
-                            weights=integrator_weights, x0=[2.0]),),
-            I0=[ts], p=ts, horizon=30, seed=0,
-        )
         gt = build_gain_table(integrator, integrator_weights, [ts], ts,
                               loop_id="integrator")
-        a = run_self_triggered(scn, {"integrator": gt}).loops["integrator"]
-        b = run_periodic(scn, ts).loops["integrator"]
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
-        np.testing.assert_array_equal(a.sample_times, b.sample_times)
-        np.testing.assert_array_equal(a.waits, b.waits)
+        # The noisy loop checks that both laws draw the same substreams.
+        for initial in ({"x0": [2.0]}, {"x0_variance": 4.0, "noise_variance": 0.1}):
+            scn = Scenario(
+                loops=(LoopSpec(name="integrator", system=integrator,
+                                weights=integrator_weights, **initial),),
+                I0=[ts], p=ts, horizon=30, seed=0,
+            )
+            a = run_self_triggered(scn, {"integrator": gt}).loops["integrator"]
+            b = run_periodic(scn, ts).loops["integrator"]
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.inputs, b.inputs)
+            np.testing.assert_array_equal(a.sample_times, b.sample_times)
+            np.testing.assert_array_equal(a.waits, b.waits)
+
+    @pytest.mark.parametrize("law", ["self_triggered", "periodic"])
+    def test_each_later_sample_is_one_tx_event(self, law, two_loop_scenario,
+                                               integrator_table,
+                                               double_integrator_table):
+        if law == "periodic":
+            trace = run_periodic(two_loop_scenario, 5)
+        else:
+            trace = run_self_triggered(
+                two_loop_scenario,
+                {"integrator": integrator_table,
+                 "double_integrator": double_integrator_table},
+            )
+        expected = []
+        for name, tr in trace.loops.items():
+            for k, wait, feas in zip(tr.sample_times, tr.waits, tr.feasible_sets):
+                if k > 0:
+                    expected.append((int(k), name, int(wait), tuple(sorted(feas))))
+        logged = [(ev.k, ev.loop_id, ev.i_chosen, ev.feasible)
+                  for ev in trace.tx_events]
+        assert trace.loops["integrator"].sample_times[0] == 0
+        assert all(k > 0 for k, _, _, _ in logged)
+        assert sorted(logged) == sorted(expected)
 
     def test_multi_loop_offsets_stay_conflict_free(self, two_loop_scenario):
         trace = run_periodic(two_loop_scenario, 5)
