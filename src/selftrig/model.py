@@ -46,11 +46,24 @@ def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
     return out
 
 
-def _json_int(value, what: str) -> int:
-    """A parsed JSON integer field; floats and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _integer(value, what: str) -> int:
+    """An ``int`` or ``numpy.integer`` field; floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
+
+
+def _wait_set(I0) -> tuple:
+    """The one wait-set rule: sorted distinct positive ints, no bool or float."""
+    values = tuple(I0)
+    if not all(type(i) is int or isinstance(i, np.integer) for i in values):
+        raise ConfigurationError(f"I0 entries must be integers, got {I0!r}")
+    waits = tuple(sorted(set(map(int, values))))
+    if not waits or waits[0] < 1:
+        raise ConfigurationError(
+            f"I0 must be a non-empty set of positive integers, got {I0!r}"
+        )
+    return waits
 
 
 def _json_number(value, what: str) -> float:

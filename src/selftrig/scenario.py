@@ -15,7 +15,7 @@ from .errors import ConfigurationError
 from .model import (
     LtiSystem,
     WeightSpec,
-    _json_int,
+    _integer,
     _json_number,
     _json_numbers,
     _json_string,
@@ -63,9 +63,9 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
         raise ConfigurationError(f"{context}: must be an object")
     _require_keys(doc, _LOOP_KEYS, context)
     name = _json_string(_get(doc, "name", context), f"{context}: name")
-    n = _json_int(_get(doc, "n", context), f"{context}: n")
-    m = _json_int(_get(doc, "m", context), f"{context}: m")
-    w = _json_int(doc.get("w", 1), f"{context}: w")
+    n = _integer(_get(doc, "n", context), f"{context}: n")
+    m = _integer(_get(doc, "m", context), f"{context}: m")
+    w = _integer(doc.get("w", 1), f"{context}: w")
     if n < 1 or m < 1 or w < 1:
         raise ConfigurationError(f"{context}: dimensions must be positive")
     A = _matrix(doc, "A", n, n, context)
@@ -120,15 +120,15 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
     I0 = _get(doc, "I0", "scenario")
     if not isinstance(I0, list):
         raise ConfigurationError("scenario: I0 must be a list of integers")
-    ts = doc.get("ts")
+    # Scenario itself refuses non-integer waits, p, horizon, seed and ts.
     scenario = Scenario(
         loops=loops,
-        I0=tuple(_json_int(i, "scenario: I0 entry") for i in I0),
-        p=_json_int(_get(doc, "p", "scenario"), "scenario: p"),
-        horizon=_json_int(_get(doc, "horizon", "scenario"), "scenario: horizon"),
-        seed=_json_int(_get(doc, "seed", "scenario"), "scenario: seed"),
+        I0=I0,
+        p=_get(doc, "p", "scenario"),
+        horizon=_get(doc, "horizon", "scenario"),
+        seed=_get(doc, "seed", "scenario"),
         mode=_json_string(doc.get("mode", MODE_SELF_TRIGGERED), "scenario: mode"),
-        ts=None if ts is None else _json_int(ts, "scenario: ts"),
+        ts=doc.get("ts"),
         name=_json_string(doc.get("name", "scenario"), "scenario: name"),
     )
     return scenario, dict(outputs)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .errors import ConfigurationError, SchedulingError
+from .model import _wait_set
 
 
 def _check_admissible(s: int, I0, p: int) -> None:
@@ -49,10 +50,7 @@ class ReservationLedger:
     def __post_init__(self):
         if self.p < 1:
             raise ConfigurationError(f"shared period must be >= 1, got {self.p}")
-        I0 = tuple(sorted(set(int(i) for i in self.I0)))
-        if not I0 or I0[0] < 1:
-            raise ConfigurationError(f"I0 must be positive integers, got {self.I0}")
-        object.__setattr__(self, "I0", I0)
+        object.__setattr__(self, "I0", _wait_set(self.I0))
         order = tuple(self.loop_order)
         if len(set(order)) != len(order):
             raise ConfigurationError(f"duplicate loop ids in {order}")
@@ -65,7 +63,7 @@ class ReservationLedger:
         if len(set(slots)) != len(slots):
             raise ConfigurationError(f"two sensors share a reserved slot: {tx}")
         object.__setattr__(self, "next_tx", MappingProxyType(tx))
-        _check_admissible(len(order), I0, self.p)
+        _check_admissible(len(order), self.I0, self.p)
 
     @property
     def gamma(self) -> int:

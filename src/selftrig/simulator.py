@@ -24,7 +24,7 @@ import numpy as np
 
 from .controller import decide
 from .errors import ConfigurationError, SelfTrigError
-from .model import LtiSystem, WeightSpec, as_vector
+from .model import LtiSystem, WeightSpec, _integer, _wait_set, as_vector
 from .scheduler import ReservationLedger, feasible_set, reserve
 from .synthesis import solve_periodic_riccati
 
@@ -110,10 +110,11 @@ class Scenario:
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate loop names: {names}")
         object.__setattr__(self, "loops", loops)
-        I0 = tuple(sorted(set(int(i) for i in self.I0)))
-        if not I0 or I0[0] < 1:
-            raise ConfigurationError(f"I0 must be positive integers, got {self.I0}")
-        object.__setattr__(self, "I0", I0)
+        object.__setattr__(self, "I0", _wait_set(self.I0))
+        for field in ("p", "horizon", "seed"):
+            object.__setattr__(self, field, _integer(getattr(self, field), field))
+        if self.ts is not None:
+            object.__setattr__(self, "ts", _integer(self.ts, "ts"))
         if self.p < 1:
             raise ConfigurationError(f"p must be >= 1, got {self.p}")
         if self.horizon < 1:

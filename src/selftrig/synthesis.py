@@ -2,8 +2,9 @@
 
 For each admissible wait ``i`` the online controller needs a value matrix
 ``P(i)`` and a feedback gain ``L(i)``.  Both come from a single periodic
-Riccati solve at the terminal period ``p`` followed by one backward step
-per ``i``; no optimization runs online.  This module also computes the
+Riccati solve at the terminal period ``p`` (structure-preserving doubling,
+accepted only on its residual) followed by one backward step per ``i``;
+no optimization runs online.  This module also computes the
 contraction certificate ``epsilon`` that bounds the closed-loop value
 function, and (de)serializes tables so that deployment never re-solves
 anything.
@@ -26,12 +27,13 @@ from .model import (
     LiftedModel,
     LtiSystem,
     WeightSpec,
-    _json_int,
+    _integer,
     _json_number,
     _json_numbers,
     _json_string,
     _readonly,
     _transition_pairs,
+    _wait_set,
     lift_range,
     symmetrize,
 )
@@ -42,8 +44,10 @@ ROOT_OF_UNITY_TOL = 1e-8
 # Singular values below this fraction of the largest count as rank deficiency.
 CTRB_RANK_RTOL = 1e-10
 
-RICCATI_MAX_ITERATIONS = 100_000
-RICCATI_RESIDUAL_TOL = 1e-12
+# Doubling steps before giving up; step k covers 2**k backward steps.
+RICCATI_MAX_DOUBLINGS = 64
+# Largest accepted Riccati residual, relative to the largest of its terms.
+RICCATI_RESIDUAL_TOL = 1e-8
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -107,9 +111,7 @@ def select_pstar(systems, I0) -> int:
     is an i-th root of unity.  Raises when no factor qualifies, naming the
     offending eigenvalues.
     """
-    factors = sorted(set(int(i) for i in I0))
-    if not factors or factors[0] < 1:
-        raise ConfigurationError(f"I0 must be a non-empty set of positive integers: {I0}")
+    factors = _wait_set(I0)
     qualifying = []
     failures = {}
     for i in factors:
@@ -125,7 +127,7 @@ def select_pstar(systems, I0) -> int:
             f"i={i}: {', '.join(f'{lam:.6g}' for lam in bad)}" for i, bad in failures.items()
         )
         raise SynthesisError(
-            f"no admissible terminal period in I0={factors}; offending eigenvalues: {detail}"
+            f"no admissible terminal period in I0={list(factors)}; offending eigenvalues: {detail}"
         )
     return max(qualifying)
 
@@ -148,18 +150,46 @@ def _gain_from(P: np.ndarray, lm: LiftedModel) -> tuple[np.ndarray, np.ndarray]:
     return L, G
 
 
-def solve_periodic_riccati(
-    sys: LtiSystem,
-    weights: WeightSpec,
-    p: int,
-    max_iterations: int = RICCATI_MAX_ITERATIONS,
-    tol: float = RICCATI_RESIDUAL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilizing fixed point of the lifted Riccati recursion at period ``p``.
+def _accept_riccati(P: np.ndarray, lm: LiftedModel) -> np.ndarray:
+    """The gain of P, once P passes as the stabilizing solution at ``lm.i``.
 
-    Fixed-point iteration of the one-step backward recursion over the
-    p-step lifted model, started from P = Qp.  Convergence is declared at
-    relative residual max|P - rhs(P)| / max|P| <= tol.
+    The residual ``Qi + Ai'P Ai - G L - P`` must be at most
+    RICCATI_RESIDUAL_TOL of the largest of its four terms (max norm: scale
+    free, and fair to a badly conditioned P), the lifted closed loop
+    ``Ai - Bi L`` strictly stable, and P positive definite.
+    """
+    L, G = _gain_from(P, lm)
+    terms = (lm.Qi, lm.Ai.T @ P @ lm.Ai, G @ L, P)
+    residual = np.max(np.abs(terms[0] + terms[1] - terms[2] - terms[3]))
+    residual /= max(np.max(np.abs(T)) for T in terms)
+    if not residual <= RICCATI_RESIDUAL_TOL:  # NaN fails too
+        raise SynthesisError(
+            f"Riccati solution at period {lm.i} has relative residual {residual:.3e}"
+        )
+    rho = max(abs(np.linalg.eigvals(lm.Ai - lm.Bi @ L)))
+    if rho >= 1.0:
+        raise SynthesisError(
+            f"Riccati solution at period {lm.i} is not stabilizing "
+            f"(closed-loop spectral radius {rho:.6g})"
+        )
+    min_eig = np.linalg.eigvalsh(P)[0]
+    if min_eig <= 0.0:
+        raise SynthesisError(
+            f"Riccati solution is not positive definite (min eigenvalue {min_eig:.3e})"
+        )
+    return L
+
+
+def solve_periodic_riccati(
+    sys: LtiSystem, weights: WeightSpec, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilizing solution of the lifted Riccati equation at period ``p``.
+
+    Structure-preserving doubling (Chu, Fan & Lin, 2005) on the p-step
+    lifted model, after ``u = v - Ri^-1 Ni' x`` removes the cross term.
+    Doubling step k covers 2**k backward steps; it stops once the value
+    matrix no longer moves, and the result must then pass
+    :func:`_accept_riccati`.
 
     Returns (Pp, Lp) with Pp symmetric positive definite and the lifted
     closed loop Ap - Bp Lp strictly stable.
@@ -168,35 +198,20 @@ def solve_periodic_riccati(
     if reason is not None:
         raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
     lm = lift_range(sys, weights, p)[-1]
-    P = lm.Qi.copy()
-    residual = np.inf
-    for _ in range(max_iterations):
-        L, G = _gain_from(P, lm)
-        P_next = symmetrize(lm.Qi + lm.Ai.T @ P @ lm.Ai - G @ L)
-        scale = np.max(np.abs(P_next))
-        residual = np.max(np.abs(P_next - P)) / max(scale, np.finfo(float).tiny)
-        P = P_next
-        if residual <= tol:
+    n = lm.Ai.shape[0]
+    K = np.linalg.solve(lm.Ri, np.hstack([lm.Ni.T, lm.Bi.T]))
+    A = lm.Ai - lm.Bi @ K[:, :n]
+    G = symmetrize(lm.Bi @ K[:, n:])
+    H = symmetrize(lm.Qi - lm.Ni @ K[:, :n])
+    for _ in range(RICCATI_MAX_DOUBLINGS):
+        # I + G H is nonsingular because G and H are positive semidefinite.
+        W = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+        H, H_prev = symmetrize(H + A.T @ H @ W[:, :n]), H
+        G = symmetrize(G + A @ W[:, n:] @ A.T)
+        A = A @ W[:, :n]
+        if np.array_equal(H, H_prev):
             break
-    else:
-        raise SynthesisError(
-            f"Riccati iteration did not converge within {max_iterations} iterations "
-            f"(relative residual {residual:.3e})"
-        )
-    L, _ = _gain_from(P, lm)
-    closed = lm.Ai - lm.Bi @ L
-    rho = max(abs(np.linalg.eigvals(closed)))
-    if rho >= 1.0:
-        raise SynthesisError(
-            f"converged value matrix is not stabilizing at period {p} "
-            f"(closed-loop spectral radius {rho:.6g})"
-        )
-    eigs = np.linalg.eigvalsh(P)
-    if eigs[0] <= 0.0:
-        raise SynthesisError(
-            f"converged value matrix is not positive definite (min eigenvalue {eigs[0]:.3e})"
-        )
-    return _readonly(P), _readonly(L)
+    return _readonly(H), _readonly(_accept_riccati(H, lm))
 
 
 @dataclass(frozen=True)
@@ -218,14 +233,12 @@ class GainTable:
     gamma: int
 
     def __post_init__(self):
-        I0 = tuple(sorted(set(int(i) for i in self.I0)))
-        if not I0 or I0[0] < 1:
-            raise ConfigurationError(f"I0 must be positive integers, got {self.I0}")
-        object.__setattr__(self, "I0", I0)
-        object.__setattr__(self, "gamma", max(I0))
-        if set(self.entries) != set(I0):
+        object.__setattr__(self, "I0", _wait_set(self.I0))
+        object.__setattr__(self, "gamma", max(self.I0))
+        object.__setattr__(self, "p", _integer(self.p, "table p"))
+        if set(self.entries) != set(self.I0):
             raise ConfigurationError(
-                f"table entries {sorted(self.entries)} do not match I0 {list(I0)}"
+                f"table entries {sorted(self.entries)} do not match I0 {list(self.I0)}"
             )
         if self.alpha < 0.0:
             raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
@@ -279,9 +292,7 @@ def build_gain_table(
     every (P(i), L(i)) pair by a single backward step from the periodic
     value matrix.
     """
-    factors = tuple(sorted(set(int(i) for i in I0)))
-    if not factors or factors[0] < 1:
-        raise ConfigurationError(f"I0 must be a non-empty set of positive integers: {I0}")
+    factors = _wait_set(I0)
     gamma = max(factors)
     Pp, Lp = solve_periodic_riccati(sys, weights, p)
     lifted = lift_range(sys, weights, gamma)
@@ -368,7 +379,10 @@ def stability_certificate(
         )
     epsilon = min(1.0, 1.0 - rho_max)
     lower = gt.alpha / gt.gamma
-    upper = (gt.alpha / epsilon) * (1.0 / pstar - (1.0 - epsilon) / gt.gamma)
+    # (alpha/eps)(1/pstar - (1-eps)/gamma), rearranged so that pstar = gamma
+    # at small eps loses nothing to cancellation.
+    gamma = gt.gamma
+    upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
     return StabilityCertificate(
         pstar=int(pstar),
         epsilon=epsilon,
@@ -379,37 +393,6 @@ def stability_certificate(
     )
 
 
-def _fmt17(x: float) -> str:
-    """A JSON number with 17 significant digits (lossless for float64)."""
-    if not np.isfinite(x):
-        raise ConfigurationError(f"cannot serialize non-finite value {x}")
-    s = format(float(x), ".17g")
-    return s
-
-
-def _json17(obj, indent: int = 0) -> str:
-    """Tiny JSON emitter that writes floats with 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        items = [
-            f'{pad}  {json.dumps(k)}: {_json17(v, indent + 1).lstrip()}'
-            for k, v in obj.items()
-        ]
-        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        inner = ", ".join(_json17(v, 0) for v in obj)
-        return pad + "[" + inner + "]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + _fmt17(float(obj))
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _flat(M: np.ndarray) -> list[float]:
     return [float(v) for v in np.asarray(M, dtype=float).ravel(order="C")]
 
@@ -417,8 +400,8 @@ def _flat(M: np.ndarray) -> list[float]:
 def serialize_gain_table(gt: GainTable, cert: StabilityCertificate) -> str:
     """Render one loop's table plus certificate scalars as JSON text.
 
-    Matrices are row-major flat lists; all floats carry 17 significant
-    digits so a reload reproduces bit-identical values.
+    Matrices are row-major flat lists.  Floats are written as the shortest
+    text that round-trips, so a reload reproduces bit-identical values.
     """
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,
@@ -437,7 +420,10 @@ def serialize_gain_table(gt: GainTable, cert: StabilityCertificate) -> str:
         "epsilon": cert.epsilon,
         "pstar": cert.pstar,
     }
-    return _json17(doc) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity
+        raise ConfigurationError(f"cannot serialize table {gt.loop_id!r}: {exc}") from None
 
 
 def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
@@ -466,11 +452,11 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         raise ConfigurationError(
             f"unsupported gain table schema version {doc['schema_version']}"
         )
-    n = _json_int(doc["n"], "gain table n")
-    m = _json_int(doc["m"], "gain table m")
+    n = _integer(doc["n"], "gain table n")
+    m = _integer(doc["m"], "gain table m")
     if not isinstance(doc["I0"], list):
         raise ConfigurationError("gain table I0 must be a list of integers")
-    I0 = [_json_int(i, "gain table I0 entry") for i in doc["I0"]]
+    I0 = _wait_set(doc["I0"])
     if not isinstance(doc["entries"], list):
         raise ConfigurationError("gain table entries must be a list")
 
@@ -488,7 +474,7 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
             raise ConfigurationError("gain table entries must be objects")
         if set(rec) != {"i", "P", "L"}:
             raise ConfigurationError(f"bad table entry fields: {sorted(rec)}")
-        i = _json_int(rec["i"], "gain table entry i")
+        i = _integer(rec["i"], "gain table entry i")
         entries[i] = (
             _readonly(mat(rec["P"], n, n, f"P({i})")),
             _readonly(mat(rec["L"], m, n, f"L({i})")),
@@ -497,11 +483,11 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         loop_id=_json_string(doc["loop_id"], "gain table loop_id"),
         alpha=_json_number(doc["alpha"], "gain table alpha"),
         entries=entries,
-        p=_json_int(doc["p"], "gain table p"),
+        p=doc["p"],
         Pp=_readonly(mat(doc["Pp"], n, n, "Pp")),
         Lp=_readonly(mat(doc["Lp"], m, n, "Lp")),
-        I0=tuple(I0),
-        gamma=max(I0, default=0),
+        I0=I0,
+        gamma=max(I0),
     )
     epsilon = _json_number(doc["epsilon"], "gain table epsilon")
-    return gt, epsilon, _json_int(doc["pstar"], "gain table pstar")
+    return gt, epsilon, _integer(doc["pstar"], "gain table pstar")

@@ -127,9 +127,9 @@ def random_system(rng, n_max=4, m_max=2, ensure_controllable=True,
     """Random finite plant; optionally resampled until (A, B) is controllable.
 
     ``max_spectral_radius`` rescales A when its spectrum is larger; tests
-    that solve Riccati equations use it so the fixed-point iteration keeps
-    float64 headroom (strongly expansive plants push the value matrices
-    toward the roundoff plateau).
+    that solve Riccati equations use it to keep the value matrices well
+    conditioned (strongly expansive plants make them ill conditioned, and
+    comparisons with other solvers then measure conditioning, not error).
     """
     from selftrig import is_controllable
 

@@ -263,3 +263,24 @@ def test_malformed_field_exits_2(target, path, value, synth_out, tmp_path, capsy
     scen.write_text(json.dumps(scen_doc))
     assert run_cli(*argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-9])
+def test_slow_integrator_synth_then_verify(q, tmp_path):
+    # A closed loop near the unit circle: the certificate margin is small
+    # (epsilon ~ 2e-3 at q = 1e-6) and the bounds collapse at pstar = gamma.
+    doc = {
+        "schema_version": 1,
+        "name": "slow",
+        "loops": [{
+            "name": "slow", "n": 1, "m": 1,
+            "A": [1.0], "B": [1.0], "Q": [q], "R": [1.0],
+            "alpha": 0.2, "x0": [1.0],
+        }],
+        "I0": [1, 2, 3], "p": 3, "horizon": 20, "seed": 0,
+    }
+    scen = tmp_path / "slow.json"
+    scen.write_text(json.dumps(doc))
+    tables = tmp_path / "tables"
+    assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
+    assert run_cli("verify", "-t", str(tables), "-c", str(scen)) == 0

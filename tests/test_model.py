@@ -4,11 +4,17 @@ import pytest
 
 from selftrig import (
     ConfigurationError,
+    GainTable,
+    LoopSpec,
     LtiSystem,
+    ReservationLedger,
+    Scenario,
     WeightSpec,
     lift_dynamics,
     lift_range,
     lift_weights,
+    build_gain_table,
+    select_pstar,
     stage_cost_sum,
 )
 
@@ -211,3 +217,44 @@ class TestSystemValidation:
     def test_matrices_are_read_only(self, integrator):
         with pytest.raises(ValueError):
             integrator.A[0, 0] = 2.0
+
+
+def _scenario(**overrides):
+    loop = LoopSpec(name="loop", system=LtiSystem(A=[[1.0]], B=[[1.0]]),
+                    weights=WeightSpec(Q=[[1.0]], R=[[1.0]]), x0=[1.0])
+    fields = dict(loops=(loop,), I0=(1, 2, 3), p=3, horizon=10, seed=1)
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def _table(I0):
+    P, L = np.eye(1), np.eye(1)
+    return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L), 2: (P, L)},
+                     p=2, Pp=P, Lp=L, I0=I0, gamma=2)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _scenario(I0=[1.5, 2.9, 5]), id="scenario-I0-fraction"),
+    pytest.param(lambda: _scenario(I0=[True, 2]), id="scenario-I0-bool"),
+    pytest.param(lambda: _scenario(I0=[0, 1]), id="scenario-I0-zero"),
+    pytest.param(lambda: _scenario(horizon=10.5), id="scenario-horizon-fraction"),
+    pytest.param(lambda: _scenario(p=3.0), id="scenario-p-float"),
+    pytest.param(lambda: _scenario(mode="periodic", ts=2.5), id="scenario-ts-fraction"),
+    pytest.param(lambda: _table([1, 2.0]), id="table-I0-float"),
+    pytest.param(lambda: ReservationLedger(p=3, I0=[1, 2.5], loop_order=("a",),
+                                           next_tx={}), id="ledger-I0-fraction"),
+    pytest.param(lambda: build_gain_table(LtiSystem(A=[[1.0]], B=[[1.0]]),
+                                          WeightSpec(Q=[[1.0]], R=[[1.0]]),
+                                          [1, 1.5], 1), id="build-I0-fraction"),
+    pytest.param(lambda: select_pstar([LtiSystem(A=[[1.0]], B=[[1.0]])], [2.5]),
+                 id="select-pstar-I0-fraction"),
+])
+def test_non_integer_waits_and_counts_refused(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+def test_numpy_integers_are_accepted_as_plain_ints():
+    scn = _scenario(I0=np.arange(3, 0, -1), p=np.int64(3), horizon=np.int32(10))
+    assert scn.I0 == (1, 2, 3) and scn.p == 3 and scn.horizon == 10
+    assert all(type(v) is int for v in (*scn.I0, scn.p, scn.horizon))

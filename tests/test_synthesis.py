@@ -15,6 +15,7 @@ from selftrig import (
     downsampled_controllable,
     is_controllable,
     lift_dynamics,
+    lift_range,
     lift_weights,
     pstar_is_gamma,
     select_pstar,
@@ -24,6 +25,7 @@ from selftrig import (
     stage_cost_sum,
     uncontrollable_reason,
 )
+from selftrig.synthesis import _accept_riccati
 
 from conftest import (
     random_system,
@@ -141,6 +143,37 @@ class TestPeriodicRiccati:
         w = WeightSpec(Q=[[1.0]], R=[[1.0]])
         with pytest.raises(SynthesisError, match="power 2"):
             solve_periodic_riccati(sys, w, 2)
+
+    def test_tiny_state_weight_matches_closed_form(self, integrator):
+        # Closed loop 1 - L is within 3e-5 of the unit circle; the value is
+        # the positive root of P^2 - q P - q r = 0.
+        q, r = 1e-9, 1.0
+        P, L = solve_periodic_riccati(integrator, WeightSpec(Q=[[q]], R=[[r]]), 1)
+        exact = (q + np.sqrt(q * q + 4.0 * q * r)) / 2.0
+        assert P[0, 0] == pytest.approx(exact, rel=1e-10)
+        assert L[0, 0] == pytest.approx(exact / (r + exact), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_tiny_state_weight_matches_dare_on_lifted_model(self, integrator, p):
+        w = WeightSpec(Q=[[1e-9]], R=[[1.0]])
+        P, _ = solve_periodic_riccati(integrator, w, p)
+        Ai, Bi = lift_dynamics(integrator, p)
+        Qi, Ri, Ni = lift_weights(integrator, w, p)
+        P_ref = scipy.linalg.solve_discrete_are(Ai, Bi, Qi, Ri, s=Ni)
+        np.testing.assert_allclose(P, P_ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("P, reason", [
+        pytest.param((1.0 + np.sqrt(5.0)) / 2.0 * (1.0 + 1e-6), "residual",
+                     id="golden-ratio-scaled"),
+        # Solves P^2 - P - 1 = 0 like the golden ratio, but its closed loop
+        # 1/(1 + P) lies outside the unit circle.
+        pytest.param((1.0 - np.sqrt(5.0)) / 2.0, "not stabilizing",
+                     id="non-stabilizing-root"),
+    ])
+    def test_acceptance_refuses(self, integrator, integrator_weights, P, reason):
+        lm = lift_range(integrator, integrator_weights, 1)[-1]
+        with pytest.raises(SynthesisError, match=reason):
+            _accept_riccati(np.array([[P]]), lm)
 
 
 class TestGainTable:
