@@ -28,9 +28,7 @@ from .model import (
 from .scenario import load_scenario, scenario_from_dict
 from .scheduler import (
     ReservationLedger,
-    excluded_waits,
     feasible_set,
-    feasible_waits_heterogeneous,
     reserve,
     verify_conflict_free,
 )
@@ -92,9 +90,7 @@ __all__ = [
     "deserialize_gain_table",
     "downsampled_controllable",
     "empiric_cost",
-    "excluded_waits",
     "feasible_set",
-    "feasible_waits_heterogeneous",
     "is_controllable",
     "lift_dynamics",
     "lift_range",

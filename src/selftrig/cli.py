@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +53,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CERTIFICATE = 4
 EXIT_SCHEDULING = 5
-
-FULL_SCALE_ENV = "SELFTRIG_FULL_SCALE"
-FULL_SCALE_RUNS = 100
-FULL_SCALE_HORIZON = 10_000
 
 
 def _table_path(out_dir: Path, loop_id: str) -> Path:
@@ -198,15 +192,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scn, _ = load_scenario(args.scenario)
     _check_admissible(len(scn.loops), scn.I0, scn.p)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
-    n_runs = args.runs
-    horizon = scn.horizon
-    if os.environ.get(FULL_SCALE_ENV) == "1":
-        n_runs = FULL_SCALE_RUNS
-        horizon = FULL_SCALE_HORIZON
-        print(f"full-scale sweep: {n_runs} runs x {horizon} steps")
-    scn = replace(scn, horizon=horizon)
-    summary = sweep_alpha(scn, alphas, n_runs, args.seed)
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"--alphas must be comma-separated numbers: {exc}"
+        ) from exc
+    summary = sweep_alpha(scn, alphas, args.runs, args.seed)
     for alpha, msg in summary.errors.items():
         print(f"alpha={alpha:g}: synthesis failed: {msg}", file=sys.stderr)
 

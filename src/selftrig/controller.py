@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainLookupError, SchedulingError
-from .model import as_vector
+from .model import _wait_set, as_vector
 from .synthesis import GainTable
 
 
@@ -49,9 +49,10 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     communication.  With x = 0 the quadratic terms vanish and the rule
     reduces to the largest feasible wait with u = 0.
     """
-    feas = sorted(set(int(i) for i in feasible))
-    if not feas:
+    feasible = tuple(feasible)
+    if not feasible:
         raise SchedulingError("cannot decide over an empty feasible set")
+    feas = _wait_set(feasible)
     unknown = [i for i in feas if i not in gt.entries]
     if unknown:
         raise GainLookupError(

@@ -1,20 +1,25 @@
 """Conflict-free coordination of one shared channel across loops.
 
-Each sensor owns at most one reserved future slot.  A loop choosing its
-next wait must avoid, for every other sensor, the whole arithmetic
-progression that sensor will occupy once the network settles into the
-shared terminal period ``p``.  Excluding one residue class modulo ``p``
-per opposing sensor achieves that, and with at most ``p`` loops and waits
-``{1..s}`` available the resulting feasible set is never empty.
+Each sensor owns at most one reserved future slot.  Once the network
+settles into the shared terminal period ``p``, a sensor whose next slot is
+``next_tx[q]`` occupies every slot congruent to it modulo ``p``.  A loop
+deciding at time ``k`` therefore keeps wait ``i`` exactly when
+``(i - (next_tx[q] - k)) % p != 0`` for every other reserved sensor ``q``:
+one residue class modulo ``p`` is excluded per opposing sensor.  With at
+most ``p`` loops and waits ``{1..s}`` available the resulting feasible set
+is never empty.
+
+A ledger is validated once, when a caller builds it.  :func:`reserve`
+derives the next ledger from a feasible wait without validating again:
+membership in the feasible set already rules out a shared slot.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import ConfigurationError, SchedulingError
-from .model import _wait_set
+from .model import _integer, _wait_set
 
 
 def _check_admissible(s: int, I0, p: int) -> None:
@@ -48,6 +53,7 @@ class ReservationLedger:
     next_tx: MappingProxyType
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _integer(self.p, "shared period p"))
         if self.p < 1:
             raise ConfigurationError(f"shared period must be >= 1, got {self.p}")
         object.__setattr__(self, "I0", _wait_set(self.I0))
@@ -55,7 +61,8 @@ class ReservationLedger:
         if len(set(order)) != len(order):
             raise ConfigurationError(f"duplicate loop ids in {order}")
         object.__setattr__(self, "loop_order", order)
-        tx = dict(self.next_tx)
+        tx = {q: _integer(slot, f"reserved slot of loop {q!r}")
+              for q, slot in dict(self.next_tx).items()}
         for q in tx:
             if q not in order:
                 raise ConfigurationError(f"reservation for unknown loop {q!r}")
@@ -70,36 +77,18 @@ class ReservationLedger:
         return max(self.I0)
 
 
-def excluded_waits(ledger: ReservationLedger, loop_id: str, k: int) -> dict:
-    """Waits loop ``loop_id`` must avoid at time ``k``, with witnesses.
-
-    Returns a map i -> (other_loop, r) such that i = next_tx[other] - k + r*p,
-    i.e. waiting i steps would land on a slot the other sensor will occupy.
-    """
-    if loop_id not in ledger.loop_order:
-        raise ConfigurationError(f"unknown loop {loop_id!r}")
-    gamma = ledger.gamma
-    p = ledger.p
-    out = {}
-    for q in ledger.loop_order:
-        if q == loop_id or q not in ledger.next_tx:
-            continue
-        d = ledger.next_tx[q] - k
-        r_lo = math.ceil((1 - d) / p)
-        r_hi = math.floor((gamma - d) / p)
-        for r in range(r_lo, r_hi + 1):
-            out.setdefault(d + r * p, (q, r))
-    return out
-
-
 def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     """Waits loop ``loop_id`` may choose at time ``k`` without collisions.
 
     Guaranteed non-empty for admissible ledgers; an empty result indicates
     a broken internal invariant and raises.
     """
-    excluded = excluded_waits(ledger, loop_id, k)
-    feas = frozenset(i for i in ledger.I0 if i not in excluded)
+    if loop_id not in ledger.loop_order:
+        raise ConfigurationError(f"unknown loop {loop_id!r}")
+    p = ledger.p
+    # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
+    taken = {(kq - k) % p for q, kq in ledger.next_tx.items() if q != loop_id}
+    feas = frozenset(i for i in ledger.I0 if i % p not in taken)
     if not feas:
         raise SchedulingError(
             f"internal invariant violation: loop {loop_id!r} has no feasible wait "
@@ -111,22 +100,21 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
 def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> ReservationLedger:
     """Book loop ``loop_id``'s next transmission at slot k + i.
 
-    The wait must be feasible at time k; a collision with an existing slot
-    is unreachable when that holds and is asserted defensively.
+    Returns a new ledger and leaves ``ledger`` unchanged.  The wait must be
+    feasible at time k, which is the only collision check: a feasible wait
+    never lands on another sensor's slot, so the new ledger is derived
+    without validating it again.
     """
+    i = _integer(i, "wait")
     if i not in feasible_set(ledger, loop_id, k):
         raise SchedulingError(
             f"loop {loop_id!r} attempted infeasible wait {i} at k={k}"
         )
-    slot = k + i
-    for q, kq in ledger.next_tx.items():
-        if q != loop_id and kq == slot:
-            raise SchedulingError(
-                f"reservation conflict: loops {loop_id!r} and {q!r} both at slot {slot}"
-            )
-    tx = dict(ledger.next_tx)
-    tx[loop_id] = slot
-    return replace(ledger, next_tx=MappingProxyType(tx))
+    booked = object.__new__(ReservationLedger)
+    booked.__dict__.update(
+        ledger.__dict__, next_tx=MappingProxyType({**ledger.next_tx, loop_id: k + i})
+    )
+    return booked
 
 
 def verify_conflict_free(tx_log) -> bool:
@@ -137,28 +125,3 @@ def verify_conflict_free(tx_log) -> bool:
     """
     times = sorted(t for t, _ in tx_log)
     return all(a != b for a, b in zip(times, times[1:]))
-
-
-def feasible_waits_heterogeneous(I0, own_period: int, k: int, reservations) -> set:
-    """Audit-only feasible waits when loops run different periods.
-
-    ``reservations`` holds (next_slot, period) pairs for the other loops.
-    A wait i collides when i + m*own_period = (next_slot - k) + n*period
-    for some m, n >= 0, i.e. exactly when own_period and the other period
-    generate a lattice containing i - (next_slot - k).  Online scheduling
-    does not use this form because non-emptiness is not guaranteed.
-    """
-    if own_period < 1:
-        raise ConfigurationError(f"own period must be >= 1, got {own_period}")
-    feasible = set()
-    for i in set(int(v) for v in I0):
-        collides = False
-        for next_slot, period in reservations:
-            if period < 1:
-                raise ConfigurationError(f"reservation period must be >= 1, got {period}")
-            if (i - (next_slot - k)) % math.gcd(own_period, period) == 0:
-                collides = True
-                break
-        if not collides:
-            feasible.add(i)
-    return feasible

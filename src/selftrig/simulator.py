@@ -345,7 +345,7 @@ def run_periodic(
     zero before a loop's first sample.  Substream indices match those of
     :func:`run_self_triggered` so baselines share noise realizations.
     """
-    ts = int(scn.ts if ts is None else ts)
+    ts = _integer(scn.ts if ts is None else ts, "ts")
     if not (1 <= ts <= scn.p):
         raise ConfigurationError(f"ts must lie in [1, p={scn.p}], got {ts}")
     s = len(scn.loops)
@@ -437,10 +437,13 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     from .synthesis import build_gain_table
 
     alphas = [float(a) for a in alphas]
+    if not np.all(np.isfinite(alphas)):
+        raise ConfigurationError(f"alphas must be finite, got {alphas}")
     if any(a < 0 for a in alphas):
         raise ConfigurationError("alphas must be nonnegative")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError("alphas must be ascending")
+    n_runs = _integer(n_runs, "n_runs")
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
 

@@ -228,6 +228,16 @@ class TestSweep:
             assert matched["n_runs"] == row["n_runs"] == "1"
 
 
+@pytest.mark.parametrize("alphas", ["abc", "nan", "1,inf"])
+def test_malformed_sweep_alphas_exit_2(alphas, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "-c", str(SCENARIOS / "integrator_transient.json"),
+                   "--alphas", alphas, "--runs", "1", "-o", str(out))
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _set_field(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]

@@ -10,12 +10,16 @@ from selftrig import (
     ReservationLedger,
     Scenario,
     WeightSpec,
+    decide,
     lift_dynamics,
     lift_range,
     lift_weights,
     build_gain_table,
+    reserve,
+    run_periodic,
     select_pstar,
     stage_cost_sum,
+    sweep_alpha,
 )
 
 from conftest import random_system, random_weights
@@ -243,6 +247,18 @@ def _table(I0):
     pytest.param(lambda: _table([1, 2.0]), id="table-I0-float"),
     pytest.param(lambda: ReservationLedger(p=3, I0=[1, 2.5], loop_order=("a",),
                                            next_tx={}), id="ledger-I0-fraction"),
+    pytest.param(lambda: ReservationLedger(p=2.5, I0=[1, 2], loop_order=("a",),
+                                           next_tx={}), id="ledger-p-fraction"),
+    pytest.param(lambda: ReservationLedger(p=3, I0=[1, 2], loop_order=("a",),
+                                           next_tx={"a": 1.5}),
+                 id="ledger-slot-fraction"),
+    pytest.param(lambda: reserve(ReservationLedger(p=3, I0=[1, 2], loop_order=("a",),
+                                                   next_tx={}), "a", 0, 2.0),
+                 id="reserve-wait-float"),
+    pytest.param(lambda: run_periodic(_scenario(), ts=2.7), id="run-periodic-ts-fraction"),
+    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=2.5, seed=0),
+                 id="sweep-n-runs-fraction"),
+    pytest.param(lambda: decide(_table([1, 2]), [0.0], [1.5]), id="decide-wait-fraction"),
     pytest.param(lambda: build_gain_table(LtiSystem(A=[[1.0]], B=[[1.0]]),
                                           WeightSpec(Q=[[1.0]], R=[[1.0]]),
                                           [1, 1.5], 1), id="build-I0-fraction"),

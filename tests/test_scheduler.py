@@ -1,13 +1,12 @@
 """Slot reservations, feasible wait sets, conflict audits."""
+import numpy as np
 import pytest
 
 from selftrig import (
     ConfigurationError,
     ReservationLedger,
     SchedulingError,
-    excluded_waits,
     feasible_set,
-    feasible_waits_heterogeneous,
     reserve,
     verify_conflict_free,
 )
@@ -39,17 +38,40 @@ class TestFeasibleSet:
         # At its own slot, l1 is only constrained by l2's slot at 7: 7-3=4.
         assert feasible_set(ledger, "l1", 3) == frozenset({1, 2, 3, 5})
 
-    def test_exclusion_witnesses_are_constructive(self):
-        ledger = ReservationLedger(
-            p=3, I0=range(1, 8), loop_order=("l", "q", "r"),
-            next_tx={"q": 12, "r": 14},
-        )
-        k = 10
-        witnesses = excluded_waits(ledger, "l", k)
-        assert witnesses
-        for i, (q, r) in witnesses.items():
-            assert i == ledger.next_tx[q] - k + r * ledger.p
-            assert 1 <= i <= ledger.gamma
+    def test_matches_bounded_enumeration(self):
+        # Wait i is excluded iff k + i == next_tx[q] + r*p for some other
+        # loop q and some |r| <= R; R covers every offset drawn below.
+        rng = np.random.default_rng(6)
+        seen = set()
+        for _ in range(300):
+            p = int(rng.integers(2, 7))
+            s = int(rng.integers(2, p + 1))
+            extra = rng.integers(s + 1, 3 * p + 2, size=int(rng.integers(0, 4)))
+            I0 = set(range(1, s + 1)) | {int(i) for i in extra}
+            gamma = max(I0)
+            names = tuple(f"l{j}" for j in range(s))
+            k = int(rng.integers(0, 50))
+            offsets = rng.choice(3 * gamma + 1, size=s, replace=False)
+            booked = rng.random(s) < 0.8
+            next_tx = {q: k + int(d) for q, d, b in zip(names, offsets, booked) if b}
+            ledger = ReservationLedger(p=p, I0=I0, loop_order=names, next_tx=next_tx)
+            loop = names[int(rng.integers(s))]
+            R = (4 * gamma) // p + 1
+            want = {
+                i for i in I0
+                if not any(k + i == kq + r * p
+                           for q, kq in next_tx.items() if q != loop
+                           for r in range(-R, R + 1))
+            }
+            assert feasible_set(ledger, loop, k) == want
+            others = [kq - k for q, kq in next_tx.items() if q != loop]
+            if gamma > p:
+                seen.add("gamma > p")
+            if 0 in others:
+                seen.add("reservation at k")
+            if any(d > gamma for d in others):
+                seen.add("reservation beyond gamma")
+        assert len(seen) == 3
 
     def test_unknown_loop_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -81,6 +103,27 @@ class TestReserve:
             feas = feasible_set(ledger, loop, k)
             assert ledger.p in feas
             ledger = reserve(ledger, loop, k, max(feas))
+
+    def test_infeasible_wait_rejected_after_reservation(self):
+        ledger = reserve(ledger_two_loops(), "l1", 0, 2)
+        with pytest.raises(SchedulingError):
+            reserve(ledger, "l2", 0, 2)
+        with pytest.raises(SchedulingError):
+            reserve(ledger, "l2", 1, 1)
+        assert dict(ledger.next_tx) == {"l1": 2}
+        assert reserve(ledger, "l2", 1, 2).next_tx == {"l1": 2, "l2": 3}
+
+    def test_reserve_does_not_revalidate(self, monkeypatch):
+        ledger = ledger_two_loops(l1=2)
+
+        def refuse(self):
+            raise AssertionError("ledger validated again")
+
+        monkeypatch.setattr(ReservationLedger, "__post_init__", refuse)
+        updated = reserve(ledger, "l2", 0, 3)
+        assert (updated.p, updated.I0) == (5, (1, 2, 3, 4, 5))
+        assert updated.loop_order == ("l1", "l2")
+        assert updated.next_tx == {"l1": 2, "l2": 3}
 
     def test_original_ledger_unchanged(self):
         ledger = ledger_two_loops()
@@ -121,58 +164,7 @@ class TestConflictAudit:
         assert verify_conflict_free([])
 
 
-class TestHeterogeneousAudit:
-    @staticmethod
-    def brute_force(I0, own_period, k, reservations, bound=200):
-        feasible = set()
-        for i in I0:
-            hit = False
-            for next_slot, period in reservations:
-                d = next_slot - k
-                for n in range(bound):
-                    for m in range(bound):
-                        if i == d + n * period - m * own_period:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if not hit:
-                feasible.add(i)
-        return feasible
-
-    def test_matches_bounded_enumeration(self):
-        import numpy as np
-
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            own_p = int(rng.integers(1, 8))
-            gamma = int(rng.integers(own_p, 12))
-            I0 = set(range(1, gamma + 1))
-            k = int(rng.integers(0, 20))
-            reservations = [
-                (k + int(rng.integers(1, 10)), int(rng.integers(1, 8)))
-                for _ in range(int(rng.integers(1, 4)))
-            ]
-            got = feasible_waits_heterogeneous(I0, own_p, k, reservations)
-            want = self.brute_force(I0, own_p, k, reservations)
-            assert got == want
-
-    def test_shared_period_reduces_to_residue_rule(self):
-        I0 = set(range(1, 6))
-        got = feasible_waits_heterogeneous(I0, 5, 10, [(17, 5)])
-        assert got == {1, 3, 4, 5}
-
-    def test_coprime_periods_can_exclude_everything(self):
-        # gcd 1 means the opposing lattice hits every wait; the homogeneous
-        # guarantee does not carry over, which is why this stays audit-only.
-        assert feasible_waits_heterogeneous({1, 2, 3}, 2, 0, [(1, 3)]) == set()
-
-
 def test_randomized_reservation_cycles_stay_nonempty():
-    import numpy as np
-
     rng = np.random.default_rng(123)
     for s in (2, 3, 4):
         p = s + int(rng.integers(0, 3))
