@@ -29,6 +29,7 @@ from .scenario import load_scenario
 from .scheduler import _check_admissible, verify_conflict_free
 from .simulator import (
     MODE_PERIODIC,
+    _check_tables,
     average_sampling_interval,
     empiric_cost,
     periodic_baseline,
@@ -53,6 +54,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CERTIFICATE = 4
 EXIT_SCHEDULING = 5
+
+# Largest accepted distance between a stored and a recomputed epsilon.
+EPSILON_ATOL = 1e-9
 
 
 def _table_path(out_dir: Path, loop_id: str) -> Path:
@@ -153,9 +157,6 @@ def cmd_simulate(args) -> int:
                 "self-triggered scenarios need -t/--tables (run synth first)"
             )
         stored = _load_tables(Path(args.tables))
-        missing = [spec.name for spec in scn.loops if spec.name not in stored]
-        if missing:
-            raise ConfigurationError(f"no gain tables for loops {missing}")
         tables = {name: gt for name, (gt, _, _) in stored.items()}
         trace = run_self_triggered(scn, tables)
     if not verify_conflict_free(sorted(trace.tx_log)):
@@ -228,27 +229,22 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     scn, _ = load_scenario(args.scenario)
     stored = _load_tables(Path(args.tables))
-    systems = {spec.name: spec.system for spec in scn.loops}
+    _check_tables(scn, {name: gt for name, (gt, _, _) in stored.items()})
+    systems = [spec.system for spec in scn.loops]
     _check_admissible(len(scn.loops), scn.I0, scn.p)
-    pstar = select_pstar(list(systems.values()), scn.I0)
-    pg = pstar_is_gamma(list(systems.values()), scn.I0)
+    pstar = select_pstar(systems, scn.I0)
+    pg = pstar_is_gamma(systems, scn.I0)
     print(f"terminal period {pstar}; equals max wait gamma: {'yes' if pg else 'no'}")
     s = len(scn.loops)
     if s >= 2:
         print(f"network admissibility (s={s} <= p={scn.p}, waits 1..{s} available): ok")
     failures = []
     for spec in scn.loops:
-        if spec.name not in stored:
-            raise ConfigurationError(f"no stored table for loop {spec.name!r}")
         gt, eps_stored, pstar_stored = stored[spec.name]
-        if gt.n != spec.system.n or gt.m != spec.system.m:
-            raise ConfigurationError(
-                f"table/scenario dimension mismatch for loop {spec.name!r}"
-            )
         try:
             cert = stability_certificate(gt, spec.system, pstar)
         except (CertificateError, ConfigurationError) as exc:
-            failures.append(f"loop {spec.name!r}: {exc}")
+            failures.append(str(exc))  # names the loop already
             print(f"loop {spec.name}: CERTIFICATE FAILED: {exc}")
             continue
         collapse = math.isclose(cert.lower_bound, cert.upper_bound, rel_tol=1e-12)
@@ -260,6 +256,17 @@ def cmd_verify(args) -> int:
         )
         if cert.lower_bound > cert.upper_bound + 1e-15:
             failures.append(f"loop {spec.name!r}: bound ordering violated")
+        # epsilon is 1 minus a ratio, so its rounding error is absolute.
+        if not abs(cert.epsilon - eps_stored) <= EPSILON_ATOL:
+            failures.append(
+                f"loop {spec.name!r}: stored epsilon {eps_stored:.17g} differs from "
+                f"recomputed {cert.epsilon:.17g}"
+            )
+        if pstar_stored != cert.pstar:
+            failures.append(
+                f"loop {spec.name!r}: stored pstar {pstar_stored} differs from "
+                f"selected {cert.pstar}"
+            )
     if failures:
         raise CertificateError("; ".join(failures))
     print("all certificates pass")

@@ -85,6 +85,7 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     """
     if loop_id not in ledger.loop_order:
         raise ConfigurationError(f"unknown loop {loop_id!r}")
+    k = _integer(k, "decision time k")
     p = ledger.p
     # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
     taken = {(kq - k) % p for q, kq in ledger.next_tx.items() if q != loop_id}

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificateError,
@@ -344,9 +343,13 @@ def stability_certificate(
 ) -> StabilityCertificate:
     """Compute the contraction margin and value bounds for one table.
 
-    The table must have been synthesized with ``p == pstar``.  Raises
-    CertificateError when any contraction ratio reaches 1, reporting the
-    offending wait rather than silently clipping.
+    The table must have been synthesized with ``p == pstar``.  Each ratio
+    is the largest generalized eigenvalue of ``(G, P(i))``, with
+    ``G = F(i)' Pp F(i)``, taken by Cholesky reduction: with
+    ``P(i) = C C'``, it is the largest eigenvalue of ``C^-1 G C^-T``.
+    Raises CertificateError when a P(i) is not positive definite (its
+    Cholesky factorization fails) or when any contraction ratio reaches 1,
+    reporting the offending wait rather than silently clipping.
     """
     if gt.p != pstar:
         raise ConfigurationError(
@@ -361,7 +364,16 @@ def stability_certificate(
             Pi, Li = gt.entries[i]
             F = Ai - Bi @ Li
             G = symmetrize(F.T @ gt.Pp @ F)
-            ratios[i] = float(np.max(scipy.linalg.eigh(G, Pi, eigvals_only=True)))
+            try:
+                C = np.linalg.cholesky(Pi)
+            except np.linalg.LinAlgError:
+                raise CertificateError(
+                    f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
+                    f"positive definite (its Cholesky factorization fails)"
+                ) from None
+            # Cholesky reduction of the pencil (G, P(i)), as in LAPACK's sygv.
+            M = np.linalg.solve(C, np.linalg.solve(C, G).T)
+            ratios[i] = float(np.linalg.eigvalsh(symmetrize(M))[-1])
             S = symmetrize(Pi - G)
             s_eigs = np.linalg.eigvalsh(S)
             if s_eigs[0] < -1e-10 * max(1.0, abs(s_eigs[-1])):

@@ -196,6 +196,38 @@ class TestVerify:
         assert run_cli("verify", "-t", str(tmp_path),
                        "-c", str(SCENARIOS / "two_loop.json")) == 2
 
+    @pytest.mark.parametrize("edit,code,fragment", [
+        pytest.param(lambda doc: doc["entries"][0].update(P=[-doc["entries"][0]["P"][0]]),
+                     4, "P(1) at wait 1 is not positive definite", id="P1-negated"),
+        pytest.param(lambda doc: doc["entries"][0].update(P=[0.0]),
+                     4, "P(1) at wait 1 is not positive definite", id="P1-zero"),
+        pytest.param(lambda doc: doc.update(epsilon=0.999),
+                     4, "stored epsilon", id="epsilon-0.999"),
+        pytest.param(lambda doc: doc.update(epsilon=doc["epsilon"] + 2e-9),
+                     4, "stored epsilon", id="epsilon-off-2e-9"),
+        pytest.param(lambda doc: doc.update(epsilon=doc["epsilon"] + 5e-10),
+                     0, None, id="epsilon-off-5e-10"),
+        pytest.param(lambda doc: doc.update(pstar=1), 4, "stored pstar", id="pstar-1"),
+        pytest.param(lambda doc: doc.update(alpha=3 * doc["alpha"]),
+                     2, "alpha", id="alpha-tripled"),
+        pytest.param(lambda doc: doc.update(I0=doc["I0"][:-1], entries=doc["entries"][:-1]),
+                     2, "I0", id="I0-without-gamma"),
+    ])
+    def test_tampered_table(self, edit, code, fragment, synth_out, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        for path in synth_out.glob("*.gains.json"):
+            doc = json.loads(path.read_text())
+            if doc["loop_id"] == "integrator":
+                edit(doc)
+            (tables / path.name).write_text(json.dumps(doc))
+        assert run_cli("verify", "-t", str(tables),
+                       "-c", str(SCENARIOS / "two_loop.json")) == code
+        err = capsys.readouterr().err
+        if fragment is not None:
+            assert "'integrator'" in err and fragment in err
+            assert "'double_integrator'" not in err
+
 
 class TestSweep:
     def test_deterministic_and_writes_baseline(self, tmp_path):

@@ -11,6 +11,7 @@ from selftrig import (
     Scenario,
     WeightSpec,
     decide,
+    feasible_set,
     lift_dynamics,
     lift_range,
     lift_weights,
@@ -237,6 +238,10 @@ def _table(I0):
                      p=2, Pp=P, Lp=L, I0=I0, gamma=2)
 
 
+def _booked_ledger():
+    return ReservationLedger(p=5, I0=range(1, 6), loop_order=("a", "b"), next_tx={"a": 3})
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _scenario(I0=[1.5, 2.9, 5]), id="scenario-I0-fraction"),
     pytest.param(lambda: _scenario(I0=[True, 2]), id="scenario-I0-bool"),
@@ -255,6 +260,8 @@ def _table(I0):
     pytest.param(lambda: reserve(ReservationLedger(p=3, I0=[1, 2], loop_order=("a",),
                                                    next_tx={}), "a", 0, 2.0),
                  id="reserve-wait-float"),
+    pytest.param(lambda: feasible_set(_booked_ledger(), "b", 2.5), id="feasible-set-k-fraction"),
+    pytest.param(lambda: reserve(_booked_ledger(), "b", 2.5, 1), id="reserve-k-fraction"),
     pytest.param(lambda: run_periodic(_scenario(), ts=2.7), id="run-periodic-ts-fraction"),
     pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=2.5, seed=0),
                  id="sweep-n-runs-fraction"),

@@ -312,6 +312,25 @@ class TestCertificate:
             for S in cert.Si.values():
                 assert np.linalg.eigvalsh(S).min() > -1e-9
 
+    def test_ratios_match_scipy_generalized_eigh(self):
+        # scipy.linalg.eigh(G, P(i)) is the independent reference.  Both it
+        # and the Cholesky reduction lose up to about eps * cond(P(i))
+        # relative; these plants keep cond(P(i)) below 1e6.
+        rng = np.random.default_rng(31)
+        for plant in range(120):
+            sys, p = random_lift_controllable(rng, p_max=5, n_max=6)
+            w = random_weights(rng, sys.n, sys.m)
+            gt = build_gain_table(sys, w, range(1, p + 1), p)
+            cert = stability_certificate(gt, sys, p)
+            for i, ratio in cert.per_i_ratio.items():
+                Ai, Bi = lift_dynamics(sys, i)
+                Pi, Li = gt.entries[i]
+                F = Ai - Bi @ Li
+                G = F.T @ gt.Pp @ F
+                G = 0.5 * (G + G.T)
+                ref = scipy.linalg.eigh(G, Pi, eigvals_only=True)[-1]
+                assert abs(ratio - ref) <= 1e-12 * abs(ref), (plant, i)
+
     def test_corrupted_gain_fails_certificate(self, integrator, integrator_table):
         bad_entries = dict(integrator_table.entries)
         bad_entries[1] = (integrator_table.P(1), integrator_table.L(1) + 5.0)
