@@ -66,9 +66,9 @@ def _wait_set(I0) -> tuple:
     return waits
 
 
-def _json_number(value, what: str) -> float:
-    """A parsed finite JSON number field; booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, what: str) -> float:
+    """A finite ``int``, ``float`` or numpy number field; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigurationError(f"{what} must be finite, got {value!r}")

@@ -16,9 +16,9 @@ from .model import (
     LtiSystem,
     WeightSpec,
     _integer,
-    _json_number,
     _json_numbers,
     _json_string,
+    _number,
 )
 from .simulator import MODE_SELF_TRIGGERED, LoopSpec, Scenario
 
@@ -73,7 +73,7 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
     E = _matrix(doc, "E", n, w, context) if "E" in doc else None
     Q = _matrix(doc, "Q", n, n, context)
     R = _matrix(doc, "R", m, m, context)
-    alpha = _json_number(_get(doc, "alpha", context), f"{context}: alpha")
+    alpha = _number(_get(doc, "alpha", context), f"{context}: alpha")
     x0 = None
     x0_variance = None
     if "x0" in doc and "x0_variance" in doc:
@@ -83,7 +83,7 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
         if x0.size != n:
             raise ConfigurationError(f"{context}: x0 must have length {n}")
     elif "x0_variance" in doc:
-        x0_variance = _json_number(doc["x0_variance"], f"{context}: x0_variance")
+        x0_variance = _number(doc["x0_variance"], f"{context}: x0_variance")
     else:
         raise ConfigurationError(f"{context}: one of x0 or x0_variance is required")
     return LoopSpec(
@@ -92,7 +92,7 @@ def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
         weights=WeightSpec(Q=Q, R=R, alpha=alpha),
         x0=x0,
         x0_variance=x0_variance,
-        noise_variance=_json_number(
+        noise_variance=_number(
             doc.get("noise_variance", 0.0), f"{context}: noise_variance"
         ),
     )

@@ -86,6 +86,11 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     if loop_id not in ledger.loop_order:
         raise ConfigurationError(f"unknown loop {loop_id!r}")
     k = _integer(k, "decision time k")
+    own = ledger.next_tx.get(loop_id)
+    if own is not None and own < k:
+        raise SchedulingError(
+            f"loop {loop_id!r} decides at k={k}, past its reserved slot {own}"
+        )
     p = ledger.p
     # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
     taken = {(kq - k) % p for q, kq in ledger.next_tx.items() if q != loop_id}

@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .controller import decide
 from .errors import ConfigurationError, SelfTrigError
-from .model import LtiSystem, WeightSpec, _integer, _wait_set, as_vector
-from .scheduler import ReservationLedger, feasible_set, reserve
+from .model import LtiSystem, WeightSpec, _integer, _number, _wait_set, as_vector
+from .scheduler import ReservationLedger, _check_admissible, feasible_set, reserve
 from .synthesis import solve_periodic_riccati
 
 MODE_SELF_TRIGGERED = "self_triggered"
 MODE_PERIODIC = "periodic"
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 def rng_substream(
@@ -75,18 +78,18 @@ class LoopSpec:
                 self, "x0", as_vector(self.x0, f"{self.name}.x0", self.system.n)
             )
         else:
-            if self.x0_variance < 0:
-                raise ConfigurationError(
-                    f"loop {self.name!r}: x0_variance must be nonnegative"
-                )
-        if self.noise_variance < 0:
-            raise ConfigurationError(
-                f"loop {self.name!r}: noise_variance must be nonnegative"
-            )
+            object.__setattr__(self, "x0_variance", self._variance("x0_variance"))
+        object.__setattr__(self, "noise_variance", self._variance("noise_variance"))
         if self.weights.Q.shape[0] != self.system.n:
             raise ConfigurationError(f"loop {self.name!r}: Q does not match state dim")
         if self.weights.R.shape[0] != self.system.m:
             raise ConfigurationError(f"loop {self.name!r}: R does not match input dim")
+
+    def _variance(self, field: str) -> float:
+        value = _number(getattr(self, field), f"loop {self.name!r}: {field}")
+        if value < 0:
+            raise ConfigurationError(f"loop {self.name!r}: {field} must be nonnegative")
+        return value
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,12 @@ class LoopTrace:
 
     def stage_costs(self, Q, R) -> np.ndarray:
         """Per-step quadratic stage cost x'Qx + u'Ru over the horizon."""
-        x = self.states[: self.horizon]
-        u = self.inputs
-        return np.einsum("ki,ij,kj->k", x, Q, x) + np.einsum("ki,ij,kj->k", u, R, u)
+        return _stage_costs(self.states, self.inputs, Q, R)
+
+
+def _stage_costs(states, inputs, Q, R) -> np.ndarray:
+    x = states[: inputs.shape[0]]
+    return np.einsum("ki,ij,kj->k", x, Q, x) + np.einsum("ki,ij,kj->k", inputs, R, inputs)
 
 
 @dataclass(frozen=True)
@@ -233,6 +239,18 @@ def _check_tables(scn: Scenario, tables: dict) -> list:
     return ordered
 
 
+def _check_finite(name: str, states: np.ndarray) -> None:
+    """Refuse a run whose state left the finite floats, naming the first bad
+    step (and run, for states stacked over runs)."""
+    finite = np.isfinite(states).all(axis=-1)
+    if not finite.all():
+        *run, k = np.argwhere(~finite)[0]
+        of_run = f" of run {run[0]}" if run else ""
+        raise ConfigurationError(
+            f"loop {name!r}: state is not finite from step k={k}{of_run}"
+        )
+
+
 def _event_loop(
     scn: Scenario, first_samples, policy, mode: str, alpha_index: int, run_index: int
 ) -> SimTrace:
@@ -244,14 +262,20 @@ def _event_loop(
     picks the input to hold and the wait until the loop's next sample.
     Loops sampling at the same ``k`` decide in increasing index order.
     Every sample at ``k > 0`` is logged as a transmission.
+
+    The scenario and the drawn noise are finite when the run starts, so the
+    plants step as ``A x + B u (+ E w)`` without checks, in the order of
+    :func:`step_plant`; one finiteness check per loop follows the run.
     """
     T = scn.horizon
     specs = scn.loops
-    x, u, noise, states, inputs = [], [], [], [], []
+    plants, x, u, noise, states, inputs = [], [], [], [], [], []
     for j, spec in enumerate(specs):
         x0, w = _draw_initial_and_noise(
             spec, T, rng_substream(scn.seed, alpha_index, run_index, j)
         )
+        sys = spec.system
+        plants.append((sys.A, sys.B, sys.E))
         x.append(x0)
         u.append(np.zeros(spec.system.m))
         noise.append(w)
@@ -264,10 +288,11 @@ def _event_loop(
 
     for k in range(T + 1):
         if k > 0:
-            for j, spec in enumerate(specs):
-                w = None if noise[j] is None else noise[j][k - 1]
+            for j, (A, B, E) in enumerate(plants):
                 inputs[j][k - 1] = u[j]
-                x[j] = step_plant(spec.system, x[j], u[j], w)
+                x[j] = A @ x[j] + B @ u[j]
+                if noise[j] is not None:
+                    x[j] = x[j] + E @ noise[j][k - 1]
                 states[j][k] = x[j]
         if k == T:
             break
@@ -285,6 +310,7 @@ def _event_loop(
 
     loops = {}
     for j, spec in enumerate(specs):
+        _check_finite(spec.name, states[j])
         states[j].setflags(write=False)
         inputs[j].setflags(write=False)
         loops[spec.name] = LoopTrace(
@@ -366,6 +392,89 @@ def run_periodic(
     return _event_loop(scn, range(s), policy, MODE_PERIODIC, alpha_index, run_index)
 
 
+def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: int) -> list:
+    """``n_runs`` runs of the self-triggered law, advanced together on one
+    leading run axis.
+
+    The law, the substreams and the decision order are those of
+    :func:`run_self_triggered`, vectorized over runs: each run's
+    reservations are a row of ``next_tx`` (booked once its loop decided),
+    wait ``i`` is feasible for loop ``j`` at ``k`` when
+    ``(i - (next_tx[q] - k)) % p != 0`` for every other booked loop ``q``,
+    and the argmin of ``alpha/i + x' P(i) x`` runs over the reversed waits
+    so that ties go to the larger wait.  Loops sampling at the same ``k``
+    decide in increasing index order.  Returns, per loop, the states
+    ``(R, T+1, n)``, the inputs ``(R, T, m)`` and the sampled steps
+    ``(R, T)`` as a boolean mask; each run's rows are contiguous.
+    """
+    T, s, R, p = scn.horizon, len(scn.loops), n_runs, scn.p
+    _check_admissible(s, scn.I0, p)
+    waits = np.array(scn.I0)
+    last = waits.size - 1
+    next_tx = np.zeros((R, s), dtype=int)
+    booked = np.zeros((R, s), dtype=bool)
+    loops = []
+    for j, (spec, gt) in enumerate(zip(scn.loops, tables)):
+        sys = spec.system
+        states = np.empty((R, T + 1, sys.n))
+        noise = np.zeros((R, T, sys.w)) if spec.noise_variance > 0.0 else None
+        for r in range(R):
+            states[r, 0], w = _draw_initial_and_noise(
+                spec, T, rng_substream(scn.seed, alpha_index, r, j)
+            )
+            if noise is not None:
+                noise[r] = w
+        loops.append(SimpleNamespace(
+            states=states,
+            inputs=np.empty((R, T, sys.m)),
+            sampled=np.zeros((R, T), dtype=bool),
+            x=states[:, 0].copy(),
+            u=np.zeros((R, sys.m)),
+            AT=sys.A.T,
+            BT=sys.B.T,
+            Ew=None if noise is None else noise @ sys.E.T,
+            P=np.stack([gt.P(i) for i in scn.I0]),
+            L=np.stack([gt.L(i) for i in scn.I0]),
+            cost=gt.alpha / waits,
+            due=0,
+        ))
+
+    for k in range(T + 1):
+        if k > 0:
+            for lp in loops:
+                lp.inputs[:, k - 1] = lp.u
+                # x A' + u B' (+ w E') has the products and sums of A x + B u (+ E w).
+                x = lp.x @ lp.AT + lp.u @ lp.BT
+                if lp.Ew is not None:
+                    x = x + lp.Ew[:, k - 1]
+                lp.states[:, k] = lp.x = x
+        if k == T:
+            break
+        for j, lp in enumerate(loops):
+            if lp.due != k:
+                continue
+            rows = (next_tx[:, j] == k).nonzero()[0]
+            x = lp.x[rows]
+            value = lp.cost + ((x @ lp.P) * x).sum(axis=-1).T
+            if s > 1:  # a single loop has no opponents
+                others = booked[rows]
+                others[:, j] = False
+                offset = next_tx[rows] - k
+                taken = ((waits - offset[:, :, None]) % p == 0) & others[:, :, None]
+                # Clamped, an overflowed value still beats an infeasible wait.
+                value = np.where(taken.any(axis=1), np.inf, np.minimum(value, _FLOAT_MAX))
+            pick = last - value[:, ::-1].argmin(axis=1)
+            lp.u[rows] = -(lp.L[pick] @ x[:, :, None])[:, :, 0]
+            next_tx[rows, j] = k + waits[pick]
+            booked[rows, j] = True
+            lp.sampled[rows, k] = True
+            lp.due = next_tx[:, j].min()
+
+    for spec, lp in zip(scn.loops, loops):
+        _check_finite(spec.name, lp.states)
+    return [(lp.states, lp.inputs, lp.sampled) for lp in loops]
+
+
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
     """Time-averaged quadratic stage cost (1/T) sum x'Qx + u'Ru."""
     return float(np.mean(trace.stage_costs(Q, R)))
@@ -377,9 +486,13 @@ def average_sampling_interval(trace: LoopTrace) -> float:
     Undefined with fewer than two samples; reported as gamma (the
     guaranteed maximum wait) in that case.
     """
-    if trace.sample_times.size < 2:
-        return float(trace.gamma)
-    return float(np.mean(np.diff(trace.sample_times)))
+    return _mean_interval(trace.sample_times, trace.gamma)
+
+
+def _mean_interval(sample_times: np.ndarray, gamma: int) -> float:
+    if sample_times.size < 2:
+        return float(gamma)
+    return float(np.mean(np.diff(sample_times)))
 
 
 @dataclass(frozen=True)
@@ -406,18 +519,21 @@ def _empty_stats(names) -> dict:
     return {key: {name: {} for name in names} for key in keys}
 
 
-def _record_runs(stats: dict, ai: int, loops, n_runs: int, run) -> None:
-    """Run ``run(r)`` for r < n_runs and store, at alpha index ``ai`` of
-    ``stats``, each loop's mean and standard error of the sampling interval
-    and the empiric cost."""
-    intervals = {spec.name: np.empty(n_runs) for spec in loops}
-    costs = {spec.name: np.empty(n_runs) for spec in loops}
-    for r in range(n_runs):
-        trace = run(r)
-        for spec in loops:
-            tr = trace.loops[spec.name]
-            intervals[spec.name][r] = average_sampling_interval(tr)
-            costs[spec.name][r] = empiric_cost(tr, spec.weights.Q, spec.weights.R)
+def _record_runs(stats: dict, ai: int, scn: Scenario, runs: list) -> None:
+    """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
+    standard error of the sampling interval and the empiric cost over
+    ``runs``.  A run maps each loop name to its ``(states, inputs,
+    sample_times)``."""
+    n_runs = len(runs)
+    intervals = {spec.name: np.empty(n_runs) for spec in scn.loops}
+    costs = {spec.name: np.empty(n_runs) for spec in scn.loops}
+    for r, run in enumerate(runs):
+        for spec in scn.loops:
+            states, inputs, sample_times = run[spec.name]
+            intervals[spec.name][r] = _mean_interval(sample_times, scn.gamma)
+            costs[spec.name][r] = float(
+                np.mean(_stage_costs(states, inputs, spec.weights.Q, spec.weights.R))
+            )
     for key, per_loop in (("interval", intervals), ("cost", costs)):
         for name, v in per_loop.items():
             stats["mean_" + key][name][ai] = float(np.mean(v))
@@ -430,9 +546,9 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     """Re-synthesize and re-run the scenario across a grid of sampling costs.
 
     For each alpha every loop's table is rebuilt with that alpha, then
-    ``n_runs`` independent noisy runs execute on substreams keyed by
-    (alpha index, run index, loop index); results are reproducible from
-    ``seed`` alone and independent of execution order.
+    ``n_runs`` independent noisy runs execute together on substreams keyed
+    by (alpha index, run index, loop index); results are reproducible from
+    ``seed`` alone and equal those of :func:`run_self_triggered` run by run.
     """
     from .synthesis import build_gain_table
 
@@ -447,14 +563,15 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
 
+    scn = replace(scn, seed=seed)
     names = tuple(spec.name for spec in scn.loops)
     stats = _empty_stats(names)
     errors = {}
 
     for ai, alpha in enumerate(alphas):
         try:
-            tables = {
-                spec.name: build_gain_table(
+            tables = [
+                build_gain_table(
                     spec.system,
                     replace(spec.weights, alpha=alpha),
                     scn.I0,
@@ -462,22 +579,19 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
                     loop_id=spec.name,
                 )
                 for spec in scn.loops
-            }
+            ]
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
             continue
-        swept = replace(
-            scn,
-            loops=tuple(
-                replace(spec, weights=replace(spec.weights, alpha=alpha))
-                for spec in scn.loops
-            ),
-            seed=seed,
-        )
-        _record_runs(
-            stats, ai, swept.loops, n_runs,
-            lambda r: run_self_triggered(swept, tables, alpha_index=ai, run_index=r),
-        )
+        per_loop = _self_triggered_runs(scn, tables, ai, n_runs)
+        runs = [
+            {
+                spec.name: (states[r], inputs[r], np.flatnonzero(sampled[r]))
+                for spec, (states, inputs, sampled) in zip(scn.loops, per_loop)
+            }
+            for r in range(n_runs)
+        ]
+        _record_runs(stats, ai, scn, runs)
 
     return SweepSummary(
         alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
@@ -501,10 +615,12 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary, seed: int) -> SweepS
             continue
         interval = np.mean([summary.mean_interval[name][ai] for name in names])
         ts = int(min(max(round(interval), s), scn.p))
-        _record_runs(
-            stats, ai, scn.loops, summary.n_runs,
-            lambda r: run_periodic(scn, ts, alpha_index=ai, run_index=r),
-        )
+        runs = []
+        for r in range(summary.n_runs):
+            trace = run_periodic(scn, ts, alpha_index=ai, run_index=r)
+            runs.append({name: (tr.states, tr.inputs, tr.sample_times)
+                         for name, tr in trace.loops.items()})
+        _record_runs(stats, ai, scn, runs)
         for name in names:
             stats["mean_interval"][name][ai] = float(ts)
     return replace(summary, **stats)

@@ -27,9 +27,9 @@ from .model import (
     LtiSystem,
     WeightSpec,
     _integer,
-    _json_number,
     _json_numbers,
     _json_string,
+    _number,
     _readonly,
     _transition_pairs,
     _wait_set,
@@ -493,7 +493,7 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         )
     gt = GainTable(
         loop_id=_json_string(doc["loop_id"], "gain table loop_id"),
-        alpha=_json_number(doc["alpha"], "gain table alpha"),
+        alpha=_number(doc["alpha"], "gain table alpha"),
         entries=entries,
         p=doc["p"],
         Pp=_readonly(mat(doc["Pp"], n, n, "Pp")),
@@ -501,5 +501,5 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         I0=I0,
         gamma=max(I0),
     )
-    epsilon = _json_number(doc["epsilon"], "gain table epsilon")
+    epsilon = _number(doc["epsilon"], "gain table epsilon")
     return gt, epsilon, _integer(doc["pstar"], "gain table pstar")

@@ -77,6 +77,14 @@ class TestFeasibleSet:
         with pytest.raises(ConfigurationError):
             feasible_set(ledger_two_loops(), "nope", 0)
 
+    def test_decision_past_own_reservation_rejected(self):
+        ledger = ledger_two_loops(l1=3, l2=5)
+        with pytest.raises(SchedulingError, match="past its reserved slot 3"):
+            feasible_set(ledger, "l1", 7)
+        with pytest.raises(SchedulingError, match="past its reserved slot 3"):
+            reserve(ledger, "l1", 7, 1)
+        assert feasible_set(ledger, "l1", 3) == frozenset({1, 3, 4, 5})
+
 
 class TestReserve:
     def test_reservation_lands_at_k_plus_i(self):

@@ -1,4 +1,7 @@
 """Closed-loop runs: event sequencing, baselines, costs, determinism, sweeps."""
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +22,10 @@ from selftrig import (
     sweep_alpha,
     verify_conflict_free,
 )
+from selftrig.scenario import load_scenario
+from selftrig.simulator import _self_triggered_runs
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -38,6 +45,17 @@ class TestStepPlant:
         sys = LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1.0]])
         x = step_plant(sys, [1.0], [0.0], [0.3])
         assert x[0] == pytest.approx(1.3, abs=1e-15)
+
+    @pytest.mark.parametrize("x, u, omega, match", [
+        pytest.param([np.nan], [0.0], None, "x has non-finite", id="x-nan"),
+        pytest.param([np.inf], [0.0], None, "x has non-finite", id="x-inf"),
+        pytest.param([1.0], [0.0, 1.0], None, "u must have length 1", id="u-length"),
+        pytest.param([1.0], [0.0], [np.nan], "omega has non-finite", id="omega-nan"),
+    ])
+    def test_public_step_checks_its_arguments(self, x, u, omega, match):
+        sys = LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1.0]])
+        with pytest.raises(ConfigurationError, match=match):
+            step_plant(sys, x, u, omega)
 
 
 class TestSingleLoopTransient:
@@ -339,6 +357,31 @@ class TestScenarioValidation:
                 I0=[1, 2], p=2, horizon=10, seed=0, mode="periodic",
             )
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("noise_variance", float("nan"), id="noise-nan"),
+        pytest.param("noise_variance", float("inf"), id="noise-inf"),
+        pytest.param("noise_variance", True, id="noise-bool"),
+        pytest.param("noise_variance", "0.1", id="noise-string"),
+        pytest.param("noise_variance", -0.1, id="noise-negative"),
+        pytest.param("x0_variance", float("nan"), id="x0-variance-nan"),
+        pytest.param("x0_variance", float("inf"), id="x0-variance-inf"),
+        pytest.param("x0_variance", True, id="x0-variance-bool"),
+        pytest.param("x0_variance", "4", id="x0-variance-string"),
+    ])
+    def test_variance_must_be_a_finite_nonnegative_number(self, integrator,
+                                                         integrator_weights,
+                                                         field, value):
+        initial = {"x0_variance": 4.0} if field == "noise_variance" else {}
+        with pytest.raises(ConfigurationError, match=field):
+            LoopSpec(name="a", system=integrator, weights=integrator_weights,
+                     **initial, **{field: value})
+
+    def test_numpy_variances_are_stored_as_floats(self, integrator, integrator_weights):
+        spec = LoopSpec(name="a", system=integrator, weights=integrator_weights,
+                        x0_variance=np.int64(4), noise_variance=np.float32(0.25))
+        assert type(spec.x0_variance) is float and spec.x0_variance == 4.0
+        assert type(spec.noise_variance) is float and spec.noise_variance == 0.25
+
     def test_initial_state_spec_is_exclusive(self, integrator, integrator_weights):
         with pytest.raises(ConfigurationError):
             LoopSpec(name="a", system=integrator, weights=integrator_weights,
@@ -382,3 +425,163 @@ class TestSweep:
     def test_rejects_descending_alphas(self, transient_scenario):
         with pytest.raises(ConfigurationError):
             sweep_alpha(transient_scenario, [1.0, 0.5], n_runs=1, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestFiniteStates:
+    """A run whose state overflows is refused once, after the run, naming the
+    loop and the first non-finite step."""
+
+    @staticmethod
+    def _scenario(horizon):
+        sys = LtiSystem(A=[[2.0]], B=[[1.0]])
+        w = WeightSpec(Q=[[1.0]], R=[[1.0]])
+        return Scenario(loops=(LoopSpec(name="a", system=sys, weights=w, x0=[1e308]),),
+                        I0=[1, 2, 3], p=3, horizon=horizon, seed=0)
+
+    def test_periodic(self):
+        with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1$"):
+            run_periodic(self._scenario(6), 3)
+
+    def test_self_triggered(self):
+        scn = self._scenario(2)
+        gt = build_gain_table(scn.loops[0].system, scn.loops[0].weights, [1, 2, 3], 3,
+                              loop_id="a")
+        with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1$"):
+            run_self_triggered(scn, {"a": gt})
+
+    def test_sweep(self):
+        with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
+            sweep_alpha(self._scenario(2), [0.0], n_runs=2, seed=0)
+
+
+def _channel_scenario():
+    """Four noisy loops on one p = 5 channel; loop c has two states."""
+    rng = np.random.default_rng(3)
+    loops = []
+    for name in "abcd":
+        n = 2 if name == "c" else 1
+        A = rng.normal(size=(n, n))
+        A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+        loops.append(LoopSpec(
+            name=name,
+            system=LtiSystem(A=A, B=rng.normal(size=(n, 1)), E=np.eye(n)),
+            weights=WeightSpec(Q=np.eye(n), R=[[0.5]]),
+            x0_variance=4.0, noise_variance=0.05,
+        ))
+    return Scenario(loops=tuple(loops), I0=range(1, 6), p=5, horizon=300, seed=0)
+
+
+def _integrator_sweep_scenario():
+    scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
+    return replace(scn, horizon=400)
+
+
+def _tables(scn, alpha):
+    return [build_gain_table(spec.system, replace(spec.weights, alpha=alpha), scn.I0,
+                             scn.p, loop_id=spec.name) for spec in scn.loops]
+
+
+def _per_run_reference(scn, tables, ai, r):
+    swept = replace(scn, loops=tuple(
+        replace(spec, weights=replace(spec.weights, alpha=gt.alpha))
+        for spec, gt in zip(scn.loops, tables)
+    ))
+    return run_self_triggered(swept, {gt.loop_id: gt for gt in tables},
+                              alpha_index=ai, run_index=r)
+
+
+class TestBatchedSweep:
+    """The sweep runs its runs together; each must equal the per-run law."""
+
+    @pytest.mark.parametrize("case, alphas, n_runs", [
+        pytest.param("integrator_sweep", [0.0, 1.3, 50.0, 1e6], 6, id="integrator-sweep"),
+        pytest.param("two_loop", [0.0, 0.2, 5.0], 3, id="two-loop"),
+        pytest.param("channel", [0.0, 0.5, 20.0], 4, id="channel-p5-n2"),
+    ])
+    def test_runs_equal_the_per_run_law(self, case, alphas, n_runs):
+        scn = {
+            "integrator_sweep": _integrator_sweep_scenario,
+            "two_loop": lambda: load_scenario(SCENARIOS / "two_loop.json")[0],
+            "channel": _channel_scenario,
+        }[case]()
+        for ai, alpha in enumerate(alphas):
+            tables = _tables(scn, alpha)
+            batch = _self_triggered_runs(scn, tables, ai, n_runs)
+            for r in range(n_runs):
+                ref = _per_run_reference(scn, tables, ai, r)
+                for spec, (states, inputs, sampled) in zip(scn.loops, batch):
+                    tr = ref.loops[spec.name]
+                    np.testing.assert_array_equal(np.flatnonzero(sampled[r]),
+                                                  tr.sample_times)
+                    assert states[r].flags.c_contiguous and inputs[r].flags.c_contiguous
+                    if spec.system.n == 1:
+                        np.testing.assert_array_equal(states[r], tr.states)
+                        np.testing.assert_array_equal(inputs[r], tr.inputs)
+                    else:
+                        scale = np.max(np.abs(tr.states))
+                        np.testing.assert_allclose(states[r], tr.states, rtol=0,
+                                                   atol=1e-12 * scale)
+                        np.testing.assert_allclose(inputs[r], tr.inputs, rtol=0,
+                                                   atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("case", ["integrator_sweep", "channel"])
+    def test_summary_equals_per_run_aggregation(self, case):
+        scn = {"integrator_sweep": _integrator_sweep_scenario,
+               "channel": _channel_scenario}[case]()
+        alphas, n_runs, seed = [0.0, 0.25, 25.0], 5, 11
+        summary = sweep_alpha(scn, alphas, n_runs, seed)
+        scn = replace(scn, seed=seed)
+        for ai, alpha in enumerate(alphas):
+            tables = _tables(scn, alpha)
+            traces = [_per_run_reference(scn, tables, ai, r) for r in range(n_runs)]
+            for spec in scn.loops:
+                loop = [t.loops[spec.name] for t in traces]
+                interval = float(np.mean([average_sampling_interval(t) for t in loop]))
+                cost = float(np.mean([empiric_cost(t, spec.weights.Q, spec.weights.R)
+                                      for t in loop]))
+                assert summary.mean_interval[spec.name][ai] == interval
+                if case == "integrator_sweep":
+                    assert summary.mean_cost[spec.name][ai] == cost
+                else:
+                    assert summary.mean_cost[spec.name][ai] == pytest.approx(cost,
+                                                                             rel=1e-12)
+
+    def test_zero_state_ties_go_to_the_largest_feasible_wait(self, integrator,
+                                                            integrator_weights):
+        loops = tuple(LoopSpec(name=name, system=integrator, weights=integrator_weights,
+                               x0=[0.0]) for name in ("a", "b"))
+        scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=40, seed=0)
+        tables = _tables(scn, 0.0)
+        (a_states, _, a_sampled), (_, _, b_sampled) = _self_triggered_runs(scn, tables, 0, 2)
+        ref = _per_run_reference(scn, tables, 0, 0)
+        # a takes the largest wait 5; b then finds 5 taken at k = 0 and
+        # takes 4, after which both keep the full period.
+        np.testing.assert_array_equal(ref.loops["a"].sample_times, range(0, 40, 5))
+        np.testing.assert_array_equal(ref.loops["b"].sample_times, [0, *range(4, 40, 5)])
+        for r in range(2):
+            np.testing.assert_array_equal(np.flatnonzero(a_sampled[r]),
+                                          ref.loops["a"].sample_times)
+            np.testing.assert_array_equal(np.flatnonzero(b_sampled[r]),
+                                          ref.loops["b"].sample_times)
+        assert np.all(a_states == 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_values_still_pick_a_feasible_wait(self, integrator_weights):
+        # x'P(i)x overflows for every wait of loop b at k = 0, so all its
+        # waits tie; the largest feasible one, 4, must win over the 5 that
+        # loop a booked.
+        sys = LtiSystem(A=[[0.5]], B=[[1.0]])
+        loops = tuple(LoopSpec(name=name, system=sys, weights=integrator_weights, x0=[x0])
+                      for name, x0 in (("a", 0.0), ("b", 1e200)))
+        scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=30, seed=0)
+        tables = _tables(scn, 0.0)
+        (_, _, a_sampled), (b_states, _, b_sampled) = _self_triggered_runs(scn, tables, 0, 1)
+        ref = _per_run_reference(scn, tables, 0, 0)
+        assert ref.loops["b"].waits[0] == 4
+        np.testing.assert_array_equal(np.flatnonzero(a_sampled[0]),
+                                      ref.loops["a"].sample_times)
+        np.testing.assert_array_equal(np.flatnonzero(b_sampled[0]),
+                                      ref.loops["b"].sample_times)
+        np.testing.assert_array_equal(b_states[0], ref.loops["b"].states)
