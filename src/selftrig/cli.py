@@ -26,7 +26,7 @@ from .errors import (
     SynthesisError,
 )
 from .scenario import load_scenario
-from .scheduler import _check_admissible, verify_conflict_free
+from .scheduler import verify_conflict_free
 from .simulator import (
     MODE_PERIODIC,
     _check_tables,
@@ -79,7 +79,6 @@ def _print_table(gt, cert) -> None:
 
 def cmd_synth(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    _check_admissible(len(scn.loops), scn.I0, scn.p)
     tables = {}
     for spec in scn.loops:
         try:
@@ -192,7 +191,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    _check_admissible(len(scn.loops), scn.I0, scn.p)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
@@ -231,7 +229,6 @@ def cmd_verify(args) -> int:
     stored = _load_tables(Path(args.tables))
     _check_tables(scn, {name: gt for name, (gt, _, _) in stored.items()})
     systems = [spec.system for spec in scn.loops]
-    _check_admissible(len(scn.loops), scn.I0, scn.p)
     pstar = select_pstar(systems, scn.I0)
     pg = pstar_is_gamma(systems, scn.I0)
     print(f"terminal period {pstar}; equals max wait gamma: {'yes' if pg else 'no'}")

@@ -1,15 +1,18 @@
 """Closed-loop simulation of the joint control-and-scheduling law and its
 periodic baseline.
 
-One event loop advances all plants one step at a time.  Whenever a loop's
-next sample comes up, its state is "transmitted" and a decision policy
-picks the input to hold and the wait until the next sample.  There are two
-policies: the self-triggered law (table argmin over the waits the
-reservation ledger allows, then a reservation) and fixed-interval sampling
-with the periodic Riccati gain.  Initial states are assumed known to the
-controller at k = 0 without consuming channel slots, so coordinated
-start-up needs no transmissions.  Sweeps over the sampling cost aggregate
-both laws through one per-run statistics path.
+One event loop advances all plants one step at a time, for one run or for
+several runs together on a leading run axis.  Whenever a loop's next sample
+comes up in a run, its state is "transmitted" and a decision policy picks
+the input to hold and the wait until the next sample.  There are three
+policies: the self-triggered law through the reservation ledger (table
+argmin over the waits the ledger allows, then a reservation), fixed-interval
+sampling with the periodic Riccati gain, and the self-triggered law
+vectorized over a sweep's runs (the residue test and the argmin on stacked
+tables).  Initial states are assumed known to the controller at k = 0
+without consuming channel slots, so coordinated start-up needs no
+transmissions.  Sweeps over the sampling cost aggregate both laws through
+one per-run statistics path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -120,6 +122,7 @@ class Scenario:
             object.__setattr__(self, "ts", _integer(self.ts, "ts"))
         if self.p < 1:
             raise ConfigurationError(f"p must be >= 1, got {self.p}")
+        _check_admissible(len(loops), self.I0, self.p)
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in (MODE_SELF_TRIGGERED, MODE_PERIODIC):
@@ -201,20 +204,6 @@ def step_plant(sys: LtiSystem, x, u, omega=None) -> np.ndarray:
     return x_next
 
 
-def _draw_initial_and_noise(spec: LoopSpec, horizon: int, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    if spec.x0 is not None:
-        x0 = spec.x0.copy()
-    else:
-        x0 = rng.standard_normal(spec.system.n) * np.sqrt(spec.x0_variance)
-    if spec.noise_variance > 0.0:
-        noise = rng.standard_normal((horizon, spec.system.w)) * np.sqrt(
-            spec.noise_variance
-        )
-    else:
-        noise = None
-    return x0, noise
-
-
 def _check_tables(scn: Scenario, tables: dict) -> list:
     ordered = []
     for spec in scn.loops:
@@ -239,91 +228,117 @@ def _check_tables(scn: Scenario, tables: dict) -> list:
     return ordered
 
 
-def _check_finite(name: str, states: np.ndarray) -> None:
-    """Refuse a run whose state left the finite floats, naming the first bad
-    step (and run, for states stacked over runs)."""
+def _check_finite(name: str, states: np.ndarray, runs) -> None:
+    """Refuse runs whose state left the finite floats, naming the first bad
+    step (and its run, when several runs were advanced together)."""
     finite = np.isfinite(states).all(axis=-1)
     if not finite.all():
-        *run, k = np.argwhere(~finite)[0]
-        of_run = f" of run {run[0]}" if run else ""
+        r, k = np.argwhere(~finite)[0]
+        of_run = f" of run {runs[r]}" if len(runs) > 1 else ""
         raise ConfigurationError(
             f"loop {name!r}: state is not finite from step k={k}{of_run}"
         )
 
 
-def _event_loop(
-    scn: Scenario, first_samples, policy, mode: str, alpha_index: int, run_index: int
-) -> SimTrace:
-    """Advance every plant one step at a time and sample each loop on its own
-    clock.
+def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) -> list:
+    """Advance every plant one step at a time in each run of ``runs``, and
+    sample each loop of each run on its own clock.
 
-    Loop ``j`` first samples at ``first_samples[j]``.  At a sample the
-    decision rule ``policy(j, k, x) -> (wait, u, value, feasible_waits)``
-    picks the input to hold and the wait until the loop's next sample.
-    Loops sampling at the same ``k`` decide in increasing index order.
-    Every sample at ``k > 0`` is logged as a transmission.
+    Runs share a leading axis.  Loop ``j`` first samples at
+    ``first_samples[j]``.  At ``k`` the decision rule
+    ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` of the
+    runs ``rows`` whose loop ``j`` samples then, and picks the inputs to
+    hold and the waits until their next samples.  Loops sampling at the
+    same ``k`` decide in increasing index order.  Run ``r`` draws from the
+    substream ``(alpha_index, runs[r], j)`` of each loop ``j``.
 
-    The scenario and the drawn noise are finite when the run starts, so the
-    plants step as ``A x + B u (+ E w)`` without checks, in the order of
-    :func:`step_plant`; one finiteness check per loop follows the run.
+    The scenario and the drawn noise are finite when the runs start, so the
+    plants step as ``x A' + u B' (+ w E')`` without checks, which has the
+    products and sums of :func:`step_plant`; one finiteness check per loop
+    follows the runs.  Returns, per loop, the states ``(R, T+1, n)``, the
+    inputs ``(R, T, m)`` and the chosen waits ``(R, T)``, 0 where the loop
+    did not sample; each run's rows are contiguous.
     """
-    T = scn.horizon
-    specs = scn.loops
-    plants, x, u, noise, states, inputs = [], [], [], [], [], []
-    for j, spec in enumerate(specs):
-        x0, w = _draw_initial_and_noise(
-            spec, T, rng_substream(scn.seed, alpha_index, run_index, j)
-        )
+    T, R = scn.horizon, len(runs)
+    plants, states, inputs, waits, x, u = [], [], [], [], [], []
+    for j, spec in enumerate(scn.loops):
         sys = spec.system
-        plants.append((sys.A, sys.B, sys.E))
-        x.append(x0)
-        u.append(np.zeros(spec.system.m))
-        noise.append(w)
-        states.append(np.empty((T + 1, spec.system.n)))
-        inputs.append(np.empty((T, spec.system.m)))
-        states[j][0] = x0
-    next_sample = list(first_samples)
-    samples, waits, values, feas_log = ([[] for _ in specs] for _ in range(4))
-    tx_events = []
+        states.append(np.empty((R, T + 1, sys.n)))
+        noise = np.empty((R, T, sys.w)) if spec.noise_variance > 0.0 else None
+        for i, r in enumerate(runs):
+            rng = rng_substream(scn.seed, alpha_index, r, j)
+            if spec.x0 is None:
+                states[j][i, 0] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
+            else:
+                states[j][i, 0] = spec.x0
+            if noise is not None:
+                noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
+        plants.append((sys.A.T, sys.B.T, None if noise is None else noise @ sys.E.T))
+        inputs.append(np.empty((R, T, sys.m)))
+        waits.append(np.zeros((R, T), dtype=int))
+        x.append(states[j][:, 0].copy())
+        u.append(np.zeros((R, sys.m)))
+    next_sample = [np.full(R, k0) for k0 in first_samples]
+    due = list(first_samples)
 
     for k in range(T + 1):
         if k > 0:
-            for j, (A, B, E) in enumerate(plants):
-                inputs[j][k - 1] = u[j]
-                x[j] = A @ x[j] + B @ u[j]
-                if noise[j] is not None:
-                    x[j] = x[j] + E @ noise[j][k - 1]
-                states[j][k] = x[j]
+            for j, (AT, BT, Ew) in enumerate(plants):
+                inputs[j][:, k - 1] = u[j]
+                xj = x[j] @ AT + u[j] @ BT
+                if Ew is not None:
+                    xj = xj + Ew[:, k - 1]
+                states[j][:, k] = x[j] = xj
         if k == T:
             break
-        for j, spec in enumerate(specs):
-            if next_sample[j] != k:
+        for j in range(len(plants)):
+            if due[j] != k:
                 continue
-            wait, u[j], value, feas = policy(j, k, x[j])
-            next_sample[j] = k + wait
-            samples[j].append(k)
-            waits[j].append(wait)
-            values[j].append(value)
-            feas_log[j].append(feas)
-            if k > 0:
-                tx_events.append(TxEvent(k, spec.name, wait, tuple(sorted(feas))))
+            # One run keeps to basic slicing and a scalar clock; index arrays
+            # per decision slow a single run down.
+            rows = slice(None) if R == 1 else (next_sample[j] == k).nonzero()[0]
+            wait, u[j][rows] = policy(j, k, rows, x[j][rows])
+            waits[j][rows, k] = wait
+            if R == 1:
+                due[j] = k + wait
+            else:
+                next_sample[j][rows] = k + wait
+                due[j] = next_sample[j].min()
 
-    loops = {}
-    for j, spec in enumerate(specs):
-        _check_finite(spec.name, states[j])
-        states[j].setflags(write=False)
-        inputs[j].setflags(write=False)
+    for spec, loop_states in zip(scn.loops, states):
+        _check_finite(spec.name, loop_states, runs)
+    return list(zip(states, inputs, waits))
+
+
+def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
+    """The traces of a one-run :func:`_event_loop` result ``run``, with the
+    ``values`` and ``feasible`` sets its policy recorded per loop and sample.
+    Every sample at ``k > 0`` is logged as a transmission, in (k, loop
+    index) order."""
+    loops, logged = {}, []
+    for j, (spec, (states, inputs, waits)) in enumerate(zip(scn.loops, run)):
+        times = np.flatnonzero(waits[0])
+        chosen = waits[0, times]
+        states, inputs = states[0], inputs[0]
+        states.setflags(write=False)
+        inputs.setflags(write=False)
         loops[spec.name] = LoopTrace(
             name=spec.name,
             gamma=scn.gamma,
-            states=states[j],
-            inputs=inputs[j],
-            sample_times=np.array(samples[j], dtype=int),
-            waits=np.array(waits[j], dtype=int),
+            states=states,
+            inputs=inputs,
+            sample_times=times,
+            waits=chosen,
             values=np.array(values[j], dtype=float),
-            feasible_sets=tuple(feas_log[j]),
+            feasible_sets=tuple(feasible[j]),
         )
-    return SimTrace(loops=loops, tx_events=tuple(tx_events), mode=mode)
+        logged += [(k, j, i, feas) for k, i, feas in zip(times.tolist(), chosen.tolist(),
+                                                          feasible[j]) if k > 0]
+    tx_events = tuple(
+        TxEvent(k, scn.loops[j].name, i, tuple(sorted(feas)))
+        for k, j, i, feas in sorted(logged, key=lambda e: e[:2])
+    )
+    return SimTrace(loops=loops, tx_events=tx_events, mode=mode)
 
 
 def run_self_triggered(
@@ -342,19 +357,23 @@ def run_self_triggered(
     gts = _check_tables(scn, tables)
     names = tuple(spec.name for spec in scn.loops)
     ledger = ReservationLedger(p=scn.p, I0=scn.I0, loop_order=names, next_tx={})
+    values, feasible = ([[] for _ in names] for _ in range(2))
 
-    def policy(j, k, x):
+    def policy(j, k, rows, x):
         nonlocal ledger
         name = names[j]
         feas = feasible_set(ledger, name, k)
         try:
-            dec = decide(gts[j], x, feas)
+            dec = decide(gts[j], x[0], feas)
         except SelfTrigError as exc:
             raise type(exc)(f"at step k={k}, loop {name!r}: {exc}") from exc
         ledger = reserve(ledger, name, k, dec.i_star)
-        return dec.i_star, dec.u, dec.value, feas
+        values[j].append(dec.value)
+        feasible[j].append(feas)
+        return dec.i_star, dec.u
 
-    return _event_loop(scn, [0] * len(names), policy, scn.mode, alpha_index, run_index)
+    run = _event_loop(scn, [0] * len(names), policy, alpha_index, (run_index,))
+    return _sim_trace(scn, scn.mode, run, values, feasible)
 
 
 def run_periodic(
@@ -383,18 +402,22 @@ def run_periodic(
     gains = [
         solve_periodic_riccati(spec.system, spec.weights, ts) for spec in scn.loops
     ]
-    feas = frozenset({ts})
+    values = [[] for _ in range(s)]
 
-    def policy(j, k, x):
+    def policy(j, k, rows, x):
         P, L = gains[j]
-        return ts, -(L @ x), float(x @ P @ x), feas
+        x = x[0]
+        values[j].append(float(x @ P @ x))
+        return ts, -(L @ x)
 
-    return _event_loop(scn, range(s), policy, MODE_PERIODIC, alpha_index, run_index)
+    run = _event_loop(scn, range(s), policy, alpha_index, (run_index,))
+    feasible = [[frozenset({ts})] * len(v) for v in values]
+    return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 
 
 def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: int) -> list:
-    """``n_runs`` runs of the self-triggered law, advanced together on one
-    leading run axis.
+    """``n_runs`` runs of the self-triggered law, advanced together by
+    :func:`_event_loop` on its run axis.
 
     The law, the substreams and the decision order are those of
     :func:`run_self_triggered`, vectorized over runs: each run's
@@ -402,78 +425,32 @@ def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: 
     wait ``i`` is feasible for loop ``j`` at ``k`` when
     ``(i - (next_tx[q] - k)) % p != 0`` for every other booked loop ``q``,
     and the argmin of ``alpha/i + x' P(i) x`` runs over the reversed waits
-    so that ties go to the larger wait.  Loops sampling at the same ``k``
-    decide in increasing index order.  Returns, per loop, the states
-    ``(R, T+1, n)``, the inputs ``(R, T, m)`` and the sampled steps
-    ``(R, T)`` as a boolean mask; each run's rows are contiguous.
+    so that ties go to the larger wait.  Returns what :func:`_event_loop`
+    returns.
     """
-    T, s, R, p = scn.horizon, len(scn.loops), n_runs, scn.p
-    _check_admissible(s, scn.I0, p)
+    s, p = len(scn.loops), scn.p
     waits = np.array(scn.I0)
     last = waits.size - 1
-    next_tx = np.zeros((R, s), dtype=int)
-    booked = np.zeros((R, s), dtype=bool)
-    loops = []
-    for j, (spec, gt) in enumerate(zip(scn.loops, tables)):
-        sys = spec.system
-        states = np.empty((R, T + 1, sys.n))
-        noise = np.zeros((R, T, sys.w)) if spec.noise_variance > 0.0 else None
-        for r in range(R):
-            states[r, 0], w = _draw_initial_and_noise(
-                spec, T, rng_substream(scn.seed, alpha_index, r, j)
-            )
-            if noise is not None:
-                noise[r] = w
-        loops.append(SimpleNamespace(
-            states=states,
-            inputs=np.empty((R, T, sys.m)),
-            sampled=np.zeros((R, T), dtype=bool),
-            x=states[:, 0].copy(),
-            u=np.zeros((R, sys.m)),
-            AT=sys.A.T,
-            BT=sys.B.T,
-            Ew=None if noise is None else noise @ sys.E.T,
-            P=np.stack([gt.P(i) for i in scn.I0]),
-            L=np.stack([gt.L(i) for i in scn.I0]),
-            cost=gt.alpha / waits,
-            due=0,
-        ))
+    P = [np.stack([gt.P(i) for i in scn.I0]) for gt in tables]
+    L = [np.stack([gt.L(i) for i in scn.I0]) for gt in tables]
+    cost = [gt.alpha / waits for gt in tables]
+    next_tx = np.zeros((n_runs, s), dtype=int)
+    booked = np.zeros((n_runs, s), dtype=bool)
 
-    for k in range(T + 1):
-        if k > 0:
-            for lp in loops:
-                lp.inputs[:, k - 1] = lp.u
-                # x A' + u B' (+ w E') has the products and sums of A x + B u (+ E w).
-                x = lp.x @ lp.AT + lp.u @ lp.BT
-                if lp.Ew is not None:
-                    x = x + lp.Ew[:, k - 1]
-                lp.states[:, k] = lp.x = x
-        if k == T:
-            break
-        for j, lp in enumerate(loops):
-            if lp.due != k:
-                continue
-            rows = (next_tx[:, j] == k).nonzero()[0]
-            x = lp.x[rows]
-            value = lp.cost + ((x @ lp.P) * x).sum(axis=-1).T
-            if s > 1:  # a single loop has no opponents
-                others = booked[rows]
-                others[:, j] = False
-                offset = next_tx[rows] - k
-                taken = ((waits - offset[:, :, None]) % p == 0) & others[:, :, None]
-                # Clamped, an overflowed value still beats an infeasible wait.
-                value = np.where(taken.any(axis=1), np.inf, np.minimum(value, _FLOAT_MAX))
-            pick = last - value[:, ::-1].argmin(axis=1)
-            lp.u[rows] = -(lp.L[pick] @ x[:, :, None])[:, :, 0]
-            next_tx[rows, j] = k + waits[pick]
-            booked[rows, j] = True
-            lp.sampled[rows, k] = True
-            lp.due = next_tx[:, j].min()
+    def policy(j, k, rows, x):
+        value = cost[j] + ((x @ P[j]) * x).sum(axis=-1).T
+        if s > 1:  # a single loop has no opponents
+            offset = next_tx[rows] - k
+            taken = ((waits - offset[:, :, None]) % p == 0) & booked[rows][:, :, None]
+            taken[:, j] = False
+            # Clamped, an overflowed value still beats an infeasible wait.
+            value = np.where(taken.any(axis=1), np.inf, np.minimum(value, _FLOAT_MAX))
+        pick = last - value[:, ::-1].argmin(axis=1)
+        next_tx[rows, j] = k + waits[pick]
+        booked[rows, j] = True
+        return waits[pick], -(L[j][pick] @ x[:, :, None])[:, :, 0]
 
-    for spec, lp in zip(scn.loops, loops):
-        _check_finite(spec.name, lp.states)
-    return [(lp.states, lp.inputs, lp.sampled) for lp in loops]
-
+    return _event_loop(scn, [0] * s, policy, alpha_index, range(n_runs))
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
     """Time-averaged quadratic stage cost (1/T) sum x'Qx + u'Ru."""
@@ -586,8 +563,8 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
         per_loop = _self_triggered_runs(scn, tables, ai, n_runs)
         runs = [
             {
-                spec.name: (states[r], inputs[r], np.flatnonzero(sampled[r]))
-                for spec, (states, inputs, sampled) in zip(scn.loops, per_loop)
+                spec.name: (states[r], inputs[r], np.flatnonzero(waits[r]))
+                for spec, (states, inputs, waits) in zip(scn.loops, per_loop)
             }
             for r in range(n_runs)
         ]
@@ -630,7 +607,10 @@ def write_trace_csv(trace: LoopTrace, path) -> None:
     """Per-step CSV: k, state, input, sampled flag, chosen wait, value."""
     n = trace.states.shape[1]
     m = trace.inputs.shape[1]
-    by_k = {int(k): j for j, k in enumerate(trace.sample_times)}
+    tail = [(0, "", "")] * trace.horizon
+    for k, i, v in zip(trace.sample_times.tolist(), trace.waits.tolist(),
+                       trace.values.tolist()):
+        tail[k] = (1, i, v)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -639,16 +619,11 @@ def write_trace_csv(trace: LoopTrace, path) -> None:
             + [f"u_{j + 1}" for j in range(m)]
             + ["sampled", "i_chosen", "V"]
         )
-        for k in range(trace.horizon):
-            row = [k]
-            row += [repr(float(v)) for v in trace.states[k]]
-            row += [repr(float(v)) for v in trace.inputs[k]]
-            if k in by_k:
-                j = by_k[k]
-                row += [1, int(trace.waits[j]), repr(float(trace.values[j]))]
-            else:
-                row += [0, "", ""]
-            writer.writerow(row)
+        # csv writes a float as its repr, the shortest round-trip text.
+        writer.writerows(
+            [k, *x, *u, *t] for k, (x, u, t) in
+            enumerate(zip(trace.states.tolist(), trace.inputs.tolist(), tail))
+        )
 
 
 def write_txlog_csv(trace: SimTrace, path) -> None:

@@ -9,6 +9,7 @@ import scipy.linalg
 from selftrig import (
     ConfigurationError,
     LoopSpec,
+    LoopTrace,
     LtiSystem,
     Scenario,
     WeightSpec,
@@ -23,7 +24,7 @@ from selftrig import (
     verify_conflict_free,
 )
 from selftrig.scenario import load_scenario
-from selftrig.simulator import _self_triggered_runs
+from selftrig.simulator import _self_triggered_runs, write_trace_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -241,6 +242,9 @@ class TestPeriodicBaseline:
         assert trace.loops["integrator"].sample_times[0] == 0
         assert all(k > 0 for k, _, _, _ in logged)
         assert sorted(logged) == sorted(expected)
+        index = {name: j for j, name in enumerate(trace.loops)}
+        order = [(k, index[name]) for k, name, _, _ in logged]
+        assert order == sorted(order)
 
     def test_multi_loop_offsets_stay_conflict_free(self, two_loop_scenario):
         trace = run_periodic(two_loop_scenario, 5)
@@ -389,12 +393,42 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             LoopSpec(name="a", system=integrator, weights=integrator_weights)
 
+    @pytest.mark.parametrize("I0, p", [
+        pytest.param((1, 2), 3, id="waits-1-to-s-missing"),
+        pytest.param((1, 2, 3), 2, id="more-loops-than-p"),
+    ])
+    def test_inadmissible_network_rejected(self, integrator, integrator_weights, I0, p):
+        loops = tuple(LoopSpec(name=name, system=integrator, weights=integrator_weights,
+                               x0=[1.0]) for name in "abc")
+        with pytest.raises(ConfigurationError, match="inadmissible"):
+            Scenario(loops=loops, I0=I0, p=p, horizon=10, seed=0)
+
     def test_table_mismatch_rejected(self, transient_scenario, integrator,
                                      integrator_weights):
         other = build_gain_table(integrator, integrator_weights, range(1, 4), 3,
                                  loop_id="integrator")
         with pytest.raises(ConfigurationError):
             run_self_triggered(transient_scenario, {"integrator": other})
+
+
+class TestTraceCsv:
+    def test_exact_text(self, tmp_path):
+        trace = LoopTrace(
+            name="a", gamma=2,
+            states=np.array([[0.1, -2.5], [1e-05, 0.0], [2.0, 0.1 + 0.2], [9.0, 9.0]]),
+            inputs=np.array([[-2.5], [-2.5], [1e-05]]),
+            sample_times=np.array([0, 2]), waits=np.array([2, 1]),
+            values=np.array([0.1, -1 / 3]),
+            feasible_sets=(frozenset({1, 2}), frozenset({1})),
+        )
+        path = tmp_path / "a.trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == (
+            b"k,x_1,x_2,u_1,sampled,i_chosen,V\r\n"
+            b"0,0.1,-2.5,-2.5,1,2,0.1\r\n"
+            b"1,1e-05,0.0,-2.5,0,,\r\n"
+            b"2,2.0,0.30000000000000004,1e-05,1,1,-0.3333333333333333\r\n"
+        )
 
 
 class TestSweep:
