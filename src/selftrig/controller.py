@@ -1,9 +1,11 @@
 """Online decision law: pick the wait and the input from the lookup table.
 
 Given a fresh sample and the set of waits the channel allows, the
-controller evaluates ``alpha/i + x' P(i) x`` over that set, picks the
-minimizing wait and applies the matching state feedback.  Everything is a
-pure function of an immutable gain table.
+controller scores ``alpha/i + x' P(i) x`` for every wait of the table at
+once, as one quadratic form over the table's stacked ``P(i)``, picks the
+minimizing wait within that set and applies the matching state feedback,
+one matrix-vector product.  Everything is a pure function of an immutable
+gain table.
 """
 from __future__ import annotations
 
@@ -31,15 +33,22 @@ class Decision:
     values_by_i: dict
 
 
-def _value(gt: GainTable, x: np.ndarray, i: int) -> float:
-    # Single evaluation path shared by value_of and decide so that argmin
-    # comparisons are exact on the same floats.
-    return float(gt.alpha / i + x @ gt.P(i) @ x)
+def _scores(gt: GainTable, x: np.ndarray) -> np.ndarray:
+    """Cost ``alpha/i + x' P(i) x`` of every wait in ``gt.I0``, in row order.
+
+    One stacked quadratic form, for ``x`` of shape ``(n,)`` (scores
+    ``(|I0|,)``) or ``(R, n)`` (scores ``(R, |I0|)``).  It is the single
+    evaluation path of the law, so every argmin compares the same floats.
+    """
+    return gt.costs + ((x @ gt.P_stack) * x).sum(axis=-1).T
 
 
 def value_of(gt: GainTable, x, i: int) -> float:
     """Predicted cost ``alpha/i + x' P(i) x`` of waiting ``i`` steps."""
-    return _value(gt, as_vector(x, "x", gt.n), i)
+    x = as_vector(x, "x", gt.n)
+    if i not in gt.rows:
+        raise GainLookupError(f"loop {gt.loop_id!r}: no table entry for wait {i}")
+    return float(_scores(gt, x)[gt.rows[i]])
 
 
 def decide(gt: GainTable, x, feasible) -> Decision:
@@ -59,7 +68,8 @@ def decide(gt: GainTable, x, feasible) -> Decision:
             f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
         )
     x = as_vector(x, "x", gt.n)
-    values = {i: _value(gt, x, i) for i in feas}
+    scores = _scores(gt, x).tolist()
+    values = {i: scores[gt.rows[i]] for i in feas}
     i_star = feas[0]
     best = values[i_star]
     for i in feas[1:]:
@@ -81,7 +91,8 @@ def partition_1d(gt: GainTable, x_grid) -> np.ndarray:
             f"state-space partition is only available for scalar states (n={gt.n})"
         )
     grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    out = np.empty(grid.size, dtype=int)
-    for j, x in enumerate(grid):
-        out[j] = decide(gt, [x], gt.I0).i_star
-    return out
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ConfigurationError("x_grid must be a finite vector of scalar states")
+    # Argmin over the reversed waits, so that ties go to the larger wait.
+    scores = _scores(gt, grid[:, None])[:, ::-1]
+    return np.array(gt.I0)[len(gt.I0) - 1 - scores.argmin(axis=1)]

@@ -39,7 +39,7 @@ def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
     out = np.atleast_1d(np.asarray(x, dtype=float))
     if out.ndim != 1:
         raise ConfigurationError(f"{name} must be a vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ConfigurationError(f"{name} has non-finite entries")
     if length is not None and out.size != length:
         raise ConfigurationError(f"{name} must have length {length}, got {out.size}")

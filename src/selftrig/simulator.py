@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import decide
+from .controller import _scores, decide
 from .errors import ConfigurationError, SelfTrigError
 from .model import LtiSystem, WeightSpec, _integer, _number, _wait_set, as_vector
 from .scheduler import ReservationLedger, _check_admissible, feasible_set, reserve
@@ -424,21 +424,18 @@ def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: 
     reservations are a row of ``next_tx`` (booked once its loop decided),
     wait ``i`` is feasible for loop ``j`` at ``k`` when
     ``(i - (next_tx[q] - k)) % p != 0`` for every other booked loop ``q``,
-    and the argmin of ``alpha/i + x' P(i) x`` runs over the reversed waits
-    so that ties go to the larger wait.  Returns what :func:`_event_loop`
-    returns.
+    and the argmin of ``alpha/i + x' P(i) x`` (the controller's stacked
+    scores) runs over the reversed waits so that ties go to the larger
+    wait.  Returns what :func:`_event_loop` returns.
     """
     s, p = len(scn.loops), scn.p
     waits = np.array(scn.I0)
     last = waits.size - 1
-    P = [np.stack([gt.P(i) for i in scn.I0]) for gt in tables]
-    L = [np.stack([gt.L(i) for i in scn.I0]) for gt in tables]
-    cost = [gt.alpha / waits for gt in tables]
     next_tx = np.zeros((n_runs, s), dtype=int)
     booked = np.zeros((n_runs, s), dtype=bool)
 
     def policy(j, k, rows, x):
-        value = cost[j] + ((x @ P[j]) * x).sum(axis=-1).T
+        value = _scores(tables[j], x)
         if s > 1:  # a single loop has no opponents
             offset = next_tx[rows] - k
             taken = ((waits - offset[:, :, None]) % p == 0) & booked[rows][:, :, None]
@@ -448,7 +445,7 @@ def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: 
         pick = last - value[:, ::-1].argmin(axis=1)
         next_tx[rows, j] = k + waits[pick]
         booked[rows, j] = True
-        return waits[pick], -(L[j][pick] @ x[:, :, None])[:, :, 0]
+        return waits[pick], -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
     return _event_loop(scn, [0] * s, policy, alpha_index, range(n_runs))
 

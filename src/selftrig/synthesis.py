@@ -12,7 +12,8 @@ anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -219,7 +220,11 @@ class GainTable:
 
     ``entries`` maps each admissible wait i to its pair (P(i), L(i));
     (Pp, Lp) is the terminal-period pair the closed loop reverts to.
-    All arrays are read-only; tables are safe to share across threads.
+    Built once with the table, ``P_stack`` (|I0|, n, n), ``L_stack``
+    (|I0|, m, n) and ``costs`` (``alpha / i``) hold the entries row by row
+    in ``I0`` order, and ``rows`` maps each wait to its row; they are not
+    constructor arguments and take no part in equality.  All arrays are
+    read-only; tables are safe to share across threads.
     """
 
     loop_id: str
@@ -230,6 +235,10 @@ class GainTable:
     Lp: np.ndarray
     I0: tuple
     gamma: int
+    P_stack: np.ndarray = field(init=False, compare=False, repr=False)
+    L_stack: np.ndarray = field(init=False, compare=False, repr=False)
+    costs: np.ndarray = field(init=False, compare=False, repr=False)
+    rows: MappingProxyType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "I0", _wait_set(self.I0))
@@ -241,6 +250,16 @@ class GainTable:
             )
         if self.alpha < 0.0:
             raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
+        try:
+            P_stack = _readonly([self.entries[i][0] for i in self.I0])
+            L_stack = _readonly([self.entries[i][1] for i in self.I0])
+        except ValueError:  # entries of differing shapes do not stack
+            P_stack = L_stack = np.empty(0)
+        if P_stack.shape[1:] != self.Pp.shape or L_stack.shape[1:] != self.Lp.shape:
+            raise ConfigurationError(
+                f"table entries must match the shapes of Pp {self.Pp.shape} "
+                f"and Lp {self.Lp.shape}"
+            )
         if self.p in self.entries:
             Pi, Li = self.entries[self.p]
             drift = max(
@@ -252,6 +271,13 @@ class GainTable:
                     f"table row at i=p={self.p} deviates from the periodic solution "
                     f"by {drift:.3e} (relative)"
                 )
+        for name, value in (
+            ("P_stack", P_stack),
+            ("L_stack", L_stack),
+            ("costs", _readonly(self.alpha / np.array(self.I0))),
+            ("rows", MappingProxyType({i: r for r, i in enumerate(self.I0)})),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -1,16 +1,23 @@
 """Online decision law: cost evaluation, argmin, tie-breaking, partition."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from selftrig import (
     ConfigurationError,
     GainLookupError,
+    GainTable,
+    LtiSystem,
     SchedulingError,
+    StabilityCertificate,
     WeightSpec,
     build_gain_table,
     decide,
     downsampled_controllable,
     partition_1d,
+    serialize_gain_table,
     value_of,
 )
 
@@ -161,3 +168,111 @@ def test_decisions_invariant_under_joint_weight_scaling():
         for _ in range(10):
             x = rng.normal(0, 2.0, sys.n)
             assert decide(gt, x, gt.I0).i_star == decide(gt_c, x, gt_c.I0).i_star
+
+
+def _random_tables(n, count=3, seed=0):
+    """Tables of random controllable plants with exactly ``n`` states."""
+    rng = np.random.default_rng(seed + 10 * n)
+    tables = []
+    while len(tables) < count:
+        A = rng.normal(0, 1.0, (n, n))
+        A *= min(1.0, 1.2 / max(abs(np.linalg.eigvals(A))))
+        sys = LtiSystem(A=A, B=rng.normal(0, 1.0, (n, int(rng.integers(1, 3)))))
+        p = int(rng.integers(2, 7))
+        if not downsampled_controllable(sys, p):
+            continue
+        w = random_weights(rng, sys.n, sys.m)
+        tables.append(build_gain_table(sys, w, range(1, p + 1), p))
+    return tables
+
+
+class TestStackedScores:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decide_and_value_of_compare_the_same_floats(self, n):
+        rng = np.random.default_rng(90 + n)
+        for gt in _random_tables(n):
+            for _ in range(20):
+                x = rng.normal(0, 3.0, n)
+                size = int(rng.integers(1, len(gt.I0) + 1))
+                feasible = sorted(rng.choice(gt.I0, size=size, replace=False))
+                dec = decide(gt, x, feasible)
+                assert sorted(dec.values_by_i) == [int(i) for i in feasible]
+                for i in feasible:
+                    assert dec.values_by_i[i] == value_of(gt, x, i)
+
+    def test_scalar_values_are_the_table_formula_bit_for_bit(self, integrator_table):
+        rng = np.random.default_rng(93)
+        for gt in (integrator_table, *_random_tables(1)):
+            for x0 in (0.0, *rng.normal(0, 3.0, 20)):
+                dec = decide(gt, [x0], gt.I0)
+                for i in gt.I0:
+                    expected = gt.alpha / i + x0 * gt.P(i)[0, 0] * x0
+                    assert dec.values_by_i[i] == expected
+                    assert value_of(gt, [x0], i) == expected
+
+    def test_stacks_are_read_only_rows_of_the_entries(self, double_integrator_table):
+        gt = double_integrator_table
+        assert gt.P_stack.shape == (len(gt.I0), gt.n, gt.n)
+        assert gt.L_stack.shape == (len(gt.I0), gt.m, gt.n)
+        assert dict(gt.rows) == {i: r for r, i in enumerate(gt.I0)}
+        for i in gt.I0:
+            r = gt.rows[i]
+            np.testing.assert_array_equal(gt.P_stack[r], gt.P(i))
+            np.testing.assert_array_equal(gt.L_stack[r], gt.L(i))
+            assert gt.costs[r] == gt.alpha / i
+        for stack in (gt.P_stack, gt.L_stack, gt.costs):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0] = 0.0
+        with pytest.raises(TypeError):
+            gt.rows[99] = 0
+
+    def test_stacks_take_no_part_in_construction_or_equality(self, integrator_table):
+        gt = integrator_table
+        compared = [f.name for f in dataclasses.fields(GainTable) if f.compare]
+        assert compared == ["loop_id", "alpha", "entries", "p", "Pp", "Lp", "I0", "gamma"]
+        assert dataclasses.replace(gt) == gt
+        assert "P_stack" not in repr(gt)
+        with pytest.raises(TypeError):
+            GainTable(loop_id="x", alpha=0.0, entries=gt.entries, p=gt.p, Pp=gt.Pp,
+                      Lp=gt.Lp, I0=gt.I0, gamma=gt.gamma, costs=gt.costs)
+        doubled = dataclasses.replace(gt, alpha=2.0 * gt.alpha)
+        np.testing.assert_array_equal(doubled.costs, 2.0 * gt.alpha / np.array(gt.I0))
+        assert doubled.P_stack is not gt.P_stack
+
+    def test_serialization_is_unchanged(self):
+        P, L = np.array([[2.0]]), np.array([[0.5]])
+        gt = GainTable(loop_id="a", alpha=0.25, entries={1: (P, L), 2: (2 * P, L)},
+                       p=2, Pp=2 * P, Lp=L, I0=(1, 2), gamma=2)
+        cert = StabilityCertificate(pstar=2, epsilon=0.125, lower_bound=0.0,
+                                    upper_bound=1.0, per_i_ratio={}, Si={})
+        assert json.loads(serialize_gain_table(gt, cert)) == {
+            "schema_version": 1, "loop_id": "a", "n": 1, "m": 1, "alpha": 0.25,
+            "p": 2, "I0": [1, 2],
+            "entries": [{"i": 1, "P": [2.0], "L": [0.5]},
+                        {"i": 2, "P": [4.0], "L": [0.5]}],
+            "Pp": [4.0], "Lp": [0.5], "epsilon": 0.125, "pstar": 2,
+        }
+
+    def test_decision_holds_python_scalars(self, double_integrator_table):
+        gt = double_integrator_table
+        dec = decide(gt, np.array([0.3, -1.2]), np.array([1, 2, 4]))
+        assert type(dec.i_star) is int
+        assert type(dec.value) is float
+        assert all(type(i) is int and type(v) is float
+                   for i, v in dec.values_by_i.items())
+        assert "np." not in repr(dec.value) + repr(dec.values_by_i)
+        assert type(value_of(gt, [0.3, -1.2], np.int64(2))) is float
+
+    def test_partition_is_decide_over_the_whole_table(self):
+        rng = np.random.default_rng(94)
+        for gt in _random_tables(1):
+            grid = np.concatenate([[0.0], rng.normal(0, 5.0, 200)])
+            expected = [decide(gt, [x], gt.I0).i_star for x in grid]
+            assert partition_1d(gt, grid).tolist() == expected
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [[0.0], [1.0]]],
+                             ids=["non-finite", "not-a-vector"])
+    def test_partition_refuses_bad_grids(self, integrator_table, grid):
+        with pytest.raises(ConfigurationError):
+            partition_1d(integrator_table, grid)

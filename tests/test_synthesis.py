@@ -1,4 +1,6 @@
 """Synthesis: Riccati solve, gain tables, admissibility, certificates, serialization."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -263,6 +265,15 @@ class TestGainTable:
                 I0=(1, 2),
                 gamma=2,
             )
+
+
+    @pytest.mark.parametrize("waits", [[2], [1, 2, 3, 4, 5]], ids=["ragged", "uniform"])
+    def test_entries_must_match_terminal_shapes(self, integrator_table, waits):
+        entries = dict(integrator_table.entries)
+        for i in waits:
+            entries[i] = (np.eye(2), integrator_table.L(i))
+        with pytest.raises(ConfigurationError, match="shapes"):
+            dataclasses.replace(integrator_table, entries=entries)
 
 
 class TestCertificate:
