@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
         stored = _load_tables(Path(args.tables))
         tables = {name: gt for name, (gt, _, _) in stored.items()}
         trace = run_self_triggered(scn, tables)
-    if not verify_conflict_free(sorted(trace.tx_log)):
+    if not verify_conflict_free(trace.tx_log):
         raise SchedulingError("simulated transmission log has a slot conflict")
     summary = {}
     for spec in scn.loops:

@@ -46,9 +46,7 @@ def _scores(gt: GainTable, x: np.ndarray) -> np.ndarray:
 def value_of(gt: GainTable, x, i: int) -> float:
     """Predicted cost ``alpha/i + x' P(i) x`` of waiting ``i`` steps."""
     x = as_vector(x, "x", gt.n)
-    if i not in gt.rows:
-        raise GainLookupError(f"loop {gt.loop_id!r}: no table entry for wait {i}")
-    return float(_scores(gt, x)[gt.rows[i]])
+    return float(_scores(gt, x)[gt._row(i)])
 
 
 def decide(gt: GainTable, x, feasible) -> Decision:
@@ -58,11 +56,8 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     communication.  With x = 0 the quadratic terms vanish and the rule
     reduces to the largest feasible wait with u = 0.
     """
-    feasible = tuple(feasible)
-    if not feasible:
-        raise SchedulingError("cannot decide over an empty feasible set")
-    feas = _wait_set(feasible)
-    unknown = [i for i in feas if i not in gt.entries]
+    feas = _wait_set(feasible, "feasible set", empty=SchedulingError)
+    unknown = [i for i in feas if i not in gt.rows]
     if unknown:
         raise GainLookupError(
             f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
@@ -75,7 +70,7 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     for i in feas[1:]:
         if values[i] <= best:
             best, i_star = values[i], i
-    u = -(gt.L(i_star) @ x)
+    u = -(gt.L_stack[gt.rows[i_star]] @ x)
     u.setflags(write=False)
     return Decision(i_star=i_star, u=u, value=best, values_by_i=values)
 

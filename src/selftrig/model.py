@@ -27,7 +27,10 @@ def _readonly(M: np.ndarray) -> np.ndarray:
 
 def as_matrix(M, name: str, shape=None) -> np.ndarray:
     """Coerce to a finite 2-D float array, optionally checking its shape."""
-    out = np.atleast_2d(np.asarray(M, dtype=float))
+    try:
+        out = np.atleast_2d(np.asarray(M, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name} must be a matrix of numbers: {exc}") from None
     if not np.all(np.isfinite(out)):
         raise ConfigurationError(f"{name} has non-finite entries")
     if shape is not None and out.shape != shape:
@@ -36,7 +39,10 @@ def as_matrix(M, name: str, shape=None) -> np.ndarray:
 
 
 def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        out = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name} must be a vector of numbers: {exc}") from None
     if out.ndim != 1:
         raise ConfigurationError(f"{name} must be a vector, got shape {out.shape}")
     if not np.isfinite(out).all():
@@ -53,26 +59,46 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _wait_set(I0) -> tuple:
-    """The one wait-set rule: sorted distinct positive ints, no bool or float."""
-    values = tuple(I0)
+def _wait_set(I0, what: str = "I0", empty=ConfigurationError) -> tuple:
+    """The one wait-set rule: sorted distinct positive ints, no bool or float.
+
+    An empty set raises ``empty``; every other refusal is a
+    ConfigurationError.
+    """
+    try:
+        values = tuple(I0)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be a set of integers, got {I0!r}") from None
+    if not values:
+        raise empty(f"{what} is empty")
     if not all(type(i) is int or isinstance(i, np.integer) for i in values):
-        raise ConfigurationError(f"I0 entries must be integers, got {I0!r}")
+        raise ConfigurationError(f"{what} entries must be integers, got {I0!r}")
     waits = tuple(sorted(set(map(int, values))))
-    if not waits or waits[0] < 1:
-        raise ConfigurationError(
-            f"I0 must be a non-empty set of positive integers, got {I0!r}"
-        )
+    if waits[0] < 1:
+        raise ConfigurationError(f"{what} must hold positive integers, got {I0!r}")
     return waits
 
 
 def _number(value, what: str) -> float:
-    """A finite ``int``, ``float`` or numpy number field; booleans are rejected."""
+    """A finite ``int``, ``float`` or numpy number field; booleans and
+    strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigurationError(f"{what} must be finite, got {value!r}")
     return float(value)
+
+
+def _nonnegative(value, what: str) -> float:
+    """A finite nonnegative number field (see :func:`_number`)."""
+    value = _number(value, what)
+    if value < 0.0:
+        raise ConfigurationError(f"{what} must be nonnegative, got {value!r}")
+    return value
 
 
 def _json_numbers(value, what: str) -> np.ndarray:
@@ -88,6 +114,17 @@ def _json_numbers(value, what: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except OverflowError as exc:
         raise ConfigurationError(f"{what}: {exc}") from None
+
+
+def _json_matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
+    """A parsed JSON flat row-major list of ``rows * cols`` numbers, as a
+    ``(rows, cols)`` float array."""
+    arr = _json_numbers(value, what)
+    if arr.size != rows * cols:
+        raise ConfigurationError(
+            f"{what} needs {rows * cols} row-major entries ({rows}x{cols}), got {arr.size}"
+        )
+    return arr.reshape(rows, cols)
 
 
 def _json_string(value, what: str) -> str:
@@ -176,11 +213,9 @@ class WeightSpec:
             if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
                 raise ConfigurationError(f"{name} must be symmetric")
             check_positive_definite(M, name)
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
         object.__setattr__(self, "Q", _readonly(symmetrize(Q)))
         object.__setattr__(self, "R", _readonly(symmetrize(R)))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _nonnegative(self.alpha, "alpha"))
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .model import (
     LtiSystem,
     WeightSpec,
     _integer,
+    _json_matrix,
     _json_numbers,
     _json_string,
-    _number,
 )
 from .simulator import MODE_SELF_TRIGGERED, LoopSpec, Scenario
 
@@ -47,54 +45,41 @@ def _get(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _matrix(doc: dict, key: str, rows: int, cols: int, context: str) -> np.ndarray:
-    arr = _json_numbers(_get(doc, key, context), f"{context}: {key}")
-    if arr.size != rows * cols:
-        raise ConfigurationError(
-            f"{context}: {key} needs {rows * cols} row-major entries "
-            f"({rows}x{cols}), got {arr.size}"
-        )
-    return arr.reshape(rows, cols)
-
-
 def _loop_from_dict(doc: dict, index: int) -> LoopSpec:
+    """One loop object: JSON token types and matrix shapes are checked here,
+    every value rule by the types built from it."""
     context = f"loops[{index}]"
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{context}: must be an object")
     _require_keys(doc, _LOOP_KEYS, context)
+    nulls = sorted(key for key, value in doc.items() if value is None)
+    if nulls:
+        raise ConfigurationError(f"{context}: fields {nulls} must not be null")
     name = _json_string(_get(doc, "name", context), f"{context}: name")
     n = _integer(_get(doc, "n", context), f"{context}: n")
     m = _integer(_get(doc, "m", context), f"{context}: m")
     w = _integer(doc.get("w", 1), f"{context}: w")
     if n < 1 or m < 1 or w < 1:
         raise ConfigurationError(f"{context}: dimensions must be positive")
-    A = _matrix(doc, "A", n, n, context)
-    B = _matrix(doc, "B", n, m, context)
-    E = _matrix(doc, "E", n, w, context) if "E" in doc else None
-    Q = _matrix(doc, "Q", n, n, context)
-    R = _matrix(doc, "R", m, m, context)
-    alpha = _number(_get(doc, "alpha", context), f"{context}: alpha")
-    x0 = None
-    x0_variance = None
-    if "x0" in doc and "x0_variance" in doc:
-        raise ConfigurationError(f"{context}: give x0 or x0_variance, not both")
-    if "x0" in doc:
-        x0 = _json_numbers(doc["x0"], f"{context}: x0")
-        if x0.size != n:
-            raise ConfigurationError(f"{context}: x0 must have length {n}")
-    elif "x0_variance" in doc:
-        x0_variance = _number(doc["x0_variance"], f"{context}: x0_variance")
-    else:
-        raise ConfigurationError(f"{context}: one of x0 or x0_variance is required")
+
+    def matrix(key, rows, cols):
+        return _json_matrix(_get(doc, key, context), rows, cols, f"{context}: {key}")
+
+    A, B, Q, R = matrix("A", n, n), matrix("B", n, m), matrix("Q", n, n), matrix("R", m, m)
+    E = matrix("E", n, w) if "E" in doc else None
+    x0 = _json_numbers(doc["x0"], f"{context}: x0") if "x0" in doc else None
+    alpha = _get(doc, "alpha", context)
+    try:
+        system, weights = LtiSystem(A=A, B=B, E=E), WeightSpec(Q=Q, R=R, alpha=alpha)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"loop {name!r}: {exc}") from None
     return LoopSpec(
         name=name,
-        system=LtiSystem(A=A, B=B, E=E),
-        weights=WeightSpec(Q=Q, R=R, alpha=alpha),
+        system=system,
+        weights=weights,
         x0=x0,
-        x0_variance=x0_variance,
-        noise_variance=_number(
-            doc.get("noise_variance", 0.0), f"{context}: noise_variance"
-        ),
+        x0_variance=doc.get("x0_variance"),
+        noise_variance=doc.get("noise_variance", 0.0),
     )
 
 
@@ -104,7 +89,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
         raise ConfigurationError("scenario document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, "scenario")
     version = _get(doc, "schema_version", "scenario")
-    if version != SCENARIO_SCHEMA_VERSION:
+    if version != SCENARIO_SCHEMA_VERSION or type(version) is not int:
         raise ConfigurationError(
             f"unsupported scenario schema version {version!r} "
             f"(expected {SCENARIO_SCHEMA_VERSION})"
@@ -117,17 +102,15 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
     if not isinstance(outputs, dict):
         raise ConfigurationError("scenario: outputs must be an object")
     _require_keys(outputs, _OUTPUT_KEYS, "outputs")
-    I0 = _get(doc, "I0", "scenario")
-    if not isinstance(I0, list):
-        raise ConfigurationError("scenario: I0 must be a list of integers")
-    # Scenario itself refuses non-integer waits, p, horizon, seed and ts.
+    # Scenario itself refuses non-integer waits, p, horizon, seed and ts,
+    # and an unknown mode.
     scenario = Scenario(
         loops=loops,
-        I0=I0,
+        I0=_get(doc, "I0", "scenario"),
         p=_get(doc, "p", "scenario"),
         horizon=_get(doc, "horizon", "scenario"),
         seed=_get(doc, "seed", "scenario"),
-        mode=_json_string(doc.get("mode", MODE_SELF_TRIGGERED), "scenario: mode"),
+        mode=doc.get("mode", MODE_SELF_TRIGGERED),
         ts=doc.get("ts"),
         name=_json_string(doc.get("name", "scenario"), "scenario: name"),
     )

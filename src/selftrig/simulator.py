@@ -27,9 +27,9 @@ import numpy as np
 
 from .controller import _scores, decide
 from .errors import ConfigurationError, SelfTrigError
-from .model import LtiSystem, WeightSpec, _integer, _number, _wait_set, as_vector
+from .model import LtiSystem, WeightSpec, _integer, _nonnegative, _wait_set, as_vector
 from .scheduler import ReservationLedger, _check_admissible, feasible_set, reserve
-from .synthesis import solve_periodic_riccati
+from .synthesis import build_gain_table, solve_periodic_riccati
 
 MODE_SELF_TRIGGERED = "self_triggered"
 MODE_PERIODIC = "periodic"
@@ -75,23 +75,19 @@ class LoopSpec:
             raise ConfigurationError(
                 f"loop {self.name!r}: give exactly one of x0 or x0_variance"
             )
+        context = f"loop {self.name!r}"
         if self.x0 is not None:
-            object.__setattr__(
-                self, "x0", as_vector(self.x0, f"{self.name}.x0", self.system.n)
-            )
+            x0 = as_vector(self.x0, f"{context}: x0", self.system.n)
+            object.__setattr__(self, "x0", x0)
         else:
-            object.__setattr__(self, "x0_variance", self._variance("x0_variance"))
-        object.__setattr__(self, "noise_variance", self._variance("noise_variance"))
+            x0_variance = _nonnegative(self.x0_variance, f"{context}: x0_variance")
+            object.__setattr__(self, "x0_variance", x0_variance)
+        noise = _nonnegative(self.noise_variance, f"{context}: noise_variance")
+        object.__setattr__(self, "noise_variance", noise)
         if self.weights.Q.shape[0] != self.system.n:
-            raise ConfigurationError(f"loop {self.name!r}: Q does not match state dim")
+            raise ConfigurationError(f"{context}: Q does not match state dim")
         if self.weights.R.shape[0] != self.system.m:
-            raise ConfigurationError(f"loop {self.name!r}: R does not match input dim")
-
-    def _variance(self, field: str) -> float:
-        value = _number(getattr(self, field), f"loop {self.name!r}: {field}")
-        if value < 0:
-            raise ConfigurationError(f"loop {self.name!r}: {field} must be nonnegative")
-        return value
+            raise ConfigurationError(f"{context}: R does not match input dim")
 
 
 @dataclass(frozen=True)
@@ -376,6 +372,18 @@ def run_self_triggered(
     return _sim_trace(scn, scn.mode, run, values, feasible)
 
 
+def _periodic_run(scn: Scenario, ts: int, alpha_index: int, run_index: int):
+    """One run of the fixed-interval baseline at period ``ts``: what
+    :func:`_event_loop` returns, and each loop's periodic ``(P, L)``."""
+    gains = [solve_periodic_riccati(spec.system, spec.weights, ts) for spec in scn.loops]
+
+    def policy(j, k, rows, x):
+        return ts, -(gains[j][1] @ x[0])
+
+    run = _event_loop(scn, range(len(gains)), policy, alpha_index, (run_index,))
+    return run, gains
+
+
 def run_periodic(
     scn: Scenario,
     ts: int | None = None,
@@ -399,18 +407,11 @@ def run_periodic(
             f"{s} loops cannot share the channel at period ts={ts}; "
             f"phase offsets need s <= ts"
         )
-    gains = [
-        solve_periodic_riccati(spec.system, spec.weights, ts) for spec in scn.loops
+    run, gains = _periodic_run(scn, ts, alpha_index, run_index)
+    values = [
+        [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
+        for (P, _), (states, _, waits) in zip(gains, run)
     ]
-    values = [[] for _ in range(s)]
-
-    def policy(j, k, rows, x):
-        P, L = gains[j]
-        x = x[0]
-        values[j].append(float(x @ P @ x))
-        return ts, -(L @ x)
-
-    run = _event_loop(scn, range(s), policy, alpha_index, (run_index,))
     feasible = [[frozenset({ts})] * len(v) for v in values]
     return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 
@@ -493,25 +494,18 @@ def _empty_stats(names) -> dict:
     return {key: {name: {} for name in names} for key in keys}
 
 
-def _record_runs(stats: dict, ai: int, scn: Scenario, runs: list) -> None:
+def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
     """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
-    standard error of the sampling interval and the empiric cost over
-    ``runs``.  A run maps each loop name to its ``(states, inputs,
-    sample_times)``."""
-    n_runs = len(runs)
-    intervals = {spec.name: np.empty(n_runs) for spec in scn.loops}
-    costs = {spec.name: np.empty(n_runs) for spec in scn.loops}
-    for r, run in enumerate(runs):
-        for spec in scn.loops:
-            states, inputs, sample_times = run[spec.name]
-            intervals[spec.name][r] = _mean_interval(sample_times, scn.gamma)
-            costs[spec.name][r] = float(
-                np.mean(_stage_costs(states, inputs, spec.weights.Q, spec.weights.R))
-            )
-    for key, per_loop in (("interval", intervals), ("cost", costs)):
-        for name, v in per_loop.items():
-            stats["mean_" + key][name][ai] = float(np.mean(v))
-            stats["se_" + key][name][ai] = (
+    standard error over runs of the sampling interval and the empiric cost.
+    ``per_loop`` holds what :func:`_event_loop` returns."""
+    for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
+        n_runs = len(waits)
+        intervals = [_mean_interval(np.flatnonzero(w), scn.gamma) for w in waits]
+        costs = [float(np.mean(_stage_costs(x, u, spec.weights.Q, spec.weights.R)))
+                 for x, u in zip(states, inputs)]
+        for key, v in (("interval", intervals), ("cost", costs)):
+            stats["mean_" + key][spec.name][ai] = float(np.mean(v))
+            stats["se_" + key][spec.name][ai] = (
                 float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
             )
 
@@ -524,13 +518,7 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     by (alpha index, run index, loop index); results are reproducible from
     ``seed`` alone and equal those of :func:`run_self_triggered` run by run.
     """
-    from .synthesis import build_gain_table
-
-    alphas = [float(a) for a in alphas]
-    if not np.all(np.isfinite(alphas)):
-        raise ConfigurationError(f"alphas must be finite, got {alphas}")
-    if any(a < 0 for a in alphas):
-        raise ConfigurationError("alphas must be nonnegative")
+    alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError("alphas must be ascending")
     n_runs = _integer(n_runs, "n_runs")
@@ -557,15 +545,7 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
             continue
-        per_loop = _self_triggered_runs(scn, tables, ai, n_runs)
-        runs = [
-            {
-                spec.name: (states[r], inputs[r], np.flatnonzero(waits[r]))
-                for spec, (states, inputs, waits) in zip(scn.loops, per_loop)
-            }
-            for r in range(n_runs)
-        ]
-        _record_runs(stats, ai, scn, runs)
+        _record_runs(stats, ai, scn, _self_triggered_runs(scn, tables, ai, n_runs))
 
     return SweepSummary(
         alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
@@ -589,12 +569,10 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary, seed: int) -> SweepS
             continue
         interval = np.mean([summary.mean_interval[name][ai] for name in names])
         ts = int(min(max(round(interval), s), scn.p))
-        runs = []
-        for r in range(summary.n_runs):
-            trace = run_periodic(scn, ts, alpha_index=ai, run_index=r)
-            runs.append({name: (tr.states, tr.inputs, tr.sample_times)
-                         for name, tr in trace.loops.items()})
-        _record_runs(stats, ai, scn, runs)
+        runs = [_periodic_run(scn, ts, ai, r)[0] for r in range(summary.n_runs)]
+        # Per loop, each field of the one-run results joined on the run axis.
+        _record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
+                                      for loop in zip(*runs)])
         for name in names:
             stats["mean_interval"][name][ai] = float(ts)
     return replace(summary, **stats)

@@ -28,8 +28,9 @@ from .model import (
     LtiSystem,
     WeightSpec,
     _integer,
-    _json_numbers,
+    _json_matrix,
     _json_string,
+    _nonnegative,
     _number,
     _readonly,
     _transition_pairs,
@@ -85,9 +86,7 @@ def downsampled_controllable(sys: LtiSystem, i: int) -> bool:
     Holds exactly when the base pair (A, B) is controllable and no
     eigenvalue of A other than 1 is an i-th root of unity.
     """
-    if i < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
-    return is_controllable(sys.A, sys.B) and not _unit_root_eigenvalues(sys.A, i)
+    return uncontrollable_reason(sys, i) is None
 
 
 def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
@@ -95,6 +94,8 @@ def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
 
     Distinguishes an uncontrollable base pair from a root-of-unity failure.
     """
+    if i < 1:
+        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
     if not is_controllable(sys.A, sys.B):
         return "base pair (A, B) is not controllable"
     bad = _unit_root_eigenvalues(sys.A, i)
@@ -223,8 +224,9 @@ class GainTable:
     Built once with the table, ``P_stack`` (|I0|, n, n), ``L_stack``
     (|I0|, m, n) and ``costs`` (``alpha / i``) hold the entries row by row
     in ``I0`` order, and ``rows`` maps each wait to its row; they are not
-    constructor arguments and take no part in equality.  All arrays are
-    read-only; tables are safe to share across threads.
+    constructor arguments and take no part in equality.  ``gamma`` is the
+    largest wait.  All arrays are read-only; tables are safe to share across
+    threads.
     """
 
     loop_id: str
@@ -234,22 +236,20 @@ class GainTable:
     Pp: np.ndarray
     Lp: np.ndarray
     I0: tuple
-    gamma: int
     P_stack: np.ndarray = field(init=False, compare=False, repr=False)
     L_stack: np.ndarray = field(init=False, compare=False, repr=False)
     costs: np.ndarray = field(init=False, compare=False, repr=False)
     rows: MappingProxyType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "I0", _wait_set(self.I0))
-        object.__setattr__(self, "gamma", max(self.I0))
-        object.__setattr__(self, "p", _integer(self.p, "table p"))
+        context = f"table {self.loop_id!r}"
+        object.__setattr__(self, "I0", _wait_set(self.I0, f"{context}: I0"))
+        object.__setattr__(self, "p", _integer(self.p, f"{context}: p"))
+        object.__setattr__(self, "alpha", _nonnegative(self.alpha, f"{context}: alpha"))
         if set(self.entries) != set(self.I0):
             raise ConfigurationError(
                 f"table entries {sorted(self.entries)} do not match I0 {list(self.I0)}"
             )
-        if self.alpha < 0.0:
-            raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
         try:
             P_stack = _readonly([self.entries[i][0] for i in self.I0])
             L_stack = _readonly([self.entries[i][1] for i in self.I0])
@@ -287,21 +287,24 @@ class GainTable:
     def m(self) -> int:
         return self.Lp.shape[0]
 
-    def P(self, i: int) -> np.ndarray:
+    @property
+    def gamma(self) -> int:
+        return self.I0[-1]
+
+    def _row(self, i: int) -> int:
+        """The stack row of wait ``i``."""
         try:
-            return self.entries[i][0]
+            return self.rows[i]
         except KeyError:
             raise GainLookupError(
                 f"loop {self.loop_id!r}: no table entry for wait {i}"
             ) from None
 
+    def P(self, i: int) -> np.ndarray:
+        return self.P_stack[self._row(i)]
+
     def L(self, i: int) -> np.ndarray:
-        try:
-            return self.entries[i][1]
-        except KeyError:
-            raise GainLookupError(
-                f"loop {self.loop_id!r}: no table entry for wait {i}"
-            ) from None
+        return self.L_stack[self._row(i)]
 
 
 def build_gain_table(
@@ -318,9 +321,8 @@ def build_gain_table(
     value matrix.
     """
     factors = _wait_set(I0)
-    gamma = max(factors)
     Pp, Lp = solve_periodic_riccati(sys, weights, p)
-    lifted = lift_range(sys, weights, gamma)
+    lifted = lift_range(sys, weights, factors[-1])
     entries = {}
     for i in factors:
         lm = lifted[i - 1]
@@ -335,7 +337,6 @@ def build_gain_table(
         Pp=Pp,
         Lp=Lp,
         I0=factors,
-        gamma=gamma,
     )
 
 
@@ -486,26 +487,15 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         raise ConfigurationError(
             f"gain table fields mismatch (missing {sorted(missing)}, unknown {sorted(extra)})"
         )
-    if doc["schema_version"] != TABLE_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported gain table schema version {doc['schema_version']}"
-        )
+    version = doc["schema_version"]
+    if version != TABLE_SCHEMA_VERSION or type(version) is not int:
+        raise ConfigurationError(f"unsupported gain table schema version {version!r}")
     n = _integer(doc["n"], "gain table n")
     m = _integer(doc["m"], "gain table m")
-    if not isinstance(doc["I0"], list):
-        raise ConfigurationError("gain table I0 must be a list of integers")
-    I0 = _wait_set(doc["I0"])
+    if n < 1 or m < 1:
+        raise ConfigurationError("gain table dimensions must be positive")
     if not isinstance(doc["entries"], list):
         raise ConfigurationError("gain table entries must be a list")
-
-    def mat(flat, rows, cols, name):
-        arr = _json_numbers(flat, name)
-        if arr.size != rows * cols:
-            raise ConfigurationError(
-                f"{name} should have {rows * cols} row-major entries, got {arr.size}"
-            )
-        return arr.reshape(rows, cols)
-
     entries = {}
     for rec in doc["entries"]:
         if not isinstance(rec, dict):
@@ -514,18 +504,18 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
             raise ConfigurationError(f"bad table entry fields: {sorted(rec)}")
         i = _integer(rec["i"], "gain table entry i")
         entries[i] = (
-            _readonly(mat(rec["P"], n, n, f"P({i})")),
-            _readonly(mat(rec["L"], m, n, f"L({i})")),
+            _readonly(_json_matrix(rec["P"], n, n, f"P({i})")),
+            _readonly(_json_matrix(rec["L"], m, n, f"L({i})")),
         )
+    # GainTable itself refuses a bad wait set, p or alpha.
     gt = GainTable(
         loop_id=_json_string(doc["loop_id"], "gain table loop_id"),
-        alpha=_number(doc["alpha"], "gain table alpha"),
+        alpha=doc["alpha"],
         entries=entries,
         p=doc["p"],
-        Pp=_readonly(mat(doc["Pp"], n, n, "Pp")),
-        Lp=_readonly(mat(doc["Lp"], m, n, "Lp")),
-        I0=I0,
-        gamma=max(I0),
+        Pp=_readonly(_json_matrix(doc["Pp"], n, n, "Pp")),
+        Lp=_readonly(_json_matrix(doc["Lp"], m, n, "Lp")),
+        I0=doc["I0"],
     )
     epsilon = _number(doc["epsilon"], "gain table epsilon")
     return gt, epsilon, _integer(doc["pstar"], "gain table pstar")

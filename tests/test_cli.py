@@ -279,11 +279,16 @@ def _set_field(doc, path, value):
 @pytest.mark.parametrize("target,path,value", [
     pytest.param("scenario", ("loops", 0, "x0"), ["a"], id="x0-string"),
     pytest.param("scenario", ("loops", 0, "alpha"), "abc", id="alpha-string"),
+    pytest.param("scenario", ("loops", 0, "alpha"), 10**400, id="alpha-huge-int"),
+    pytest.param("scenario", ("loops", 0, "x0_variance"), None, id="x0-and-null-variance"),
     pytest.param("scenario", ("loops", 0, "n"), "one", id="n-string"),
     pytest.param("scenario", ("p",), None, id="p-null"),
     pytest.param("scenario", ("I0",), ["x"], id="I0-string"),
     pytest.param("scenario", ("horizon",), 60.7, id="horizon-fraction"),
+    pytest.param("scenario", ("schema_version",), True, id="schema-version-bool"),
     pytest.param("table", ("n",), 1.5, id="table-n-fraction"),
+    pytest.param("table", ("n",), -1, id="table-n-negative"),
+    pytest.param("table", ("schema_version",), True, id="table-schema-version-bool"),
     pytest.param("table", ("I0",), [], id="table-I0-empty"),
     pytest.param("table", ("entries", 0, "P"), ["x"], id="table-P-string"),
 ])

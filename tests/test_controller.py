@@ -230,12 +230,12 @@ class TestStackedScores:
     def test_stacks_take_no_part_in_construction_or_equality(self, integrator_table):
         gt = integrator_table
         compared = [f.name for f in dataclasses.fields(GainTable) if f.compare]
-        assert compared == ["loop_id", "alpha", "entries", "p", "Pp", "Lp", "I0", "gamma"]
+        assert compared == ["loop_id", "alpha", "entries", "p", "Pp", "Lp", "I0"]
         assert dataclasses.replace(gt) == gt
         assert "P_stack" not in repr(gt)
         with pytest.raises(TypeError):
             GainTable(loop_id="x", alpha=0.0, entries=gt.entries, p=gt.p, Pp=gt.Pp,
-                      Lp=gt.Lp, I0=gt.I0, gamma=gt.gamma, costs=gt.costs)
+                      Lp=gt.Lp, I0=gt.I0, costs=gt.costs)
         doubled = dataclasses.replace(gt, alpha=2.0 * gt.alpha)
         np.testing.assert_array_equal(doubled.costs, 2.0 * gt.alpha / np.array(gt.I0))
         assert doubled.P_stack is not gt.P_stack
@@ -243,7 +243,7 @@ class TestStackedScores:
     def test_serialization_is_unchanged(self):
         P, L = np.array([[2.0]]), np.array([[0.5]])
         gt = GainTable(loop_id="a", alpha=0.25, entries={1: (P, L), 2: (2 * P, L)},
-                       p=2, Pp=2 * P, Lp=L, I0=(1, 2), gamma=2)
+                       p=2, Pp=2 * P, Lp=L, I0=(1, 2))
         cert = StabilityCertificate(pstar=2, epsilon=0.125, lower_bound=0.0,
                                     upper_bound=1.0, per_i_ratio={}, Si={})
         assert json.loads(serialize_gain_table(gt, cert)) == {

@@ -1,4 +1,6 @@
 """Lifted-model recursions against explicit power-sum and simulation oracles."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def _scenario(**overrides):
 def _table(I0):
     P, L = np.eye(1), np.eye(1)
     return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L), 2: (P, L)},
-                     p=2, Pp=P, Lp=L, I0=I0, gamma=2)
+                     p=2, Pp=P, Lp=L, I0=I0)
 
 
 def _booked_ledger():
@@ -271,6 +273,23 @@ def _booked_ledger():
                                           [1, 1.5], 1), id="build-I0-fraction"),
     pytest.param(lambda: select_pstar([LtiSystem(A=[[1.0]], B=[[1.0]])], [2.5]),
                  id="select-pstar-I0-fraction"),
+    pytest.param(lambda: _scenario(I0=5), id="scenario-I0-not-a-set"),
+    pytest.param(lambda: ReservationLedger(p=3, I0=5, loop_order=("a",), next_tx={}),
+                 id="ledger-I0-not-a-set"),
+    pytest.param(lambda: build_gain_table(LtiSystem(A=[[1.0]], B=[[1.0]]),
+                                          WeightSpec(Q=[[1.0]], R=[[1.0]]), 3, 3),
+                 id="build-I0-not-a-set"),
+    pytest.param(lambda: decide(_table([1, 2]), [0.0], 3), id="decide-waits-not-a-set"),
+    pytest.param(lambda: sweep_alpha(_scenario(), ["x"], n_runs=1, seed=0),
+                 id="sweep-alpha-string"),
+    pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[1.0]], alpha="0.2"),
+                 id="weights-alpha-string"),
+    pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[1.0]], alpha=True), id="weights-alpha-bool"),
+    pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[1.0]], alpha=10**400),
+                 id="weights-alpha-huge-int"),
+    pytest.param(lambda: replace(_table([1, 2]), alpha=float("nan")), id="table-alpha-nan"),
+    pytest.param(lambda: LtiSystem(A=[[1.0, 2.0], [3.0]], B=[[1.0], [1.0]]),
+                 id="system-A-ragged"),
 ])
 def test_non_integer_waits_and_counts_refused(make):
     with pytest.raises(ConfigurationError):

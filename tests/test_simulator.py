@@ -371,6 +371,8 @@ class TestScenarioValidation:
         pytest.param("x0_variance", float("inf"), id="x0-variance-inf"),
         pytest.param("x0_variance", True, id="x0-variance-bool"),
         pytest.param("x0_variance", "4", id="x0-variance-string"),
+        pytest.param("noise_variance", 10**400, id="noise-huge-int"),
+        pytest.param("x0", "a", id="x0-string"),
     ])
     def test_variance_must_be_a_finite_nonnegative_number(self, integrator,
                                                          integrator_weights,

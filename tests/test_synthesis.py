@@ -263,7 +263,6 @@ class TestGainTable:
                 Pp=integrator_table.Pp,
                 Lp=integrator_table.Lp,
                 I0=(1, 2),
-                gamma=2,
             )
 
 
@@ -353,7 +352,6 @@ class TestCertificate:
             Pp=integrator_table.Pp,
             Lp=integrator_table.Lp,
             I0=integrator_table.I0,
-            gamma=integrator_table.gamma,
         )
         with pytest.raises(CertificateError):
             stability_certificate(bad, integrator, 5)
