@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .simulator import (
 from .synthesis import (
     build_gain_table,
     deserialize_gain_table,
-    pstar_is_gamma,
     select_pstar,
     serialize_gain_table,
     stability_certificate,
@@ -197,7 +197,9 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"--alphas must be comma-separated numbers: {exc}"
         ) from exc
-    summary = sweep_alpha(scn, alphas, args.runs, args.seed)
+    if args.seed is not None:
+        scn = replace(scn, seed=args.seed)
+    summary = sweep_alpha(scn, alphas, args.runs)
     for alpha, msg in summary.errors.items():
         print(f"alpha={alpha:g}: synthesis failed: {msg}", file=sys.stderr)
 
@@ -217,7 +219,7 @@ def cmd_sweep(args) -> int:
     for name in summary.loop_names:
         write_sweep_csv(summary, name, out_path(name, periodic=False))
 
-    baseline = periodic_baseline(scn, summary, args.seed)
+    baseline = periodic_baseline(scn, summary)
     for name in summary.loop_names:
         write_sweep_csv(baseline, name, out_path(name, periodic=True))
     print(f"sweep written to {out}")
@@ -230,8 +232,8 @@ def cmd_verify(args) -> int:
     _check_tables(scn, {name: gt for name, (gt, _, _) in stored.items()})
     systems = [spec.system for spec in scn.loops]
     pstar = select_pstar(systems, scn.I0)
-    pg = pstar_is_gamma(systems, scn.I0)
-    print(f"terminal period {pstar}; equals max wait gamma: {'yes' if pg else 'no'}")
+    print(f"terminal period {pstar}; equals max wait gamma: "
+          f"{'yes' if pstar == scn.gamma else 'no'}")
     s = len(scn.loops)
     if s >= 2:
         print(f"network admissibility (s={s} <= p={scn.p}, waits 1..{s} available): ok")
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-c", "--scenario", required=True)
     p_sweep.add_argument("--alphas", required=True, help="comma-separated ascending list")
     p_sweep.add_argument("--runs", type=int, default=20)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=int, help="default: the scenario's seed")
     p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

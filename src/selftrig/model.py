@@ -148,7 +148,7 @@ def check_positive_definite(M: np.ndarray, name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """Discrete-time plant ``x(k+1) = A x(k) + B u(k) + E w(k)``.
 
@@ -192,7 +192,7 @@ class LtiSystem:
         return self.E.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Quadratic stage weights plus the per-sample communication cost.
 

@@ -55,7 +55,7 @@ def rng_substream(
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopSpec:
     """One plant with its weights, initial condition and disturbance level.
 
@@ -90,9 +90,10 @@ class LoopSpec:
             raise ConfigurationError(f"{context}: R does not match input dim")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment: the one home of the
+    seed of its runs and of the fixed-interval baseline's period ``ts``."""
 
     loops: tuple
     I0: tuple
@@ -119,15 +120,18 @@ class Scenario:
         if self.p < 1:
             raise ConfigurationError(f"p must be >= 1, got {self.p}")
         _check_admissible(len(loops), self.I0, self.p)
+        if self.p > self.gamma:
+            raise ConfigurationError(f"p={self.p} exceeds the largest wait {self.gamma}")
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.mode not in (MODE_SELF_TRIGGERED, MODE_PERIODIC):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_PERIODIC:
-            if self.ts is None or not (1 <= self.ts <= self.p):
-                raise ConfigurationError(
-                    f"periodic mode needs ts in [1, p={self.p}], got {self.ts}"
-                )
+        if self.ts is None and self.mode == MODE_PERIODIC:
+            raise ConfigurationError("periodic mode needs ts")
+        # Phase offsets 0..s-1 give each loop its own slot when s <= ts.
+        if self.ts is not None and not len(loops) <= self.ts <= self.p:
+            raise ConfigurationError(f"ts must lie in [s={len(loops)}, p={self.p}], "
+                                     f"got {self.ts}")
 
     @property
     def gamma(self) -> int:
@@ -372,47 +376,35 @@ def run_self_triggered(
     return _sim_trace(scn, scn.mode, run, values, feasible)
 
 
-def _periodic_run(scn: Scenario, ts: int, alpha_index: int, run_index: int):
-    """One run of the fixed-interval baseline at period ``ts``: what
+def _periodic_run(scn: Scenario, alpha_index: int, run_index: int):
+    """One run of the fixed-interval baseline at period ``scn.ts``: what
     :func:`_event_loop` returns, and each loop's periodic ``(P, L)``."""
-    gains = [solve_periodic_riccati(spec.system, spec.weights, ts) for spec in scn.loops]
+    gains = [solve_periodic_riccati(spec.system, spec.weights, scn.ts) for spec in scn.loops]
 
     def policy(j, k, rows, x):
-        return ts, -(gains[j][1] @ x[0])
+        return scn.ts, -(gains[j][1] @ x[0])
 
     run = _event_loop(scn, range(len(gains)), policy, alpha_index, (run_index,))
     return run, gains
 
 
-def run_periodic(
-    scn: Scenario,
-    ts: int | None = None,
-    alpha_index: int = 0,
-    run_index: int = 0,
-) -> SimTrace:
-    """Fixed-interval baseline: sample every ``ts`` steps, feedback from the
-    periodic value matrix at period ``ts``.
+def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> SimTrace:
+    """Fixed-interval baseline: sample every ``scn.ts`` steps, feedback from
+    the periodic value matrix at that period.
 
-    Loops are phase-offset by their index (0, 1, ..., s-1) so the one-slot
-    rule survives whenever the loop count does not exceed ``ts``; inputs are
-    zero before a loop's first sample.  Substream indices match those of
+    Loops are phase-offset by their index (0, 1, ..., s-1), so each keeps
+    its own slot (the Scenario holds ``s <= ts <= p``); inputs are zero
+    before a loop's first sample.  Substream indices match those of
     :func:`run_self_triggered` so baselines share noise realizations.
     """
-    ts = _integer(scn.ts if ts is None else ts, "ts")
-    if not (1 <= ts <= scn.p):
-        raise ConfigurationError(f"ts must lie in [1, p={scn.p}], got {ts}")
-    s = len(scn.loops)
-    if s > ts:
-        raise ConfigurationError(
-            f"{s} loops cannot share the channel at period ts={ts}; "
-            f"phase offsets need s <= ts"
-        )
-    run, gains = _periodic_run(scn, ts, alpha_index, run_index)
+    if scn.ts is None:
+        raise ConfigurationError("the periodic baseline needs a scenario with ts")
+    run, gains = _periodic_run(scn, alpha_index, run_index)
     values = [
         [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
         for (P, _), (states, _, waits) in zip(gains, run)
     ]
-    feasible = [[frozenset({ts})] * len(v) for v in values]
+    feasible = [[frozenset({scn.ts})] * len(v) for v in values]
     return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 
 
@@ -510,13 +502,14 @@ def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
             )
 
 
-def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
+def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
     """Re-synthesize and re-run the scenario across a grid of sampling costs.
 
     For each alpha every loop's table is rebuilt with that alpha, then
     ``n_runs`` independent noisy runs execute together on substreams keyed
     by (alpha index, run index, loop index); results are reproducible from
-    ``seed`` alone and equal those of :func:`run_self_triggered` run by run.
+    ``scn.seed`` alone and equal those of :func:`run_self_triggered` run by
+    run.
     """
     alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
     if any(b < a for a, b in zip(alphas, alphas[1:])):
@@ -525,7 +518,6 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
 
-    scn = replace(scn, seed=seed)
     names = tuple(spec.name for spec in scn.loops)
     stats = _empty_stats(names)
     errors = {}
@@ -552,15 +544,15 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int, seed: int) -> SweepSummary:
     )
 
 
-def periodic_baseline(scn: Scenario, summary: SweepSummary, seed: int) -> SweepSummary:
+def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
     """Fixed-interval baseline matched to each alpha of an adaptive sweep.
 
     At every alpha the sweep has results for, the period ``ts`` is the mean
     sampling interval over loops, rounded and clamped to ``[s, p]``;
-    ``summary.n_runs`` periodic runs then execute on the sweep's substreams.
-    The returned ``mean_interval`` holds the matched ``float(ts)``.
+    ``summary.n_runs`` periodic runs then execute on the sweep's substreams
+    (those of ``scn.seed``).  The returned ``mean_interval`` holds the
+    matched ``float(ts)``.
     """
-    scn = replace(scn, seed=seed)
     names = summary.loop_names
     stats = _empty_stats(names)
     s = len(scn.loops)
@@ -568,13 +560,13 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary, seed: int) -> SweepS
         if ai not in summary.mean_interval[names[0]]:
             continue
         interval = np.mean([summary.mean_interval[name][ai] for name in names])
-        ts = int(min(max(round(interval), s), scn.p))
-        runs = [_periodic_run(scn, ts, ai, r)[0] for r in range(summary.n_runs)]
+        matched = replace(scn, ts=int(min(max(round(interval), s), scn.p)))
+        runs = [_periodic_run(matched, ai, r)[0] for r in range(summary.n_runs)]
         # Per loop, each field of the one-run results joined on the run axis.
         _record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
                                       for loop in zip(*runs)])
         for name in names:
-            stats["mean_interval"][name][ai] = float(ts)
+            stats["mean_interval"][name][ai] = float(matched.ts)
     return replace(summary, **stats)
 
 
@@ -606,7 +598,7 @@ def write_txlog_csv(trace: SimTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "loop_id", "i_chosen", "feasible_set"])
-        for ev in sorted(trace.tx_events, key=lambda e: (e.k, e.loop_id)):
+        for ev in trace.tx_events:
             writer.writerow(
                 [ev.k, ev.loop_id, ev.i_chosen, ";".join(str(i) for i in ev.feasible)]
             )

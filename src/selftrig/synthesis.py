@@ -215,7 +215,7 @@ def solve_periodic_riccati(
     return _readonly(H), _readonly(_accept_riccati(H, lm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainTable:
     """Per-loop lookup table of value matrices and feedback gains.
 
@@ -224,9 +224,9 @@ class GainTable:
     Built once with the table, ``P_stack`` (|I0|, n, n), ``L_stack``
     (|I0|, m, n) and ``costs`` (``alpha / i``) hold the entries row by row
     in ``I0`` order, and ``rows`` maps each wait to its row; they are not
-    constructor arguments and take no part in equality.  ``gamma`` is the
-    largest wait.  All arrays are read-only; tables are safe to share across
-    threads.
+    constructor arguments.  ``gamma`` is the largest wait.  All arrays are
+    finite and read-only; tables are safe to share across threads, and
+    compare by identity.
     """
 
     loop_id: str
@@ -236,10 +236,10 @@ class GainTable:
     Pp: np.ndarray
     Lp: np.ndarray
     I0: tuple
-    P_stack: np.ndarray = field(init=False, compare=False, repr=False)
-    L_stack: np.ndarray = field(init=False, compare=False, repr=False)
-    costs: np.ndarray = field(init=False, compare=False, repr=False)
-    rows: MappingProxyType = field(init=False, compare=False, repr=False)
+    P_stack: np.ndarray = field(init=False, repr=False)
+    L_stack: np.ndarray = field(init=False, repr=False)
+    costs: np.ndarray = field(init=False, repr=False)
+    rows: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
         context = f"table {self.loop_id!r}"
@@ -260,6 +260,8 @@ class GainTable:
                 f"table entries must match the shapes of Pp {self.Pp.shape} "
                 f"and Lp {self.Lp.shape}"
             )
+        if not all(np.isfinite(M).all() for M in (P_stack, L_stack, self.Pp, self.Lp)):
+            raise ConfigurationError(f"{context}: matrices have non-finite entries")
         if self.p in self.entries:
             Pi, Li = self.entries[self.p]
             drift = max(

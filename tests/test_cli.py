@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, file outputs, round trips."""
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,22 @@ class TestSweep:
             assert matched["n_runs"] == row["n_runs"] == "1"
 
 
+    def test_seed_defaults_to_the_scenario_seed(self, tmp_path):
+        doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
+        doc["horizon"] = 200
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps(doc))
+        texts = {}
+        for seed in (None, doc["seed"], 0):
+            out = tmp_path / f"{seed}.csv"
+            flags = () if seed is None else ("--seed", str(seed))
+            assert run_cli("sweep", "-c", str(scen), "--alphas", "0,2.5", "--runs", "2",
+                           *flags, "-o", str(out)) == 0
+            texts[seed] = [out.read_text(), (tmp_path / f"{seed}.periodic.csv").read_text()]
+        assert texts[None] == texts[doc["seed"]]
+        assert texts[None][0] != texts[0][0] and texts[None][1] != texts[0][1]
+
+
 @pytest.mark.parametrize("alphas", ["abc", "nan", "1,inf"])
 def test_malformed_sweep_alphas_exit_2(alphas, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -283,6 +300,7 @@ def _set_field(doc, path, value):
     pytest.param("scenario", ("loops", 0, "x0_variance"), None, id="x0-and-null-variance"),
     pytest.param("scenario", ("loops", 0, "n"), "one", id="n-string"),
     pytest.param("scenario", ("p",), None, id="p-null"),
+    pytest.param("scenario", ("p",), 10**400, id="p-huge-int"),
     pytest.param("scenario", ("I0",), ["x"], id="I0-string"),
     pytest.param("scenario", ("horizon",), 60.7, id="horizon-fraction"),
     pytest.param("scenario", ("schema_version",), True, id="schema-version-bool"),
@@ -310,6 +328,26 @@ def test_malformed_field_exits_2(target, path, value, synth_out, tmp_path, capsy
     scen.write_text(json.dumps(scen_doc))
     assert run_cli(*argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_finite_table_exits_2(command, synth_out, tmp_path, capsys):
+    # The text is edited because json.dumps writes an infinity as Infinity,
+    # which the table parser refuses already; 1e400 parses to inf.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for path in synth_out.glob("*.gains.json"):
+        text = path.read_text()
+        if path.name == "integrator.gains.json":
+            text = re.sub(r'("P": \[\s*)[^,\s]+', r"\g<1>1e400", text, count=1)
+            assert json.loads(text)["entries"][0]["P"] == [float("inf")]
+        (tables / path.name).write_text(text)
+    scen = str(SCENARIOS / "two_loop.json")
+    argv = {"simulate": ("simulate", "-c", scen, "-t", str(tables), "-o", str(tmp_path / "run")),
+            "verify": ("verify", "-t", str(tables), "-c", scen)}[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "'integrator'" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("q", [1e-6, 1e-9])

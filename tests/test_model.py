@@ -19,7 +19,6 @@ from selftrig import (
     lift_weights,
     build_gain_table,
     reserve,
-    run_periodic,
     select_pstar,
     stage_cost_sum,
     sweep_alpha,
@@ -264,8 +263,7 @@ def _booked_ledger():
                  id="reserve-wait-float"),
     pytest.param(lambda: feasible_set(_booked_ledger(), "b", 2.5), id="feasible-set-k-fraction"),
     pytest.param(lambda: reserve(_booked_ledger(), "b", 2.5, 1), id="reserve-k-fraction"),
-    pytest.param(lambda: run_periodic(_scenario(), ts=2.7), id="run-periodic-ts-fraction"),
-    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=2.5, seed=0),
+    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=2.5),
                  id="sweep-n-runs-fraction"),
     pytest.param(lambda: decide(_table([1, 2]), [0.0], [1.5]), id="decide-wait-fraction"),
     pytest.param(lambda: build_gain_table(LtiSystem(A=[[1.0]], B=[[1.0]]),
@@ -280,7 +278,7 @@ def _booked_ledger():
                                           WeightSpec(Q=[[1.0]], R=[[1.0]]), 3, 3),
                  id="build-I0-not-a-set"),
     pytest.param(lambda: decide(_table([1, 2]), [0.0], 3), id="decide-waits-not-a-set"),
-    pytest.param(lambda: sweep_alpha(_scenario(), ["x"], n_runs=1, seed=0),
+    pytest.param(lambda: sweep_alpha(_scenario(), ["x"], n_runs=1),
                  id="sweep-alpha-string"),
     pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[1.0]], alpha="0.2"),
                  id="weights-alpha-string"),

@@ -167,7 +167,7 @@ class TestTwoLoops:
 
 class TestPeriodicBaseline:
     def test_unit_period_matches_classical_regulator(self, transient_scenario):
-        trace = run_periodic(transient_scenario, 1)
+        trace = run_periodic(replace(transient_scenario, ts=1))
         P = scipy.linalg.solve_discrete_are(
             np.array([[1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1)
         )
@@ -183,7 +183,7 @@ class TestPeriodicBaseline:
                                             integrator_weights):
         self_trace = run_self_triggered(transient_scenario,
                                         {"integrator": integrator_table})
-        slow_trace = run_periodic(transient_scenario, 5)
+        slow_trace = run_periodic(replace(transient_scenario, ts=5))
         Q, R = integrator_weights.Q, integrator_weights.R
         self_tr = self_trace.loops["integrator"]
         slow_tr = slow_trace.loops["integrator"]
@@ -198,7 +198,7 @@ class TestPeriodicBaseline:
                             weights=integrator_weights, x0=[0.0]),),
             I0=range(1, 6), p=5, horizon=30, seed=0,
         )
-        trace = run_periodic(scn, 5)
+        trace = run_periodic(replace(scn, ts=5))
         assert np.all(trace.loops["integrator"].states == 0.0)
 
     def test_singleton_wait_set_equals_periodic(self, integrator,
@@ -214,7 +214,7 @@ class TestPeriodicBaseline:
                 I0=[ts], p=ts, horizon=30, seed=0,
             )
             a = run_self_triggered(scn, {"integrator": gt}).loops["integrator"]
-            b = run_periodic(scn, ts).loops["integrator"]
+            b = run_periodic(replace(scn, ts=ts)).loops["integrator"]
             np.testing.assert_array_equal(a.states, b.states)
             np.testing.assert_array_equal(a.inputs, b.inputs)
             np.testing.assert_array_equal(a.sample_times, b.sample_times)
@@ -225,7 +225,7 @@ class TestPeriodicBaseline:
                                                integrator_table,
                                                double_integrator_table):
         if law == "periodic":
-            trace = run_periodic(two_loop_scenario, 5)
+            trace = run_periodic(replace(two_loop_scenario, ts=5))
         else:
             trace = run_self_triggered(
                 two_loop_scenario,
@@ -247,7 +247,7 @@ class TestPeriodicBaseline:
         assert order == sorted(order)
 
     def test_multi_loop_offsets_stay_conflict_free(self, two_loop_scenario):
-        trace = run_periodic(two_loop_scenario, 5)
+        trace = run_periodic(replace(two_loop_scenario, ts=5))
         assert verify_conflict_free(sorted(trace.tx_log))
         l2 = trace.loops["double_integrator"]
         assert l2.sample_times[0] == 1  # second loop starts one slot later
@@ -255,7 +255,11 @@ class TestPeriodicBaseline:
 
     def test_too_many_loops_for_period_rejected(self, two_loop_scenario):
         with pytest.raises(ConfigurationError):
-            run_periodic(two_loop_scenario, 1)
+            run_periodic(replace(two_loop_scenario, ts=1))
+
+    def test_scenario_without_ts_rejected(self, transient_scenario):
+        with pytest.raises(ConfigurationError, match="needs a scenario with ts"):
+            run_periodic(transient_scenario)
 
 
 class TestCostStatistics:
@@ -395,6 +399,22 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             LoopSpec(name="a", system=integrator, weights=integrator_weights)
 
+    @pytest.mark.parametrize("s, fields, message", [
+        pytest.param(1, dict(ts=99), "ts must lie in", id="ts-above-p"),
+        pytest.param(2, dict(mode="periodic", ts=1), "ts must lie in", id="ts-below-s"),
+        pytest.param(1, dict(p=6), "exceeds the largest wait", id="p-above-largest-wait"),
+    ])
+    def test_period_bounds(self, integrator, integrator_weights, s, fields, message):
+        loops = tuple(LoopSpec(name=name, system=integrator, weights=integrator_weights,
+                               x0=[1.0]) for name in "ab"[:s])
+        base = dict(loops=loops, I0=range(1, 6), p=5, horizon=10, seed=0)
+        with pytest.raises(ConfigurationError, match=message):
+            Scenario(**{**base, **fields})
+        # Each loop of s keeps its own slot at any ts in [s, p], in either mode.
+        for mode in ("self_triggered", "periodic"):
+            for ts in (s, 5):
+                assert Scenario(**base, mode=mode, ts=ts).ts == ts
+
     @pytest.mark.parametrize("I0, p", [
         pytest.param((1, 2), 3, id="waits-1-to-s-missing"),
         pytest.param((1, 2, 3), 2, id="more-loops-than-p"),
@@ -441,8 +461,8 @@ class TestSweep:
                             x0_variance=25.0, noise_variance=0.1),),
             I0=range(1, 6), p=5, horizon=200, seed=11,
         )
-        a = sweep_alpha(scn, [0.0, 1.0], n_runs=3, seed=5)
-        b = sweep_alpha(scn, [0.0, 1.0], n_runs=3, seed=5)
+        a = sweep_alpha(scn, [0.0, 1.0], n_runs=3)
+        b = sweep_alpha(scn, [0.0, 1.0], n_runs=3)
         assert a.mean_cost == b.mean_cost
         assert a.mean_interval == b.mean_interval
         assert not a.errors
@@ -454,13 +474,13 @@ class TestSweep:
             loops=(LoopSpec(name="osc", system=sys, weights=w, x0=[1.0]),),
             I0=[1, 2], p=2, horizon=50, seed=0,
         )
-        summary = sweep_alpha(scn, [0.0, 1.0], n_runs=1, seed=0)
+        summary = sweep_alpha(scn, [0.0, 1.0], n_runs=1)
         assert set(summary.errors) == {0.0, 1.0}
         assert summary.mean_cost["osc"] == {}
 
     def test_rejects_descending_alphas(self, transient_scenario):
         with pytest.raises(ConfigurationError):
-            sweep_alpha(transient_scenario, [1.0, 0.5], n_runs=1, seed=0)
+            sweep_alpha(transient_scenario, [1.0, 0.5], n_runs=1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -478,7 +498,7 @@ class TestFiniteStates:
 
     def test_periodic(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1$"):
-            run_periodic(self._scenario(6), 3)
+            run_periodic(replace(self._scenario(6), ts=3))
 
     def test_self_triggered(self):
         scn = self._scenario(2)
@@ -489,7 +509,7 @@ class TestFiniteStates:
 
     def test_sweep(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
-            sweep_alpha(self._scenario(2), [0.0], n_runs=2, seed=0)
+            sweep_alpha(self._scenario(2), [0.0], n_runs=2)
 
 
 def _channel_scenario():
@@ -567,8 +587,8 @@ class TestBatchedSweep:
         scn = {"integrator_sweep": _integrator_sweep_scenario,
                "channel": _channel_scenario}[case]()
         alphas, n_runs, seed = [0.0, 0.25, 25.0], 5, 11
-        summary = sweep_alpha(scn, alphas, n_runs, seed)
         scn = replace(scn, seed=seed)
+        summary = sweep_alpha(scn, alphas, n_runs)
         for ai, alpha in enumerate(alphas):
             tables = _tables(scn, alpha)
             traces = [_per_run_reference(scn, tables, ai, r) for r in range(n_runs)]
