@@ -1,18 +1,20 @@
 """Closed-loop simulation of the joint control-and-scheduling law and its
 periodic baseline.
 
-One event loop advances all plants one step at a time, for one run or for
-several runs together on a leading run axis.  Whenever a loop's next sample
-comes up in a run, its state is "transmitted" and a decision policy picks
-the input to hold and the wait until the next sample.  There are three
-policies: the self-triggered law through the reservation ledger (table
-argmin over the waits the ledger allows, then a reservation), fixed-interval
-sampling with the periodic Riccati gain, and the self-triggered law
-vectorized over a sweep's runs (the residue test and the argmin on stacked
-tables).  Initial states are assumed known to the controller at k = 0
-without consuming channel slots, so coordinated start-up needs no
-transmissions.  Sweeps over the sampling cost aggregate both laws through
-one per-run statistics path.
+One event loop advances the plants from one decision to the next, for one
+run or for several runs together on a leading run axis.  Whenever a loop's
+next sample comes up in a run, its state is "transmitted" and a decision
+policy picks the input to hold and the wait until the next sample.  A held
+input makes the steps up to the largest wait one lifted linear map, so a
+decision costs one product, not one plant update per step.  There are
+three policies: the self-triggered law through the reservation ledger
+(table argmin over the waits the ledger allows, then a reservation),
+fixed-interval sampling with the periodic Riccati gain, and the
+self-triggered law vectorized over a sweep's runs (the residue test and
+the argmin on stacked tables).  Initial states are assumed known to the
+controller at k = 0 without consuming channel slots, so coordinated
+start-up needs no transmissions.  Sweeps over the sampling cost aggregate
+both laws through one per-run statistics path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -27,7 +29,15 @@ import numpy as np
 
 from .controller import _scores, decide
 from .errors import ConfigurationError, SelfTrigError
-from .model import LtiSystem, WeightSpec, _integer, _nonnegative, _wait_set, as_vector
+from .model import (
+    LtiSystem,
+    WeightSpec,
+    _integer,
+    _nonnegative,
+    _transition_pairs,
+    _wait_set,
+    as_vector,
+)
 from .scheduler import ReservationLedger, _check_admissible, feasible_set, reserve
 from .synthesis import build_gain_table, solve_periodic_riccati
 
@@ -240,9 +250,36 @@ def _check_finite(name: str, states: np.ndarray, runs) -> None:
         )
 
 
+def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
+    """The ``gamma``-step map of one held input, in row form.
+
+    ``[x(k), u, Ew(k), ..., Ew(k+gamma-1)] @ Phi = [x(k+1), ..., x(k+gamma)]``,
+    with shape ``(n + m + gamma*n, gamma*n)``; a noiseless loop drops the
+    ``Ew`` rows.  Column block ``l - 1`` gives ``x(k+l) = A_l x(k) + B_l u +
+    sum_{q<l} A^(l-1-q) Ew(k+q)``, with the pairs ``(A_l, B_l)`` of
+    :func:`_transition_pairs`; the noise rows are one block-Toeplitz gather
+    from the stacked powers ``[I, A_1, ..., A_{gamma-1}, 0]``.  A decision
+    keeps only the blocks up to its wait, so the blocks beyond it may
+    overflow for an unstable plant, silently.
+    """
+    n, m = sys.n, sys.m
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = _transition_pairs(sys, gamma)
+    # [A_l | B_l] (n, n+m) for each l, moved to rows (n+m) x blocks (l, n).
+    lifted = np.concatenate([np.array([A for A, _ in pairs]),
+                             np.array([B for _, B in pairs])], axis=2)
+    phi = lifted.transpose(2, 0, 1).reshape(n + m, gamma * n)
+    if not noisy:
+        return phi
+    powers = np.concatenate([np.eye(n)[None], lifted[:-1, :, :n], np.zeros((1, n, n))])
+    lag = np.arange(gamma) - np.arange(gamma)[:, None]  # [q, l]: power of A
+    blocks = powers[np.where(lag < 0, gamma, lag)]  # [q, l, out, in]
+    return np.vstack([phi, blocks.transpose(0, 3, 1, 2).reshape(gamma * n, gamma * n)])
+
+
 def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) -> list:
-    """Advance every plant one step at a time in each run of ``runs``, and
-    sample each loop of each run on its own clock.
+    """Advance every plant from one sample to the next in each run of
+    ``runs``, and sample each loop of each run on its own clock.
 
     Runs share a leading axis.  Loop ``j`` first samples at
     ``first_samples[j]``.  At ``k`` the decision rule
@@ -252,62 +289,87 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
     same ``k`` decide in increasing index order.  Run ``r`` draws from the
     substream ``(alpha_index, runs[r], j)`` of each loop ``j``.
 
-    The scenario and the drawn noise are finite when the runs start, so the
-    plants step as ``x A' + u B' (+ w E')`` without checks, which has the
-    products and sums of :func:`step_plant`; one finiteness check per loop
-    follows the runs.  Returns, per loop, the states ``(R, T+1, n)``, the
-    inputs ``(R, T, m)`` and the chosen waits ``(R, T)``, 0 where the loop
-    did not sample; each run's rows are contiguous.
+    The loop jumps from one decision time to the next.  Each decision
+    writes the next ``gamma`` states of its rows with one product by the
+    loop's :func:`_segment_map`, and their next decision, at most
+    ``gamma`` steps on, overwrites whatever lies beyond it; a zero-input
+    segment at ``k = 0`` covers the steps before a loop's first sample.
+    The scenario and the drawn noise are finite when the runs start, so
+    the segments run without checks; one finiteness check per loop follows
+    the runs, on the kept steps only.  Returns, per loop, the states
+    ``(R, T+1, n)``, the inputs ``(R, T, m)`` and the chosen waits
+    ``(R, T)``, 0 where the loop did not sample; each run's rows are
+    contiguous.
     """
-    T, R = scn.horizon, len(runs)
-    plants, states, inputs, waits, x, u = [], [], [], [], [], []
+    T, R, G = scn.horizon, len(runs), scn.gamma
+    maps, states, inputs, waits, Ews = [], [], [], [], []
     for j, spec in enumerate(scn.loops):
         sys = spec.system
-        states.append(np.empty((R, T + 1, sys.n)))
-        noise = np.empty((R, T, sys.w)) if spec.noise_variance > 0.0 else None
+        noisy = spec.noise_variance > 0.0
+        # Padded by G: the segment of a decision may reach past the horizon.
+        states.append(np.empty((R, T + 1 + G, sys.n)))
+        noise = np.empty((R, T, sys.w)) if noisy else None
         for i, r in enumerate(runs):
             rng = rng_substream(scn.seed, alpha_index, r, j)
             if spec.x0 is None:
                 states[j][i, 0] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
             else:
                 states[j][i, 0] = spec.x0
-            if noise is not None:
+            if noisy:
                 noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
-        plants.append((sys.A.T, sys.B.T, None if noise is None else noise @ sys.E.T))
-        inputs.append(np.empty((R, T, sys.m)))
+        Ew = None
+        if noisy:
+            Ew = np.zeros((R, T + G, sys.n))
+            Ew[:, :T] = noise @ sys.E.T
+        Ews.append(Ew)
+        maps.append(_segment_map(sys, G, noisy))
+        inputs.append(np.zeros((R, T + G, sys.m)))
         waits.append(np.zeros((R, T), dtype=int))
-        x.append(states[j][:, 0].copy())
-        u.append(np.zeros((R, sys.m)))
+
+    def advance(j, rows, k):
+        """Hold the input at ``k`` of ``rows`` for the next G steps."""
+        Ew, n = Ews[j], states[j].shape[2]
+        z = [states[j][rows, k], inputs[j][rows, k]]
+        if Ew is not None:
+            z.append(Ew[rows, k:k + G].reshape(-1, G * n))
+        # einsum rounds each row alike whatever the row count, so a run's
+        # states do not depend on how many runs advance with it.  It also
+        # raises no floating-point warnings: the discarded tail of an
+        # unstable plant may overflow silently.
+        segment = np.einsum("ri,ij->rj", np.concatenate(z, axis=1), maps[j])
+        states[j][rows, k + 1:k + 1 + G] = segment.reshape(-1, G, n)
+
+    for j in range(len(maps)):
+        advance(j, slice(None), 0)
     next_sample = [np.full(R, k0) for k0 in first_samples]
     due = list(first_samples)
-
-    for k in range(T + 1):
-        if k > 0:
-            for j, (AT, BT, Ew) in enumerate(plants):
-                inputs[j][:, k - 1] = u[j]
-                xj = x[j] @ AT + u[j] @ BT
-                if Ew is not None:
-                    xj = xj + Ew[:, k - 1]
-                states[j][:, k] = x[j] = xj
-        if k == T:
-            break
-        for j in range(len(plants)):
+    k = min(due)
+    while k < T:
+        for j in range(len(maps)):
             if due[j] != k:
                 continue
-            # One run keeps to basic slicing and a scalar clock; index arrays
-            # per decision slow a single run down.
-            rows = slice(None) if R == 1 else (next_sample[j] == k).nonzero()[0]
-            wait, u[j][rows] = policy(j, k, rows, x[j][rows])
+            # When every run decides, basic slicing stands in for the index
+            # array; one run also keeps a scalar clock.
+            rows = slice(None)
+            if R > 1:
+                deciding = (next_sample[j] == k).nonzero()[0]
+                if deciding.size < R:
+                    rows = deciding
+            wait, u = policy(j, k, rows, states[j][rows, k])
+            inputs[j][rows, k:k + G] = u[..., None, :]
+            advance(j, rows, k)
             waits[j][rows, k] = wait
             if R == 1:
-                due[j] = k + wait
+                due[j] = k + int(waits[j][0, k])
             else:
                 next_sample[j][rows] = k + wait
                 due[j] = next_sample[j].min()
+        k = min(due)
 
-    for spec, loop_states in zip(scn.loops, states):
+    kept = [(x[:, :T + 1], u[:, :T], w) for x, u, w in zip(states, inputs, waits)]
+    for spec, (loop_states, _, _) in zip(scn.loops, kept):
         _check_finite(spec.name, loop_states, runs)
-    return list(zip(states, inputs, waits))
+    return kept
 
 
 def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:

@@ -641,3 +641,90 @@ class TestBatchedSweep:
         np.testing.assert_array_equal(np.flatnonzero(b_sampled[0]),
                                       ref.loops["b"].sample_times)
         np.testing.assert_array_equal(b_states[0], ref.loops["b"].states)
+
+
+def _step_replay(scn, per_loop, alpha_index, runs):
+    """Replay each held interval of each loop and run with step_plant, from
+    the state at its start and the run's own substream draws, and compare
+    the states it reaches."""
+    for j, (spec, (states, inputs, waits)) in enumerate(zip(scn.loops, per_loop)):
+        sys = spec.system
+        for i, r in enumerate(runs):
+            rng = rng_substream(scn.seed, alpha_index, r, j)
+            if spec.x0 is None:
+                x0 = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
+                np.testing.assert_array_equal(states[i][0], x0)
+            w = rng.standard_normal((scn.horizon, sys.w)) * np.sqrt(spec.noise_variance)
+            starts = sorted({0, *np.flatnonzero(waits[i]).tolist()})
+            replay = states[i].copy()
+            for k0, k1 in zip(starts, starts[1:] + [scn.horizon]):
+                x = states[i][k0]
+                for k in range(k0, k1):
+                    omega = w[k] if spec.noise_variance > 0.0 else None
+                    replay[k + 1] = x = step_plant(sys, x, inputs[i][k], omega)
+            scale = np.max(np.abs(states[i]))
+            np.testing.assert_allclose(states[i], replay, rtol=0, atol=1e-12 * scale)
+
+
+def _as_rows(tr):
+    """A one-run trace in the per-loop layout of ``_self_triggered_runs``."""
+    waits = np.zeros((1, tr.horizon), dtype=int)
+    waits[0, tr.sample_times] = tr.waits
+    return [tr.states], [tr.inputs], waits
+
+
+class TestSegmentStepping:
+    """Each decision advances its runs by one lifted map over the largest
+    wait; a step-by-step replay of the same inputs and noise agrees."""
+
+    @staticmethod
+    def _held_between_samples(inputs, sample_times):
+        held = np.ones(len(inputs), dtype=bool)
+        held[sample_times] = False
+        held[0] = False
+        np.testing.assert_array_equal(inputs[held], inputs[np.flatnonzero(held) - 1])
+
+    def test_ledger_run_matches_step_replay(self):
+        scn = _channel_scenario()
+        trace = _per_run_reference(scn, _tables(scn, 0.5), 0, 0)
+        assert {spec.system.n for spec in scn.loops} == {1, 2}
+        loops = [trace.loops[spec.name] for spec in scn.loops]
+        _step_replay(scn, [_as_rows(tr) for tr in loops], 0, [0])
+        for tr in loops:
+            self._held_between_samples(tr.inputs, tr.sample_times)
+
+    def test_phase_offset_periodic_run_matches_step_replay(self):
+        scn = replace(_channel_scenario(), ts=5)
+        trace = run_periodic(scn, alpha_index=2, run_index=1)
+        loops = [trace.loops[spec.name] for spec in scn.loops]
+        assert [tr.sample_times[0] for tr in loops] == [0, 1, 2, 3]
+        _step_replay(scn, [_as_rows(tr) for tr in loops], 2, [1])
+        for j, tr in enumerate(loops):
+            assert np.all(tr.inputs[:j] == 0.0)
+            self._held_between_samples(tr.inputs, tr.sample_times)
+
+    def test_sweep_rows_match_step_replay(self):
+        scn = _channel_scenario()
+        batch = _self_triggered_runs(scn, _tables(scn, 0.5), 1, 3)
+        _step_replay(scn, batch, 1, range(3))
+        for _, inputs, waits in batch:
+            for r in range(3):
+                self._held_between_samples(inputs[r], np.flatnonzero(waits[r]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_tail_past_the_horizon_is_discarded_silently(self):
+        # At ts = 1 the gain shrinks x by about 1e7 a step, but with the
+        # input held past the last decision x grows by 1e7 a step, so the
+        # segment overflows past the horizon, within the largest wait 50;
+        # so do the lifted map's blocks from A^45 on.
+        sys = LtiSystem(A=[[1e7]], B=[[1.0]])
+        spec = LoopSpec(name="a", system=sys, weights=WeightSpec(Q=[[1.0]], R=[[1.0]]),
+                        x0=[1e100])
+        scn = Scenario(loops=(spec,), I0=range(1, 51), p=1, horizon=2, seed=0,
+                       mode="periodic", ts=1)
+        tr = run_periodic(scn).loops["a"]
+        assert np.isfinite(tr.states).all() and tr.states.shape == (3, 1)
+        x, u = tr.states[-1], tr.inputs[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = [x := sys.A @ x + sys.B @ u for _ in range(scn.gamma)]
+        assert not np.isfinite(tail).all()
