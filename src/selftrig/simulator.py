@@ -23,6 +23,7 @@ aggregation is order-independent.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,9 @@ MODE_SELF_TRIGGERED = "self_triggered"
 MODE_PERIODIC = "periodic"
 
 _FLOAT_MAX = np.finfo(float).max
+
+# A loop's name is the stem of its table and trace file names.
+_NOT_IN_STEM = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
 def rng_substream(
@@ -70,7 +74,9 @@ class LoopSpec:
     """One plant with its weights, initial condition and disturbance level.
 
     Exactly one of ``x0`` (fixed initial state) or ``x0_variance`` (each
-    component drawn i.i.d. zero-mean normal) must be given.
+    component drawn i.i.d. zero-mean normal) must be given.  ``name`` must
+    be a plain file stem: non-empty, without ``/``, ``\\`` or control
+    characters.
     """
 
     name: str
@@ -81,6 +87,11 @@ class LoopSpec:
     noise_variance: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name or _NOT_IN_STEM.search(self.name):
+            raise ConfigurationError(
+                f"loop name {self.name!r} is not a plain file stem: give a non-empty "
+                "name without '/', '\\' or control characters"
+            )
         if (self.x0 is None) == (self.x0_variance is None):
             raise ConfigurationError(
                 f"loop {self.name!r}: give exactly one of x0 or x0_variance"
@@ -377,10 +388,9 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
     ``values`` and ``feasible`` sets its policy recorded per loop and sample.
     Every sample at ``k > 0`` is logged as a transmission, in (k, loop
     index) order."""
-    loops, logged = {}, []
+    loops = {}
     for j, (spec, (states, inputs, waits)) in enumerate(zip(scn.loops, run)):
         times = np.flatnonzero(waits[0])
-        chosen = waits[0, times]
         states, inputs = states[0], inputs[0]
         states.setflags(write=False)
         inputs.setflags(write=False)
@@ -390,16 +400,24 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
             states=states,
             inputs=inputs,
             sample_times=times,
-            waits=chosen,
+            waits=waits[0, times],
             values=np.array(values[j], dtype=float),
             feasible_sets=tuple(feasible[j]),
         )
-        logged += [(k, j, i, feas) for k, i, feas in zip(times.tolist(), chosen.tolist(),
-                                                          feasible[j]) if k > 0]
-    tx_events = tuple(
-        TxEvent(k, scn.loops[j].name, i, tuple(sorted(feas)))
-        for k, j, i, feas in sorted(logged, key=lambda e: e[:2])
-    )
+    # Every sample of every loop, loop after loop, then ordered by (k, j);
+    # a loop samples at most once per step, so the order is unique.
+    traces = loops.values()
+    k = np.concatenate([tr.sample_times for tr in traces])
+    j = np.repeat(np.arange(len(loops)), [tr.sample_times.size for tr in traces])
+    chosen = np.concatenate([tr.waits for tr in traces])
+    order = np.lexsort((j, k))
+    order = order[k[order] > 0].tolist()
+    sets = [feas for tr in traces for feas in tr.feasible_sets]
+    names = list(loops)
+    tx_events = tuple(map(
+        TxEvent, k[order].tolist(), map(names.__getitem__, j[order].tolist()),
+        chosen[order].tolist(), [tuple(sorted(sets[e])) for e in order],
+    ))
     return SimTrace(loops=loops, tx_events=tx_events, mode=mode)
 
 
@@ -633,37 +651,55 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
 
 
 def write_trace_csv(trace: LoopTrace, path) -> None:
-    """Per-step CSV: k, state, input, sampled flag, chosen wait, value."""
-    n = trace.states.shape[1]
-    m = trace.inputs.shape[1]
-    tail = [(0, "", "")] * trace.horizon
+    """Per-step CSV: k, state, input, sampled flag, chosen wait, value.
+
+    The text is what ``csv.writer`` writes for these rows: lines end in
+    ``\\r\\n`` and a float is its ``repr``, the shortest text that reads
+    back to it.  An input row is formatted once per run of steps that hold
+    it; rows are compared by their bytes, so ``-0.0`` after ``0.0`` starts
+    a new run.
+    """
+    T = trace.horizon
+    states, inputs = trace.states[:T], trace.inputs
+    n, m = states.shape[1], inputs.shape[1]
+    raw = np.ascontiguousarray(inputs).view(np.uint8)
+    starts = np.ones(T, dtype=bool)
+    starts[1:] = (raw[1:] != raw[:-1]).any(axis=1)
+    held = [",".join(map(repr, u)) for u in inputs[starts].tolist()]
+    tail = ["0,,"] * T
     for k, i, v in zip(trace.sample_times.tolist(), trace.waits.tolist(),
                        trace.values.tolist()):
-        tail[k] = (1, i, v)
+        tail[k] = f"1,{i},{v!r}"
+    x = list(map(repr, states.ravel().tolist()))
+    rows = zip(map(str, range(T)), *(x[c::n] for c in range(n)),
+               map(held.__getitem__, (np.cumsum(starts) - 1).tolist()), tail)
+    header = ["k", *(f"x_{c + 1}" for c in range(n)), *(f"u_{c + 1}" for c in range(m)),
+              "sampled", "i_chosen", "V"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k"]
-            + [f"x_{j + 1}" for j in range(n)]
-            + [f"u_{j + 1}" for j in range(m)]
-            + ["sampled", "i_chosen", "V"]
-        )
-        # csv writes a float as its repr, the shortest round-trip text.
-        writer.writerows(
-            [k, *x, *u, *t] for k, (x, u, t) in
-            enumerate(zip(trace.states.tolist(), trace.inputs.tolist(), tail))
-        )
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes one field: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_txlog_csv(trace: SimTrace, path) -> None:
-    """Channel log CSV: k, loop_id, i_chosen, feasible set (semicolon-joined)."""
+    """Channel log CSV: k, loop_id, i_chosen, feasible set (semicolon-joined).
+
+    The text is what ``csv.writer`` writes for these rows, as in
+    :func:`write_trace_csv`; each loop id is quoted once, when it needs it.
+    """
+    ids = {ev.loop_id for ev in trace.tx_events}
+    field = {loop_id: _csv_field(str(loop_id)) for loop_id in ids}
+    lines = ["k,loop_id,i_chosen,feasible_set"]
+    lines += [f"{ev.k},{field[ev.loop_id]},{ev.i_chosen},{';'.join(map(str, ev.feasible))}"
+              for ev in trace.tx_events]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "loop_id", "i_chosen", "feasible_set"])
-        for ev in trace.tx_events:
-            writer.writerow(
-                [ev.k, ev.loop_id, ev.i_chosen, ";".join(str(i) for i in ev.feasible)]
-            )
+        fh.write("\r\n".join([*lines, ""]))
 
 
 def write_sweep_csv(summary: SweepSummary, loop_name: str, path) -> None:

@@ -3,8 +3,11 @@
 The scalar unit-integrator oracle below never touches the package's own
 lifting or Riccati code: lifted weights come from explicit power sums and
 the periodic value is the positive root of the quadratic obtained by
-eliminating the gain from the fixed-point equations.
+eliminating the gain from the fixed-point equations.  The ``csv.writer``
+trace and channel-log writers below are the byte references of the
+package's text writers.
 """
+import csv
 import math
 
 import numpy as np
@@ -116,6 +119,44 @@ def scalar_table(i: int) -> tuple[float, float]:
     L = g / h
     P = q + P5 - g * L
     return P, L
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV writers: every row through csv.writer, every entry formatted
+# on every step.
+
+
+def oracle_write_trace_csv(trace, path) -> None:
+    """The per-step trace of ``trace`` as ``csv.writer`` writes it."""
+    n = trace.states.shape[1]
+    m = trace.inputs.shape[1]
+    tail = [(0, "", "")] * trace.horizon
+    for k, i, v in zip(trace.sample_times.tolist(), trace.waits.tolist(),
+                       trace.values.tolist()):
+        tail[k] = (1, i, v)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["k"]
+            + [f"x_{j + 1}" for j in range(n)]
+            + [f"u_{j + 1}" for j in range(m)]
+            + ["sampled", "i_chosen", "V"]
+        )
+        writer.writerows(
+            [k, *x, *u, *t] for k, (x, u, t) in
+            enumerate(zip(trace.states.tolist(), trace.inputs.tolist(), tail))
+        )
+
+
+def oracle_write_txlog_csv(trace, path) -> None:
+    """The channel log of ``trace`` as ``csv.writer`` writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "loop_id", "i_chosen", "feasible_set"])
+        for ev in trace.tx_events:
+            writer.writerow(
+                [ev.k, ev.loop_id, ev.i_chosen, ";".join(str(i) for i in ev.feasible)]
+            )
 
 
 # ---------------------------------------------------------------------------

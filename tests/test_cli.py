@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from selftrig import deserialize_gain_table, run_periodic, run_self_triggered
 from selftrig.cli import main
+from selftrig.scenario import load_scenario
+
+from conftest import oracle_write_trace_csv, oracle_write_txlog_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -72,6 +76,17 @@ class TestSynth:
         assert code == 3
         err = capsys.readouterr().err
         assert "power 2" in err and "-1" in err
+
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", "", "a\\b", "bell\x07"])
+    def test_loop_name_that_is_not_a_file_stem_exits_2(self, name, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
+        doc["loops"][0]["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "tables"
+        assert run_cli("synth", "-c", str(bad), "-o", str(out)) == 2
+        assert "plain file stem" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
 
     def test_unknown_scenario_field_exits_2(self, tmp_path):
         doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
@@ -164,6 +179,37 @@ class TestSimulate:
         scen.write_text(json.dumps(doc))
         assert run_cli("simulate", "-c", str(scen), "-t", str(synth_out),
                        "-o", str(out)) == 2
+
+
+class TestOutputBytes:
+    """``simulate`` writes the bytes of the csv.writer reference writers."""
+
+    @pytest.mark.parametrize("stem, edits", [
+        *((path.stem, {}) for path in sorted(SCENARIOS.glob("*.json"))),
+        ("two_loop", {"mode": "periodic", "ts": 3}),
+    ])
+    def test_simulate_matches_the_csv_writer(self, stem, edits, tmp_path):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({**json.loads((SCENARIOS / f"{stem}.json").read_text()),
+                                    **edits}))
+        tables, out, ref = tmp_path / "tables", tmp_path / "run", tmp_path / "ref"
+        assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
+        assert run_cli("simulate", "-c", str(scen), "-t", str(tables), "-o", str(out)) == 0
+        scn, _ = load_scenario(scen)
+        if edits:
+            trace = run_periodic(scn)
+            # The second loop holds a zero input until its first sample.
+            assert not trace.loops["double_integrator"].inputs[0].any()
+        else:
+            stored = (deserialize_gain_table(p.read_text())[0]
+                      for p in tables.glob("*.gains.json"))
+            trace = run_self_triggered(scn, {gt.loop_id: gt for gt in stored})
+        ref.mkdir()
+        for name, tr in trace.loops.items():
+            oracle_write_trace_csv(tr, ref / f"{name}.trace.csv")
+        oracle_write_txlog_csv(trace, ref / "tx_log.csv")
+        for path in ref.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestVerify:

@@ -24,7 +24,15 @@ from selftrig import (
     verify_conflict_free,
 )
 from selftrig.scenario import load_scenario
-from selftrig.simulator import _self_triggered_runs, write_trace_csv
+from selftrig.simulator import (
+    SimTrace,
+    TxEvent,
+    _self_triggered_runs,
+    write_trace_csv,
+    write_txlog_csv,
+)
+
+from conftest import oracle_write_trace_csv, oracle_write_txlog_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -392,6 +400,17 @@ class TestScenarioValidation:
         assert type(spec.x0_variance) is float and spec.x0_variance == 4.0
         assert type(spec.noise_variance) is float and spec.noise_variance == 0.25
 
+    @pytest.mark.parametrize("name", ["", "a/b", "../escaped", "a\\b", "tab\tname",
+                                      "nul\x00", "del\x7f", "c1\x85"])
+    def test_loop_name_must_be_a_plain_file_stem(self, integrator, integrator_weights,
+                                                 name):
+        with pytest.raises(ConfigurationError, match="plain file stem"):
+            LoopSpec(name=name, system=integrator, weights=integrator_weights, x0=[1.0])
+
+    def test_loop_name_must_be_a_string(self, integrator, integrator_weights):
+        with pytest.raises(ConfigurationError, match="plain file stem"):
+            LoopSpec(name=7, system=integrator, weights=integrator_weights, x0=[1.0])
+
     def test_initial_state_spec_is_exclusive(self, integrator, integrator_weights):
         with pytest.raises(ConfigurationError):
             LoopSpec(name="a", system=integrator, weights=integrator_weights,
@@ -451,6 +470,62 @@ class TestTraceCsv:
             b"1,1e-05,0.0,-2.5,0,,\r\n"
             b"2,2.0,0.30000000000000004,1e-05,1,1,-0.3333333333333333\r\n"
         )
+
+    # Floats whose repr takes exponent form or is otherwise easy to mangle.
+    AWKWARD = [1e-05, 1e+16, 5e-324, -0.0, 0.0, 0.1 + 0.2, 1e22, -2.5e-300, 123456789.0]
+
+    @classmethod
+    def _held_trace(cls, rng, n, m, horizon, dtype):
+        """A hand-built trace whose inputs are held between random samples,
+        with a run of held 0.0 that flips to -0.0 and back."""
+        states = rng.choice(cls.AWKWARD + rng.standard_normal(9).tolist(),
+                            size=(horizon + 1, n))
+        times = np.union1d([0], np.flatnonzero(rng.random(horizon) < 0.3))
+        held = np.diff(np.append(times, horizon))
+        if np.issubdtype(dtype, np.integer):
+            levels = rng.integers(-3, 4, size=(times.size, m))
+        else:
+            levels = rng.choice(cls.AWKWARD, size=(times.size, m))
+        inputs = np.repeat(levels, held, axis=0).astype(dtype)
+        if horizon >= 6 and not np.issubdtype(dtype, np.integer):
+            inputs[1:5] = np.array([0.0, -0.0, -0.0, 0.0])[:, None]
+        return LoopTrace(
+            name="a", gamma=5, states=states, inputs=inputs, sample_times=times,
+            waits=held, values=rng.choice(cls.AWKWARD, size=times.size),
+            feasible_sets=(frozenset({1}),) * times.size,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("horizon", [1, 60])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+    def test_bytes_equal_the_csv_writer(self, tmp_path, n, m, horizon, dtype):
+        rng = np.random.default_rng([n, m, horizon])
+        for draw in range(3):
+            trace = self._held_trace(rng, n, m, horizon, dtype)
+            write_trace_csv(trace, tmp_path / "new.csv")
+            oracle_write_trace_csv(trace, tmp_path / "oracle.csv")
+            assert (tmp_path / "new.csv").read_bytes() \
+                == (tmp_path / "oracle.csv").read_bytes(), draw
+
+
+class TestTxLogCsv:
+    def test_loop_ids_are_quoted_as_the_csv_writer_quotes_them(self, tmp_path):
+        ids = ["plain", "a,b", 'say "hi"', '",', "line\nbreak", "cr\rid", ""]
+        events = tuple(
+            TxEvent(k, ids[k % len(ids)], 1 + k % 5, tuple(range(1, 1 + k % 4)))
+            for k in range(1, 30)
+        )
+        trace = SimTrace(loops={}, tx_events=events, mode="self_triggered")
+        write_txlog_csv(trace, tmp_path / "new.csv")
+        oracle_write_txlog_csv(trace, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert b'\r\n1,"a,b",2,1\r\n2,"say ""hi""",3,1;2\r\n' \
+            in (tmp_path / "new.csv").read_bytes()
+
+    def test_empty_log_is_the_header(self, tmp_path):
+        write_txlog_csv(SimTrace(loops={}, tx_events=(), mode="periodic"),
+                        tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_bytes() == b"k,loop_id,i_chosen,feasible_set\r\n"
 
 
 class TestSweep:
