@@ -130,15 +130,17 @@ def _write_gnuplot(out_dir: Path, loops) -> None:
     for spec in loops:
         n, m = spec.system.n, spec.system.m
         sampled_col = 1 + n + m + 1  # k, x_1..x_n, u_1..u_m, sampled
+        # gnuplot writes a quote inside a single-quoted string as two.
+        name = spec.name.replace("'", "''")
         curves = [
-            f"'{spec.name}.trace.csv' using 1:{1 + j} with steps"
+            f"'{name}.trace.csv' using 1:{1 + j} with steps"
             for j in range(1, n + 1)
         ]
         curves.append(
-            f"'{spec.name}.trace.csv' using 1:(${sampled_col}==1?$2:1/0) "
+            f"'{name}.trace.csv' using 1:(${sampled_col}==1?$2:1/0) "
             f"with points pt 7 title 'samples'"
         )
-        lines.append(f"set title 'loop {spec.name}'")
+        lines.append(f"set title 'loop {name}'")
         lines.append("plot " + ", \\\n     ".join(curves))
         lines.append("pause -1")
     (out_dir / "plot.gp").write_text("\n".join(lines) + "\n")

@@ -4,11 +4,14 @@ Given a fresh sample and the set of waits the channel allows, the
 controller scores ``alpha/i + x' P(i) x`` for every wait of the table at
 once, as one quadratic form over the table's stacked ``P(i)``, picks the
 minimizing wait within that set and applies the matching state feedback,
-one matrix-vector product.  Everything is a pure function of an immutable
-gain table.
+one matrix-vector product.  The pick has two forms of one rule: a scalar
+loop for one state (:func:`decide`) and an argmin over a run axis
+(:func:`_pick`, for :func:`partition_1d` and the sweep's runs).
+Everything is a pure function of an immutable gain table.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,8 @@ import numpy as np
 from .errors import ConfigurationError, GainLookupError, SchedulingError
 from .model import _wait_set, as_vector
 from .synthesis import GainTable
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,11 @@ def value_of(gt: GainTable, x, i: int) -> float:
 def decide(gt: GainTable, x, feasible) -> Decision:
     """Minimize the predicted cost over the feasible waits.
 
-    Ties are broken toward the larger wait: equal cost at less
-    communication.  With x = 0 the quadratic terms vanish and the rule
-    reduces to the largest feasible wait with u = 0.
+    The pick follows the rule of :func:`_pick`, one wait at a time: ties
+    go to the larger wait, and a score that overflowed or is not a number
+    ranks as the largest float.  With x = 0 the quadratic terms vanish and
+    the rule reduces to the largest feasible wait with u = 0.
+    ``value`` is the raw score of the chosen wait.
     """
     feas = _wait_set(feasible, "feasible set", empty=SchedulingError)
     unknown = [i for i in feas if i not in gt.rows]
@@ -65,14 +72,30 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     x = as_vector(x, "x", gt.n)
     scores = _scores(gt, x).tolist()
     values = {i: scores[gt.rows[i]] for i in feas}
-    i_star = feas[0]
-    best = values[i_star]
-    for i in feas[1:]:
-        if values[i] <= best:
-            best, i_star = values[i], i
+    i_star, best = feas[0], float("inf")
+    for i, v in values.items():
+        v = v if v < _FLOAT_MAX else _FLOAT_MAX
+        if v <= best:
+            best, i_star = v, i
     u = -(gt.L_stack[gt.rows[i_star]] @ x)
     u.setflags(write=False)
-    return Decision(i_star=i_star, u=u, value=best, values_by_i=values)
+    return Decision(i_star=i_star, u=u, value=values[i_star], values_by_i=values)
+
+
+def _pick(scores: np.ndarray, taken=None) -> np.ndarray:
+    """Row of the chosen wait for each run of ``scores`` ``(R, |I0|)``.
+
+    The rule of the online law: the least score among the waits not
+    ``taken`` (a boolean mask shaped like ``scores``; ``None`` takes none),
+    ties going to the larger wait.  A score that overflowed or is not a
+    number ranks as the largest float, so it loses to every finite score
+    and still beats every taken wait.
+    """
+    ranked = np.fmin(scores, _FLOAT_MAX)
+    if taken is not None:
+        ranked[taken] = np.inf
+    # Argmin over the reversed waits, so that ties go to the larger wait.
+    return ranked.shape[1] - 1 - ranked[:, ::-1].argmin(axis=1)
 
 
 def partition_1d(gt: GainTable, x_grid) -> np.ndarray:
@@ -88,6 +111,4 @@ def partition_1d(gt: GainTable, x_grid) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if grid.ndim != 1 or not np.isfinite(grid).all():
         raise ConfigurationError("x_grid must be a finite vector of scalar states")
-    # Argmin over the reversed waits, so that ties go to the larger wait.
-    scores = _scores(gt, grid[:, None])[:, ::-1]
-    return np.array(gt.I0)[len(gt.I0) - 1 - scores.argmin(axis=1)]
+    return np.array(gt.I0)[_pick(_scores(gt, grid[:, None]))]

@@ -12,11 +12,15 @@ is never empty.
 A ledger is validated once, when a caller builds it.  :func:`reserve`
 derives the next ledger from a feasible wait without validating again:
 membership in the feasible set already rules out a shared slot.
+:class:`_RunLedger` is the same ledger for many runs on a leading run
+axis, for callers that have already checked their input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import ConfigurationError, SchedulingError
 from .model import _integer, _wait_set
@@ -121,6 +125,42 @@ def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> Reservat
         ledger.__dict__, next_tx=MappingProxyType({**ledger.next_tx, loop_id: k + i})
     )
     return booked
+
+
+class _RunLedger:
+    """The reservations of ``s`` loops in each of ``n_runs`` runs, unchecked.
+
+    Row ``r`` of ``next_tx`` holds run ``r``'s reserved slots, one column
+    per loop, and ``booked`` marks the loops that have reserved one.
+    :meth:`taken` is the residue test of :func:`feasible_set` and
+    :meth:`book` the booking of :func:`reserve`, for the runs ``rows``
+    (an index array or a slice) at once.
+    """
+
+    def __init__(self, p: int, I0: tuple, s: int, n_runs: int):
+        self.p = p
+        self.waits = np.array(I0)
+        self.next_tx = np.zeros((n_runs, s), dtype=int)
+        self.booked = np.zeros((n_runs, s), dtype=bool)
+
+    def taken(self, j: int, k: int, rows):
+        """Mask ``(R, |I0|)`` of the waits that loop ``j`` may not take at
+        ``k``: wait ``i`` is taken when ``(i - (next_tx[q] - k)) % p == 0``
+        for a booked loop ``q != j``.  ``None`` when there is one loop."""
+        if self.next_tx.shape[1] == 1:
+            return None
+        offset = (self.next_tx[rows] - k)[:, :, None]
+        taken = ((self.waits - offset) % self.p == 0) & self.booked[rows][:, :, None]
+        taken[:, j] = False
+        return taken.any(axis=1)
+
+    def book(self, j: int, k: int, rows, pick) -> np.ndarray:
+        """Book loop ``j``'s next slot at ``k`` plus the wait in row
+        ``pick`` of ``I0``, per run, and return those waits."""
+        wait = self.waits[pick]
+        self.next_tx[rows, j] = k + wait
+        self.booked[rows, j] = True
+        return wait
 
 
 def verify_conflict_free(tx_log) -> bool:

@@ -10,11 +10,11 @@ decision costs one product, not one plant update per step.  There are
 three policies: the self-triggered law through the reservation ledger
 (table argmin over the waits the ledger allows, then a reservation),
 fixed-interval sampling with the periodic Riccati gain, and the
-self-triggered law vectorized over a sweep's runs (the residue test and
-the argmin on stacked tables).  Initial states are assumed known to the
-controller at k = 0 without consuming channel slots, so coordinated
-start-up needs no transmissions.  Sweeps over the sampling cost aggregate
-both laws through one per-run statistics path.
+self-triggered law over a sweep's runs (the scheduler's residue mask and
+the controller's argmin, both on the run axis).  Initial states are
+assumed known to the controller at k = 0 without consuming channel slots,
+so coordinated start-up needs no transmissions.  Sweeps over the sampling
+cost aggregate both laws through one per-run statistics path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import _scores, decide
+from .controller import _pick, _scores, decide
 from .errors import ConfigurationError, SelfTrigError
 from .model import (
     LtiSystem,
@@ -39,13 +39,17 @@ from .model import (
     _wait_set,
     as_vector,
 )
-from .scheduler import ReservationLedger, _check_admissible, feasible_set, reserve
+from .scheduler import (
+    ReservationLedger,
+    _check_admissible,
+    _RunLedger,
+    feasible_set,
+    reserve,
+)
 from .synthesis import build_gain_table, solve_periodic_riccati
 
 MODE_SELF_TRIGGERED = "self_triggered"
 MODE_PERIODIC = "periodic"
-
-_FLOAT_MAX = np.finfo(float).max
 
 # A loop's name is the stem of its table and trace file names.
 _NOT_IN_STEM = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
@@ -493,34 +497,22 @@ def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: 
     :func:`_event_loop` on its run axis.
 
     The law, the substreams and the decision order are those of
-    :func:`run_self_triggered`, vectorized over runs: each run's
-    reservations are a row of ``next_tx`` (booked once its loop decided),
-    wait ``i`` is feasible for loop ``j`` at ``k`` when
-    ``(i - (next_tx[q] - k)) % p != 0`` for every other booked loop ``q``,
-    and the argmin of ``alpha/i + x' P(i) x`` (the controller's stacked
-    scores) runs over the reversed waits so that ties go to the larger
-    wait.  Returns what :func:`_event_loop` returns.
+    :func:`run_self_triggered`, in their run-axis forms: the scheduler's
+    :class:`~selftrig.scheduler._RunLedger` masks the waits the channel
+    leaves no room for and books the chosen ones, and the controller's
+    :func:`~selftrig.controller._pick` picks.  Returns what
+    :func:`_event_loop` returns.
     """
-    s, p = len(scn.loops), scn.p
-    waits = np.array(scn.I0)
-    last = waits.size - 1
-    next_tx = np.zeros((n_runs, s), dtype=int)
-    booked = np.zeros((n_runs, s), dtype=bool)
+    ledger = _RunLedger(scn.p, scn.I0, len(scn.loops), n_runs)
 
     def policy(j, k, rows, x):
-        value = _scores(tables[j], x)
-        if s > 1:  # a single loop has no opponents
-            offset = next_tx[rows] - k
-            taken = ((waits - offset[:, :, None]) % p == 0) & booked[rows][:, :, None]
-            taken[:, j] = False
-            # Clamped, an overflowed value still beats an infeasible wait.
-            value = np.where(taken.any(axis=1), np.inf, np.minimum(value, _FLOAT_MAX))
-        pick = last - value[:, ::-1].argmin(axis=1)
-        next_tx[rows, j] = k + waits[pick]
-        booked[rows, j] = True
-        return waits[pick], -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
+        taken = ledger.taken(j, k, rows)
+        pick = _pick(_scores(tables[j], x), taken)
+        wait = ledger.book(j, k, rows, pick)
+        return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
-    return _event_loop(scn, [0] * s, policy, alpha_index, range(n_runs))
+    return _event_loop(scn, [0] * len(scn.loops), policy, alpha_index, range(n_runs))
+
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
     """Time-averaged quadratic stage cost (1/T) sum x'Qx + u'Ru."""

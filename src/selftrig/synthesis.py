@@ -69,10 +69,10 @@ def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
     return int(np.sum(sv > CTRB_RANK_RTOL * sv[0])) == A.shape[0]
 
 
-def _unit_root_eigenvalues(A: np.ndarray, i: int) -> list[complex]:
-    """Eigenvalues of A other than 1 whose i-th power is 1 (within tolerance)."""
+def _unit_root_eigenvalues(eigenvalues, i: int) -> list[complex]:
+    """The ``eigenvalues`` other than 1 whose i-th power is 1 (within tolerance)."""
     bad = []
-    for lam in np.linalg.eigvals(A):
+    for lam in eigenvalues:
         if abs(lam - 1.0) < ROOT_OF_UNITY_TOL:
             continue
         if abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL:
@@ -98,7 +98,7 @@ def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
         raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
     if not is_controllable(sys.A, sys.B):
         return "base pair (A, B) is not controllable"
-    bad = _unit_root_eigenvalues(sys.A, i)
+    bad = _unit_root_eigenvalues(np.linalg.eigvals(sys.A), i)
     if bad:
         lams = ", ".join(f"{lam:.6g}" for lam in bad)
         return f"eigenvalue(s) {lams} raised to the power {i} equal 1"
@@ -113,12 +113,13 @@ def select_pstar(systems, I0) -> int:
     offending eigenvalues.
     """
     factors = _wait_set(I0)
+    spectra = [np.linalg.eigvals(sys.A) for sys in systems]
     qualifying = []
     failures = {}
     for i in factors:
         bad = []
-        for sys in systems:
-            bad.extend(_unit_root_eigenvalues(sys.A, i))
+        for eigenvalues in spectra:
+            bad.extend(_unit_root_eigenvalues(eigenvalues, i))
         if bad:
             failures[i] = bad
         else:

@@ -115,6 +115,21 @@ class TestSimulate:
         assert summary["integrator"]["final_wait"] == 5
         assert summary["integrator"]["final_state_norm"] < 1e-3
 
+    def test_gnuplot_script_doubles_quotes_in_loop_names(self, tmp_path):
+        doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
+        doc["loops"][0]["name"] = "it's"
+        scen = tmp_path / "quoted.json"
+        scen.write_text(json.dumps(doc))
+        tables, out = tmp_path / "tables", tmp_path / "run"
+        assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
+        assert run_cli("simulate", "-c", str(scen), "-t", str(tables), "-o", str(out),
+                       "--gnuplot") == 0
+        assert (out / "it's.trace.csv").exists()
+        script = (out / "plot.gp").read_text()
+        assert "set title 'loop it''s'" in script
+        assert script.count("'it''s.trace.csv'") == 2
+        assert "'it's" not in script
+
     def test_two_loop_schedule_and_log(self, synth_out, tmp_path):
         out = tmp_path / "run"
         code = run_cli("simulate", "-c", str(SCENARIOS / "two_loop.json"),

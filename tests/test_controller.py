@@ -20,6 +20,7 @@ from selftrig import (
     serialize_gain_table,
     value_of,
 )
+from selftrig.controller import _pick, _scores
 
 from conftest import random_system, random_weights, scalar_table
 
@@ -186,11 +187,19 @@ def _random_tables(n, count=3, seed=0):
     return tables
 
 
+def _run_axis_picks(gt, states, feasible_sets):
+    """The run-axis pick of each row of ``states``, each within its own
+    feasible waits."""
+    taken = np.array([[i not in feas for i in gt.I0] for feas in feasible_sets])
+    return [gt.I0[row] for row in _pick(_scores(gt, np.asarray(states, dtype=float)), taken)]
+
+
 class TestStackedScores:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decide_and_value_of_compare_the_same_floats(self, n):
         rng = np.random.default_rng(90 + n)
         for gt in _random_tables(n):
+            states, sets, picks = [], [], []
             for _ in range(20):
                 x = rng.normal(0, 3.0, n)
                 size = int(rng.integers(1, len(gt.I0) + 1))
@@ -199,6 +208,11 @@ class TestStackedScores:
                 assert sorted(dec.values_by_i) == [int(i) for i in feasible]
                 for i in feasible:
                     assert dec.values_by_i[i] == value_of(gt, x, i)
+                states.append(x)
+                sets.append(feasible)
+                picks.append(dec.i_star)
+            # The run-axis pick of all the states at once chooses alike.
+            assert _run_axis_picks(gt, states, sets) == picks
 
     def test_scalar_values_are_the_table_formula_bit_for_bit(self, integrator_table):
         rng = np.random.default_rng(93)
@@ -269,10 +283,12 @@ class TestStackedScores:
         assert "np." not in repr(dec.value) + repr(dec.values_by_i)
         assert type(value_of(gt, [0.3, -1.2], np.int64(2))) is float
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_partition_is_decide_over_the_whole_table(self):
         rng = np.random.default_rng(94)
         for gt in _random_tables(1):
-            grid = np.concatenate([[0.0], rng.normal(0, 5.0, 200)])
+            # At +-1e200 every score overflows to inf.
+            grid = np.concatenate([[0.0, 1e200, -1e200], rng.normal(0, 5.0, 200)])
             expected = [decide(gt, [x], gt.I0).i_star for x in grid]
             assert partition_1d(gt, grid).tolist() == expected
 
@@ -281,3 +297,61 @@ class TestStackedScores:
     def test_partition_refuses_bad_grids(self, integrator_table, grid):
         with pytest.raises(ConfigurationError):
             partition_1d(integrator_table, grid)
+
+
+def _fixed_table(P_by_wait):
+    """A table over the waits 1..len(P_by_wait) holding the given ``P(i)``
+    and zero gains."""
+    n = len(P_by_wait[0])
+    entries = {i: (np.array(P, dtype=float), np.zeros((1, n)))
+               for i, P in enumerate(P_by_wait, start=1)}
+    Pp, Lp = entries[len(entries)]
+    return GainTable(loop_id="fixed", alpha=0.0, entries=entries, p=len(entries),
+                     Pp=Pp, Lp=Lp, I0=tuple(entries))
+
+
+# The state and the P(i) of the two-state cases with undefined scores.
+_HUGE_X = [1e160, 3e160]
+_COUPLED = [[2.0, -1.0], [-1.0, 2.0]]
+_TINY = (1e-200 * np.eye(2)).tolist()
+
+
+class TestTwoFormsOfThePick:
+    """One state takes ``decide``'s scalar loop, a run axis takes ``_pick``;
+    both must choose the same wait."""
+
+    @pytest.mark.parametrize("table, x, feasible, i_star", [
+        pytest.param([[[1.0]]] * 4, [0.0], [1, 2, 3, 4], 4, id="exact-tie"),
+        pytest.param([[[1.0]]] * 4, [0.0], [1, 3], 3, id="exact-tie-subset"),
+        pytest.param([[[1.0]], [[2.0]], [[1.0]]], [1.0], [1, 2, 3], 3,
+                     id="tie-beyond-a-worse-wait"),
+        pytest.param([[[1.0]]] * 3, [1e200], [1, 2, 3], 3, id="all-inf"),
+        pytest.param([[[1.0]]] * 3, [1e200], [1, 2], 2, id="all-inf-subset"),
+        pytest.param([_COUPLED] * 3, _HUGE_X, [1, 2, 3], 3, id="all-nan"),
+        pytest.param([_COUPLED] * 3, _HUGE_X, [1, 2], 2, id="all-nan-subset"),
+        pytest.param([_COUPLED, _TINY, _TINY], _HUGE_X, [1, 2, 3], 3, id="mixed-nan"),
+        pytest.param([_COUPLED, _TINY, _COUPLED], _HUGE_X, [1, 2, 3], 2,
+                     id="mixed-nan-finite-in-between"),
+        pytest.param([_COUPLED, _TINY, _COUPLED], _HUGE_X, [1, 3], 3,
+                     id="nan-only-left"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_ties_and_undefined_scores(self, table, x, feasible, i_star):
+        gt = _fixed_table(table)
+        dec = decide(gt, x, feasible)
+        assert dec.i_star == i_star
+        assert _run_axis_picks(gt, [x], [feasible]) == [i_star]
+        # The decision still reports the raw score of its wait.
+        np.testing.assert_equal(dec.value, value_of(gt, x, i_star))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_undefined_scores_lose_to_finite_ones_and_beat_taken_waits(self):
+        gt = _fixed_table([_COUPLED, _TINY, _COUPLED])
+        scores = _scores(gt, np.array([_HUGE_X] * 3))
+        assert np.isnan(scores[:, [0, 2]]).all() and np.isfinite(scores[:, 1]).all()
+        taken = np.array([[False, False, False], [False, True, False], [True, True, True]])
+        # A taken wait ranks above every score; with every wait taken the
+        # rule still names a row, the largest wait.
+        assert _pick(scores, taken).tolist() == [1, 2, 2]

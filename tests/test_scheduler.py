@@ -10,6 +10,7 @@ from selftrig import (
     reserve,
     verify_conflict_free,
 )
+from selftrig.scheduler import _RunLedger
 
 
 def ledger_two_loops(**next_tx):
@@ -192,3 +193,47 @@ def test_randomized_reservation_cycles_stay_nonempty():
             assert feas, "feasible set must never be empty"
             ledger = reserve(ledger, loop, k, int(rng.choice(sorted(feas))))
         assert verify_conflict_free(log)
+
+
+class TestRunAxisLedger:
+    """``_RunLedger`` is the ledger of many runs at once: its mask is the
+    complement of ``feasible_set`` and its booking that of ``reserve``."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 7])
+    def test_mask_and_booking_equal_the_ledger_run_by_run(self, p):
+        rng = np.random.default_rng(200 + p)
+        for s in range(1, p + 1):
+            extra = rng.integers(s + 1, 3 * p + 2, size=int(rng.integers(0, 4)))
+            I0 = tuple(sorted(set(range(1, max(s, p) + 1)) | {int(i) for i in extra}))
+            gamma = max(I0)
+            names = tuple(f"l{j}" for j in range(s))
+            for _ in range(10):
+                k, j, n_runs = int(rng.integers(0, 50)), int(rng.integers(s)), 6
+                runs = _RunLedger(p, I0, s, n_runs)
+                ledgers = []
+                for r in range(n_runs):
+                    offsets = rng.choice(3 * gamma + 1, size=s, replace=False)
+                    booked = rng.random(s) < 0.8
+                    runs.next_tx[r] = k + offsets
+                    runs.booked[r] = booked
+                    ledgers.append(ReservationLedger(
+                        p=p, I0=I0, loop_order=names,
+                        next_tx={q: k + int(d) for q, d, b in zip(names, offsets, booked)
+                                 if b}))
+                rows = np.flatnonzero(rng.random(n_runs) < 0.7)
+                # The event loop passes a slice when every run decides.
+                index = rows if rows.size < n_runs else slice(None)
+                taken = runs.taken(j, k, index)
+                if taken is None:
+                    assert s == 1
+                    taken = np.zeros((rows.size, len(I0)), dtype=bool)
+                sets = [feasible_set(ledgers[r], names[j], k) for r in rows]
+                for feas, mask in zip(sets, taken):
+                    assert feas == {i for i, t in zip(I0, mask) if not t}
+                picks = np.array([I0.index(int(rng.choice(sorted(feas)))) for feas in sets],
+                                 dtype=int)
+                waits = runs.book(j, k, index, picks)
+                for r, wait in zip(rows, waits):
+                    booked = reserve(ledgers[r], names[j], k, int(wait)).next_tx
+                    assert runs.booked[r, j]
+                    assert runs.next_tx[r, j] == booked[names[j]]
