@@ -30,6 +30,7 @@ from .scenario import load_scenario
 from .scheduler import verify_conflict_free
 from .simulator import (
     MODE_PERIODIC,
+    _build_tables,
     _check_tables,
     average_sampling_interval,
     empiric_cost,
@@ -42,7 +43,6 @@ from .simulator import (
     write_txlog_csv,
 )
 from .synthesis import (
-    build_gain_table,
     deserialize_gain_table,
     select_pstar,
     serialize_gain_table,
@@ -60,6 +60,7 @@ EPSILON_ATOL = 1e-9
 
 
 def _table_path(out_dir: Path, loop_id: str) -> Path:
+    """The one file of a loop's table: synth writes it, simulate and verify read it."""
     return out_dir / f"{loop_id}.gains.json"
 
 
@@ -79,14 +80,7 @@ def _print_table(gt, cert) -> None:
 
 def cmd_synth(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    tables = {}
-    for spec in scn.loops:
-        try:
-            tables[spec.name] = build_gain_table(
-                spec.system, spec.weights, scn.I0, scn.p, loop_id=spec.name
-            )
-        except SynthesisError as exc:
-            raise SynthesisError(f"loop {spec.name!r}: {exc}") from exc
+    tables = _build_tables(scn)
     systems = [spec.system for spec in scn.loops]
     pstar = select_pstar(systems, scn.I0)
     if scn.p != pstar:
@@ -96,8 +90,7 @@ def cmd_synth(args) -> int:
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in scn.loops:
-        gt = tables[spec.name]
+    for spec, gt in zip(scn.loops, tables):
         cert = stability_certificate(gt, spec.system, pstar)
         path = _table_path(out_dir, spec.name)
         path.write_text(serialize_gain_table(gt, cert))
@@ -106,18 +99,20 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_tables(tables_dir: Path) -> dict:
-    paths = sorted(tables_dir.glob("*.gains.json"))
-    if not paths:
-        raise ConfigurationError(f"no *.gains.json files in {tables_dir}")
+def _load_tables(tables_dir: Path, scn) -> dict:
+    """Each loop's ``(table, stored epsilon, stored pstar)``, read from
+    its :func:`_table_path` only; other files in ``tables_dir`` are not read."""
     tables = {}
-    for path in paths:
+    for spec in scn.loops:
+        path = _table_path(tables_dir, spec.name)
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigurationError(f"cannot read table {path}: {exc}") from exc
         gt, eps, pstar = deserialize_gain_table(text)
-        tables[gt.loop_id] = (gt, eps, pstar)
+        if gt.loop_id != spec.name:
+            raise ConfigurationError(f"table {path} holds loop {gt.loop_id!r}, not {spec.name!r}")
+        tables[spec.name] = (gt, eps, pstar)
     return tables
 
 
@@ -157,7 +152,7 @@ def cmd_simulate(args) -> int:
             raise ConfigurationError(
                 "self-triggered scenarios need -t/--tables (run synth first)"
             )
-        stored = _load_tables(Path(args.tables))
+        stored = _load_tables(Path(args.tables), scn)
         tables = {name: gt for name, (gt, _, _) in stored.items()}
         trace = run_self_triggered(scn, tables)
     if not verify_conflict_free(trace.tx_log):
@@ -230,7 +225,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    stored = _load_tables(Path(args.tables))
+    stored = _load_tables(Path(args.tables), scn)
     _check_tables(scn, {name: gt for name, (gt, _, _) in stored.items()})
     systems = [spec.system for spec in scn.loops]
     pstar = select_pstar(systems, scn.I0)
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario against stored tables")
     p_sim.add_argument("-c", "--scenario", required=True)
-    p_sim.add_argument("-t", "--tables", help="directory of *.gains.json files")
+    p_sim.add_argument("-t", "--tables", help="directory of the tables synth wrote")
     p_sim.add_argument("-o", "--out", required=True, help="output directory")
     p_sim.add_argument("--gnuplot", action="store_true", help="emit plot.gp")
     p_sim.set_defaults(func=cmd_simulate)

@@ -22,14 +22,13 @@ aggregation is order-independent.
 """
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .controller import _pick, _scores, decide
-from .errors import ConfigurationError, SelfTrigError
+from .errors import ConfigurationError, SelfTrigError, SynthesisError
 from .model import (
     LtiSystem,
     WeightSpec,
@@ -157,6 +156,10 @@ class Scenario:
         if self.ts is not None and not len(loops) <= self.ts <= self.p:
             raise ConfigurationError(f"ts must lie in [s={len(loops)}, p={self.p}], "
                                      f"got {self.ts}")
+        # Loop j first samples at k = j, so each loop samples once when T >= s.
+        if self.mode == MODE_PERIODIC and self.horizon < len(loops):
+            raise ConfigurationError(f"periodic mode needs horizon >= s={len(loops)}, "
+                                     f"got {self.horizon}")
 
     @property
     def gamma(self) -> int:
@@ -227,6 +230,21 @@ def step_plant(sys: LtiSystem, x, u, omega=None) -> np.ndarray:
     if omega is not None:
         x_next = x_next + sys.E @ as_vector(omega, "omega", sys.w)
     return x_next
+
+
+def _build_tables(scn: Scenario, alpha: float | None = None) -> list:
+    """Every loop's gain table, in loop order, at the loop's own alpha or,
+    for a sweep, at ``alpha``; the inverse of :func:`_check_tables`.  A
+    synthesis error names its loop."""
+    tables = []
+    for spec in scn.loops:
+        weights = spec.weights if alpha is None else replace(spec.weights, alpha=alpha)
+        try:
+            tables.append(build_gain_table(spec.system, weights, scn.I0, scn.p,
+                                           loop_id=spec.name))
+        except SynthesisError as exc:
+            raise SynthesisError(f"loop {spec.name!r}: {exc}") from exc
+    return tables
 
 
 def _check_tables(scn: Scenario, tables: dict) -> list:
@@ -457,7 +475,7 @@ def run_self_triggered(
         return dec.i_star, dec.u
 
     run = _event_loop(scn, [0] * len(names), policy, alpha_index, (run_index,))
-    return _sim_trace(scn, scn.mode, run, values, feasible)
+    return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)
 
 
 def _periodic_run(scn: Scenario, alpha_index: int, run_index: int):
@@ -584,6 +602,8 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
     run.
     """
     alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
+    if not alphas:
+        raise ConfigurationError("a sweep needs at least one alpha")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError("alphas must be ascending")
     n_runs = _integer(n_runs, "n_runs")
@@ -596,16 +616,7 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
 
     for ai, alpha in enumerate(alphas):
         try:
-            tables = [
-                build_gain_table(
-                    spec.system,
-                    replace(spec.weights, alpha=alpha),
-                    scn.I0,
-                    scn.p,
-                    loop_id=spec.name,
-                )
-                for spec in scn.loops
-            ]
+            tables = _build_tables(scn, alpha)
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
             continue
@@ -695,21 +706,14 @@ def write_txlog_csv(trace: SimTrace, path) -> None:
 
 
 def write_sweep_csv(summary: SweepSummary, loop_name: str, path) -> None:
-    """Sweep summary CSV for one loop: alpha, mean_interval, mean_cost, se_cost, n_runs."""
+    """Sweep summary CSV for one loop: alpha, mean_interval, mean_cost, se_cost, n_runs,
+    as ``csv.writer`` writes it; an alpha whose synthesis failed has no row."""
     if loop_name not in summary.loop_names:
         raise ConfigurationError(f"no sweep results for loop {loop_name!r}")
+    interval, cost, se = (stat[loop_name] for stat in
+                          (summary.mean_interval, summary.mean_cost, summary.se_cost))
+    lines = ["alpha,mean_interval,mean_cost,se_cost,n_runs"]
+    lines += [f"{alpha!r},{interval[ai]!r},{cost[ai]!r},{se[ai]!r},{summary.n_runs}"
+              for ai, alpha in enumerate(summary.alphas) if ai in interval]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "mean_interval", "mean_cost", "se_cost", "n_runs"])
-        for ai, alpha in enumerate(summary.alphas):
-            if ai not in summary.mean_interval[loop_name]:
-                continue
-            writer.writerow(
-                [
-                    repr(alpha),
-                    repr(summary.mean_interval[loop_name][ai]),
-                    repr(summary.mean_cost[loop_name][ai]),
-                    repr(summary.se_cost[loop_name][ai]),
-                    summary.n_runs,
-                ]
-            )
+        fh.write("\r\n".join([*lines, ""]))

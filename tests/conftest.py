@@ -4,7 +4,7 @@ The scalar unit-integrator oracle below never touches the package's own
 lifting or Riccati code: lifted weights come from explicit power sums and
 the periodic value is the positive root of the quadratic obtained by
 eliminating the gain from the fixed-point equations.  The ``csv.writer``
-trace and channel-log writers below are the byte references of the
+trace, channel-log and sweep writers below are the byte references of the
 package's text writers.
 """
 import csv
@@ -156,6 +156,25 @@ def oracle_write_txlog_csv(trace, path) -> None:
         for ev in trace.tx_events:
             writer.writerow(
                 [ev.k, ev.loop_id, ev.i_chosen, ";".join(str(i) for i in ev.feasible)]
+            )
+
+
+def oracle_write_sweep_csv(summary, loop_name, path) -> None:
+    """The sweep CSV of ``loop_name`` in ``summary`` as ``csv.writer`` writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "mean_interval", "mean_cost", "se_cost", "n_runs"])
+        for ai, alpha in enumerate(summary.alphas):
+            if ai not in summary.mean_interval[loop_name]:
+                continue
+            writer.writerow(
+                [
+                    repr(alpha),
+                    repr(summary.mean_interval[loop_name][ai]),
+                    repr(summary.mean_cost[loop_name][ai]),
+                    repr(summary.se_cost[loop_name][ai]),
+                    summary.n_runs,
+                ]
             )
 
 

@@ -180,6 +180,17 @@ class TestSimulate:
         assert code == 0
         assert "final_wait=5" in capsys.readouterr().out
 
+    def test_periodic_horizon_shorter_than_the_loop_count_exits_2(self, tmp_path, capsys):
+        # Loop j first samples at k = j: with horizon 1 the second loop never samples.
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc.update(mode="periodic", ts=2, horizon=1)
+        scen = tmp_path / "periodic.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "-c", str(scen), "-o", str(out)) == 2
+        assert "horizon >= s=2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_tables_flag_exits_2(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("simulate", "-c", str(SCENARIOS / "integrator_transient.json"),
@@ -291,6 +302,56 @@ class TestVerify:
             assert "'double_integrator'" not in err
 
 
+class TestTableAddress:
+    """``simulate`` and ``verify`` read each loop's table from
+    ``<loop>.gains.json`` and from no other file."""
+
+    @staticmethod
+    def _copy(synth_out, tables):
+        tables.mkdir()
+        for name in ("integrator", "double_integrator"):
+            text = (synth_out / f"{name}.gains.json").read_text()
+            (tables / f"{name}.gains.json").write_text(text)
+
+    @staticmethod
+    def _argv(command, tables, out):
+        scen = str(SCENARIOS / "two_loop.json")
+        return {"simulate": ("simulate", "-c", scen, "-t", str(tables), "-o", str(out)),
+                "verify": ("verify", "-t", str(tables), "-c", scen)}[command]
+
+    def test_stale_second_copy_does_not_win(self, synth_out, tmp_path):
+        tables = tmp_path / "tables"
+        self._copy(synth_out, tables)
+        doc = json.loads((tables / "integrator.gains.json").read_text())
+        doc["entries"][0]["L"] = [0.0]
+        (tables / "zz_stale.gains.json").write_text(json.dumps(doc))
+        for src, out in ((synth_out, tmp_path / "clean"), (tables, tmp_path / "stale")):
+            assert run_cli(*self._argv("simulate", src, out)) == 0
+        assert sorted(p.name for p in (tmp_path / "stale").iterdir()) \
+            == sorted(p.name for p in (tmp_path / "clean").iterdir())
+        for path in (tmp_path / "clean").iterdir():
+            assert (tmp_path / "stale" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_unrelated_malformed_file_is_not_read(self, command, synth_out, tmp_path):
+        tables = tmp_path / "tables"
+        self._copy(synth_out, tables)
+        (tables / "notes.gains.json").write_text("not a table")
+        assert run_cli(*self._argv(command, tables, tmp_path / "run")) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_table_of_another_loop_exits_2(self, command, synth_out, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        for name, other in (("integrator", "double_integrator"),
+                            ("double_integrator", "integrator")):
+            text = (synth_out / f"{other}.gains.json").read_text()
+            (tables / f"{name}.gains.json").write_text(text)
+        assert run_cli(*self._argv(command, tables, tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "integrator.gains.json holds loop 'double_integrator', not 'integrator'" in err
+
+
 class TestSweep:
     def test_deterministic_and_writes_baseline(self, tmp_path):
         doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
@@ -345,6 +406,16 @@ def test_malformed_sweep_alphas_exit_2(alphas, tmp_path, capsys):
                    "--alphas", alphas, "--runs", "1", "-o", str(out))
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["", ","], ids=["empty", "comma"])
+def test_empty_sweep_alphas_exit_2(alphas, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "-c", str(SCENARIOS / "integrator_transient.json"),
+                   "--alphas", alphas, "--runs", "1", "-o", str(out))
+    assert code == 2
+    assert "at least one alpha" in capsys.readouterr().err
     assert not out.exists()
 
 

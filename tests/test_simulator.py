@@ -8,6 +8,7 @@ import scipy.linalg
 
 from selftrig import (
     ConfigurationError,
+    SynthesisError,
     LoopSpec,
     LoopTrace,
     LtiSystem,
@@ -28,11 +29,13 @@ from selftrig.simulator import (
     SimTrace,
     TxEvent,
     _self_triggered_runs,
+    periodic_baseline,
+    write_sweep_csv,
     write_trace_csv,
     write_txlog_csv,
 )
 
-from conftest import oracle_write_trace_csv, oracle_write_txlog_csv
+from conftest import oracle_write_sweep_csv, oracle_write_trace_csv, oracle_write_txlog_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -171,6 +174,14 @@ class TestTwoLoops:
         )
         assert verify_conflict_free(sorted(tr.tx_log))
         assert min(k for k, _ in tr.tx_log) >= 1
+
+    def test_trace_mode_is_self_triggered_whatever_the_scenario_mode(
+            self, two_loop_scenario, integrator_table, double_integrator_table):
+        tables = {"integrator": integrator_table,
+                  "double_integrator": double_integrator_table}
+        tr = run_self_triggered(replace(two_loop_scenario, mode="periodic", ts=2), tables)
+        assert tr.mode == "self_triggered"
+        np.testing.assert_array_equal(tr.loops["integrator"].waits[:6], [1, 2, 5, 5, 5, 5])
 
 
 class TestPeriodicBaseline:
@@ -528,6 +539,29 @@ class TestTxLogCsv:
         assert (tmp_path / "log.csv").read_bytes() == b"k,loop_id,i_chosen,feasible_set\r\n"
 
 
+class TestSweepCsv:
+    def test_readme_sweep_with_a_failed_alpha_bytes_equal_the_csv_writer(
+            self, tmp_path, monkeypatch):
+        from selftrig import simulator
+
+        def build(sys, weights, *args, **kwargs):
+            if weights.alpha == 1.3:
+                raise SynthesisError("refused for this test")
+            return build_gain_table(sys, weights, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "build_gain_table", build)
+        scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
+        alphas = [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6]
+        summary = sweep_alpha(scn, alphas, n_runs=20)
+        assert list(summary.errors) == [1.3]
+        for result in (summary, periodic_baseline(scn, summary)):
+            write_sweep_csv(result, "integrator", tmp_path / "new.csv")
+            oracle_write_sweep_csv(result, "integrator", tmp_path / "oracle.csv")
+            text = (tmp_path / "new.csv").read_bytes()
+            assert text == (tmp_path / "oracle.csv").read_bytes()
+            assert text.count(b"\r\n") == len(alphas) and b"\r\n1.3," not in text
+
+
 class TestSweep:
     def test_sweep_is_reproducible_and_reports_errors(self, integrator):
         w = WeightSpec(Q=[[1.0]], R=[[0.1]], alpha=0.0)
@@ -556,6 +590,22 @@ class TestSweep:
     def test_rejects_descending_alphas(self, transient_scenario):
         with pytest.raises(ConfigurationError):
             sweep_alpha(transient_scenario, [1.0, 0.5], n_runs=1)
+
+    def test_rejects_an_empty_sweep(self, transient_scenario):
+        with pytest.raises(ConfigurationError, match="at least one alpha"):
+            sweep_alpha(transient_scenario, [], n_runs=1)
+
+    def test_synthesis_error_names_its_loop(self, integrator, integrator_weights):
+        osc = LtiSystem(A=[[-1.0]], B=[[1.0]])
+        scn = Scenario(
+            loops=(LoopSpec(name="integrator", system=integrator,
+                            weights=integrator_weights, x0=[1.0]),
+                   LoopSpec(name="osc", system=osc, weights=integrator_weights, x0=[1.0])),
+            I0=[1, 2], p=2, horizon=20, seed=0,
+        )
+        summary = sweep_alpha(scn, [0.0, 1.0], n_runs=1)
+        assert set(summary.errors) == {0.0, 1.0}
+        assert all(msg.startswith("loop 'osc': ") for msg in summary.errors.values())
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
