@@ -23,7 +23,7 @@ from .synthesis import GainTable
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
     """Outcome of one online decision.
 

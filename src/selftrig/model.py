@@ -218,7 +218,7 @@ class WeightSpec:
         object.__setattr__(self, "alpha", _nonnegative(self.alpha, "alpha"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedModel:
     """Transition and accumulated-cost matrices for a wait of ``i`` steps."""
 

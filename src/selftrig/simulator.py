@@ -176,7 +176,7 @@ class TxEvent:
     feasible: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopTrace:
     """Per-loop record of one run.
 
@@ -209,7 +209,7 @@ def _stage_costs(states, inputs, Q, R) -> np.ndarray:
     return np.einsum("ki,ij,kj->k", x, Q, x) + np.einsum("ki,ij,kj->k", inputs, R, inputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Full record of one run: per-loop traces plus the channel log."""
 
@@ -329,7 +329,10 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
     segment at ``k = 0`` covers the steps before a loop's first sample.
     The scenario and the drawn noise are finite when the runs start, so
     the segments run without checks; one finiteness check per loop follows
-    the runs, on the kept steps only.  Returns, per loop, the states
+    the runs, on the kept steps only.  A policy's error is raised again
+    naming its step and loop, unless a state so far is not finite: then
+    that state's finiteness error is raised instead, as after the runs.
+    Returns, per loop, the states
     ``(R, T+1, n)``, the inputs ``(R, T, m)`` and the chosen waits
     ``(R, T)``, 0 where the loop did not sample; each run's rows are
     contiguous.
@@ -388,7 +391,14 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
                 deciding = (next_sample[j] == k).nonzero()[0]
                 if deciding.size < R:
                     rows = deciding
-            wait, u = policy(j, k, rows, states[j][rows, k])
+            try:
+                wait, u = policy(j, k, rows, states[j][rows, k])
+            except SelfTrigError as exc:
+                # A state that left the floats fails the policy first; the
+                # first non-finite step so far is the cause to report.
+                for spec, loop_states in zip(scn.loops, states):
+                    _check_finite(spec.name, loop_states[:, :k + 1], runs)
+                raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
             inputs[j][rows, k:k + G] = u[..., None, :]
             advance(j, rows, k)
             waits[j][rows, k] = wait
@@ -465,10 +475,7 @@ def run_self_triggered(
         nonlocal ledger
         name = names[j]
         feas = feasible_set(ledger, name, k)
-        try:
-            dec = decide(gts[j], x[0], feas)
-        except SelfTrigError as exc:
-            raise type(exc)(f"at step k={k}, loop {name!r}: {exc}") from exc
+        dec = decide(gts[j], x[0], feas)
         ledger = reserve(ledger, name, k, dec.i_star)
         values[j].append(dec.value)
         feasible[j].append(feas)

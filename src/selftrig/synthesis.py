@@ -12,6 +12,7 @@ anything.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -35,6 +36,7 @@ from .model import (
     _readonly,
     _transition_pairs,
     _wait_set,
+    as_matrix,
     lift_range,
     symmetrize,
 )
@@ -222,17 +224,21 @@ class GainTable:
 
     ``entries`` maps each admissible wait i to its pair (P(i), L(i));
     (Pp, Lp) is the terminal-period pair the closed loop reverts to.
-    Built once with the table, ``P_stack`` (|I0|, n, n), ``L_stack``
-    (|I0|, m, n) and ``costs`` (``alpha / i``) hold the entries row by row
-    in ``I0`` order, and ``rows`` maps each wait to its row; they are not
-    constructor arguments.  ``gamma`` is the largest wait.  All arrays are
-    finite and read-only; tables are safe to share across threads, and
-    compare by identity.
+    The constructor copies the matrices once: ``P_stack`` (|I0|, n, n) and
+    ``L_stack`` (|I0|, m, n) hold the entries row by row in ``I0`` order,
+    and ``entries`` becomes a read-only mapping of views of their rows.
+    ``costs`` (``alpha / i``) and ``rows`` (each wait's row) are built with
+    the stacks; the stacks, ``costs`` and ``rows`` are not constructor
+    arguments.  ``gamma`` is the largest wait.  Matrices may be arrays or nested lists; one that is not
+    numeric, not finite or not of the terminal pair's shape, or an entry
+    that is not a (P, L) pair, raises ConfigurationError.  All arrays are
+    read-only; tables are safe to share across threads, and compare by
+    identity.
     """
 
     loop_id: str
     alpha: float
-    entries: dict
+    entries: Mapping
     p: int
     Pp: np.ndarray
     Lp: np.ndarray
@@ -244,41 +250,64 @@ class GainTable:
 
     def __post_init__(self):
         context = f"table {self.loop_id!r}"
-        object.__setattr__(self, "I0", _wait_set(self.I0, f"{context}: I0"))
-        object.__setattr__(self, "p", _integer(self.p, f"{context}: p"))
-        object.__setattr__(self, "alpha", _nonnegative(self.alpha, f"{context}: alpha"))
-        if set(self.entries) != set(self.I0):
+        I0 = _wait_set(self.I0, f"{context}: I0")
+        p = _integer(self.p, f"{context}: p")
+        alpha = _nonnegative(self.alpha, f"{context}: alpha")
+        Pp = as_matrix(self.Pp, f"{context}: Pp")
+        Lp = as_matrix(self.Lp, f"{context}: Lp")
+        n = Pp.shape[0]
+        if Pp.shape != (n, n) or Lp.ndim != 2 or Lp.shape[1] != n:
             raise ConfigurationError(
-                f"table entries {sorted(self.entries)} do not match I0 {list(self.I0)}"
+                f"{context}: Pp must be square and Lp must have as many columns, "
+                f"got shapes {Pp.shape} and {Lp.shape}"
             )
-        try:
-            P_stack = _readonly([self.entries[i][0] for i in self.I0])
-            L_stack = _readonly([self.entries[i][1] for i in self.I0])
-        except ValueError:  # entries of differing shapes do not stack
-            P_stack = L_stack = np.empty(0)
-        if P_stack.shape[1:] != self.Pp.shape or L_stack.shape[1:] != self.Lp.shape:
+        if not isinstance(self.entries, Mapping):
+            raise ConfigurationError(f"{context}: entries must map each wait to (P, L)")
+        if set(self.entries) != set(I0):
             raise ConfigurationError(
-                f"table entries must match the shapes of Pp {self.Pp.shape} "
-                f"and Lp {self.Lp.shape}"
+                f"{context}: entries {list(self.entries)} do not match I0 {list(I0)}"
             )
-        if not all(np.isfinite(M).all() for M in (P_stack, L_stack, self.Pp, self.Lp)):
-            raise ConfigurationError(f"{context}: matrices have non-finite entries")
-        if self.p in self.entries:
-            Pi, Li = self.entries[self.p]
+        Ps, Ls = [], []
+        for i in I0:
+            try:
+                P, L = self.entries[i]
+                Ps.append(np.asarray(P, dtype=float))
+                Ls.append(np.asarray(L, dtype=float))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"{context}: entry {i} is not a pair (P, L) of numeric matrices"
+                ) from None
+            if Ps[-1].shape != Pp.shape or Ls[-1].shape != Lp.shape:
+                raise ConfigurationError(
+                    f"{context}: entries must match the shapes of Pp {Pp.shape} "
+                    f"and Lp {Lp.shape}"
+                )
+        P_stack, L_stack = _readonly(Ps), _readonly(Ls)
+        if not (np.isfinite(P_stack).all() and np.isfinite(L_stack).all()):
+            raise ConfigurationError(f"{context}: entries have non-finite values")
+        entries = MappingProxyType({i: (P_stack[r], L_stack[r]) for r, i in enumerate(I0)})
+        if p in entries:
+            Pi, Li = entries[p]
             drift = max(
-                np.max(np.abs(Pi - self.Pp)) / max(1.0, np.max(np.abs(self.Pp))),
-                np.max(np.abs(Li - self.Lp)) / max(1.0, np.max(np.abs(self.Lp))),
+                np.max(np.abs(Pi - Pp)) / max(1.0, np.max(np.abs(Pp))),
+                np.max(np.abs(Li - Lp)) / max(1.0, np.max(np.abs(Lp))),
             )
             if drift > 1e-8:
                 raise SynthesisError(
-                    f"table row at i=p={self.p} deviates from the periodic solution "
+                    f"table row at i=p={p} deviates from the periodic solution "
                     f"by {drift:.3e} (relative)"
                 )
         for name, value in (
+            ("I0", I0),
+            ("p", p),
+            ("alpha", alpha),
+            ("Pp", _readonly(Pp)),
+            ("Lp", _readonly(Lp)),
+            ("entries", entries),
             ("P_stack", P_stack),
             ("L_stack", L_stack),
-            ("costs", _readonly(self.alpha / np.array(self.I0))),
-            ("rows", MappingProxyType({i: r for r, i in enumerate(self.I0)})),
+            ("costs", _readonly(alpha / np.array(I0))),
+            ("rows", MappingProxyType({i: r for r, i in enumerate(I0)})),
         ):
             object.__setattr__(self, name, value)
 
@@ -331,7 +360,7 @@ def build_gain_table(
         lm = lifted[i - 1]
         L, G = _gain_from(Pp, lm)
         P = symmetrize(lm.Qi + lm.Ai.T @ Pp @ lm.Ai - G @ L)
-        entries[i] = (_readonly(P), _readonly(L))
+        entries[i] = (P, L)
     return GainTable(
         loop_id=loop_id,
         alpha=weights.alpha,
@@ -343,7 +372,7 @@ def build_gain_table(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityCertificate:
     """Contraction certificate for one synthesized loop.
 
@@ -507,8 +536,8 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
             raise ConfigurationError(f"bad table entry fields: {sorted(rec)}")
         i = _integer(rec["i"], "gain table entry i")
         entries[i] = (
-            _readonly(_json_matrix(rec["P"], n, n, f"P({i})")),
-            _readonly(_json_matrix(rec["L"], m, n, f"L({i})")),
+            _json_matrix(rec["P"], n, n, f"P({i})"),
+            _json_matrix(rec["L"], m, n, f"L({i})"),
         )
     # GainTable itself refuses a bad wait set, p or alpha.
     gt = GainTable(
@@ -516,8 +545,8 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
         alpha=doc["alpha"],
         entries=entries,
         p=doc["p"],
-        Pp=_readonly(_json_matrix(doc["Pp"], n, n, "Pp")),
-        Lp=_readonly(_json_matrix(doc["Lp"], m, n, "Lp")),
+        Pp=_json_matrix(doc["Pp"], n, n, "Pp"),
+        Lp=_json_matrix(doc["Lp"], m, n, "Lp"),
         I0=doc["I0"],
     )
     epsilon = _number(doc["epsilon"], "gain table epsilon")

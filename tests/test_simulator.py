@@ -7,7 +7,9 @@ import pytest
 import scipy.linalg
 
 from selftrig import (
+    CertificateError,
     ConfigurationError,
+    SchedulingError,
     SynthesisError,
     LoopSpec,
     LoopTrace,
@@ -16,10 +18,14 @@ from selftrig import (
     WeightSpec,
     average_sampling_interval,
     build_gain_table,
+    decide,
     empiric_cost,
+    lift_range,
     rng_substream,
     run_periodic,
     run_self_triggered,
+    select_pstar,
+    stability_certificate,
     step_plant,
     sweep_alpha,
     verify_conflict_free,
@@ -28,6 +34,7 @@ from selftrig.scenario import load_scenario
 from selftrig.simulator import (
     SimTrace,
     TxEvent,
+    _event_loop,
     _self_triggered_runs,
     periodic_baseline,
     write_sweep_csv,
@@ -35,7 +42,13 @@ from selftrig.simulator import (
     write_txlog_csv,
 )
 
-from conftest import oracle_write_sweep_csv, oracle_write_trace_csv, oracle_write_txlog_csv
+from conftest import (
+    oracle_write_sweep_csv,
+    oracle_write_trace_csv,
+    oracle_write_txlog_csv,
+    random_system,
+    random_weights,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -608,11 +621,35 @@ class TestSweep:
         assert all(msg.startswith("loop 'osc': ") for msg in summary.errors.values())
 
 
+def test_array_holding_values_compare_by_identity(
+    two_loop_scenario, double_integrator, double_integrator_weights,
+    integrator_table, double_integrator_table,
+):
+    # Two equal values with n = 2 compare without an array truth test, and
+    # every value hashes.
+    tables = {gt.loop_id: gt for gt in (integrator_table, double_integrator_table)}
+
+    def values():
+        trace = run_self_triggered(two_loop_scenario, tables)
+        return (
+            lift_range(double_integrator, double_integrator_weights, 2)[1],
+            stability_certificate(double_integrator_table, double_integrator, 5),
+            decide(double_integrator_table, [0.3, -1.2], [1, 2, 5]),
+            trace.loops["double_integrator"],
+            trace,
+        )
+
+    for a, b in zip(values(), values()):
+        assert a != b and a == a
+        assert hash(a) == hash(a)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 class TestFiniteStates:
-    """A run whose state overflows is refused once, after the run, naming the
-    loop and the first non-finite step."""
+    """A run whose state overflows is refused naming the loop and the first
+    non-finite step, whether the check after the run finds it or a decision
+    that the overflowed state reaches."""
 
     @staticmethod
     def _scenario(horizon):
@@ -626,15 +663,87 @@ class TestFiniteStates:
             run_periodic(replace(self._scenario(6), ts=3))
 
     def test_self_triggered(self):
-        scn = self._scenario(2)
-        gt = build_gain_table(scn.loops[0].system, scn.loops[0].weights, [1, 2, 3], 3,
-                              loop_id="a")
-        with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1$"):
-            run_self_triggered(scn, {"a": gt})
+        # At horizon 6 the overflowed state reaches the next decision, whose
+        # refusal must still name the first non-finite step.
+        for horizon in (2, 6):
+            scn = self._scenario(horizon)
+            gt = build_gain_table(scn.loops[0].system, scn.loops[0].weights, [1, 2, 3], 3,
+                                  loop_id="a")
+            with pytest.raises(ConfigurationError, match=r"^loop 'a'.* from step k=1$"):
+                run_self_triggered(scn, {"a": gt})
 
     def test_sweep(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
             sweep_alpha(self._scenario(2), [0.0], n_runs=2)
+
+
+def test_policy_errors_name_their_step_and_loop(transient_scenario):
+    def policy(j, k, rows, x):
+        if k == 3:
+            raise SchedulingError("no wait left")
+        return 3, np.zeros((1, 1))
+
+    with pytest.raises(SchedulingError, match=r"^at step k=3, loop 'integrator': no wait left$"):
+        _event_loop(transient_scenario, [0], policy, 0, (0,))
+
+
+def _value_bound_excess(scn):
+    """Largest relative excess, over a noiseless run of ``scn``, of
+    ``V(l+1)`` over the paper's one-step bound
+    ``alpha/p + (1 - eps)(V(l) - alpha/i(l))``, at every sample ``l + 1``
+    whose feasible set holds ``p``; tables are built at ``p``, which must be
+    each loop's ``pstar``, and ``eps`` is their certificate's margin."""
+    tables, margins = {}, {}
+    for spec in scn.loops:
+        assert spec.noise_variance == 0.0 and select_pstar([spec.system], scn.I0) == scn.p
+        gt = build_gain_table(spec.system, spec.weights, scn.I0, scn.p, loop_id=spec.name)
+        tables[spec.name] = gt
+        margins[spec.name] = stability_certificate(gt, spec.system, scn.p).epsilon
+    trace = run_self_triggered(scn, tables)
+    excess, checked = 0.0, 0
+    for name, tr in trace.loops.items():
+        alpha, eps = tables[name].alpha, margins[name]
+        for l in range(len(tr.values) - 1):
+            if scn.p not in tr.feasible_sets[l + 1]:
+                continue
+            bound = alpha / scn.p + (1.0 - eps) * (tr.values[l] - alpha / tr.waits[l])
+            excess = max(excess, (tr.values[l + 1] - bound) / bound)
+            checked += 1
+    assert checked > 0
+    return excess
+
+
+class TestOneStepValueBound:
+    """Wherever the terminal period ``p`` is feasible at the next sample, the
+    value falls by the certificate's margin: ``V(l+1) <= alpha/p +
+    (1 - eps)(V(l) - alpha/i(l))``.  Noiseless loops only: a disturbance
+    between samples is outside the bound."""
+
+    @pytest.mark.parametrize("name", ["integrator_transient", "two_loop"])
+    def test_shipped_scenarios(self, name):
+        scn, _ = load_scenario(SCENARIOS / f"{name}.json")
+        assert _value_bound_excess(scn) <= 1e-12
+
+    def test_random_single_loop_plants(self):
+        rng = np.random.default_rng(61)
+        tested = 0
+        for _ in range(40):
+            sys = random_system(rng, max_spectral_radius=1.2)
+            w = random_weights(rng, sys.n, sys.m)
+            I0 = tuple(range(1, int(rng.integers(2, 7)) + 1))
+            try:
+                pstar = select_pstar([sys], I0)
+                scn = Scenario(
+                    loops=(LoopSpec(name="a", system=sys, weights=w,
+                                    x0=rng.normal(0.0, 2.0, sys.n)),),
+                    I0=I0, p=pstar, horizon=60, seed=0,
+                )
+                excess = _value_bound_excess(scn)
+            except (SynthesisError, CertificateError):
+                continue
+            assert excess <= 1e-12
+            tested += 1
+        assert tested >= 20
 
 
 def _channel_scenario():

@@ -275,6 +275,100 @@ class TestGainTable:
             dataclasses.replace(integrator_table, entries=entries)
 
 
+def _table_from(source, sys, gt):
+    """``gt`` as built by ``build_gain_table``, read back by
+    ``deserialize_gain_table``, or rebuilt by the constructor from writable
+    copies of its matrices; the constructor case also returns those copies."""
+    if source == "build":
+        return gt, None
+    if source == "deserialize":
+        text = serialize_gain_table(gt, stability_certificate(gt, sys, gt.p))
+        return deserialize_gain_table(text)[0], None
+    given = dict(
+        entries={i: (np.array(gt.P(i)), np.array(gt.L(i))) for i in gt.I0},
+        Pp=np.array(gt.Pp), Lp=np.array(gt.Lp),
+    )
+    return GainTable(loop_id=gt.loop_id, alpha=gt.alpha, p=gt.p, I0=gt.I0, **given), given
+
+
+class TestGainTableStorage:
+    """A table holds one read-only copy of its matrices: the stacks, which
+    ``entries`` views."""
+
+    @pytest.mark.parametrize("source", ["build", "deserialize", "constructor"])
+    def test_entries_are_read_only_views_of_the_stacks(
+        self, source, double_integrator, double_integrator_table
+    ):
+        gt, _ = _table_from(source, double_integrator, double_integrator_table)
+        for i in gt.I0:
+            P, L = gt.entries[i]
+            assert np.shares_memory(P, gt.P_stack) and np.shares_memory(L, gt.L_stack)
+            for M in (P, L):
+                assert not M.flags.writeable
+                with pytest.raises(ValueError):
+                    M[0, 0] = 7.0
+        for M in (gt.Pp, gt.Lp):
+            assert not M.flags.writeable
+        with pytest.raises(TypeError):
+            gt.entries[gt.I0[0]] = None
+        with pytest.raises(TypeError):
+            gt.entries[99] = None
+
+    def test_caller_arrays_stay_the_callers(self, double_integrator,
+                                            double_integrator_table):
+        gt, given = _table_from("constructor", double_integrator, double_integrator_table)
+        cert = stability_certificate(gt, double_integrator, gt.p)
+        text = serialize_gain_table(gt, cert)
+        before = {i: (gt.P(i).copy(), gt.L(i).copy()) for i in gt.I0}
+        for P, L in given["entries"].values():
+            P[0, 0] = L[0, 0] = 7.0
+        given["Pp"][0, 0] = given["Lp"][0, 0] = 7.0
+        given["entries"][3] = None
+        given["entries"][99] = None
+        for i in gt.I0:
+            for M, ref in zip((gt.P(i), gt.L(i)), before[i]):
+                np.testing.assert_array_equal(M, ref)
+            for M, ref in zip(gt.entries[i], before[i]):
+                np.testing.assert_array_equal(M, ref)
+        assert set(gt.entries) == set(gt.I0)
+        assert serialize_gain_table(gt, cert) == text
+
+    @pytest.mark.parametrize("case", ["not-a-pair", "one-matrix", "non-numeric",
+                                      "object-strings", "non-finite-Pp", "not-a-mapping",
+                                      "Lp-columns"])
+    def test_malformed_input_is_refused(self, case, integrator_table):
+        gt = integrator_table
+        fields = dict(loop_id="x", alpha=gt.alpha, p=gt.p, I0=gt.I0, Pp=gt.Pp, Lp=gt.Lp,
+                      entries=dict(gt.entries))
+        if case == "not-a-pair":
+            fields["entries"][2] = (gt.P(2), gt.L(2), gt.L(2))
+        elif case == "one-matrix":
+            fields["entries"][2] = gt.P(2)
+        elif case == "non-numeric":
+            fields["entries"][2] = ([["a"]], gt.L(2))
+        elif case == "object-strings":
+            fields["Pp"] = np.array([["1.0x"]], dtype=object)
+        elif case == "non-finite-Pp":
+            fields["Pp"] = [[np.inf]]
+        elif case == "not-a-mapping":
+            fields["entries"] = [fields["entries"][i] for i in gt.I0]
+        else:
+            fields["Lp"] = [[1.0, 2.0]]
+        with pytest.raises(ConfigurationError):
+            GainTable(**fields)
+
+    def test_nested_lists_are_accepted(self, double_integrator_table):
+        gt = double_integrator_table
+        listed = GainTable(
+            loop_id=gt.loop_id, alpha=gt.alpha, p=gt.p, I0=list(gt.I0),
+            entries={i: (gt.P(i).tolist(), gt.L(i).tolist()) for i in gt.I0},
+            Pp=gt.Pp.tolist(), Lp=gt.Lp.tolist(),
+        )
+        for name in ("P_stack", "L_stack", "Pp", "Lp", "costs"):
+            np.testing.assert_array_equal(getattr(listed, name), getattr(gt, name))
+            assert getattr(listed, name).dtype == np.float64
+
+
 class TestCertificate:
     def test_unit_integrator_ratio_oracle(self, integrator, integrator_table):
         cert = stability_certificate(integrator_table, integrator, 5)
