@@ -135,7 +135,8 @@ def _json_string(value, what: str) -> str:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def check_positive_definite(M: np.ndarray, name: str) -> None:
@@ -247,8 +248,8 @@ def _transition_pairs(sys: LtiSystem, gamma: int) -> list[tuple[np.ndarray, np.n
     return pairs
 
 
-def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedModel]:
-    """All lifted models for factors 1..gamma, in one forward pass.
+def _lift_steps(sys: LtiSystem, weights: WeightSpec, gamma: int):
+    """Yield ``(i, A_i, B_i, Q_i, R_i, N_i)`` for i = 1..gamma, in one forward pass.
 
     The transition recursion is ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``
     and the weight recursion accumulates the held-input stage costs:
@@ -258,7 +259,8 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
         N_{i+1} = N_i + A_i' Q B_i
 
     with base case ``(A, B, Q, R, 0)``.  Q_i and R_i are re-symmetrized at
-    every step to suppress accumulated floating-point asymmetry.
+    every step to suppress accumulated floating-point asymmetry.  Every
+    lift of weights runs this recursion, so all of them agree bit for bit.
     """
     pairs = _transition_pairs(sys, gamma)
     Q, R = weights.Q, weights.R
@@ -270,20 +272,9 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
         raise ConfigurationError(
             f"R is {R.shape[0]}x{R.shape[0]} but the input dimension is {sys.m}"
         )
-
-    models = []
     Qi, Ri, Ni = Q, R, np.zeros((sys.n, sys.m))
     for i, (Ai, Bi) in enumerate(pairs, start=1):
-        models.append(
-            LiftedModel(
-                i,
-                _readonly(Ai),
-                _readonly(Bi),
-                _readonly(Qi),
-                _readonly(Ri),
-                _readonly(Ni),
-            )
-        )
+        yield i, Ai, Bi, Qi, Ri, Ni
         if i == gamma:
             break
         Qi, Ri, Ni = (
@@ -291,7 +282,11 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
             symmetrize(Ri + Bi.T @ Q @ Bi + R),
             Ni + Ai.T @ Q @ Bi,
         )
-    return models
+
+
+def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedModel]:
+    """All lifted models for factors 1..gamma, read-only (see :func:`_lift_steps`)."""
+    return [LiftedModel(i, *map(_readonly, M)) for i, *M in _lift_steps(sys, weights, gamma)]
 
 
 def lift_dynamics(sys: LtiSystem, i: int) -> tuple[np.ndarray, np.ndarray]:

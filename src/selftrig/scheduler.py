@@ -43,7 +43,7 @@ def _check_admissible(s: int, I0, p: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReservationLedger:
     """Next reserved transmission slot per sensor, plus the shared parameters.
 

@@ -380,34 +380,36 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
     next_sample = [np.full(R, k0) for k0 in first_samples]
     due = list(first_samples)
     k = min(due)
-    while k < T:
-        for j in range(len(maps)):
-            if due[j] != k:
-                continue
-            # When every run decides, basic slicing stands in for the index
-            # array; one run also keeps a scalar clock.
-            rows = slice(None)
-            if R > 1:
-                deciding = (next_sample[j] == k).nonzero()[0]
-                if deciding.size < R:
-                    rows = deciding
-            try:
-                wait, u = policy(j, k, rows, states[j][rows, k])
-            except SelfTrigError as exc:
-                # A state that left the floats fails the policy first; the
-                # first non-finite step so far is the cause to report.
-                for spec, loop_states in zip(scn.loops, states):
-                    _check_finite(spec.name, loop_states[:, :k + 1], runs)
-                raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
-            inputs[j][rows, k:k + G] = u[..., None, :]
-            advance(j, rows, k)
-            waits[j][rows, k] = wait
-            if R == 1:
-                due[j] = k + int(waits[j][0, k])
-            else:
-                next_sample[j][rows] = k + wait
-                due[j] = next_sample[j].min()
-        k = min(due)
+    # Overflow is part of the pick rule and of the finiteness checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < T:
+            for j in range(len(maps)):
+                if due[j] != k:
+                    continue
+                # When every run decides, basic slicing stands in for the index
+                # array; one run also keeps a scalar clock.
+                rows = slice(None)
+                if R > 1:
+                    deciding = (next_sample[j] == k).nonzero()[0]
+                    if deciding.size < R:
+                        rows = deciding
+                try:
+                    wait, u = policy(j, k, rows, states[j][rows, k])
+                except SelfTrigError as exc:
+                    # A state that left the floats fails the policy first; the
+                    # first non-finite step so far is the cause to report.
+                    for spec, loop_states in zip(scn.loops, states):
+                        _check_finite(spec.name, loop_states[:, :k + 1], runs)
+                    raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
+                inputs[j][rows, k:k + G] = u[..., None, :]
+                advance(j, rows, k)
+                waits[j][rows, k] = wait
+                if R == 1:
+                    due[j] = k + int(waits[j][0, k])
+                else:
+                    next_sample[j][rows] = k + wait
+                    due[j] = next_sample[j].min()
+            k = min(due)
 
     kept = [(x[:, :T + 1], u[:, :T], w) for x, u, w in zip(states, inputs, waits)]
     for spec, (loop_states, _, _) in zip(scn.loops, kept):
@@ -559,7 +561,7 @@ def _mean_interval(sample_times: np.ndarray, gamma: int) -> float:
     return float(np.mean(np.diff(sample_times)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSummary:
     """Aggregated statistics of an alpha sweep.
 

@@ -31,6 +31,7 @@ from .model import (
     _integer,
     _json_matrix,
     _json_string,
+    _lift_steps,
     _nonnegative,
     _number,
     _readonly,
@@ -73,13 +74,8 @@ def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
 
 def _unit_root_eigenvalues(eigenvalues, i: int) -> list[complex]:
     """The ``eigenvalues`` other than 1 whose i-th power is 1 (within tolerance)."""
-    bad = []
-    for lam in eigenvalues:
-        if abs(lam - 1.0) < ROOT_OF_UNITY_TOL:
-            continue
-        if abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL:
-            bad.append(complex(lam))
-    return bad
+    return [complex(lam) for lam in eigenvalues
+            if not abs(lam - 1.0) < ROOT_OF_UNITY_TOL and abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL]
 
 
 def downsampled_controllable(sys: LtiSystem, i: int) -> bool:
@@ -116,16 +112,9 @@ def select_pstar(systems, I0) -> int:
     """
     factors = _wait_set(I0)
     spectra = [np.linalg.eigvals(sys.A) for sys in systems]
-    qualifying = []
-    failures = {}
-    for i in factors:
-        bad = []
-        for eigenvalues in spectra:
-            bad.extend(_unit_root_eigenvalues(eigenvalues, i))
-        if bad:
-            failures[i] = bad
-        else:
-            qualifying.append(i)
+    failures = {i: [lam for eigenvalues in spectra
+                    for lam in _unit_root_eigenvalues(eigenvalues, i)] for i in factors}
+    qualifying = [i for i in factors if not failures[i]]
     if not qualifying:
         detail = "; ".join(
             f"i={i}: {', '.join(f'{lam:.6g}' for lam in bad)}" for i, bad in failures.items()
@@ -141,17 +130,26 @@ def pstar_is_gamma(systems, I0) -> bool:
     return select_pstar(systems, I0) == max(I0)
 
 
-def _gain_from(P: np.ndarray, lm: LiftedModel) -> tuple[np.ndarray, np.ndarray]:
-    """One backward step: feedback gain and cross matrix for value matrix P."""
-    G = lm.Ai.T @ P @ lm.Bi + lm.Ni
-    H = lm.Ri + lm.Bi.T @ P @ lm.Bi
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack, transposed."""
+    return M.swapaxes(-1, -2)
+
+
+def _gain_from(P: np.ndarray, A, B, R, N, waits) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback gains and cross matrices of one backward step from value
+    matrix P, for the lifts of ``waits`` stacked in A, B, R and N; numpy
+    makes one LAPACK or BLAS call per matrix of a stack.  An error names the
+    first wait whose input-cost matrix is singular."""
+    G = _mT(A) @ P @ B + N
+    H = R + _mT(B) @ P @ B
     try:
-        L = np.linalg.solve(H, G.T)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError(
-            f"singular input-cost matrix at factor {lm.i}: {exc}"
-        ) from exc
-    return L, G
+        return np.linalg.solve(H, _mT(G)), G
+    except np.linalg.LinAlgError:
+        for i, Hi, Gi in zip(waits, H, G):
+            try:
+                np.linalg.solve(Hi, Gi.T)
+            except np.linalg.LinAlgError as exc:
+                raise SynthesisError(f"singular input-cost matrix at factor {i}: {exc}") from exc
 
 
 def _accept_riccati(P: np.ndarray, lm: LiftedModel) -> np.ndarray:
@@ -162,7 +160,7 @@ def _accept_riccati(P: np.ndarray, lm: LiftedModel) -> np.ndarray:
     free, and fair to a badly conditioned P), the lifted closed loop
     ``Ai - Bi L`` strictly stable, and P positive definite.
     """
-    L, G = _gain_from(P, lm)
+    (L,), (G,) = _gain_from(P, lm.Ai[None], lm.Bi[None], lm.Ri[None], lm.Ni[None], (lm.i,))
     terms = (lm.Qi, lm.Ai.T @ P @ lm.Ai, G @ L, P)
     residual = np.max(np.abs(terms[0] + terms[1] - terms[2] - terms[3]))
     residual /= max(np.max(np.abs(T)) for T in terms)
@@ -201,7 +199,8 @@ def solve_periodic_riccati(
     reason = uncontrollable_reason(sys, p)
     if reason is not None:
         raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
-    lm = lift_range(sys, weights, p)[-1]
+    *_, last = _lift_steps(sys, weights, p)
+    lm = LiftedModel(*last)
     n = lm.Ai.shape[0]
     K = np.linalg.solve(lm.Ri, np.hstack([lm.Ni.T, lm.Bi.T]))
     A = lm.Ai - lm.Bi @ K[:, :n]
@@ -350,21 +349,19 @@ def build_gain_table(
 
     Solves the periodic Riccati equation once at period ``p`` and derives
     every (P(i), L(i)) pair by a single backward step from the periodic
-    value matrix.
+    value matrix, all waits in one stacked pass.
     """
     factors = _wait_set(I0)
     Pp, Lp = solve_periodic_riccati(sys, weights, p)
     lifted = lift_range(sys, weights, factors[-1])
-    entries = {}
-    for i in factors:
-        lm = lifted[i - 1]
-        L, G = _gain_from(Pp, lm)
-        P = symmetrize(lm.Qi + lm.Ai.T @ Pp @ lm.Ai - G @ L)
-        entries[i] = (P, L)
+    A, B, Q, R, N = (np.array([getattr(lifted[i - 1], f) for i in factors])
+                     for f in ("Ai", "Bi", "Qi", "Ri", "Ni"))
+    L, G = _gain_from(Pp, A, B, R, N, factors)
+    P = symmetrize(Q + _mT(A) @ Pp @ A - G @ L)
     return GainTable(
         loop_id=loop_id,
         alpha=weights.alpha,
-        entries=entries,
+        entries={i: (P[r], L[r]) for r, i in enumerate(factors)},
         p=int(p),
         Pp=Pp,
         Lp=Lp,
@@ -386,7 +383,8 @@ class StabilityCertificate:
     ``upper_bound`` bracket the limiting value of the online cost; they
     collapse to alpha/gamma when the terminal period equals gamma.
     ``Si`` maps i to P(i) - F(i)' Pp F(i), the accumulated-stage-cost
-    quadratic form (positive semidefinite).
+    quadratic form (positive semidefinite); it is a read-only mapping of
+    read-only views of one stack.
     """
 
     pstar: int
@@ -394,7 +392,8 @@ class StabilityCertificate:
     lower_bound: float
     upper_bound: float
     per_i_ratio: dict
-    Si: dict
+    Si: Mapping
+
 
 
 def stability_certificate(
@@ -415,32 +414,36 @@ def stability_certificate(
             f"table for loop {gt.loop_id!r} was built with p={gt.p}, not pstar={pstar}"
         )
     # Only the transition part of the lift is needed here, so the weights
-    # are not re-lifted.
-    ratios = {}
-    Si = {}
-    for i, (Ai, Bi) in enumerate(_transition_pairs(sys, gt.gamma), start=1):
-        if i in gt.entries:
-            Pi, Li = gt.entries[i]
-            F = Ai - Bi @ Li
-            G = symmetrize(F.T @ gt.Pp @ F)
-            try:
-                C = np.linalg.cholesky(Pi)
-            except np.linalg.LinAlgError:
-                raise CertificateError(
-                    f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
-                    f"positive definite (its Cholesky factorization fails)"
-                ) from None
-            # Cholesky reduction of the pencil (G, P(i)), as in LAPACK's sygv.
-            M = np.linalg.solve(C, np.linalg.solve(C, G).T)
-            ratios[i] = float(np.linalg.eigvalsh(symmetrize(M))[-1])
-            S = symmetrize(Pi - G)
-            s_eigs = np.linalg.eigvalsh(S)
-            if s_eigs[0] < -1e-10 * max(1.0, abs(s_eigs[-1])):
-                raise CertificateError(
-                    f"loop {gt.loop_id!r}: accumulated-cost form at wait {i} is "
-                    f"indefinite (min eigenvalue {s_eigs[0]:.3e})"
-                )
-            Si[i] = _readonly(S)
+    # are not re-lifted.  Each stage is one call on the stacks of all waits.
+    pairs = _transition_pairs(sys, gt.gamma)
+    A, B = (np.array([pairs[i - 1][c] for i in gt.I0]) for c in (0, 1))
+    P = gt.P_stack
+    F = A - B @ gt.L_stack
+    G = symmetrize(_mT(F) @ gt.Pp @ F)
+    S = _readonly(symmetrize(P - G))
+    s_eigs = np.linalg.eigvalsh(S)
+    indefinite = s_eigs[:, 0] < -1e-10 * np.maximum(1.0, np.abs(s_eigs[:, -1]))
+    try:
+        C = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        C = None
+    # Name the first failing wait in I0 order, its Cholesky check first.
+    for r, i in enumerate(gt.I0 if C is None or indefinite.any() else ()):
+        try:
+            np.linalg.cholesky(P[r])
+        except np.linalg.LinAlgError:
+            raise CertificateError(
+                f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
+                f"positive definite (its Cholesky factorization fails)"
+            ) from None
+        if indefinite[r]:
+            raise CertificateError(
+                f"loop {gt.loop_id!r}: accumulated-cost form at wait {i} is "
+                f"indefinite (min eigenvalue {s_eigs[r, 0]:.3e})"
+            )
+    # Cholesky reduction of each pencil (G, P(i)), as in LAPACK's sygv.
+    M = np.linalg.solve(C, _mT(np.linalg.solve(C, G)))
+    ratios = dict(zip(gt.I0, np.linalg.eigvalsh(symmetrize(M))[:, -1].tolist()))
     rho_max = max(ratios.values())
     if rho_max >= 1.0:
         worst = max(ratios, key=ratios.get)
@@ -460,7 +463,7 @@ def stability_certificate(
         lower_bound=lower,
         upper_bound=upper,
         per_i_ratio=ratios,
-        Si=Si,
+        Si=MappingProxyType({i: S[r] for r, i in enumerate(gt.I0)}),
     )
 
 

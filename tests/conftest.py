@@ -3,9 +3,10 @@
 The scalar unit-integrator oracle below never touches the package's own
 lifting or Riccati code: lifted weights come from explicit power sums and
 the periodic value is the positive root of the quadratic obtained by
-eliminating the gain from the fixed-point equations.  The ``csv.writer``
-trace, channel-log and sweep writers below are the byte references of the
-package's text writers.
+eliminating the gain from the fixed-point equations.  The per-wait table
+entries and certificate below are the bit references of the package's
+stacked synthesis, and the ``csv.writer`` trace, channel-log and sweep
+writers are the byte references of its text writers.
 """
 import csv
 import math
@@ -14,12 +15,16 @@ import numpy as np
 import pytest
 
 from selftrig import (
+    CertificateError,
     GainTable,
     LoopSpec,
     LtiSystem,
     Scenario,
+    SynthesisError,
     WeightSpec,
     build_gain_table,
+    lift_dynamics,
+    lift_range,
 )
 
 
@@ -119,6 +124,70 @@ def scalar_table(i: int) -> tuple[float, float]:
     L = g / h
     P = q + P5 - g * L
     return P, L
+
+
+# ---------------------------------------------------------------------------
+# Reference synthesis: one backward step and one certificate check per wait,
+# in I0 order, each stage a call on one matrix.
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def oracle_gain_entries(sys, weights, I0, Pp) -> dict:
+    """Each wait's (P(i), L(i)) by one backward step from ``Pp``."""
+    lifted = lift_range(sys, weights, max(I0))
+    entries = {}
+    for i in sorted(I0):
+        lm = lifted[i - 1]
+        G = lm.Ai.T @ Pp @ lm.Bi + lm.Ni
+        H = lm.Ri + lm.Bi.T @ Pp @ lm.Bi
+        try:
+            L = np.linalg.solve(H, G.T)
+        except np.linalg.LinAlgError as exc:
+            raise SynthesisError(f"singular input-cost matrix at factor {i}: {exc}") from exc
+        entries[i] = (_sym(lm.Qi + lm.Ai.T @ Pp @ lm.Ai - G @ L), L)
+    return entries
+
+
+def oracle_certificate(gt, sys, pstar):
+    """(per_i_ratio, Si, epsilon, lower_bound, upper_bound) of ``gt``, or
+    the CertificateError of the first failing wait."""
+    ratios, Si = {}, {}
+    for i in gt.I0:
+        Ai, Bi = lift_dynamics(sys, i)
+        Pi, Li = gt.entries[i]
+        F = Ai - Bi @ Li
+        G = _sym(F.T @ gt.Pp @ F)
+        try:
+            C = np.linalg.cholesky(Pi)
+        except np.linalg.LinAlgError:
+            raise CertificateError(
+                f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
+                f"positive definite (its Cholesky factorization fails)"
+            ) from None
+        M = np.linalg.solve(C, np.linalg.solve(C, G).T)
+        ratios[i] = float(np.linalg.eigvalsh(_sym(M))[-1])
+        S = _sym(Pi - G)
+        s_eigs = np.linalg.eigvalsh(S)
+        if s_eigs[0] < -1e-10 * max(1.0, abs(s_eigs[-1])):
+            raise CertificateError(
+                f"loop {gt.loop_id!r}: accumulated-cost form at wait {i} is "
+                f"indefinite (min eigenvalue {s_eigs[0]:.3e})"
+            )
+        Si[i] = S
+    rho_max = max(ratios.values())
+    if rho_max >= 1.0:
+        worst = max(ratios, key=ratios.get)
+        raise CertificateError(
+            f"loop {gt.loop_id!r}: contraction fails at wait {worst} "
+            f"(ratio {ratios[worst]:.6g} >= 1)"
+        )
+    epsilon = min(1.0, 1.0 - rho_max)
+    gamma = gt.gamma
+    upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
+    return ratios, Si, epsilon, gt.alpha / gamma, upper
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from selftrig import (
     LoopSpec,
     LoopTrace,
     LtiSystem,
+    ReservationLedger,
     Scenario,
     WeightSpec,
     average_sampling_interval,
@@ -637,6 +638,9 @@ def test_array_holding_values_compare_by_identity(
             decide(double_integrator_table, [0.3, -1.2], [1, 2, 5]),
             trace.loops["double_integrator"],
             trace,
+            ReservationLedger(p=5, I0=range(1, 6), loop_order=("a", "b"),
+                              next_tx={"a": 3}),
+            sweep_alpha(two_loop_scenario, [0.0], n_runs=1),
         )
 
     for a, b in zip(values(), values()):
@@ -644,8 +648,6 @@ def test_array_holding_values_compare_by_identity(
         assert hash(a) == hash(a)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 class TestFiniteStates:
     """A run whose state overflows is refused naming the loop and the first
     non-finite step, whether the check after the run finds it or a decision
@@ -723,6 +725,24 @@ class TestOneStepValueBound:
     def test_shipped_scenarios(self, name):
         scn, _ = load_scenario(SCENARIOS / f"{name}.json")
         assert _value_bound_excess(scn) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["integrator_transient", "two_loop"])
+    def test_shipped_scenarios_settle_where_the_bounds_collapse(self, name):
+        # With pstar = gamma both value bounds equal alpha/gamma, and each
+        # loop ends holding the largest wait at that value.
+        scn, _ = load_scenario(SCENARIOS / f"{name}.json")
+        assert select_pstar([spec.system for spec in scn.loops], scn.I0) == scn.p == scn.gamma
+        tables = {spec.name: build_gain_table(spec.system, spec.weights, scn.I0, scn.p,
+                                              loop_id=spec.name) for spec in scn.loops}
+        trace = run_self_triggered(scn, tables)
+        for spec in scn.loops:
+            assert spec.noise_variance == 0.0
+            cert = stability_certificate(tables[spec.name], spec.system, scn.p)
+            assert cert.lower_bound == spec.weights.alpha / scn.gamma
+            assert cert.upper_bound == pytest.approx(cert.lower_bound, rel=1e-12)
+            tr = trace.loops[spec.name]
+            assert tr.waits[-4:].tolist() == [scn.gamma] * 4
+            assert tr.values[-1] == pytest.approx(cert.lower_bound, rel=1e-9)
 
     def test_random_single_loop_plants(self):
         rng = np.random.default_rng(61)
@@ -857,7 +877,6 @@ class TestBatchedSweep:
                                           ref.loops["b"].sample_times)
         assert np.all(a_states == 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_values_still_pick_a_feasible_wait(self, integrator_weights):
         # x'P(i)x overflows for every wait of loop b at k = 0, so all its
         # waits tie; the largest feasible one, 4, must win over the 5 that

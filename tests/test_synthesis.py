@@ -1,5 +1,6 @@
 """Synthesis: Riccati solve, gain tables, admissibility, certificates, serialization."""
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +28,20 @@ from selftrig import (
     stage_cost_sum,
     uncontrollable_reason,
 )
-from selftrig.synthesis import _accept_riccati
+from selftrig import synthesis
+from selftrig.scenario import load_scenario
+from selftrig.synthesis import _accept_riccati, _gain_from
 
 from conftest import (
+    oracle_certificate,
+    oracle_gain_entries,
     random_system,
     random_weights,
     scalar_periodic_value,
     scalar_table,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_lift_controllable(rng, p_max=4, n_max=3):
@@ -453,6 +460,131 @@ class TestCertificate:
     def test_period_mismatch_rejected(self, integrator, integrator_table):
         with pytest.raises(ConfigurationError):
             stability_certificate(integrator_table, integrator, 4)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+def _shipped_loops():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scn, _ = load_scenario(path)
+        for spec in scn.loops:
+            yield spec.system, spec.weights, scn.I0, scn.p
+
+
+def _random_loops(count):
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        sys = random_system(rng, n_max=6, m_max=3, max_spectral_radius=1.5)
+        w = random_weights(rng, sys.n, sys.m)
+        gamma = int(rng.integers(1, 9))
+        I0 = tuple(sorted({gamma, *rng.integers(1, gamma + 1, size=gamma).tolist()}))
+        yield sys, w, I0, int(rng.choice(I0))
+
+
+def _matches_oracles(sys, w, I0, p) -> bool:
+    """Whether ``sys`` is synthesized; if so, the stacked table and
+    certificate must equal the per-wait oracles bit for bit, or raise the
+    oracle's error."""
+    try:
+        gt = build_gain_table(sys, w, I0, p)
+    except SynthesisError:
+        return False
+    entries = oracle_gain_entries(sys, w, I0, gt.Pp)
+    assert _bits(gt.P_stack) == _bits([entries[i][0] for i in gt.I0])
+    assert _bits(gt.L_stack) == _bits([entries[i][1] for i in gt.I0])
+    try:
+        ratios, Si, epsilon, lower, upper = oracle_certificate(gt, sys, p)
+    except CertificateError as exc:
+        with pytest.raises(CertificateError) as got:
+            stability_certificate(gt, sys, p)
+        assert str(got.value) == str(exc)
+        return True
+    cert = stability_certificate(gt, sys, p)
+    assert list(cert.per_i_ratio) == list(ratios) == list(cert.Si) == list(gt.I0)
+    assert _bits(list(cert.per_i_ratio.values())) == _bits(list(ratios.values()))
+    assert _bits(list(cert.Si.values())) == _bits(list(Si.values()))
+    assert _bits([cert.epsilon, cert.lower_bound, cert.upper_bound]) == _bits(
+        [epsilon, lower, upper])
+    return True
+
+
+class TestStackedSynthesis:
+    """The table build and the certificate run each stage once on the
+    stacks of all waits; every bit equals the per-wait oracles."""
+
+    def test_shipped_scenarios(self):
+        assert all(_matches_oracles(*loop) for loop in _shipped_loops())
+
+    def test_random_plants(self):
+        assert sum(_matches_oracles(*loop) for loop in _random_loops(60)) >= 40
+
+    def test_si_are_read_only_views_of_one_stack(self, double_integrator,
+                                                double_integrator_table):
+        cert = stability_certificate(double_integrator_table, double_integrator, 5)
+        stack = cert.Si[1].base
+        assert stack.shape == (5, 2, 2) and not stack.flags.writeable
+        for S in cert.Si.values():
+            assert S.base is stack and not S.flags.writeable
+        with pytest.raises(TypeError):
+            cert.Si[1] = None
+
+
+class TestStackedErrors:
+    """A failure names the first failing wait in I0 order; within one wait
+    the Cholesky check of P(i) comes before the check of the form S."""
+
+    @pytest.mark.parametrize("non_pd, bad_gain, message", [
+        pytest.param((2, 4), (), r"P\(2\) at wait 2 is not positive definite",
+                     id="first-of-two-cholesky"),
+        # A negative P(3) makes S at wait 3 indefinite too.
+        pytest.param((3,), (), r"P\(3\) at wait 3 is not positive definite",
+                     id="cholesky-before-form-in-one-wait"),
+        pytest.param((4,), (2,), r"form at wait 2 is indefinite",
+                     id="form-before-later-cholesky"),
+        pytest.param((2,), (4,), r"P\(2\) at wait 2 is not positive definite",
+                     id="cholesky-before-later-form"),
+        pytest.param((), (2, 4), r"form at wait 2 is indefinite",
+                     id="first-of-two-forms"),
+    ])
+    def test_certificate_names_the_first_failing_wait(
+        self, integrator, integrator_table, non_pd, bad_gain, message
+    ):
+        gt = integrator_table
+        entries = dict(gt.entries)
+        for i in non_pd:
+            entries[i] = ([[-1.0]], entries[i][1])
+        for i in bad_gain:
+            entries[i] = (entries[i][0], gt.L(i) + 5.0)
+        bad = dataclasses.replace(gt, entries=entries)
+        with pytest.raises(CertificateError) as want:
+            oracle_certificate(bad, integrator, 5)
+        with pytest.raises(CertificateError, match=message) as got:
+            stability_certificate(bad, integrator, 5)
+        assert str(got.value) == str(want.value)
+
+    def test_singular_input_cost_names_the_first_such_wait(self):
+        # With P = 0 the input-cost matrix is R itself, singular at 2 and 4.
+        ones = np.ones((4, 1, 1))
+        R = np.array([1.0, 0.0, 1.0, 0.0]).reshape(4, 1, 1)
+        with pytest.raises(SynthesisError,
+                           match=r"^singular input-cost matrix at factor 2: Singular matrix$"):
+            _gain_from(np.zeros((1, 1)), ones, ones, R, 0.0 * ones, (1, 2, 3, 4))
+
+    def test_build_names_a_singular_input_cost(self, monkeypatch, integrator,
+                                               integrator_weights):
+        # For the unit integrator R(2) + B(2)' Pp B(2) = 3 + 4 Pp vanishes
+        # at Pp = -0.75, and only at wait 2.
+        Pp = np.array([[-0.75]])
+        monkeypatch.setattr(synthesis, "solve_periodic_riccati",
+                            lambda sys, weights, p: (Pp, np.zeros((1, 1))))
+        with pytest.raises(SynthesisError) as want:
+            oracle_gain_entries(integrator, integrator_weights, range(1, 6), Pp)
+        with pytest.raises(SynthesisError,
+                           match=r"^singular input-cost matrix at factor 2: ") as got:
+            build_gain_table(integrator, integrator_weights, range(1, 6), 5)
+        assert str(got.value) == str(want.value)
 
 
 class TestSerialization:
