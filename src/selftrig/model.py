@@ -3,8 +3,8 @@
 When the control input is held constant for ``i`` consecutive steps, the
 ``i``-step transition collapses to a single linear map and the accumulated
 quadratic stage cost collapses to one quadratic form with a state/input
-cross term.  This module owns those recursions; synthesis, control and
-simulation all consume them.
+cross term.  This module owns that recursion, :func:`_lift`; synthesis,
+control and simulation all consume its stacks.
 """
 from __future__ import annotations
 
@@ -231,25 +231,17 @@ class LiftedModel:
     Ni: np.ndarray
 
 
-def _transition_pairs(sys: LtiSystem, gamma: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The i-step transition pairs ``(A_i, B_i)`` for i = 1..gamma.
-
-    ``A_1 = A``, ``B_1 = B``, ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``.
-    Every lift takes its pairs from here so that all of them agree bit for
-    bit.
-    """
-    if gamma < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {gamma}")
-    A, B = sys.A, sys.B
-    pairs = [(A, B)]
-    for _ in range(gamma - 1):
-        Ai, Bi = pairs[-1]
-        pairs.append((A @ Ai, A @ Bi + B))
-    return pairs
+def _factor(i) -> int:
+    """A downsampling factor, the length of one held-input lift: an integer >= 1."""
+    i = _integer(i, "downsampling factor")
+    if i < 1:
+        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
+    return i
 
 
-def _lift_steps(sys: LtiSystem, weights: WeightSpec, gamma: int):
-    """Yield ``(i, A_i, B_i, Q_i, R_i, N_i)`` for i = 1..gamma, in one forward pass.
+def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tuple:
+    """The read-only stacks ``(A, B)`` of the lifts for waits 1..gamma, and with
+    ``weights`` also ``(Q, R, N)``; row ``i - 1`` holds wait ``i``.
 
     The transition recursion is ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``
     and the weight recursion accumulates the held-input stage costs:
@@ -260,9 +252,17 @@ def _lift_steps(sys: LtiSystem, weights: WeightSpec, gamma: int):
 
     with base case ``(A, B, Q, R, 0)``.  Q_i and R_i are re-symmetrized at
     every step to suppress accumulated floating-point asymmetry.  Every
-    lift of weights runs this recursion, so all of them agree bit for bit.
+    lift in the package runs this one function, so all of them agree bit
+    for bit.
     """
-    pairs = _transition_pairs(sys, gamma)
+    gamma = _factor(gamma)
+    A, B = sys.A, sys.B
+    As, Bs = [A], [B]
+    for _ in range(gamma - 1):
+        As.append(A @ As[-1])
+        Bs.append(A @ Bs[-1] + B)
+    if weights is None:
+        return _readonly(As), _readonly(Bs)
     Q, R = weights.Q, weights.R
     if Q.shape[0] != sys.n:
         raise ConfigurationError(
@@ -272,35 +272,29 @@ def _lift_steps(sys: LtiSystem, weights: WeightSpec, gamma: int):
         raise ConfigurationError(
             f"R is {R.shape[0]}x{R.shape[0]} but the input dimension is {sys.m}"
         )
-    Qi, Ri, Ni = Q, R, np.zeros((sys.n, sys.m))
-    for i, (Ai, Bi) in enumerate(pairs, start=1):
-        yield i, Ai, Bi, Qi, Ri, Ni
-        if i == gamma:
-            break
-        Qi, Ri, Ni = (
-            symmetrize(Qi + Ai.T @ Q @ Ai),
-            symmetrize(Ri + Bi.T @ Q @ Bi + R),
-            Ni + Ai.T @ Q @ Bi,
-        )
+    Qs, Rs, Ns = [Q], [R], [np.zeros((sys.n, sys.m))]
+    for Ai, Bi in zip(As[:-1], Bs[:-1]):
+        Qs.append(symmetrize(Qs[-1] + Ai.T @ Q @ Ai))
+        Rs.append(symmetrize(Rs[-1] + Bi.T @ Q @ Bi + R))
+        Ns.append(Ns[-1] + Ai.T @ Q @ Bi)
+    return tuple(map(_readonly, (As, Bs, Qs, Rs, Ns)))
 
 
 def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedModel]:
-    """All lifted models for factors 1..gamma, read-only (see :func:`_lift_steps`)."""
-    return [LiftedModel(i, *map(_readonly, M)) for i, *M in _lift_steps(sys, weights, gamma)]
+    """All lifted models for factors 1..gamma, read-only views of :func:`_lift`'s rows."""
+    return [LiftedModel(i, *M) for i, M in enumerate(zip(*_lift(sys, gamma, weights)), 1)]
 
 
 def lift_dynamics(sys: LtiSystem, i: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``i``-step transition pair (A^i, sum_{q<i} A^q B), accumulated incrementally."""
-    Ai, Bi = _transition_pairs(sys, i)[-1]
-    return _readonly(Ai), _readonly(Bi)
+    return tuple(M[-1] for M in _lift(sys, i))
 
 
 def lift_weights(
     sys: LtiSystem, weights: WeightSpec, i: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulated cost matrices (Qi, Ri, Ni) for a wait of ``i`` steps."""
-    lm = lift_range(sys, weights, i)[-1]
-    return lm.Qi, lm.Ri, lm.Ni
+    return tuple(M[-1] for M in _lift(sys, i, weights)[2:])
 
 
 def stage_cost_sum(sys: LtiSystem, weights: WeightSpec, x, u, i: int) -> float:

@@ -33,8 +33,8 @@ from .model import (
     LtiSystem,
     WeightSpec,
     _integer,
+    _lift,
     _nonnegative,
-    _transition_pairs,
     _wait_set,
     as_vector,
 )
@@ -289,22 +289,21 @@ def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
     ``[x(k), u, Ew(k), ..., Ew(k+gamma-1)] @ Phi = [x(k+1), ..., x(k+gamma)]``,
     with shape ``(n + m + gamma*n, gamma*n)``; a noiseless loop drops the
     ``Ew`` rows.  Column block ``l - 1`` gives ``x(k+l) = A_l x(k) + B_l u +
-    sum_{q<l} A^(l-1-q) Ew(k+q)``, with the pairs ``(A_l, B_l)`` of
-    :func:`_transition_pairs`; the noise rows are one block-Toeplitz gather
-    from the stacked powers ``[I, A_1, ..., A_{gamma-1}, 0]``.  A decision
+    sum_{q<l} A^(l-1-q) Ew(k+q)``, with ``A_l`` and ``B_l`` from the stacks
+    of :func:`_lift`; the noise rows are one block-Toeplitz gather from the
+    stacked powers ``[I, A_1, ..., A_{gamma-1}, 0]``.  A decision
     keeps only the blocks up to its wait, so the blocks beyond it may
     overflow for an unstable plant, silently.
     """
     n, m = sys.n, sys.m
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = _transition_pairs(sys, gamma)
+        A, B = _lift(sys, gamma)
     # [A_l | B_l] (n, n+m) for each l, moved to rows (n+m) x blocks (l, n).
-    lifted = np.concatenate([np.array([A for A, _ in pairs]),
-                             np.array([B for _, B in pairs])], axis=2)
+    lifted = np.concatenate([A, B], axis=2)
     phi = lifted.transpose(2, 0, 1).reshape(n + m, gamma * n)
     if not noisy:
         return phi
-    powers = np.concatenate([np.eye(n)[None], lifted[:-1, :, :n], np.zeros((1, n, n))])
+    powers = np.concatenate([np.eye(n)[None], A[:-1], np.zeros((1, n, n))])
     lag = np.arange(gamma) - np.arange(gamma)[:, None]  # [q, l]: power of A
     blocks = powers[np.where(lag < 0, gamma, lag)]  # [q, l, out, in]
     return np.vstack([phi, blocks.transpose(0, 3, 1, 2).reshape(gamma * n, gamma * n)])

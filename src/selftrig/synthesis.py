@@ -25,20 +25,18 @@ from .errors import (
     SynthesisError,
 )
 from .model import (
-    LiftedModel,
     LtiSystem,
     WeightSpec,
+    _factor,
     _integer,
     _json_matrix,
     _json_string,
-    _lift_steps,
+    _lift,
     _nonnegative,
     _number,
     _readonly,
-    _transition_pairs,
     _wait_set,
     as_matrix,
-    lift_range,
     symmetrize,
 )
 
@@ -92,8 +90,7 @@ def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
 
     Distinguishes an uncontrollable base pair from a root-of-unity failure.
     """
-    if i < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
+    i = _factor(i)
     if not is_controllable(sys.A, sys.B):
         return "base pair (A, B) is not controllable"
     bad = _unit_root_eigenvalues(np.linalg.eigvals(sys.A), i)
@@ -152,26 +149,27 @@ def _gain_from(P: np.ndarray, A, B, R, N, waits) -> tuple[np.ndarray, np.ndarray
                 raise SynthesisError(f"singular input-cost matrix at factor {i}: {exc}") from exc
 
 
-def _accept_riccati(P: np.ndarray, lm: LiftedModel) -> np.ndarray:
-    """The gain of P, once P passes as the stabilizing solution at ``lm.i``.
+def _accept_riccati(P: np.ndarray, p: int, Ap, Bp, Qp, Rp, Np) -> np.ndarray:
+    """The gain of P, once P passes as the stabilizing solution at period
+    ``p``, whose lift is ``(Ap, Bp, Qp, Rp, Np)``.
 
-    The residual ``Qi + Ai'P Ai - G L - P`` must be at most
+    The residual ``Qp + Ap'P Ap - G L - P`` must be at most
     RICCATI_RESIDUAL_TOL of the largest of its four terms (max norm: scale
     free, and fair to a badly conditioned P), the lifted closed loop
-    ``Ai - Bi L`` strictly stable, and P positive definite.
+    ``Ap - Bp L`` strictly stable, and P positive definite.
     """
-    (L,), (G,) = _gain_from(P, lm.Ai[None], lm.Bi[None], lm.Ri[None], lm.Ni[None], (lm.i,))
-    terms = (lm.Qi, lm.Ai.T @ P @ lm.Ai, G @ L, P)
+    (L,), (G,) = _gain_from(P, Ap[None], Bp[None], Rp[None], Np[None], (p,))
+    terms = (Qp, Ap.T @ P @ Ap, G @ L, P)
     residual = np.max(np.abs(terms[0] + terms[1] - terms[2] - terms[3]))
     residual /= max(np.max(np.abs(T)) for T in terms)
     if not residual <= RICCATI_RESIDUAL_TOL:  # NaN fails too
         raise SynthesisError(
-            f"Riccati solution at period {lm.i} has relative residual {residual:.3e}"
+            f"Riccati solution at period {p} has relative residual {residual:.3e}"
         )
-    rho = max(abs(np.linalg.eigvals(lm.Ai - lm.Bi @ L)))
+    rho = max(abs(np.linalg.eigvals(Ap - Bp @ L)))
     if rho >= 1.0:
         raise SynthesisError(
-            f"Riccati solution at period {lm.i} is not stabilizing "
+            f"Riccati solution at period {p} is not stabilizing "
             f"(closed-loop spectral radius {rho:.6g})"
         )
     min_eig = np.linalg.eigvalsh(P)[0]
@@ -199,13 +197,13 @@ def solve_periodic_riccati(
     reason = uncontrollable_reason(sys, p)
     if reason is not None:
         raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
-    *_, last = _lift_steps(sys, weights, p)
-    lm = LiftedModel(*last)
-    n = lm.Ai.shape[0]
-    K = np.linalg.solve(lm.Ri, np.hstack([lm.Ni.T, lm.Bi.T]))
-    A = lm.Ai - lm.Bi @ K[:, :n]
-    G = symmetrize(lm.Bi @ K[:, n:])
-    H = symmetrize(lm.Qi - lm.Ni @ K[:, :n])
+    lift = [M[-1] for M in _lift(sys, p, weights)]
+    Ap, Bp, Qp, Rp, Np = lift
+    n = sys.n
+    K = np.linalg.solve(Rp, np.hstack([Np.T, Bp.T]))
+    A = Ap - Bp @ K[:, :n]
+    G = symmetrize(Bp @ K[:, n:])
+    H = symmetrize(Qp - Np @ K[:, :n])
     for _ in range(RICCATI_MAX_DOUBLINGS):
         # I + G H is nonsingular because G and H are positive semidefinite.
         W = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
@@ -214,7 +212,7 @@ def solve_periodic_riccati(
         A = A @ W[:, :n]
         if np.array_equal(H, H_prev):
             break
-    return _readonly(H), _readonly(_accept_riccati(H, lm))
+    return _readonly(H), _readonly(_accept_riccati(H, p, *lift))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,16 +351,15 @@ def build_gain_table(
     """
     factors = _wait_set(I0)
     Pp, Lp = solve_periodic_riccati(sys, weights, p)
-    lifted = lift_range(sys, weights, factors[-1])
-    A, B, Q, R, N = (np.array([getattr(lifted[i - 1], f) for i in factors])
-                     for f in ("Ai", "Bi", "Qi", "Ri", "Ni"))
+    rows = np.array(factors) - 1
+    A, B, Q, R, N = (M[rows] for M in _lift(sys, factors[-1], weights))
     L, G = _gain_from(Pp, A, B, R, N, factors)
     P = symmetrize(Q + _mT(A) @ Pp @ A - G @ L)
     return GainTable(
         loop_id=loop_id,
         alpha=weights.alpha,
         entries={i: (P[r], L[r]) for r, i in enumerate(factors)},
-        p=int(p),
+        p=p,
         Pp=Pp,
         Lp=Lp,
         I0=factors,
@@ -409,14 +406,20 @@ def stability_certificate(
     Cholesky factorization fails) or when any contraction ratio reaches 1,
     reporting the offending wait rather than silently clipping.
     """
+    pstar = _integer(pstar, f"loop {gt.loop_id!r}: pstar")
     if gt.p != pstar:
         raise ConfigurationError(
             f"table for loop {gt.loop_id!r} was built with p={gt.p}, not pstar={pstar}"
         )
+    if (sys.n, sys.m) != (gt.n, gt.m):
+        raise ConfigurationError(
+            f"loop {gt.loop_id!r}: the plant has n={sys.n}, m={sys.m} "
+            f"but the table has n={gt.n}, m={gt.m}"
+        )
     # Only the transition part of the lift is needed here, so the weights
-    # are not re-lifted.  Each stage is one call on the stacks of all waits.
-    pairs = _transition_pairs(sys, gt.gamma)
-    A, B = (np.array([pairs[i - 1][c] for i in gt.I0]) for c in (0, 1))
+    # are not lifted.  Each stage is one call on the stacks of all waits.
+    rows = np.array(gt.I0) - 1
+    A, B = (M[rows] for M in _lift(sys, gt.gamma))
     P = gt.P_stack
     F = A - B @ gt.L_stack
     G = symmetrize(_mT(F) @ gt.Pp @ F)
@@ -458,7 +461,7 @@ def stability_certificate(
     gamma = gt.gamma
     upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
     return StabilityCertificate(
-        pstar=int(pstar),
+        pstar=pstar,
         epsilon=epsilon,
         lower_bound=lower,
         upper_bound=upper,

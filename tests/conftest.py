@@ -3,10 +3,11 @@
 The scalar unit-integrator oracle below never touches the package's own
 lifting or Riccati code: lifted weights come from explicit power sums and
 the periodic value is the positive root of the quadratic obtained by
-eliminating the gain from the fixed-point equations.  The per-wait table
-entries and certificate below are the bit references of the package's
-stacked synthesis, and the ``csv.writer`` trace, channel-log and sweep
-writers are the byte references of its text writers.
+eliminating the gain from the fixed-point equations.  The step-by-step
+lift is the bit reference of the package's stacked lift; the per-wait
+table entries and certificate, built on it, are the bit references of the
+package's stacked synthesis; and the ``csv.writer`` trace, channel-log and
+sweep writers are the byte references of its text writers.
 """
 import csv
 import math
@@ -23,8 +24,6 @@ from selftrig import (
     SynthesisError,
     WeightSpec,
     build_gain_table,
-    lift_dynamics,
-    lift_range,
 )
 
 
@@ -127,27 +126,66 @@ def scalar_table(i: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reference synthesis: one backward step and one certificate check per wait,
-# in I0 order, each stage a call on one matrix.
+# Reference lift: one wait at a time, each lifted matrix its own array.
+
+
+def bits(x) -> bytes:
+    """The float64 bytes of an array or a list of equal-shape arrays, for
+    bit-for-bit comparisons that also match NaN and inf positions."""
+    return np.ascontiguousarray(x, dtype=float).tobytes()
 
 
 def _sym(M):
     return 0.5 * (M + M.T)
 
 
+def oracle_transition_pairs(sys, gamma) -> list:
+    """The i-step pairs ``(A_i, B_i)`` for i = 1..gamma:
+    ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``."""
+    A, B = sys.A, sys.B
+    pairs = [(A, B)]
+    for _ in range(gamma - 1):
+        Ai, Bi = pairs[-1]
+        pairs.append((A @ Ai, A @ Bi + B))
+    return pairs
+
+
+def oracle_lift(sys, weights, gamma) -> list:
+    """``(A_i, B_i, Q_i, R_i, N_i)`` for i = 1..gamma, with the weights
+    accumulated along the pairs of :func:`oracle_transition_pairs`."""
+    Q, R = weights.Q, weights.R
+    Qi, Ri, Ni = Q, R, np.zeros((sys.n, sys.m))
+    lifts = []
+    for Ai, Bi in oracle_transition_pairs(sys, gamma):
+        lifts.append((Ai, Bi, Qi, Ri, Ni))
+        if len(lifts) == gamma:
+            break
+        Qi, Ri, Ni = (
+            _sym(Qi + Ai.T @ Q @ Ai),
+            _sym(Ri + Bi.T @ Q @ Bi + R),
+            Ni + Ai.T @ Q @ Bi,
+        )
+    return lifts
+
+
+# ---------------------------------------------------------------------------
+# Reference synthesis: one backward step and one certificate check per wait,
+# in I0 order, each stage a call on one matrix.
+
+
 def oracle_gain_entries(sys, weights, I0, Pp) -> dict:
     """Each wait's (P(i), L(i)) by one backward step from ``Pp``."""
-    lifted = lift_range(sys, weights, max(I0))
+    lifts = oracle_lift(sys, weights, max(I0))
     entries = {}
     for i in sorted(I0):
-        lm = lifted[i - 1]
-        G = lm.Ai.T @ Pp @ lm.Bi + lm.Ni
-        H = lm.Ri + lm.Bi.T @ Pp @ lm.Bi
+        Ai, Bi, Qi, Ri, Ni = lifts[i - 1]
+        G = Ai.T @ Pp @ Bi + Ni
+        H = Ri + Bi.T @ Pp @ Bi
         try:
             L = np.linalg.solve(H, G.T)
         except np.linalg.LinAlgError as exc:
             raise SynthesisError(f"singular input-cost matrix at factor {i}: {exc}") from exc
-        entries[i] = (_sym(lm.Qi + lm.Ai.T @ Pp @ lm.Ai - G @ L), L)
+        entries[i] = (_sym(Qi + Ai.T @ Pp @ Ai - G @ L), L)
     return entries
 
 
@@ -155,8 +193,9 @@ def oracle_certificate(gt, sys, pstar):
     """(per_i_ratio, Si, epsilon, lower_bound, upper_bound) of ``gt``, or
     the CertificateError of the first failing wait."""
     ratios, Si = {}, {}
+    pairs = oracle_transition_pairs(sys, gt.gamma)
     for i in gt.I0:
-        Ai, Bi = lift_dynamics(sys, i)
+        Ai, Bi = pairs[i - 1]
         Pi, Li = gt.entries[i]
         F = Ai - Bi @ Li
         G = _sym(F.T @ gt.Pp @ F)

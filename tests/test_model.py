@@ -1,5 +1,7 @@
-"""Lifted-model recursions against explicit power-sum and simulation oracles."""
+"""Lifted-model recursions against explicit power-sum, step-by-step and
+simulation oracles."""
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +20,20 @@ from selftrig import (
     lift_range,
     lift_weights,
     build_gain_table,
+    downsampled_controllable,
     reserve,
     select_pstar,
+    solve_periodic_riccati,
     stage_cost_sum,
     sweep_alpha,
+    uncontrollable_reason,
 )
+from selftrig.model import _lift
+from selftrig.scenario import load_scenario
 
-from conftest import random_system, random_weights
+from conftest import bits, oracle_lift, random_system, random_weights
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def brute_force_lift(sys, weights, i):
@@ -202,6 +211,59 @@ class TestRecursionStructure:
             np.testing.assert_array_equal(lm.Ni, Ni)
 
 
+def _lift_matches_oracle(sys, w, gamma) -> bool:
+    """Every lift entry point equals the step-by-step oracle bit for bit,
+    non-finite entries included; returns whether the lift overflowed."""
+    ref = oracle_lift(sys, w, gamma)
+    stacks = _lift(sys, gamma, w)
+    for M, rows in zip(stacks, zip(*ref)):
+        assert M.shape == (gamma, *rows[0].shape) and bits(M) == bits(rows)
+    assert all(bits(M) == bits(R) for M, R in zip(_lift(sys, gamma), stacks))
+    models = lift_range(sys, w, gamma)
+    assert [lm.i for lm in models] == list(range(1, gamma + 1))
+    for lm, row in zip(models, ref):
+        assert [bits(M) for M in (lm.Ai, lm.Bi, lm.Qi, lm.Ri, lm.Ni)] == list(map(bits, row))
+    assert list(map(bits, lift_dynamics(sys, gamma))) == list(map(bits, ref[-1][:2]))
+    assert list(map(bits, lift_weights(sys, w, gamma))) == list(map(bits, ref[-1][2:]))
+    return not all(np.isfinite(M).all() for M in stacks)
+
+
+class TestLiftMatchesStepOracle:
+    """``_lift`` and the public lifts built on it equal the step-by-step
+    recursion of ``conftest.oracle_lift`` bit for bit."""
+
+    def test_shipped_scenarios(self):
+        for path in sorted(SCENARIOS.glob("*.json")):
+            scn, _ = load_scenario(path)
+            for spec in scn.loops:
+                assert not _lift_matches_oracle(spec.system, spec.weights, scn.gamma)
+
+    def test_random_plants_up_to_overflow(self):
+        rng = np.random.default_rng(23)
+        overflowed = 0
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                sys = random_system(rng, n_max=5, m_max=3, ensure_controllable=False)
+                # Spectral radius drawn in [0.5, 5]: past about 3.3 the lifted
+                # weights overflow within the drawn waits.
+                rho = max(abs(np.linalg.eigvals(sys.A)))
+                sys = LtiSystem(A=sys.A * (rng.uniform(0.5, 5.0) / rho), B=sys.B)
+                w = random_weights(rng, sys.n, sys.m)
+                overflowed += _lift_matches_oracle(sys, w, int(rng.integers(1, 400)))
+        assert overflowed >= 10
+
+    def test_lifts_are_read_only_views_of_one_stack(self, double_integrator,
+                                                   double_integrator_weights):
+        models = lift_range(double_integrator, double_integrator_weights, 4)
+        for f in ("Ai", "Bi", "Qi", "Ri", "Ni"):
+            stack = getattr(models[0], f).base
+            assert stack.shape[0] == 4 and not stack.flags.writeable
+            assert all(getattr(lm, f).base is stack for lm in models)
+        for M in (*lift_dynamics(double_integrator, 3),
+                  *lift_weights(double_integrator, double_integrator_weights, 3)):
+            assert not M.flags.writeable
+
+
 class TestSystemValidation:
     def test_rejects_nonsquare_a(self):
         with pytest.raises(ConfigurationError):
@@ -237,6 +299,10 @@ def _table(I0):
     P, L = np.eye(1), np.eye(1)
     return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L), 2: (P, L)},
                      p=2, Pp=P, Lp=L, I0=I0)
+
+
+_UNIT = LtiSystem(A=[[1.0]], B=[[1.0]])
+_UNIT_WEIGHTS = WeightSpec(Q=[[1.0]], R=[[1.0]])
 
 
 def _booked_ledger():
@@ -288,6 +354,22 @@ def _booked_ledger():
     pytest.param(lambda: replace(_table([1, 2]), alpha=float("nan")), id="table-alpha-nan"),
     pytest.param(lambda: LtiSystem(A=[[1.0, 2.0], [3.0]], B=[[1.0], [1.0]]),
                  id="system-A-ragged"),
+    pytest.param(lambda: lift_range(_UNIT, _UNIT_WEIGHTS, 2.0), id="lift-range-float"),
+    pytest.param(lambda: lift_range(_UNIT, _UNIT_WEIGHTS, 0), id="lift-range-zero"),
+    pytest.param(lambda: lift_dynamics(_UNIT, 2.5), id="lift-dynamics-fraction"),
+    pytest.param(lambda: lift_dynamics(_UNIT, True), id="lift-dynamics-bool"),
+    pytest.param(lambda: lift_weights(_UNIT, _UNIT_WEIGHTS, np.float64(2.0)),
+                 id="lift-weights-float"),
+    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [1.0], [0.0], 2.0),
+                 id="stage-cost-float"),
+    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [1.0], [0.0], -1),
+                 id="stage-cost-negative"),
+    pytest.param(lambda: solve_periodic_riccati(_UNIT, _UNIT_WEIGHTS, 2.0),
+                 id="riccati-p-float"),
+    pytest.param(lambda: build_gain_table(_UNIT, _UNIT_WEIGHTS, range(1, 6), p=3.0),
+                 id="build-p-float"),
+    pytest.param(lambda: uncontrollable_reason(_UNIT, 2.5), id="uncontrollable-fraction"),
+    pytest.param(lambda: downsampled_controllable(_UNIT, True), id="controllable-bool"),
 ])
 def test_non_integer_waits_and_counts_refused(make):
     with pytest.raises(ConfigurationError):
@@ -298,3 +380,5 @@ def test_numpy_integers_are_accepted_as_plain_ints():
     scn = _scenario(I0=np.arange(3, 0, -1), p=np.int64(3), horizon=np.int32(10))
     assert scn.I0 == (1, 2, 3) and scn.p == 3 and scn.horizon == 10
     assert all(type(v) is int for v in (*scn.I0, scn.p, scn.horizon))
+    assert [lm.i for lm in lift_range(_UNIT, _UNIT_WEIGHTS, np.int64(3))] == [1, 2, 3]
+    assert uncontrollable_reason(_UNIT, np.int32(2)) is None

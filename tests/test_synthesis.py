@@ -33,6 +33,7 @@ from selftrig.scenario import load_scenario
 from selftrig.synthesis import _accept_riccati, _gain_from
 
 from conftest import (
+    bits,
     oracle_certificate,
     oracle_gain_entries,
     random_system,
@@ -182,7 +183,7 @@ class TestPeriodicRiccati:
     def test_acceptance_refuses(self, integrator, integrator_weights, P, reason):
         lm = lift_range(integrator, integrator_weights, 1)[-1]
         with pytest.raises(SynthesisError, match=reason):
-            _accept_riccati(np.array([[P]]), lm)
+            _accept_riccati(np.array([[P]]), lm.i, lm.Ai, lm.Bi, lm.Qi, lm.Ri, lm.Ni)
 
 
 class TestGainTable:
@@ -461,9 +462,21 @@ class TestCertificate:
         with pytest.raises(ConfigurationError):
             stability_certificate(integrator_table, integrator, 4)
 
+    @pytest.mark.parametrize("plant, shapes", [
+        pytest.param(LtiSystem(A=np.eye(2), B=[[1.0], [0.0]]), "n=2, m=1", id="two-states"),
+        pytest.param(LtiSystem(A=[[1.0]], B=[[1.0, 1.0]]), "n=1, m=2", id="two-inputs"),
+    ])
+    def test_plant_must_match_the_table(self, integrator_table, plant, shapes):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^loop 'integrator': the plant has {shapes} "
+                                 r"but the table has n=1, m=1$"):
+            stability_certificate(integrator_table, plant, 5)
 
-def _bits(x) -> bytes:
-    return np.ascontiguousarray(x, dtype=float).tobytes()
+    @pytest.mark.parametrize("pstar", [5.0, np.float64(5.0), True, "5"])
+    def test_pstar_must_be_an_integer(self, integrator, integrator_table, pstar):
+        with pytest.raises(ConfigurationError,
+                           match=r"^loop 'integrator': pstar must be an integer"):
+            stability_certificate(integrator_table, integrator, pstar)
 
 
 def _shipped_loops():
@@ -492,8 +505,8 @@ def _matches_oracles(sys, w, I0, p) -> bool:
     except SynthesisError:
         return False
     entries = oracle_gain_entries(sys, w, I0, gt.Pp)
-    assert _bits(gt.P_stack) == _bits([entries[i][0] for i in gt.I0])
-    assert _bits(gt.L_stack) == _bits([entries[i][1] for i in gt.I0])
+    assert bits(gt.P_stack) == bits([entries[i][0] for i in gt.I0])
+    assert bits(gt.L_stack) == bits([entries[i][1] for i in gt.I0])
     try:
         ratios, Si, epsilon, lower, upper = oracle_certificate(gt, sys, p)
     except CertificateError as exc:
@@ -503,9 +516,9 @@ def _matches_oracles(sys, w, I0, p) -> bool:
         return True
     cert = stability_certificate(gt, sys, p)
     assert list(cert.per_i_ratio) == list(ratios) == list(cert.Si) == list(gt.I0)
-    assert _bits(list(cert.per_i_ratio.values())) == _bits(list(ratios.values()))
-    assert _bits(list(cert.Si.values())) == _bits(list(Si.values()))
-    assert _bits([cert.epsilon, cert.lower_bound, cert.upper_bound]) == _bits(
+    assert bits(list(cert.per_i_ratio.values())) == bits(list(ratios.values()))
+    assert bits(list(cert.Si.values())) == bits(list(Si.values()))
+    assert bits([cert.epsilon, cert.lower_bound, cert.upper_bound]) == bits(
         [epsilon, lower, upper])
     return True
 
