@@ -64,22 +64,30 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     ``value`` is the raw score of the chosen wait.
     """
     feas = _wait_set(feasible, "feasible set", empty=SchedulingError)
-    unknown = [i for i in feas if i not in gt.rows]
-    if unknown:
+    rows = gt.rows
+    try:
+        picked = [rows[i] for i in feas]
+    except KeyError:
+        unknown = [i for i in feas if i not in rows]
         raise GainLookupError(
             f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
-        )
+        ) from None
     x = as_vector(x, "x", gt.n)
     scores = _scores(gt, x).tolist()
-    values = {i: scores[gt.rows[i]] for i in feas}
-    i_star, best = feas[0], float("inf")
-    for i, v in values.items():
+    values = {}
+    best = _FLOAT_MAX  # no ranked score exceeds it, so the first wait sets it
+    for i, r in zip(feas, picked):
+        v = values[i] = scores[r]
         v = v if v < _FLOAT_MAX else _FLOAT_MAX
         if v <= best:
-            best, i_star = v, i
-    u = -(gt.L_stack[gt.rows[i_star]] @ x)
+            best, i_star, r_star = v, i, r
+    u = -(gt.L_stack[r_star] @ x)
     u.setflags(write=False)
-    return Decision(i_star=i_star, u=u, value=values[i_star], values_by_i=values)
+    # Built as reserve builds its ledger: the fields are known good, so the
+    # frozen dataclass's per-field __setattr__ is skipped.
+    dec = object.__new__(Decision)
+    dec.__dict__.update(i_star=i_star, u=u, value=values[i_star], values_by_i=values)
+    return dec
 
 
 def _pick(scores: np.ndarray, taken=None) -> np.ndarray:
@@ -108,7 +116,5 @@ def partition_1d(gt: GainTable, x_grid) -> np.ndarray:
         raise ConfigurationError(
             f"state-space partition is only available for scalar states (n={gt.n})"
         )
-    grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if grid.ndim != 1 or not np.isfinite(grid).all():
-        raise ConfigurationError("x_grid must be a finite vector of scalar states")
+    grid = as_vector(x_grid, "x_grid")
     return np.array(gt.I0)[_pick(_scores(gt, grid[:, None]))]

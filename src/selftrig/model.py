@@ -25,13 +25,44 @@ def _readonly(M: np.ndarray) -> np.ndarray:
     return out
 
 
+# The element types of a matrix or vector; bool, a subclass of int, is
+# refused apart.
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+_F64 = np.dtype(float)
+
+
+def _float_array(value) -> np.ndarray:
+    """``value`` as a float array, under the one numeric rule of matrices and
+    vectors: ints, floats and numpy integers and floats pass, alone or
+    nested in lists and arrays.  A bool, string, bytes, complex or other
+    value, in an array of its own dtype or of dtype object or mixed into a
+    list of numbers, raises TypeError rather than being coerced; a ragged
+    nesting raises ValueError.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iufO":
+        raise TypeError(f"{arr.dtype} values are not numbers")
+    # numpy would promote a bool mixed into a list of numbers, say.
+    if arr.dtype.kind == "O" or type(value) is not np.ndarray:
+        for v in np.asarray(value, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
+                raise TypeError(f"{v!r} is not a number")
+    return np.asarray(value, dtype=float)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite; on a state-sized array this costs half
+    of ``np.isfinite(a).all()``."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_matrix(M, name: str, shape=None) -> np.ndarray:
     """Coerce to a finite 2-D float array, optionally checking its shape."""
     try:
-        out = np.atleast_2d(np.asarray(M, dtype=float))
+        out = np.atleast_2d(_float_array(M))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{name} must be a matrix of numbers: {exc}") from None
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ConfigurationError(f"{name} has non-finite entries")
     if shape is not None and out.shape != shape:
         raise ConfigurationError(f"{name} must have shape {shape}, got {out.shape}")
@@ -39,13 +70,18 @@ def as_matrix(M, name: str, shape=None) -> np.ndarray:
 
 
 def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
-    try:
-        out = np.atleast_1d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{name} must be a vector of numbers: {exc}") from None
-    if out.ndim != 1:
-        raise ConfigurationError(f"{name} must be a vector, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    """Coerce to a finite 1-D float array, optionally checking its length;
+    a 1-D float64 array is returned as it is."""
+    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+        out = x
+    else:
+        try:
+            out = np.atleast_1d(_float_array(x))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{name} must be a vector of numbers: {exc}") from None
+        if out.ndim != 1:
+            raise ConfigurationError(f"{name} must be a vector, got shape {out.shape}")
+    if not _all_finite(out):
         raise ConfigurationError(f"{name} has non-finite entries")
     if length is not None and out.size != length:
         raise ConfigurationError(f"{name} must have length {length}, got {out.size}")
@@ -54,6 +90,8 @@ def as_vector(x, name: str, length: int | None = None) -> np.ndarray:
 
 def _integer(value, what: str) -> int:
     """An ``int`` or ``numpy.integer`` field; floats and booleans are rejected."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -63,17 +101,21 @@ def _wait_set(I0, what: str = "I0", empty=ConfigurationError) -> tuple:
     """The one wait-set rule: sorted distinct positive ints, no bool or float.
 
     An empty set raises ``empty``; every other refusal is a
-    ConfigurationError.
+    ConfigurationError.  A frozenset of plain ints, as ``feasible_set``
+    returns, takes a shorter path to the same result.
     """
-    try:
-        values = tuple(I0)
-    except TypeError:
-        raise ConfigurationError(f"{what} must be a set of integers, got {I0!r}") from None
-    if not values:
-        raise empty(f"{what} is empty")
-    if not all(type(i) is int or isinstance(i, np.integer) for i in values):
-        raise ConfigurationError(f"{what} entries must be integers, got {I0!r}")
-    waits = tuple(sorted(set(map(int, values))))
+    if type(I0) is frozenset and I0 and set(map(type, I0)) == {int}:
+        waits = tuple(sorted(I0))
+    else:
+        try:
+            values = tuple(I0)
+        except TypeError:
+            raise ConfigurationError(f"{what} must be a set of integers, got {I0!r}") from None
+        if not values:
+            raise empty(f"{what} is empty")
+        if not all(type(i) is int or isinstance(i, np.integer) for i in values):
+            raise ConfigurationError(f"{what} entries must be integers, got {I0!r}")
+        waits = tuple(sorted(set(map(int, values))))
     if waits[0] < 1:
         raise ConfigurationError(f"{what} must hold positive integers, got {I0!r}")
     return waits

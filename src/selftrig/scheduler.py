@@ -90,15 +90,16 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     if loop_id not in ledger.loop_order:
         raise ConfigurationError(f"unknown loop {loop_id!r}")
     k = _integer(k, "decision time k")
-    own = ledger.next_tx.get(loop_id)
+    next_tx = ledger.next_tx
+    own = next_tx.get(loop_id)
     if own is not None and own < k:
         raise SchedulingError(
             f"loop {loop_id!r} decides at k={k}, past its reserved slot {own}"
         )
     p = ledger.p
     # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
-    taken = {(kq - k) % p for q, kq in ledger.next_tx.items() if q != loop_id}
-    feas = frozenset(i for i in ledger.I0 if i % p not in taken)
+    taken = {(kq - k) % p for q, kq in next_tx.items() if q != loop_id}
+    feas = frozenset([i for i in ledger.I0 if i % p not in taken])
     if not feas:
         raise SchedulingError(
             f"internal invariant violation: loop {loop_id!r} has no feasible wait "
@@ -120,10 +121,10 @@ def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> Reservat
         raise SchedulingError(
             f"loop {loop_id!r} attempted infeasible wait {i} at k={k}"
         )
+    next_tx = ledger.next_tx.copy()
+    next_tx[loop_id] = k + i
     booked = object.__new__(ReservationLedger)
-    booked.__dict__.update(
-        ledger.__dict__, next_tx=MappingProxyType({**ledger.next_tx, loop_id: k + i})
-    )
+    booked.__dict__.update(ledger.__dict__, next_tx=MappingProxyType(next_tx))
     return booked
 
 

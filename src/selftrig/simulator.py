@@ -447,11 +447,16 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
     order = order[k[order] > 0].tolist()
     sets = [feas for tr in traces for feas in tr.feasible_sets]
     names = list(loops)
-    tx_events = tuple(map(
-        TxEvent, k[order].tolist(), map(names.__getitem__, j[order].tolist()),
-        chosen[order].tolist(), [tuple(sorted(sets[e])) for e in order],
-    ))
-    return SimTrace(loops=loops, tx_events=tx_events, mode=mode)
+    tx_events = []
+    for ev_k, ev_j, ev_i, e in zip(k[order].tolist(), j[order].tolist(),
+                                   chosen[order].tolist(), order):
+        # Every field is known good, so the frozen dataclass's per-field
+        # __setattr__ is skipped.
+        ev = object.__new__(TxEvent)
+        ev.__dict__.update(k=ev_k, loop_id=names[ev_j], i_chosen=ev_i,
+                           feasible=tuple(sorted(sets[e])))
+        tx_events.append(ev)
+    return SimTrace(loops=loops, tx_events=tuple(tx_events), mode=mode)
 
 
 def run_self_triggered(

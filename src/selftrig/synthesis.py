@@ -28,6 +28,7 @@ from .model import (
     LtiSystem,
     WeightSpec,
     _factor,
+    _float_array,
     _integer,
     _json_matrix,
     _json_string,
@@ -268,8 +269,8 @@ class GainTable:
         for i in I0:
             try:
                 P, L = self.entries[i]
-                Ps.append(np.asarray(P, dtype=float))
-                Ls.append(np.asarray(L, dtype=float))
+                Ps.append(_float_array(P))
+                Ls.append(_float_array(L))
             except (TypeError, ValueError, OverflowError):
                 raise ConfigurationError(
                     f"{context}: entry {i} is not a pair (P, L) of numeric matrices"

@@ -7,7 +7,10 @@ eliminating the gain from the fixed-point equations.  The step-by-step
 lift is the bit reference of the package's stacked lift; the per-wait
 table entries and certificate, built on it, are the bit references of the
 package's stacked synthesis; and the ``csv.writer`` trace, channel-log and
-sweep writers are the byte references of its text writers.
+sweep writers are the byte references of its text writers.  The online
+law of one decision, ``feasible_set`` -> ``decide`` -> ``reserve``, is
+kept with every entry check in its general form, as the bit and refusal
+reference of the package's law.
 """
 import csv
 import math
@@ -17,10 +20,13 @@ import pytest
 
 from selftrig import (
     CertificateError,
+    ConfigurationError,
+    GainLookupError,
     GainTable,
     LoopSpec,
     LtiSystem,
     Scenario,
+    SchedulingError,
     SynthesisError,
     WeightSpec,
     build_gain_table,
@@ -227,6 +233,105 @@ def oracle_certificate(gt, sys, pstar):
     gamma = gt.gamma
     upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
     return ratios, Si, epsilon, gt.alpha / gamma, upper
+
+
+# ---------------------------------------------------------------------------
+# Reference online law: one decision through the feasible set, the argmin
+# and the booking, each entry check in its general form and the decision a
+# plain tuple.  Vectors are coerced by numpy alone, so only refusals of
+# numeric input are references.
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _oracle_integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _oracle_wait_set(I0, what, empty):
+    try:
+        values = tuple(I0)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be a set of integers, got {I0!r}") from None
+    if not values:
+        raise empty(f"{what} is empty")
+    if not all(type(i) is int or isinstance(i, np.integer) for i in values):
+        raise ConfigurationError(f"{what} entries must be integers, got {I0!r}")
+    waits = tuple(sorted(set(map(int, values))))
+    if waits[0] < 1:
+        raise ConfigurationError(f"{what} must hold positive integers, got {I0!r}")
+    return waits
+
+
+def _oracle_vector(x, name, length):
+    try:
+        out = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{name} must be a vector of numbers: {exc}") from None
+    if out.ndim != 1:
+        raise ConfigurationError(f"{name} must be a vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"{name} has non-finite entries")
+    if length is not None and out.size != length:
+        raise ConfigurationError(f"{name} must have length {length}, got {out.size}")
+    return out
+
+
+def oracle_feasible_set(ledger, loop_id, k) -> frozenset:
+    """The waits ``loop_id`` may choose at ``k``: those whose residue modulo
+    ``p`` no other reserved loop's slot shares."""
+    if loop_id not in ledger.loop_order:
+        raise ConfigurationError(f"unknown loop {loop_id!r}")
+    k = _oracle_integer(k, "decision time k")
+    own = ledger.next_tx.get(loop_id)
+    if own is not None and own < k:
+        raise SchedulingError(
+            f"loop {loop_id!r} decides at k={k}, past its reserved slot {own}"
+        )
+    p = ledger.p
+    taken = {(kq - k) % p for q, kq in ledger.next_tx.items() if q != loop_id}
+    feas = frozenset(i for i in ledger.I0 if i % p not in taken)
+    if not feas:
+        raise SchedulingError(
+            f"internal invariant violation: loop {loop_id!r} has no feasible wait "
+            f"at k={k} (reservations {dict(ledger.next_tx)})"
+        )
+    return feas
+
+
+def oracle_decide(gt, x, feasible) -> tuple:
+    """``(i_star, u, value, values_by_i)`` of the least score
+    ``alpha/i + x' P(i) x`` over the feasible waits, ties to the larger wait
+    and an overflowed or NaN score ranked as the largest float."""
+    feas = _oracle_wait_set(feasible, "feasible set", SchedulingError)
+    unknown = [i for i in feas if i not in gt.rows]
+    if unknown:
+        raise GainLookupError(
+            f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
+        )
+    x = _oracle_vector(x, "x", gt.n)
+    scores = (gt.costs + ((x @ gt.P_stack) * x).sum(axis=-1).T).tolist()
+    values = {i: scores[gt.rows[i]] for i in feas}
+    i_star, best = feas[0], float("inf")
+    for i, v in values.items():
+        v = v if v < _FLOAT_MAX else _FLOAT_MAX
+        if v <= best:
+            best, i_star = v, i
+    return i_star, -(gt.L_stack[gt.rows[i_star]] @ x), values[i_star], values
+
+
+def oracle_reserve(ledger, loop_id, k, i) -> dict:
+    """The reservations after ``loop_id`` books slot ``k + i``; the wait must
+    be feasible."""
+    i = _oracle_integer(i, "wait")
+    if i not in oracle_feasible_set(ledger, loop_id, k):
+        raise SchedulingError(
+            f"loop {loop_id!r} attempted infeasible wait {i} at k={k}"
+        )
+    return {**ledger.next_tx, loop_id: k + i}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Online decision law: cost evaluation, argmin, tie-breaking, partition."""
 import dataclasses
+import heapq
 import json
 
 import numpy as np
@@ -10,19 +11,31 @@ from selftrig import (
     GainLookupError,
     GainTable,
     LtiSystem,
+    ReservationLedger,
     SchedulingError,
     StabilityCertificate,
+    SynthesisError,
     WeightSpec,
     build_gain_table,
     decide,
     downsampled_controllable,
+    feasible_set,
     partition_1d,
+    reserve,
     serialize_gain_table,
     value_of,
 )
 from selftrig.controller import _pick, _scores
 
-from conftest import random_system, random_weights, scalar_table
+from conftest import (
+    bits,
+    oracle_decide,
+    oracle_feasible_set,
+    oracle_reserve,
+    random_system,
+    random_weights,
+    scalar_table,
+)
 
 
 class TestValueOf:
@@ -355,3 +368,176 @@ class TestTwoFormsOfThePick:
         # A taken wait ranks above every score; with every wait taken the
         # rule still names a row, the largest wait.
         assert _pick(scores, taken).tolist() == [1, 2, 2]
+
+
+def _outcome(call):
+    """``('ok', result)``, or ``('raised', type, message)``."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return "raised", type(exc), str(exc)
+
+
+def _decided(gt, x, feasible) -> tuple:
+    """``decide``'s decision as the oracle's tuple; its input is read-only."""
+    dec = decide(gt, x, feasible)
+    assert not dec.u.flags.writeable
+    return dec.i_star, dec.u, dec.value, dec.values_by_i
+
+
+def _decision_bits(i_star, u, value, values) -> tuple:
+    """A decision with each number as its repr or its float bytes."""
+    return (repr(i_star), bits(u), bits([value]), repr(list(values)),
+            bits(list(values.values())))
+
+
+def _set_repr(feas) -> str:
+    """A feasible set by its type and its sorted waits, each with its type."""
+    return f"{type(feas).__name__}{sorted(feas)!r}"
+
+
+def _law_outcomes(ledger, name, k, gt, x, feasible, wait):
+    """The outcomes of one decision's three calls through the package and
+    through the oracle, with the feasible set, decision and booking as
+    plain data."""
+    def calls(fs, dec, book):
+        return (
+            _outcome(lambda: _set_repr(fs(ledger, name, k))),
+            _outcome(lambda: _decision_bits(*dec(gt, x, feasible))),
+            _outcome(lambda: repr(dict(book(ledger, name, k, wait)))),
+        )
+    new = calls(feasible_set, _decided, lambda *a: reserve(*a).next_tx)
+    return new, calls(oracle_feasible_set, oracle_decide, oracle_reserve)
+
+
+def _draw_state(rng, n):
+    """Zero, ordinary, huge with random signs (scores overflow to inf or
+    NaN), or of any magnitude from 1e-300 to 1e300."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return np.zeros(n)
+    if kind == 1:
+        return rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == 2:
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(150.0, 300.0)
+    return rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+def _as_given(rng, x):
+    """``x`` as a 1-D float64 array, a strided view of one, or one of the
+    other accepted forms."""
+    form = int(rng.integers(0, 6))
+    return (x, np.stack([x, x], axis=1)[:, 0], x.tolist(), tuple(x.tolist()),
+            x.astype(np.float32), x.astype(np.int64))[form]
+
+
+def _feasible_as_given(rng, feas, gt):
+    """The feasible set as ``feasible_set`` returns it or in another form,
+    sometimes widened to waits the table has or lacks."""
+    form = int(rng.integers(0, 7))
+    if form == 5:
+        return gt.I0
+    if form == 6:
+        return feas | {gt.gamma + 1}
+    waits = sorted(feas)
+    return (feas, feas, waits, tuple(reversed(waits)), np.array(waits),
+            {np.int64(i) for i in waits})[form]
+
+
+class TestOnlineLawMatchesOracle:
+    """``feasible_set`` -> ``decide`` -> ``reserve`` against the oracle law in
+    ``conftest``: equal sets, bit-identical decisions and bookings, and the
+    same refusal, type and message, wherever either refuses."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_random_tables_ledgers_and_states(self):
+        rng = np.random.default_rng(19)
+        tables = refused = 0
+        while tables < 40:
+            sys = random_system(rng, n_max=4, m_max=2, max_spectral_radius=1.5)
+            s = int(rng.integers(1, 5))
+            gamma = int(rng.integers(max(s, 2), 9))
+            I0 = [i for i in range(1, gamma + 1) if i <= s or i == gamma or rng.random() < 0.5]
+            p = int(rng.choice([i for i in I0 if i >= s]))
+            try:
+                gt = build_gain_table(sys, random_weights(rng, sys.n, sys.m), I0, p)
+            except SynthesisError:
+                continue
+            tables += 1
+            names = ("a", "b", "c", "d")[:s]
+            ledger = ReservationLedger(p=p, I0=I0, loop_order=names, next_tx={})
+            # The event loop's order: at k = 0 every loop in turn, then each
+            # loop at its reserved slot.
+            events = [(0, j) for j in range(s)]
+            for _ in range(60):
+                k, j = heapq.heappop(events)
+                name = names[j]
+                x = _draw_state(rng, gt.n)
+                feas = oracle_feasible_set(ledger, name, k)
+                i_star = oracle_decide(gt, x, feas)[0]
+                # Now and then a decision past its own slot, or a wait
+                # that may be infeasible.
+                k_call = k + int(rng.integers(1, 3)) if rng.random() < 0.1 else k
+                wait = int(rng.choice(I0)) if rng.random() < 0.2 else i_star
+                new, old = _law_outcomes(ledger, name, k_call, gt, _as_given(rng, x),
+                                         _feasible_as_given(rng, feas, gt), wait)
+                assert new == old, (k_call, name, x, feas, wait)
+                refused += sum(outcome[0] == "raised" for outcome in new)
+                if new[2][0] != "ok":
+                    k_call, wait = k, i_star
+                ledger = reserve(ledger, name, k_call, wait)
+                heapq.heappush(events, (k_call + wait, j))
+        assert refused > 0
+
+    @pytest.mark.parametrize("law, args", [
+        ("feasible_set", ("zz", 0)),
+        ("feasible_set", ("a", 2.5)),
+        ("feasible_set", ("a", True)),
+        ("feasible_set", ("a", np.float64(1.0))),
+        ("feasible_set", ("a", 4)),
+        ("feasible_set", ("b", np.int64(3))),
+        ("decide", ([1.0, 2.0], [])),
+        ("decide", ([1.0, 2.0], frozenset())),
+        ("decide", ([1.0, 2.0], 3)),
+        ("decide", ([1.0, 2.0], [1.5])),
+        ("decide", ([1.0, 2.0], [True, 1])),
+        ("decide", ([1.0, 2.0], frozenset({True, 2}))),
+        ("decide", ([1.0, 2.0], frozenset({np.int64(1), 2}))),
+        ("decide", ([1.0, 2.0], [0, 1])),
+        ("decide", ([1.0, 2.0], frozenset({0, 1}))),
+        ("decide", ([1.0, 2.0], frozenset({-1, 2}))),
+        ("decide", ([1.0, 2.0], [9])),
+        ("decide", ([1.0, 2.0], frozenset({1, 9, 8}))),
+        ("decide", ([np.nan, 2.0], [9])),
+        ("decide", ([1.0], [1])),
+        ("decide", ([1.0, 2.0, 3.0], frozenset({1}))),
+        ("decide", ([np.nan, 2.0], frozenset({1}))),
+        ("decide", (np.array([np.inf, 2.0]), frozenset({1}))),
+        ("decide", ([[1.0, 2.0]], frozenset({1}))),
+        ("decide", ([[1.0], [1.0, 2.0]], frozenset({1}))),
+        ("decide", ([10**400, 1.0], frozenset({1}))),
+        ("reserve", ("a", 3, 2.0)),
+        ("reserve", ("a", 3, True)),
+        ("reserve", ("a", 3, "1")),
+        ("reserve", ("b", 3, 5)),
+        ("reserve", ("b", 3, 9)),
+        ("reserve", ("zz", 3, 1)),
+        ("reserve", ("a", 2.5, 1)),
+        ("reserve", ("a", 4, 1)),
+        ("reserve", ("b", np.int64(3), np.int64(2))),
+    ])
+    def test_each_refusal_keeps_its_type_and_message(self, double_integrator_table,
+                                                     law, args):
+        ledger = ReservationLedger(p=5, I0=range(1, 6), loop_order=("a", "b"),
+                                   next_tx={"a": 3, "b": 6})
+        laws = {
+            "feasible_set": (lambda *a: _set_repr(feasible_set(ledger, *a)),
+                             lambda *a: _set_repr(oracle_feasible_set(ledger, *a))),
+            "decide": (lambda *a: _decision_bits(*_decided(double_integrator_table, *a)),
+                       lambda *a: _decision_bits(*oracle_decide(double_integrator_table, *a))),
+            "reserve": (lambda *a: repr(dict(reserve(ledger, *a).next_tx)),
+                        lambda *a: repr(oracle_reserve(ledger, *a))),
+        }
+        new, old = laws[law]
+        assert _outcome(lambda: new(*args)) == _outcome(lambda: old(*args))

@@ -1,5 +1,6 @@
 """Lifted-model recursions against explicit power-sum, step-by-step and
 simulation oracles."""
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,13 +21,16 @@ from selftrig import (
     lift_range,
     lift_weights,
     build_gain_table,
+    partition_1d,
     downsampled_controllable,
     reserve,
     select_pstar,
     solve_periodic_riccati,
     stage_cost_sum,
+    step_plant,
     sweep_alpha,
     uncontrollable_reason,
+    value_of,
 )
 from selftrig.model import _lift
 from selftrig.scenario import load_scenario
@@ -374,6 +378,73 @@ def _booked_ledger():
 def test_non_integer_waits_and_counts_refused(make):
     with pytest.raises(ConfigurationError):
         make()
+
+
+def _loop(x0):
+    return LoopSpec(name="loop", system=_UNIT, weights=_UNIT_WEIGHTS, x0=x0)
+
+
+def _entry_table(P, L):
+    return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L)}, p=2,
+                     Pp=np.eye(1), Lp=np.eye(1), I0=(1,))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: LtiSystem(A=[["1"]], B=[[True]]), id="system-string-and-bool"),
+    pytest.param(lambda: LtiSystem(A=[["1"]], B=[[1.0]]), id="system-A-string"),
+    pytest.param(lambda: LtiSystem(A=[[1.0]], B=[[True]]), id="system-B-bool"),
+    pytest.param(lambda: LtiSystem(A=np.eye(2), B=[[1.0], [True]]), id="system-B-bool-among-floats"),
+    pytest.param(lambda: LtiSystem(A=np.array([[True]]), B=[[1.0]]), id="system-A-bool-array"),
+    pytest.param(lambda: LtiSystem(A=[[1 + 1j]], B=[[1.0]]), id="system-A-complex"),
+    pytest.param(lambda: LtiSystem(A=[[1.0]], B=[[1.0]], E=[[b"1"]]), id="system-E-bytes"),
+    pytest.param(lambda: WeightSpec(Q=np.array([[True]], dtype=object), R=[[1.0]]),
+                 id="weights-Q-object-bool"),
+    pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[None]]), id="weights-R-none"),
+    pytest.param(lambda: _loop(["5"]), id="loop-x0-string"),
+    pytest.param(lambda: _loop([True]), id="loop-x0-bool"),
+    pytest.param(lambda: _loop(np.array([1 + 0j])), id="loop-x0-complex-array"),
+    pytest.param(lambda: _entry_table([["2"]], [[True]]), id="table-entry-string-and-bool"),
+    pytest.param(lambda: _entry_table([[2.0]], [[True]]), id="table-entry-L-bool"),
+    pytest.param(lambda: _entry_table(np.array([[2.0]], dtype=object), [[1j]]),
+                 id="table-entry-L-complex"),
+    pytest.param(lambda: _entry_table(np.array([["2"]]), [[1.0]]), id="table-entry-P-string-array"),
+    pytest.param(lambda: replace(_table([1, 2]), Pp=[[1 + 0j]]), id="table-Pp-complex"),
+    pytest.param(lambda: decide(_table([1, 2]), "3", [1]), id="decide-x-string"),
+    pytest.param(lambda: decide(_table([1, 2]), True, [1]), id="decide-x-bool"),
+    pytest.param(lambda: decide(_table([1, 2]), [1 + 2j], [1]), id="decide-x-complex"),
+    pytest.param(lambda: decide(_table([1, 2]), np.array([True], dtype=object), [1]),
+                 id="decide-x-object-bool"),
+    pytest.param(lambda: decide(_table([1, 2]), np.complex128(1.0), [1]),
+                 id="decide-x-numpy-complex"),
+    pytest.param(lambda: value_of(_table([1, 2]), "2", 1), id="value-of-x-string"),
+    pytest.param(lambda: step_plant(_UNIT, "1", True), id="step-plant-string-and-bool"),
+    pytest.param(lambda: step_plant(_UNIT, [1.0], True), id="step-plant-u-bool"),
+    pytest.param(lambda: step_plant(_UNIT, [1.0], [0.0], omega=["1"]),
+                 id="step-plant-omega-string"),
+    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [np.True_], [0.0], 1),
+                 id="stage-cost-x-numpy-bool"),
+    pytest.param(lambda: partition_1d(_table([1, 2]), ["1"]), id="partition-grid-string"),
+])
+def test_non_numeric_matrices_and_vectors_refused(make):
+    # Complex values are refused before numpy would drop their imaginary
+    # parts, so no ComplexWarning is raised on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError):
+            make()
+
+
+def test_ints_floats_and_numpy_numbers_are_accepted_as_floats():
+    sys = LtiSystem(A=[[1, np.float32(0.5)], [np.int8(0), 1.0]],
+                    B=np.array([[1], [2]], dtype=np.uint8))
+    assert sys.A.dtype == sys.B.dtype == np.float64
+    assert sys.A.tolist() == [[1.0, 0.5], [0.0, 1.0]] and sys.B.tolist() == [[1.0], [2.0]]
+    gt = _entry_table(np.array([[2]], dtype=object), [[np.float16(0.5)]])
+    assert gt.P(1).tolist() == [[2.0]] and gt.L(1).tolist() == [[0.5]]
+    assert _loop((np.int64(3),)).x0.tolist() == [3.0]
+    x = np.array([0.5])
+    assert decide(gt, x, [1]).u.tolist() == [-0.25]
+    assert step_plant(_UNIT, 2, np.float64(1.0)).tolist() == [3.0]
 
 
 def test_numpy_integers_are_accepted_as_plain_ints():

@@ -1,5 +1,5 @@
 """Closed-loop runs: event sequencing, baselines, costs, determinism, sweeps."""
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +196,24 @@ class TestTwoLoops:
         tr = run_self_triggered(replace(two_loop_scenario, mode="periodic", ts=2), tables)
         assert tr.mode == "self_triggered"
         np.testing.assert_array_equal(tr.loops["integrator"].waits[:6], [1, 2, 5, 5, 5, 5])
+
+    def test_logged_events_equal_the_constructed_ones(self, two_loop_scenario,
+                                                      integrator_table,
+                                                      double_integrator_table):
+        tr = run_self_triggered(
+            two_loop_scenario,
+            {"integrator": integrator_table,
+             "double_integrator": double_integrator_table},
+        )
+        built = tuple(TxEvent(k=ev.k, loop_id=ev.loop_id, i_chosen=ev.i_chosen,
+                              feasible=ev.feasible) for ev in tr.tx_events)
+        assert len(built) > 20 and tr.tx_events == built
+        for ev, ref in zip(tr.tx_events, built):
+            assert type(ev) is TxEvent and vars(ev) == vars(ref) and hash(ev) == hash(ref)
+            assert [type(v) for v in vars(ev).values()] == [int, str, int, tuple]
+            assert all(type(i) is int for i in ev.feasible)
+        with pytest.raises(FrozenInstanceError):
+            tr.tx_events[0].k = 0
 
 
 class TestPeriodicBaseline:
