@@ -26,6 +26,7 @@ from .errors import (
     SelfTrigError,
     SynthesisError,
 )
+from .model import _read_text
 from .scenario import load_scenario
 from .scheduler import verify_conflict_free
 from .simulator import (
@@ -105,11 +106,7 @@ def _load_tables(tables_dir: Path, scn) -> dict:
     tables = {}
     for spec in scn.loops:
         path = _table_path(tables_dir, spec.name)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read table {path}: {exc}") from exc
-        gt, eps, pstar = deserialize_gain_table(text)
+        gt, eps, pstar = deserialize_gain_table(_read_text(path, "table"))
         if gt.loop_id != spec.name:
             raise ConfigurationError(f"table {path} holds loop {gt.loop_id!r}, not {spec.name!r}")
         tables[spec.name] = (gt, eps, pstar)

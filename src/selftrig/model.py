@@ -8,6 +8,7 @@ control and simulation all consume its stacks.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -146,8 +147,8 @@ def _nonnegative(value, what: str) -> float:
 def _json_numbers(value, what: str) -> np.ndarray:
     """A parsed JSON flat list of numbers, as a float array.
 
-    Finiteness is left to the consumer (``as_matrix``, ``as_vector``, or
-    the parser for table files).
+    Finiteness of a number such as ``1e400`` is left to the consumer
+    (``as_matrix``, ``as_vector`` or ``GainTable``).
     """
     # json yields exact int and float objects; bool is its own type.
     if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
@@ -174,6 +175,58 @@ def _json_string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ConfigurationError(f"{what} must be a string, got {value!r}")
     return value
+
+
+# Scenario and table files share these rules, one function each.
+def _read_text(path, what: str) -> str:
+    """The text of the ``what`` file at ``path``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _parse_json(text: str, what: str):
+    """Parsed JSON text; the tokens ``NaN`` and ``[-]Infinity`` are refused."""
+    def refuse(token):
+        raise ConfigurationError(f"{what} holds the non-finite number {token}")
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _json_object(value, required, optional, what: str) -> dict:
+    """A parsed JSON object with every field of ``required``, no field
+    outside ``required`` and ``optional``, and no null field."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    missing = sorted(set(required) - value.keys())
+    unknown = sorted(value.keys() - set(required) - set(optional))
+    if missing or unknown:
+        raise ConfigurationError(f"{what} fields mismatch (missing {missing}, unknown {unknown})")
+    nulls = sorted(key for key, field in value.items() if field is None)
+    if nulls:
+        raise ConfigurationError(f"{what}: fields {nulls} must not be null")
+    return value
+
+
+def _schema_version(doc: dict, expected: int, what: str) -> None:
+    """The document's ``schema_version``: the ``int`` ``expected``."""
+    version = doc["schema_version"]
+    if type(version) is not int or version != expected:
+        raise ConfigurationError(
+            f"unsupported {what} schema version {version!r} (expected {expected})"
+        )
+
+
+def _dimensions(what: str, **dims) -> tuple:
+    """The dimension fields ``dims``, each a positive integer, in order."""
+    values = tuple(_integer(value, f"{what}: {key}") for key, value in dims.items())
+    if min(values) < 1:
+        raise ConfigurationError(f"{what}: dimensions must be positive, got {dims}")
+    return values
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> Reservat
             f"loop {loop_id!r} attempted infeasible wait {i} at k={k}"
         )
     next_tx = ledger.next_tx.copy()
-    next_tx[loop_id] = k + i
+    next_tx[loop_id] = int(k) + i
     booked = object.__new__(ReservationLedger)
     booked.__dict__.update(ledger.__dict__, next_tx=MappingProxyType(next_tx))
     return booked

@@ -27,15 +27,19 @@ from .errors import (
 from .model import (
     LtiSystem,
     WeightSpec,
+    _dimensions,
     _factor,
     _float_array,
     _integer,
     _json_matrix,
+    _json_object,
     _json_string,
     _lift,
     _nonnegative,
     _number,
+    _parse_json,
     _readonly,
+    _schema_version,
     _wait_set,
     as_matrix,
     symmetrize,
@@ -53,6 +57,10 @@ RICCATI_MAX_DOUBLINGS = 64
 RICCATI_RESIDUAL_TOL = 1e-8
 
 TABLE_SCHEMA_VERSION = 1
+_TABLE_FIELDS = (
+    "schema_version", "loop_id", "n", "m", "alpha", "p", "I0",
+    "entries", "Pp", "Lp", "epsilon", "pstar",
+)
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -456,11 +464,12 @@ def stability_certificate(
             f"(ratio {ratios[worst]:.6g} >= 1)"
         )
     epsilon = min(1.0, 1.0 - rho_max)
-    lower = gt.alpha / gt.gamma
-    # (alpha/eps)(1/pstar - (1-eps)/gamma), rearranged so that pstar = gamma
-    # at small eps loses nothing to cancellation.
     gamma = gt.gamma
-    upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
+    lower = gt.alpha / gamma
+    # (alpha/eps)(1/pstar - (1-eps)/gamma), written as lower plus a term that
+    # is not negative for pstar <= gamma: the bounds are then ordered by
+    # construction, and equal bit for bit at pstar = gamma.
+    upper = lower + gt.alpha * (gamma - pstar) / (epsilon * pstar * gamma)
     return StabilityCertificate(
         pstar=pstar,
         epsilon=epsilon,
@@ -505,43 +514,21 @@ def serialize_gain_table(gt: GainTable, cert: StabilityCertificate) -> str:
 
 
 def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
-    """Parse serialized table text; returns (table, stored epsilon, stored pstar)."""
+    """Parse serialized table text; returns (table, stored epsilon, stored pstar).
 
-    def reject(constant):
-        raise ConfigurationError(f"gain table holds the non-finite number {constant}")
-
-    try:
-        doc = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"gain table is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError("gain table must be a JSON object")
-    required = {
-        "schema_version", "loop_id", "n", "m", "alpha", "p", "I0",
-        "entries", "Pp", "Lp", "epsilon", "pstar",
-    }
-    if set(doc) != required:
-        extra = set(doc) - required
-        missing = required - set(doc)
-        raise ConfigurationError(
-            f"gain table fields mismatch (missing {sorted(missing)}, unknown {sorted(extra)})"
-        )
-    version = doc["schema_version"]
-    if version != TABLE_SCHEMA_VERSION or type(version) is not int:
-        raise ConfigurationError(f"unsupported gain table schema version {version!r}")
-    n = _integer(doc["n"], "gain table n")
-    m = _integer(doc["m"], "gain table m")
-    if n < 1 or m < 1:
-        raise ConfigurationError("gain table dimensions must be positive")
+    The file rules are those of scenario files; each wait has one entry."""
+    doc = _json_object(_parse_json(text, "gain table"), _TABLE_FIELDS, (), "gain table")
+    _schema_version(doc, TABLE_SCHEMA_VERSION, "gain table")
+    n, m = _dimensions("gain table", n=doc["n"], m=doc["m"])
     if not isinstance(doc["entries"], list):
-        raise ConfigurationError("gain table entries must be a list")
+        raise ConfigurationError("gain table: entries must be a list")
     entries = {}
-    for rec in doc["entries"]:
-        if not isinstance(rec, dict):
-            raise ConfigurationError("gain table entries must be objects")
-        if set(rec) != {"i", "P", "L"}:
-            raise ConfigurationError(f"bad table entry fields: {sorted(rec)}")
-        i = _integer(rec["i"], "gain table entry i")
+    for index, rec in enumerate(doc["entries"]):
+        context = f"gain table entries[{index}]"
+        rec = _json_object(rec, ("i", "P", "L"), (), context)
+        i = _integer(rec["i"], f"{context}: i")
+        if i in entries:
+            raise ConfigurationError(f"{context}: a second entry for wait {i}")
         entries[i] = (
             _json_matrix(rec["P"], n, n, f"P({i})"),
             _json_matrix(rec["L"], m, n, f"L({i})"),

@@ -231,8 +231,9 @@ def oracle_certificate(gt, sys, pstar):
         )
     epsilon = min(1.0, 1.0 - rho_max)
     gamma = gt.gamma
-    upper = gt.alpha * ((gamma - pstar) + pstar * epsilon) / (epsilon * pstar * gamma)
-    return ratios, Si, epsilon, gt.alpha / gamma, upper
+    lower = gt.alpha / gamma
+    upper = lower + gt.alpha * (gamma - pstar) / (epsilon * pstar * gamma)
+    return ratios, Si, epsilon, lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def oracle_reserve(ledger, loop_id, k, i) -> dict:
         raise SchedulingError(
             f"loop {loop_id!r} attempted infeasible wait {i} at k={k}"
         )
-    return {**ledger.next_tx, loop_id: k + i}
+    return {**ledger.next_tx, loop_id: int(k) + i}
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,16 @@ class TestSynth:
         bad.write_text(json.dumps(doc))
         assert run_cli("synth", "-c", str(bad), "-o", str(tmp_path / "out")) == 2
 
+    def test_period_other_than_pstar_exits_3(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
+        doc["p"] = 4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("synth", "-c", str(bad), "-o", str(tmp_path / "out")) == 3
+        assert "period p=4 differs from the admissible terminal period 5" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_single_loop_transient_summary(self, tmp_path, capsys):
@@ -419,47 +429,152 @@ def test_empty_sweep_alphas_exit_2(alphas, tmp_path, capsys):
     assert not out.exists()
 
 
-def _set_field(doc, path, value):
-    for key in path[:-1]:
-        doc = doc[key]
-    doc[path[-1]] = value
+def _edit_doc(change):
+    """A file edit that parses the text, applies ``change`` to the document
+    and writes it back; json.dumps writes a NaN or an infinity as a token."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
 
 
-@pytest.mark.parametrize("target,path,value", [
-    pytest.param("scenario", ("loops", 0, "x0"), ["a"], id="x0-string"),
-    pytest.param("scenario", ("loops", 0, "alpha"), "abc", id="alpha-string"),
-    pytest.param("scenario", ("loops", 0, "alpha"), 10**400, id="alpha-huge-int"),
-    pytest.param("scenario", ("loops", 0, "x0_variance"), None, id="x0-and-null-variance"),
-    pytest.param("scenario", ("loops", 0, "n"), "one", id="n-string"),
-    pytest.param("scenario", ("p",), None, id="p-null"),
-    pytest.param("scenario", ("p",), 10**400, id="p-huge-int"),
-    pytest.param("scenario", ("I0",), ["x"], id="I0-string"),
-    pytest.param("scenario", ("horizon",), 60.7, id="horizon-fraction"),
-    pytest.param("scenario", ("schema_version",), True, id="schema-version-bool"),
-    pytest.param("table", ("n",), 1.5, id="table-n-fraction"),
-    pytest.param("table", ("n",), -1, id="table-n-negative"),
-    pytest.param("table", ("schema_version",), True, id="table-schema-version-bool"),
-    pytest.param("table", ("I0",), [], id="table-I0-empty"),
-    pytest.param("table", ("entries", 0, "P"), ["x"], id="table-P-string"),
+def _first_entry(change):
+    return _edit_doc(lambda doc: change(doc["entries"][0]))
+
+
+_UNREADABLE = "unreadable"  # the file is replaced by a directory
+
+# Refusals of a scenario or table file: (id, file, edit, words of its message).
+_FILE_FAULTS = [
+    ("scn-x0-string", "scenario", _edit_doc(lambda d: d["loops"][0].update(x0=["a"])),
+     "loops[0]: x0 must be a flat list of numbers"),
+    ("scn-alpha-string", "scenario", _edit_doc(lambda d: d["loops"][0].update(alpha="abc")),
+     "loop 'integrator': alpha must be a number, got 'abc'"),
+    ("scn-alpha-huge-int", "scenario", _edit_doc(lambda d: d["loops"][0].update(alpha=10**400)),
+     "loop 'integrator': alpha must be finite, got 1000"),
+    ("scn-x0-and-null-variance", "scenario",
+     _edit_doc(lambda d: d["loops"][0].update(x0_variance=None)),
+     "loops[0]: fields ['x0_variance'] must not be null"),
+    ("scn-n-string", "scenario", _edit_doc(lambda d: d["loops"][0].update(n="one")),
+     "loops[0]: n must be an integer, got 'one'"),
+    ("scn-p-null", "scenario", _edit_doc(lambda d: d.update(p=None)),
+     "scenario: fields ['p'] must not be null"),
+    ("scn-p-huge-int", "scenario", _edit_doc(lambda d: d.update(p=10**400)),
+     "exceeds the largest wait 5"),
+    ("scn-I0-string", "scenario", _edit_doc(lambda d: d.update(I0=["x"])),
+     "I0 entries must be integers, got ['x']"),
+    ("scn-horizon-fraction", "scenario", _edit_doc(lambda d: d.update(horizon=60.7)),
+     "horizon must be an integer, got 60.7"),
+    ("scn-schema-version-bool", "scenario", _edit_doc(lambda d: d.update(schema_version=True)),
+     "unsupported scenario schema version True (expected 1)"),
+    ("scn-missing", "scenario", _edit_doc(lambda d: d.pop("p")),
+     "scenario fields mismatch (missing ['p'], unknown [])"),
+    ("scn-unknown", "scenario", _edit_doc(lambda d: d.update(bogus=1)),
+     "scenario fields mismatch (missing [], unknown ['bogus'])"),
+    ("scn-unknown-and-null", "scenario", _edit_doc(lambda d: d.update(bogus=1, ts=None)),
+     "scenario fields mismatch (missing [], unknown ['bogus'])"),
+    ("scn-loop-fields", "scenario",
+     _edit_doc(lambda d: d["loops"][1].update(bogus=d["loops"][1].pop("R"))),
+     "loops[1] fields mismatch (missing ['R'], unknown ['bogus'])"),
+    ("scn-null-top", "scenario", _edit_doc(lambda d: d.update(ts=None)),
+     "scenario: fields ['ts'] must not be null"),
+    ("scn-null-loop", "scenario", _edit_doc(lambda d: d["loops"][0].update(E=None, w=None)),
+     "loops[0]: fields ['E', 'w'] must not be null"),
+    ("scn-NaN", "scenario", _edit_doc(lambda d: d["loops"][0].update(alpha=float("nan"))),
+     "holds the non-finite number NaN"),
+    ("scn-minus-Infinity", "scenario",
+     _edit_doc(lambda d: d["loops"][1].update(x0=[1.0, -float("inf")])),
+     "holds the non-finite number -Infinity"),
+    ("scn-version", "scenario", _edit_doc(lambda d: d.update(schema_version=2)),
+     "unsupported scenario schema version 2 (expected 1)"),
+    ("scn-version-float", "scenario", _edit_doc(lambda d: d.update(schema_version=1.0)),
+     "unsupported scenario schema version 1.0 (expected 1)"),
+    ("scn-dimension", "scenario", _edit_doc(lambda d: d["loops"][1].update(w=0)),
+     "loops[1]: dimensions must be positive"),
+    ("scn-dimension-bool", "scenario", _edit_doc(lambda d: d["loops"][0].update(n=True)),
+     "loops[0]: n must be an integer, got True"),
+    ("scn-loop-not-object", "scenario", _edit_doc(lambda d: d["loops"].append([])),
+     "loops[2] must be a JSON object"),
+    ("scn-loops-empty", "scenario", _edit_doc(lambda d: d.update(loops=[])),
+     "scenario: loops must be a non-empty list"),
+    ("scn-outputs-not-object", "scenario", _edit_doc(lambda d: d.update(outputs=["out"])),
+     "outputs must be a JSON object"),
+    ("scn-outputs-unknown", "scenario", _edit_doc(lambda d: d.update(outputs={"plots": "p"})),
+     "outputs fields mismatch (missing [], unknown ['plots'])"),
+    ("scn-not-object", "scenario", lambda text: "[" + text + "]",
+     "scenario must be a JSON object"),
+    ("scn-invalid-json", "scenario", lambda text: text[:-3], "is not valid JSON"),
+    ("scn-unreadable", "scenario", _UNREADABLE, "cannot read scenario"),
+    ("tab-n-fraction", "table", _edit_doc(lambda d: d.update(n=1.5)),
+     "gain table: n must be an integer, got 1.5"),
+    ("tab-n-negative", "table", _edit_doc(lambda d: d.update(n=-1)),
+     "gain table: dimensions must be positive, got {'n': -1, 'm': 1}"),
+    ("tab-schema-version-bool", "table", _edit_doc(lambda d: d.update(schema_version=True)),
+     "unsupported gain table schema version True (expected 1)"),
+    ("tab-I0-empty", "table", _edit_doc(lambda d: d.update(I0=[])),
+     "table 'integrator': I0 is empty"),
+    ("tab-P-string", "table", _first_entry(lambda e: e.update(P=["x"])),
+     "P(1) must be a flat list of numbers"),
+    ("tab-missing", "table", _edit_doc(lambda d: d.pop("epsilon")),
+     "gain table fields mismatch (missing ['epsilon'], unknown [])"),
+    ("tab-unknown", "table", _edit_doc(lambda d: d.update(bogus=1)),
+     "gain table fields mismatch (missing [], unknown ['bogus'])"),
+    ("tab-null-top", "table", _edit_doc(lambda d: d.update(alpha=None)),
+     "gain table: fields ['alpha'] must not be null"),
+    ("tab-null-entry", "table", _first_entry(lambda e: e.update(P=None)),
+     "gain table entries[0]: fields ['P'] must not be null"),
+    ("tab-NaN", "table", _first_entry(lambda e: e.update(P=[float("nan")])),
+     "gain table holds the non-finite number NaN"),
+    ("tab-Infinity", "table", _edit_doc(lambda d: d.update(epsilon=float("inf"))),
+     "gain table holds the non-finite number Infinity"),
+    ("tab-version", "table", _edit_doc(lambda d: d.update(schema_version=2)),
+     "unsupported gain table schema version 2 (expected 1)"),
+    ("tab-dimension", "table", _edit_doc(lambda d: d.update(m=0)),
+     "gain table: dimensions must be positive"),
+    ("tab-not-object", "table", lambda text: "[" + text + "]",
+     "gain table must be a JSON object"),
+    ("tab-invalid-json", "table", lambda text: text[:-3], "gain table is not valid JSON"),
+    ("tab-unreadable", "table", _UNREADABLE, "cannot read table"),
+    ("tab-entries-not-list", "table", _edit_doc(lambda d: d.update(entries={"1": d["entries"][0]})),
+     "gain table: entries must be a list"),
+    ("tab-entry-not-object", "table", _edit_doc(lambda d: d["entries"].__setitem__(1, [1, 2])),
+     "gain table entries[1] must be a JSON object"),
+    ("tab-entry-fields", "table", _first_entry(lambda e: e.update(V=e.pop("L"))),
+     "gain table entries[0] fields mismatch (missing ['L'], unknown ['V'])"),
+    ("tab-entry-twice", "table", _edit_doc(lambda d: d["entries"].append(d["entries"][0])),
+     "gain table entries[5]: a second entry for wait 1"),
+]
+_COMMANDS = {"scenario": ("synth", "verify", "simulate"), "table": ("verify", "simulate")}
+
+
+@pytest.mark.parametrize("command,target,edit,fragment", [
+    pytest.param(command, target, edit, fragment, id=f"{name}-{command}")
+    for name, target, edit, fragment in _FILE_FAULTS for command in _COMMANDS[target]
 ])
-def test_malformed_field_exits_2(target, path, value, synth_out, tmp_path, capsys):
-    scen_doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+def test_malformed_field_exits_2(command, target, edit, fragment, synth_out, tmp_path, capsys):
     tables = tmp_path / "tables"
     tables.mkdir()
-    for table in synth_out.glob("*.gains.json"):
-        doc = json.loads(table.read_text())
-        if target == "table" and doc["loop_id"] == "integrator":
-            _set_field(doc, path, value)
-        (tables / table.name).write_text(json.dumps(doc))
     scen = tmp_path / "scenario.json"
-    if target == "scenario":
-        _set_field(scen_doc, path, value)
-        argv = ("synth", "-c", str(scen), "-o", str(tmp_path / "out"))
-    else:
-        argv = ("verify", "-t", str(tables), "-c", str(scen))
-    scen.write_text(json.dumps(scen_doc))
-    assert run_cli(*argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    sources = {scen: SCENARIOS / "two_loop.json",
+               **{tables / path.name: path for path in synth_out.glob("*.gains.json")}}
+    faulty = scen if target == "scenario" else tables / "integrator.gains.json"
+    for dest, source in sources.items():
+        if dest != faulty:
+            dest.write_text(source.read_text())
+        elif edit == _UNREADABLE:
+            dest.mkdir()
+        else:
+            dest.write_text(edit(source.read_text()))
+    out = tmp_path / "out"
+    argv = {"synth": ("synth", "-c", str(scen), "-o", str(out)),
+            "verify": ("verify", "-t", str(tables), "-c", str(scen)),
+            "simulate": ("simulate", "-c", str(scen), "-t", str(tables), "-o", str(out))}
+    assert run_cli(*argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and fragment in err
+    # simulate makes its output directory before it reads the tables.
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -501,3 +616,18 @@ def test_slow_integrator_synth_then_verify(q, tmp_path):
     tables = tmp_path / "tables"
     assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
     assert run_cli("verify", "-t", str(tables), "-c", str(scen)) == 0
+
+
+@pytest.mark.parametrize("gamma,alpha", [(15, 1000.0), (9, 1e6)])
+def test_collapsed_bounds_pass_verify(gamma, alpha, tmp_path, capsys):
+    # At pstar = gamma the lower and upper bounds are equal.
+    doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
+    doc["loops"][0].update(R=[10.0], alpha=alpha)
+    doc.update(I0=list(range(1, gamma + 1)), p=gamma)
+    scen = tmp_path / "bound.json"
+    scen.write_text(json.dumps(doc))
+    tables = tmp_path / "tables"
+    assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
+    assert run_cli("verify", "-t", str(tables), "-c", str(scen)) == 0
+    out = capsys.readouterr().out
+    assert "(collapsed)" in out and "all certificates pass" in out

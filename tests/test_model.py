@@ -179,6 +179,14 @@ class TestStageCostSum:
         with pytest.raises(ConfigurationError):
             stage_cost_sum(integrator, integrator_weights, [1.0, 2.0], [0.0], 2)
 
+    @pytest.mark.parametrize("Q,R,message", [
+        pytest.param(np.eye(2), [[1.0]], "Q is 2x2 but the state dimension is 1", id="Q"),
+        pytest.param([[1.0]], np.eye(3), "R is 3x3 but the input dimension is 1", id="R"),
+    ])
+    def test_weights_of_other_dimensions_rejected(self, integrator, Q, R, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            lift_range(integrator, WeightSpec(Q=Q, R=R), 3)
+
 
 class TestRecursionStructure:
     def test_transition_recursion_consistency(self):

@@ -437,6 +437,14 @@ class TestScenarioValidation:
             LoopSpec(name="a", system=integrator, weights=integrator_weights,
                      **initial, **{field: value})
 
+    @pytest.mark.parametrize("Q,R,message", [
+        pytest.param(np.eye(2), [[1.0]], "Q does not match state dim", id="Q"),
+        pytest.param([[1.0]], np.eye(2), "R does not match input dim", id="R"),
+    ])
+    def test_weights_must_match_the_plant(self, integrator, Q, R, message):
+        with pytest.raises(ConfigurationError, match=f"^loop 'a': {message}$"):
+            LoopSpec(name="a", system=integrator, weights=WeightSpec(Q=Q, R=R), x0=[1.0])
+
     def test_numpy_variances_are_stored_as_floats(self, integrator, integrator_weights):
         spec = LoopSpec(name="a", system=integrator, weights=integrator_weights,
                         x0_variance=np.int64(4), noise_variance=np.float32(0.25))

@@ -424,6 +424,38 @@ class TestCertificate:
             for S in cert.Si.values():
                 assert np.linalg.eigvalsh(S).min() > -1e-9
 
+    def test_bounds_are_ordered_on_a_grid(self, integrator):
+        # upper = lower + alpha (gamma - pstar) / (eps pstar gamma): equal at
+        # pstar = gamma, ordered below it.
+        for R in (0.1, 10.0, 100.0):
+            for gamma in range(1, 16):
+                for p in sorted({gamma, max(1, gamma // 2)}):
+                    table = build_gain_table(integrator, WeightSpec(Q=[[1.0]], R=[[R]]),
+                                             range(1, gamma + 1), p)
+                    for alpha in np.geomspace(1e-3, 1e7, 21):
+                        cert = stability_certificate(dataclasses.replace(table, alpha=alpha),
+                                                     integrator, p)
+                        assert cert.lower_bound == alpha / gamma
+                        if p == gamma:
+                            assert cert.upper_bound == cert.lower_bound
+                        else:
+                            assert cert.upper_bound > cert.lower_bound
+
+    def test_contraction_refusal_names_the_wait(self, integrator, integrator_table):
+        # P(3) a hair below F(3)' Pp F(3): S(3) is within the indefiniteness
+        # tolerance, so the contraction check is the one that refuses.
+        A3, B3 = lift_dynamics(integrator, 3)
+        F3 = A3 - B3 @ integrator_table.L(3)
+        entries = dict(integrator_table.entries)
+        entries[3] = ((1.0 - 1e-12) * (F3.T @ integrator_table.Pp @ F3), integrator_table.L(3))
+        gt = dataclasses.replace(integrator_table, entries=entries)
+        message = r"^loop 'integrator': contraction fails at wait 3 \(ratio 1 >= 1\)$"
+        with pytest.raises(CertificateError, match=message) as got:
+            stability_certificate(gt, integrator, 5)
+        with pytest.raises(CertificateError) as want:
+            oracle_certificate(gt, integrator, 5)
+        assert str(got.value) == str(want.value)
+
     def test_ratios_match_scipy_generalized_eigh(self):
         # scipy.linalg.eigh(G, P(i)) is the independent reference.  Both it
         # and the Cholesky reduction lose up to about eps * cond(P(i))
