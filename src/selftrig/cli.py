@@ -106,7 +106,11 @@ def _load_tables(tables_dir: Path, scn) -> dict:
     tables = {}
     for spec in scn.loops:
         path = _table_path(tables_dir, spec.name)
-        gt, eps, pstar = deserialize_gain_table(_read_text(path, "table"))
+        text = _read_text(path, "table")
+        try:
+            gt, eps, pstar = deserialize_gain_table(text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"table {path}: {exc}") from exc
         if gt.loop_id != spec.name:
             raise ConfigurationError(f"table {path} holds loop {gt.loop_id!r}, not {spec.name!r}")
         tables[spec.name] = (gt, eps, pstar)
@@ -140,8 +144,6 @@ def _write_gnuplot(out_dir: Path, loops) -> None:
 
 def cmd_simulate(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if scn.mode == MODE_PERIODIC:
         trace = run_periodic(scn)
     else:
@@ -154,6 +156,8 @@ def cmd_simulate(args) -> int:
         trace = run_self_triggered(scn, tables)
     if not verify_conflict_free(trace.tx_log):
         raise SchedulingError("simulated transmission log has a slot conflict")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for spec in scn.loops:
         tr = trace.loops[spec.name]

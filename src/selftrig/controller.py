@@ -38,14 +38,16 @@ class Decision:
     values_by_i: dict
 
 
-def _scores(gt: GainTable, x: np.ndarray) -> np.ndarray:
+def _scores(gt: GainTable, x: np.ndarray, costs=None) -> np.ndarray:
     """Cost ``alpha/i + x' P(i) x`` of every wait in ``gt.I0``, in row order.
 
     One stacked quadratic form, for ``x`` of shape ``(n,)`` (scores
     ``(|I0|,)``) or ``(R, n)`` (scores ``(R, |I0|)``).  It is the single
     evaluation path of the law, so every argmin compares the same floats.
+    ``costs`` ``(R, |I0|)``, when given, stands in for ``gt.costs``: row
+    ``r``'s sampling costs, for rows of tables that differ only in alpha.
     """
-    return gt.costs + ((x @ gt.P_stack) * x).sum(axis=-1).T
+    return (gt.costs if costs is None else costs) + ((x @ gt.P_stack) * x).sum(axis=-1).T
 
 
 def value_of(gt: GainTable, x, i: int) -> float:

@@ -68,6 +68,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
         raise ConfigurationError("scenario: loops must be a non-empty list")
     loops = tuple(_loop_from_dict(lp, i) for i, lp in enumerate(doc["loops"]))
     outputs = _json_object(doc.get("outputs", {}), (), _OUTPUT_OPTIONAL, "outputs")
+    outputs = {key: _json_string(path, f"outputs: {key}") for key, path in outputs.items()}
     # Scenario itself refuses non-integer waits, p, horizon, seed and ts,
     # and an unknown mode.
     scenario = Scenario(
@@ -80,7 +81,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, dict]:
         ts=doc.get("ts"),
         name=_json_string(doc.get("name", "scenario"), "scenario: name"),
     )
-    return scenario, dict(outputs)
+    return scenario, outputs
 
 
 def load_scenario(path) -> tuple[Scenario, dict]:

@@ -1,20 +1,24 @@
 """Closed-loop simulation of the joint control-and-scheduling law and its
 periodic baseline.
 
-One event loop advances the plants from one decision to the next, for one
-run or for several runs together on a leading run axis.  Whenever a loop's
-next sample comes up in a run, its state is "transmitted" and a decision
-policy picks the input to hold and the wait until the next sample.  A held
-input makes the steps up to the largest wait one lifted linear map, so a
-decision costs one product, not one plant update per step.  There are
-three policies: the self-triggered law through the reservation ledger
-(table argmin over the waits the ledger allows, then a reservation),
-fixed-interval sampling with the periodic Riccati gain, and the
-self-triggered law over a sweep's runs (the scheduler's residue mask and
-the controller's argmin, both on the run axis).  Initial states are
-assumed known to the controller at k = 0 without consuming channel slots,
-so coordinated start-up needs no transmissions.  Sweeps over the sampling
-cost aggregate both laws through one per-run statistics path.
+One event loop advances the plants from one decision to the next, for the
+rows of a leading row axis: one row is one (alpha index, run index) pair,
+so a single run and every run of a sweep take the same path.  Whenever a
+loop's next sample comes up in a row, its state is "transmitted" and a
+decision policy picks the input to hold and the wait until the next
+sample.  A held input makes the steps up to the largest wait one lifted
+linear map, so a decision costs one product, not one plant update per
+step.  There are three policies: the self-triggered law through the
+reservation ledger for one run (table argmin over the waits the ledger
+allows, then a reservation), and two row-form policies that serve the
+sweeps: the self-triggered law over every row of every alpha (the
+scheduler's residue mask and the controller's argmin, each row scored with
+its alpha's sampling costs) and fixed-interval sampling with each row's
+periodic Riccati gain, which also serves a single periodic run.  Initial
+states are assumed known to the controller at k = 0 without consuming
+channel slots, so coordinated start-up needs no transmissions.  Sweeps
+over the sampling cost aggregate both laws through one per-run statistics
+path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -271,15 +275,17 @@ def _check_tables(scn: Scenario, tables: dict) -> list:
     return ordered
 
 
-def _check_finite(name: str, states: np.ndarray, runs) -> None:
-    """Refuse runs whose state left the finite floats, naming the first bad
-    step (and its run, when several runs were advanced together)."""
+def _check_finite(name: str, states: np.ndarray, keys) -> None:
+    """Refuse rows whose state left the finite floats, naming the first bad
+    step (and its run and alpha index, when several rows were advanced
+    together)."""
     finite = np.isfinite(states).all(axis=-1)
     if not finite.all():
-        r, k = np.argwhere(~finite)[0]
-        of_run = f" of run {runs[r]}" if len(runs) > 1 else ""
+        row, k = np.argwhere(~finite)[0]
+        alpha_index, run = keys[row]
+        of_row = f" of run {run}, alpha index {alpha_index}" if len(keys) > 1 else ""
         raise ConfigurationError(
-            f"loop {name!r}: state is not finite from step k={k}{of_run}"
+            f"loop {name!r}: state is not finite from step k={k}{of_row}"
         )
 
 
@@ -309,34 +315,35 @@ def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
     return np.vstack([phi, blocks.transpose(0, 3, 1, 2).reshape(gamma * n, gamma * n)])
 
 
-def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) -> list:
-    """Advance every plant from one sample to the next in each run of
-    ``runs``, and sample each loop of each run on its own clock.
+def _event_loop(scn: Scenario, first_samples, policy, keys) -> list:
+    """Advance every plant from one sample to the next in each row, and
+    sample each loop of each row on its own clock.
 
-    Runs share a leading axis.  Loop ``j`` first samples at
-    ``first_samples[j]``.  At ``k`` the decision rule
+    Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)``, and
+    draws from the substream ``(alpha_index, run_index, j)`` of each loop
+    ``j``.  Rows share a leading axis and never interact.  Loop ``j``
+    first samples at ``first_samples[j]``.  At ``k`` the decision rule
     ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` of the
-    runs ``rows`` whose loop ``j`` samples then, and picks the inputs to
+    rows ``rows`` whose loop ``j`` samples then, and picks the inputs to
     hold and the waits until their next samples.  Loops sampling at the
-    same ``k`` decide in increasing index order.  Run ``r`` draws from the
-    substream ``(alpha_index, runs[r], j)`` of each loop ``j``.
+    same ``k`` decide in increasing index order.
 
     The loop jumps from one decision time to the next.  Each decision
     writes the next ``gamma`` states of its rows with one product by the
     loop's :func:`_segment_map`, and their next decision, at most
     ``gamma`` steps on, overwrites whatever lies beyond it; a zero-input
     segment at ``k = 0`` covers the steps before a loop's first sample.
-    The scenario and the drawn noise are finite when the runs start, so
+    The scenario and the drawn noise are finite when the rows start, so
     the segments run without checks; one finiteness check per loop follows
-    the runs, on the kept steps only.  A policy's error is raised again
+    the rows, on the kept steps only.  A policy's error is raised again
     naming its step and loop, unless a state so far is not finite: then
-    that state's finiteness error is raised instead, as after the runs.
+    that state's finiteness error is raised instead, as after the rows.
     Returns, per loop, the states
     ``(R, T+1, n)``, the inputs ``(R, T, m)`` and the chosen waits
-    ``(R, T)``, 0 where the loop did not sample; each run's rows are
+    ``(R, T)``, 0 where the loop did not sample; each row's entries are
     contiguous.
     """
-    T, R, G = scn.horizon, len(runs), scn.gamma
+    T, R, G = scn.horizon, len(keys), scn.gamma
     maps, states, inputs, waits, Ews = [], [], [], [], []
     for j, spec in enumerate(scn.loops):
         sys = spec.system
@@ -344,8 +351,8 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
         # Padded by G: the segment of a decision may reach past the horizon.
         states.append(np.empty((R, T + 1 + G, sys.n)))
         noise = np.empty((R, T, sys.w)) if noisy else None
-        for i, r in enumerate(runs):
-            rng = rng_substream(scn.seed, alpha_index, r, j)
+        for i, (alpha_index, run_index) in enumerate(keys):
+            rng = rng_substream(scn.seed, alpha_index, run_index, j)
             if spec.x0 is None:
                 states[j][i, 0] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
             else:
@@ -367,8 +374,8 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
         z = [states[j][rows, k], inputs[j][rows, k]]
         if Ew is not None:
             z.append(Ew[rows, k:k + G].reshape(-1, G * n))
-        # einsum rounds each row alike whatever the row count, so a run's
-        # states do not depend on how many runs advance with it.  It also
+        # einsum rounds each row alike whatever the row count, so a row's
+        # states do not depend on how many rows advance with it.  It also
         # raises no floating-point warnings: the discarded tail of an
         # unstable plant may overflow silently.
         segment = np.einsum("ri,ij->rj", np.concatenate(z, axis=1), maps[j])
@@ -385,8 +392,8 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
             for j in range(len(maps)):
                 if due[j] != k:
                     continue
-                # When every run decides, basic slicing stands in for the index
-                # array; one run also keeps a scalar clock.
+                # When every row decides, basic slicing stands in for the index
+                # array; one row also keeps a scalar clock.
                 rows = slice(None)
                 if R > 1:
                     deciding = (next_sample[j] == k).nonzero()[0]
@@ -398,7 +405,7 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
                     # A state that left the floats fails the policy first; the
                     # first non-finite step so far is the cause to report.
                     for spec, loop_states in zip(scn.loops, states):
-                        _check_finite(spec.name, loop_states[:, :k + 1], runs)
+                        _check_finite(spec.name, loop_states[:, :k + 1], keys)
                     raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
                 inputs[j][rows, k:k + G] = u[..., None, :]
                 advance(j, rows, k)
@@ -412,7 +419,7 @@ def _event_loop(scn: Scenario, first_samples, policy, alpha_index: int, runs) ->
 
     kept = [(x[:, :T + 1], u[:, :T], w) for x, u, w in zip(states, inputs, waits)]
     for spec, (loop_states, _, _) in zip(scn.loops, kept):
-        _check_finite(spec.name, loop_states, runs)
+        _check_finite(spec.name, loop_states, keys)
     return kept
 
 
@@ -487,20 +494,23 @@ def run_self_triggered(
         feasible[j].append(feas)
         return dec.i_star, dec.u
 
-    run = _event_loop(scn, [0] * len(names), policy, alpha_index, (run_index,))
+    run = _event_loop(scn, [0] * len(names), policy, [(alpha_index, run_index)])
     return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)
 
 
-def _periodic_run(scn: Scenario, alpha_index: int, run_index: int):
-    """One run of the fixed-interval baseline at period ``scn.ts``: what
-    :func:`_event_loop` returns, and each loop's periodic ``(P, L)``."""
-    gains = [solve_periodic_riccati(spec.system, spec.weights, scn.ts) for spec in scn.loops]
+def _periodic_runs(scn: Scenario, keys, periods) -> tuple:
+    """The fixed-interval baseline on every row of ``keys``, row ``r`` at
+    period ``periods[r]``: what :func:`_event_loop` returns, and per loop
+    each row's periodic ``(P, L)``, from a Riccati solve of its own."""
+    gains = [[solve_periodic_riccati(spec.system, spec.weights, ts) for ts in periods]
+             for spec in scn.loops]
+    L = [np.array([gain for _, gain in loop]) for loop in gains]
+    waits = np.array(periods)
 
     def policy(j, k, rows, x):
-        return scn.ts, -(gains[j][1] @ x[0])
+        return waits[rows], -(L[j][rows] @ x[:, :, None])[:, :, 0]
 
-    run = _event_loop(scn, range(len(gains)), policy, alpha_index, (run_index,))
-    return run, gains
+    return _event_loop(scn, range(len(scn.loops)), policy, keys), gains
 
 
 def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> SimTrace:
@@ -514,35 +524,40 @@ def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> Sim
     """
     if scn.ts is None:
         raise ConfigurationError("the periodic baseline needs a scenario with ts")
-    run, gains = _periodic_run(scn, alpha_index, run_index)
+    run, gains = _periodic_runs(scn, [(alpha_index, run_index)], [scn.ts])
     values = [
         [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
-        for (P, _), (states, _, waits) in zip(gains, run)
+        for ((P, _),), (states, _, waits) in zip(gains, run)
     ]
     feasible = [[frozenset({scn.ts})] * len(v) for v in values]
     return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 
 
-def _self_triggered_runs(scn: Scenario, tables: list, alpha_index: int, n_runs: int) -> list:
-    """``n_runs`` runs of the self-triggered law, advanced together by
-    :func:`_event_loop` on its run axis.
+def _self_triggered_runs(scn: Scenario, tables: dict, keys) -> list:
+    """The self-triggered law on every row of ``keys``, advanced together
+    by :func:`_event_loop`; ``tables`` maps each alpha index of ``keys`` to
+    its tables in loop order.
 
     The law, the substreams and the decision order are those of
-    :func:`run_self_triggered`, in their run-axis forms: the scheduler's
+    :func:`run_self_triggered`, in their row-axis forms: the scheduler's
     :class:`~selftrig.scheduler._RunLedger` masks the waits the channel
     leaves no room for and books the chosen ones, and the controller's
-    :func:`~selftrig.controller._pick` picks.  Returns what
-    :func:`_event_loop` returns.
+    :func:`~selftrig.controller._pick` picks.  A table's alpha enters only
+    its sampling costs ``alpha / i``, so each row is scored with its own
+    alpha's costs and the value and gain stacks of the first row's alpha.
+    Returns what :func:`_event_loop` returns.
     """
-    ledger = _RunLedger(scn.p, scn.I0, len(scn.loops), n_runs)
+    ledger = _RunLedger(scn.p, scn.I0, len(scn.loops), len(keys))
+    stacks = tables[keys[0][0]]
+    costs = [np.array([tables[ai][j].costs for ai, _ in keys]) for j in range(len(stacks))]
 
     def policy(j, k, rows, x):
         taken = ledger.taken(j, k, rows)
-        pick = _pick(_scores(tables[j], x), taken)
+        pick = _pick(_scores(stacks[j], x, costs[j][rows]), taken)
         wait = ledger.book(j, k, rows, pick)
-        return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
+        return wait, -(stacks[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
-    return _event_loop(scn, [0] * len(scn.loops), policy, alpha_index, range(n_runs))
+    return _event_loop(scn, [0] * len(scn.loops), policy, keys)
 
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
@@ -605,14 +620,38 @@ def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
             )
 
 
+# Rows times steps that one event loop of a sweep advances, unless one
+# alpha's runs alone take more.
+_ROW_STEPS = 2**20
+
+
+def _sweep_rows(scn: Scenario, alpha_indices: list, n_runs: int, stats: dict, run) -> None:
+    """Run the ``n_runs`` rows of each alpha index, and record each alpha's
+    statistics on its own rows.
+
+    ``run(keys)`` advances the rows ``keys`` together and returns what
+    :func:`_event_loop` returns.  The rows go in chunks of whole alphas,
+    at least one alpha and otherwise at most :data:`_ROW_STEPS` row-steps
+    each, in alpha-major order; rows never interact, so the chunking
+    changes no bit.
+    """
+    size = max(1, _ROW_STEPS // (n_runs * scn.horizon))
+    for c in range(0, len(alpha_indices), size):
+        chunk = alpha_indices[c:c + size]
+        per_loop = run([(ai, r) for ai in chunk for r in range(n_runs)])
+        for i, ai in enumerate(chunk):
+            rows = slice(i * n_runs, (i + 1) * n_runs)
+            _record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
+
+
 def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
     """Re-synthesize and re-run the scenario across a grid of sampling costs.
 
-    For each alpha every loop's table is rebuilt with that alpha, then
-    ``n_runs`` independent noisy runs execute together on substreams keyed
-    by (alpha index, run index, loop index); results are reproducible from
-    ``scn.seed`` alone and equal those of :func:`run_self_triggered` run by
-    run.
+    For each alpha every loop's table is rebuilt with that alpha; then the
+    ``n_runs`` independent noisy runs of every alpha execute together, on
+    substreams keyed by (alpha index, run index, loop index).  Results are
+    reproducible from ``scn.seed`` alone and equal those of
+    :func:`run_self_triggered` run by run.
     """
     alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
     if not alphas:
@@ -625,15 +664,14 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
 
     names = tuple(spec.name for spec in scn.loops)
     stats = _empty_stats(names)
-    errors = {}
-
+    errors, tables = {}, {}
     for ai, alpha in enumerate(alphas):
         try:
-            tables = _build_tables(scn, alpha)
+            tables[ai] = _build_tables(scn, alpha)
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
-            continue
-        _record_runs(stats, ai, scn, _self_triggered_runs(scn, tables, ai, n_runs))
+    _sweep_rows(scn, list(tables), n_runs, stats,
+                lambda keys: _self_triggered_runs(scn, tables, keys))
 
     return SweepSummary(
         alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
@@ -645,24 +683,23 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
 
     At every alpha the sweep has results for, the period ``ts`` is the mean
     sampling interval over loops, rounded and clamped to ``[s, p]``;
-    ``summary.n_runs`` periodic runs then execute on the sweep's substreams
-    (those of ``scn.seed``).  The returned ``mean_interval`` holds the
-    matched ``float(ts)``.
+    ``summary.n_runs`` periodic runs per alpha then execute together on
+    the sweep's substreams (those of ``scn.seed``).  The returned
+    ``mean_interval`` holds the matched ``float(ts)``.
     """
     names = summary.loop_names
     stats = _empty_stats(names)
     s = len(scn.loops)
+    periods = {}
     for ai in range(len(summary.alphas)):
-        if ai not in summary.mean_interval[names[0]]:
-            continue
-        interval = np.mean([summary.mean_interval[name][ai] for name in names])
-        matched = replace(scn, ts=int(min(max(round(interval), s), scn.p)))
-        runs = [_periodic_run(matched, ai, r)[0] for r in range(summary.n_runs)]
-        # Per loop, each field of the one-run results joined on the run axis.
-        _record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
-                                      for loop in zip(*runs)])
+        if ai in summary.mean_interval[names[0]]:
+            interval = np.mean([summary.mean_interval[name][ai] for name in names])
+            periods[ai] = int(min(max(round(interval), s), scn.p))
+    _sweep_rows(scn, list(periods), summary.n_runs, stats,
+                lambda keys: _periodic_runs(scn, keys, [periods[ai] for ai, _ in keys])[0])
+    for ai, ts in periods.items():
         for name in names:
-            stats["mean_interval"][name][ai] = float(matched.ts)
+            stats["mean_interval"][name][ai] = float(ts)
     return replace(summary, **stats)
 
 

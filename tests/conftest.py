@@ -10,10 +10,14 @@ package's stacked synthesis; and the ``csv.writer`` trace, channel-log and
 sweep writers are the byte references of its text writers.  The online
 law of one decision, ``feasible_set`` -> ``decide`` -> ``reserve``, is
 kept with every entry check in its general form, as the bit and refusal
-reference of the package's law.
+reference of the package's law.  The sweep with one event loop per alpha,
+each alpha's runs scored by its own tables, and the fixed-interval
+baseline with one event loop per run are the bit references of the
+package's sweep, which runs every (alpha, run) row in one event loop.
 """
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +31,15 @@ from selftrig import (
     LtiSystem,
     Scenario,
     SchedulingError,
+    SelfTrigError,
     SynthesisError,
     WeightSpec,
     build_gain_table,
+    simulator,
+    solve_periodic_riccati,
 )
+from selftrig.controller import _pick, _scores
+from selftrig.scheduler import _RunLedger
 
 
 @pytest.fixture(scope="session")
@@ -390,6 +399,68 @@ def oracle_write_sweep_csv(summary, loop_name, path) -> None:
                     summary.n_runs,
                 ]
             )
+
+
+# ---------------------------------------------------------------------------
+# Reference sweeps: one event loop per alpha, and one per periodic run.
+
+
+def oracle_sweep_alpha(scn, alphas, n_runs):
+    """The adaptive sweep one alpha at a time: the runs of each alpha in an
+    event loop of their own, scored and fed back by that alpha's tables."""
+    names = tuple(spec.name for spec in scn.loops)
+    stats = simulator._empty_stats(names)
+    errors = {}
+    for ai, alpha in enumerate(alphas):
+        try:
+            tables = simulator._build_tables(scn, alpha)
+        except SelfTrigError as exc:
+            errors[alpha] = str(exc)
+            continue
+        ledger = _RunLedger(scn.p, scn.I0, len(names), n_runs)
+
+        def policy(j, k, rows, x, tables=tables, ledger=ledger):
+            pick = _pick(_scores(tables[j], x), ledger.taken(j, k, rows))
+            wait = ledger.book(j, k, rows, pick)
+            return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
+
+        keys = [(ai, r) for r in range(n_runs)]
+        simulator._record_runs(stats, ai, scn,
+                               simulator._event_loop(scn, [0] * len(names), policy, keys))
+    return simulator.SweepSummary(alphas=tuple(alphas), loop_names=names, n_runs=n_runs,
+                                  errors=errors, **stats)
+
+
+def oracle_periodic_run(scn, alpha_index=0, run_index=0):
+    """One run of the fixed-interval baseline at period ``scn.ts``, in an
+    event loop of its own: what the event loop returns, and each loop's
+    periodic ``(P, L)``."""
+    gains = [solve_periodic_riccati(spec.system, spec.weights, scn.ts) for spec in scn.loops]
+
+    def policy(j, k, rows, x):
+        return scn.ts, -(gains[j][1] @ x[0])
+
+    keys = [(alpha_index, run_index)]
+    return simulator._event_loop(scn, range(len(gains)), policy, keys), gains
+
+
+def oracle_periodic_baseline(scn, summary):
+    """The fixed-interval baseline of ``summary`` one run at a time."""
+    names = summary.loop_names
+    stats = simulator._empty_stats(names)
+    s = len(scn.loops)
+    for ai in range(len(summary.alphas)):
+        if ai not in summary.mean_interval[names[0]]:
+            continue
+        interval = np.mean([summary.mean_interval[name][ai] for name in names])
+        matched = replace(scn, ts=int(min(max(round(interval), s), scn.p)))
+        runs = [oracle_periodic_run(matched, ai, r)[0] for r in range(summary.n_runs)]
+        # Per loop, each field of the one-run results joined on the run axis.
+        simulator._record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
+                                                for loop in zip(*runs)])
+        for name in names:
+            stats["mean_interval"][name][ai] = float(matched.ts)
+    return replace(summary, **stats)
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,9 @@ _FILE_FAULTS = [
      "outputs must be a JSON object"),
     ("scn-outputs-unknown", "scenario", _edit_doc(lambda d: d.update(outputs={"plots": "p"})),
      "outputs fields mismatch (missing [], unknown ['plots'])"),
+    ("scn-outputs-not-string", "scenario",
+     _edit_doc(lambda d: d.update(outputs={"sweep_csv": "s.csv", "tables_dir": 5})),
+     "outputs: tables_dir must be a string, got 5"),
     ("scn-not-object", "scenario", lambda text: "[" + text + "]",
      "scenario must be a JSON object"),
     ("scn-invalid-json", "scenario", lambda text: text[:-3], "is not valid JSON"),
@@ -573,8 +576,27 @@ def test_malformed_field_exits_2(command, target, edit, fragment, synth_out, tmp
     assert run_cli(*argv[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and fragment in err
-    # simulate makes its output directory before it reads the tables.
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_table_refusal_names_its_file(command, synth_out, tmp_path, capsys):
+    # The second loop's table is the broken one, so only the path tells the
+    # two tables apart.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    for path in synth_out.glob("*.gains.json"):
+        text = path.read_text()
+        (tables / path.name).write_text(text[:-3] if path.name.startswith("double") else text)
+    scen = str(SCENARIOS / "two_loop.json")
+    out = tmp_path / "run"
+    argv = {"simulate": ("simulate", "-c", scen, "-t", str(tables), "-o", str(out)),
+            "verify": ("verify", "-t", str(tables), "-c", scen)}[command]
+    assert run_cli(*argv) == 2
+    broken = tables / "double_integrator.gains.json"
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: table {broken}: gain table is not valid JSON: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -29,6 +29,7 @@ from selftrig import (
     stability_certificate,
     step_plant,
     sweep_alpha,
+    simulator,
     verify_conflict_free,
 )
 from selftrig.scenario import load_scenario
@@ -44,6 +45,10 @@ from selftrig.simulator import (
 )
 
 from conftest import (
+    bits,
+    oracle_periodic_baseline,
+    oracle_periodic_run,
+    oracle_sweep_alpha,
     oracle_write_sweep_csv,
     oracle_write_trace_csv,
     oracle_write_txlog_csv,
@@ -304,6 +309,20 @@ class TestPeriodicBaseline:
         assert l2.sample_times[0] == 1  # second loop starts one slot later
         assert np.all(l2.inputs[0] == 0.0)
 
+    @pytest.mark.parametrize("case", ["transient-ts1", "transient-ts5", "zero-state",
+                                      "singleton", "singleton-noisy", "two-loop",
+                                      "channel", "overflowing-tail"])
+    def test_traces_equal_the_one_run_oracle(self, case, request):
+        scn, keys = _periodic_case(case, request)
+        trace = run_periodic(scn, *keys)
+        run, gains = oracle_periodic_run(scn, *keys)
+        for spec, (states, inputs, waits), (P, _) in zip(scn.loops, run, gains):
+            tr = trace.loops[spec.name]
+            assert bits(tr.states) == bits(states[0]) and bits(tr.inputs) == bits(inputs[0])
+            np.testing.assert_array_equal(tr.sample_times, np.flatnonzero(waits[0]))
+            assert (tr.waits == scn.ts).all()
+            assert tr.values.tolist() == [float(x @ P @ x) for x in tr.states[tr.sample_times]]
+
     def test_too_many_loops_for_period_rejected(self, two_loop_scenario):
         with pytest.raises(ConfigurationError):
             run_periodic(replace(two_loop_scenario, ts=1))
@@ -311,6 +330,32 @@ class TestPeriodicBaseline:
     def test_scenario_without_ts_rejected(self, transient_scenario):
         with pytest.raises(ConfigurationError, match="needs a scenario with ts"):
             run_periodic(transient_scenario)
+
+
+def _periodic_case(case, request):
+    """A scenario that a test of this module runs ``run_periodic`` on, with
+    the (alpha index, run index) of the run."""
+    integrator = request.getfixturevalue("integrator")
+    weights = request.getfixturevalue("integrator_weights")
+    if case.startswith("transient"):
+        return replace(request.getfixturevalue("transient_scenario"), ts=int(case[-1])), (0, 0)
+    if case == "zero-state":
+        return Scenario(loops=(LoopSpec(name="integrator", system=integrator, weights=weights,
+                                        x0=[0.0]),),
+                        I0=range(1, 6), p=5, horizon=30, seed=0, ts=5), (0, 0)
+    if case.startswith("singleton"):
+        initial = {"x0_variance": 4.0, "noise_variance": 0.1} if "noisy" in case else {"x0": [2.0]}
+        return Scenario(loops=(LoopSpec(name="integrator", system=integrator, weights=weights,
+                                        **initial),),
+                        I0=[3], p=3, horizon=30, seed=0, ts=3), (0, 0)
+    if case == "two-loop":
+        return replace(request.getfixturevalue("two_loop_scenario"), ts=5), (0, 0)
+    if case == "channel":
+        return replace(_channel_scenario(), ts=5), (2, 1)
+    spec = LoopSpec(name="a", system=LtiSystem(A=[[1e7]], B=[[1.0]]),
+                    weights=WeightSpec(Q=[[1.0]], R=[[1.0]]), x0=[1e100])
+    return Scenario(loops=(spec,), I0=range(1, 51), p=1, horizon=2, seed=0,
+                    mode="periodic", ts=1), (0, 0)
 
 
 class TestCostStatistics:
@@ -582,16 +627,9 @@ class TestTxLogCsv:
 class TestSweepCsv:
     def test_readme_sweep_with_a_failed_alpha_bytes_equal_the_csv_writer(
             self, tmp_path, monkeypatch):
-        from selftrig import simulator
-
-        def build(sys, weights, *args, **kwargs):
-            if weights.alpha == 1.3:
-                raise SynthesisError("refused for this test")
-            return build_gain_table(sys, weights, *args, **kwargs)
-
-        monkeypatch.setattr(simulator, "build_gain_table", build)
+        _refuse_alpha_1_3(monkeypatch)
         scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
-        alphas = [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6]
+        alphas = _README_ALPHAS
         summary = sweep_alpha(scn, alphas, n_runs=20)
         assert list(summary.errors) == [1.3]
         for result in (summary, periodic_baseline(scn, summary)):
@@ -712,7 +750,7 @@ def test_policy_errors_name_their_step_and_loop(transient_scenario):
         return 3, np.zeros((1, 1))
 
     with pytest.raises(SchedulingError, match=r"^at step k=3, loop 'integrator': no wait left$"):
-        _event_loop(transient_scenario, [0], policy, 0, (0,))
+        _event_loop(transient_scenario, [0], policy, [(0, 0)])
 
 
 def _value_bound_excess(scn):
@@ -844,7 +882,7 @@ class TestBatchedSweep:
         }[case]()
         for ai, alpha in enumerate(alphas):
             tables = _tables(scn, alpha)
-            batch = _self_triggered_runs(scn, tables, ai, n_runs)
+            batch = _self_triggered_runs(scn, {ai: tables}, [(ai, r) for r in range(n_runs)])
             for r in range(n_runs):
                 ref = _per_run_reference(scn, tables, ai, r)
                 for spec, (states, inputs, sampled) in zip(scn.loops, batch):
@@ -890,7 +928,8 @@ class TestBatchedSweep:
                                x0=[0.0]) for name in ("a", "b"))
         scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=40, seed=0)
         tables = _tables(scn, 0.0)
-        (a_states, _, a_sampled), (_, _, b_sampled) = _self_triggered_runs(scn, tables, 0, 2)
+        (a_states, _, a_sampled), (_, _, b_sampled) = _self_triggered_runs(
+            scn, {0: tables}, [(0, 0), (0, 1)])
         ref = _per_run_reference(scn, tables, 0, 0)
         # a takes the largest wait 5; b then finds 5 taken at k = 0 and
         # takes 4, after which both keep the full period.
@@ -912,7 +951,8 @@ class TestBatchedSweep:
                       for name, x0 in (("a", 0.0), ("b", 1e200)))
         scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=30, seed=0)
         tables = _tables(scn, 0.0)
-        (_, _, a_sampled), (b_states, _, b_sampled) = _self_triggered_runs(scn, tables, 0, 1)
+        (_, _, a_sampled), (b_states, _, b_sampled) = _self_triggered_runs(scn, {0: tables},
+                                                                           [(0, 0)])
         ref = _per_run_reference(scn, tables, 0, 0)
         assert ref.loops["b"].waits[0] == 4
         np.testing.assert_array_equal(np.flatnonzero(a_sampled[0]),
@@ -920,6 +960,121 @@ class TestBatchedSweep:
         np.testing.assert_array_equal(np.flatnonzero(b_sampled[0]),
                                       ref.loops["b"].sample_times)
         np.testing.assert_array_equal(b_states[0], ref.loops["b"].states)
+
+
+_README_ALPHAS = [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6]
+
+
+def _refuse_alpha_1_3(monkeypatch):
+    def build(sys, weights, *args, **kwargs):
+        if weights.alpha == 1.3:
+            raise SynthesisError("refused for this test")
+        return build_gain_table(sys, weights, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "build_gain_table", build)
+
+
+def _noisy_two_loop():
+    scn, _ = load_scenario(SCENARIOS / "two_loop.json")
+    return replace(scn, loops=tuple(replace(spec, x0=None, x0_variance=4.0, noise_variance=0.1)
+                                    for spec in scn.loops))
+
+
+def _assert_same_statistics(summary, expected):
+    for field in ("alphas", "n_runs", "mean_interval", "se_interval", "mean_cost", "se_cost",
+                  "errors"):
+        assert getattr(summary, field) == getattr(expected, field), field
+
+
+class TestMergedSweep:
+    """Every (alpha, run) row of a sweep, and of its periodic baseline, runs
+    in one event loop; the statistics equal those of one event loop per
+    alpha and one per periodic run, to the bit."""
+
+    @pytest.mark.parametrize("case", ["integrator-sweep", "two-loop-noisy", "channel",
+                                      "readme-refused"])
+    def test_statistics_equal_the_oracles(self, case, monkeypatch):
+        if case == "readme-refused":
+            _refuse_alpha_1_3(monkeypatch)
+        scn, alphas, n_runs = {
+            "integrator-sweep": lambda: (replace(_integrator_sweep_scenario(), horizon=200),
+                                         _README_ALPHAS, 20),
+            "two-loop-noisy": lambda: (_noisy_two_loop(), [0.0, 0.2, 1.0, 5.0, 20.0], 8),
+            "channel": lambda: (_channel_scenario(), [0.0, 0.5, 5.0, 20.0], 4),
+            "readme-refused": lambda: (load_scenario(SCENARIOS / "integrator_sweep.json")[0],
+                                       _README_ALPHAS, 20),
+        }[case]()
+        summary = sweep_alpha(scn, alphas, n_runs)
+        expected = oracle_sweep_alpha(scn, alphas, n_runs)
+        _assert_same_statistics(summary, expected)
+        _assert_same_statistics(periodic_baseline(scn, summary),
+                                oracle_periodic_baseline(scn, expected))
+        assert list(summary.errors) == ([1.3] if case == "readme-refused" else [])
+
+    def test_chunks_of_whole_alphas_equal_one_chunk(self, monkeypatch):
+        scn, alphas, n_runs = _channel_scenario(), [0.0, 0.5, 5.0], 3
+        rows = []
+        event_loop = simulator._event_loop
+
+        def counted(scn, first_samples, policy, keys):
+            rows.append([ai for ai, _ in keys])
+            return event_loop(scn, first_samples, policy, keys)
+
+        monkeypatch.setattr(simulator, "_event_loop", counted)
+        results = {}
+        for per_chunk in (None, 2, 1):
+            if per_chunk is not None:
+                monkeypatch.setattr(simulator, "_ROW_STEPS", per_chunk * n_runs * scn.horizon)
+            rows.clear()
+            summary = sweep_alpha(scn, alphas, n_runs)
+            results[per_chunk] = summary, periodic_baseline(scn, summary)
+            chunks = {None: [[0, 1, 2]], 2: [[0, 1], [2]], 1: [[0], [1], [2]]}[per_chunk]
+            assert rows == 2 * [[ai for ai in chunk for _ in range(n_runs)] for chunk in chunks]
+        for summary, baseline in (results[2], results[1]):
+            _assert_same_statistics(summary, results[None][0])
+            _assert_same_statistics(baseline, results[None][1])
+
+    @staticmethod
+    def _assert_stacks_do_not_depend_on_alpha(sys, weights, I0, p):
+        first, *others = [build_gain_table(sys, replace(weights, alpha=alpha), I0, p)
+                          for alpha in _README_ALPHAS]
+        for gt in others:
+            assert bits(gt.P_stack) == bits(first.P_stack)
+            assert bits(gt.L_stack) == bits(first.L_stack)
+
+    @pytest.mark.parametrize("name", ["integrator_sweep", "integrator_transient", "two_loop"])
+    def test_stacks_do_not_depend_on_alpha_in_shipped_scenarios(self, name):
+        scn, _ = load_scenario(SCENARIOS / f"{name}.json")
+        for spec in scn.loops:
+            self._assert_stacks_do_not_depend_on_alpha(spec.system, spec.weights, scn.I0, scn.p)
+
+    def test_stacks_do_not_depend_on_alpha_in_random_plants(self):
+        rng = np.random.default_rng(21)
+        tested = 0
+        for _ in range(40):
+            sys = random_system(rng, max_spectral_radius=1.2)
+            weights = random_weights(rng, sys.n, sys.m)
+            I0 = tuple(range(1, int(rng.integers(2, 7)) + 1))
+            try:
+                self._assert_stacks_do_not_depend_on_alpha(sys, weights, I0, max(I0))
+            except SynthesisError:
+                continue
+            tested += 1
+        assert tested >= 20
+
+    def test_overflow_names_its_alpha_index_and_run(self):
+        # Each row waits 2 at k = 0 from x = 0, so x(2) = Ew(0) + Ew(1), and
+        # each Ew is finite; at seed 2 the sum leaves the floats in run 0 of
+        # alpha index 1 only.
+        spec = LoopSpec(name="a", system=LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1e158]]),
+                        weights=WeightSpec(Q=[[1.0]], R=[[1.0]]), x0=[0.0],
+                        noise_variance=1e300)
+        scn = Scenario(loops=(spec,), I0=[1, 2], p=2, horizon=2, seed=2)
+        (states, _, _), = _self_triggered_runs(scn, {0: _tables(scn, 0.0)}, [(0, 0), (0, 1)])
+        assert np.isfinite(states).all()
+        with pytest.raises(ConfigurationError, match=r"^loop 'a': state is not finite from "
+                                                     r"step k=2 of run 0, alpha index 1$"):
+            sweep_alpha(scn, [0.0, 1.0], n_runs=2)
 
 
 def _step_replay(scn, per_loop, alpha_index, runs):
@@ -984,7 +1139,7 @@ class TestSegmentStepping:
 
     def test_sweep_rows_match_step_replay(self):
         scn = _channel_scenario()
-        batch = _self_triggered_runs(scn, _tables(scn, 0.5), 1, 3)
+        batch = _self_triggered_runs(scn, {1: _tables(scn, 0.5)}, [(1, r) for r in range(3)])
         _step_replay(scn, batch, 1, range(3))
         for _, inputs, waits in batch:
             for r in range(3):
