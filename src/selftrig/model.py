@@ -3,8 +3,9 @@
 When the control input is held constant for ``i`` consecutive steps, the
 ``i``-step transition collapses to a single linear map and the accumulated
 quadratic stage cost collapses to one quadratic form with a state/input
-cross term.  This module owns that recursion, :func:`_lift`; synthesis,
-control and simulation all consume its stacks.
+cross term.  This module owns that recursion, :func:`_lift_recursion`,
+and each plant's memo of its longest lifts, :func:`_lift`; synthesis,
+control and simulation all consume these stacks.
 """
 from __future__ import annotations
 
@@ -249,7 +250,12 @@ class LtiSystem:
     """Discrete-time plant ``x(k+1) = A x(k) + B u(k) + E w(k)``.
 
     ``E`` is the disturbance gain and defaults to an n-by-1 zero matrix so
-    that noiseless scenarios need not mention it.
+    that noiseless scenarios need not mention it.  Each plant keeps a
+    private memo of what depends on its matrices alone: its longest lifts
+    (see :func:`_lift`), its controllability and its spectrum.  The memo
+    is not a field, so it takes no part in ``repr`` or ``replace``, and a
+    replaced plant starts an empty one.  Threads may share a plant: two
+    that fill one memo entry at once store the same bits.
     """
 
     A: np.ndarray
@@ -274,6 +280,7 @@ class LtiSystem:
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "B", _readonly(B))
         object.__setattr__(self, "E", _readonly(E))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -334,7 +341,16 @@ def _factor(i) -> int:
     return i
 
 
-def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tuple:
+def _memoized(sys: LtiSystem, key, compute):
+    """The entry ``key`` of the plant's memo, ``compute()`` on first use."""
+    try:
+        return sys._memo[key]
+    except KeyError:
+        value = sys._memo[key] = compute()
+        return value
+
+
+def _lift_recursion(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tuple:
     """The read-only stacks ``(A, B)`` of the lifts for waits 1..gamma, and with
     ``weights`` also ``(Q, R, N)``; row ``i - 1`` holds wait ``i``.
 
@@ -346,11 +362,10 @@ def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tupl
         N_{i+1} = N_i + A_i' Q B_i
 
     with base case ``(A, B, Q, R, 0)``.  Q_i and R_i are re-symmetrized at
-    every step to suppress accumulated floating-point asymmetry.  Every
-    lift in the package runs this one function, so all of them agree bit
-    for bit.
+    every step to suppress accumulated floating-point asymmetry.  Row ``i``
+    depends on rows ``1..i`` alone, so the first rows of a longer lift are
+    those of a shorter one, bit for bit.
     """
-    gamma = _factor(gamma)
     A, B = sys.A, sys.B
     As, Bs = [A], [B]
     for _ in range(gamma - 1):
@@ -358,6 +373,40 @@ def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tupl
         Bs.append(A @ Bs[-1] + B)
     if weights is None:
         return _readonly(As), _readonly(Bs)
+    Q, R = weights.Q, weights.R
+    Qs, Rs, Ns = [Q], [R], [np.zeros((sys.n, sys.m))]
+    for Ai, Bi in zip(As[:-1], Bs[:-1]):
+        Qs.append(symmetrize(Qs[-1] + Ai.T @ Q @ Ai))
+        Rs.append(symmetrize(Rs[-1] + Bi.T @ Q @ Bi + R))
+        Ns.append(Ns[-1] + Ai.T @ Q @ Bi)
+    return tuple(map(_readonly, (As, Bs, Qs, Rs, Ns)))
+
+
+def _prefix(stacks: tuple, gamma: int) -> tuple:
+    """The first ``gamma`` rows of each stack: the stacks themselves at their
+    full length, read-only copies otherwise."""
+    if stacks[0].shape[0] == gamma:
+        return stacks
+    return tuple(_readonly(M[:gamma]) for M in stacks)
+
+
+def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tuple:
+    """The read-only stacks ``(A, B)`` of the lifts for waits 1..gamma, and with
+    ``weights`` also ``(Q, R, N)``, of :func:`_lift_recursion`.
+
+    Every lift in the package goes through here, so all of them agree bit
+    for bit.  The plant's memo holds its longest dynamics lift and, per
+    pair of weight matrices (``alpha`` plays no part), its longest weight
+    lift; a request no longer than the held one is served from its first
+    rows, and a longer one runs the recursion and replaces it.
+    """
+    gamma = _factor(gamma)
+    memo = sys._memo
+    held = memo.get("AB")
+    if weights is None:
+        if held is None or held[0].shape[0] < gamma:
+            held = memo["AB"] = _lift_recursion(sys, gamma)
+        return _prefix(held, gamma)
     Q, R = weights.Q, weights.R
     if Q.shape[0] != sys.n:
         raise ConfigurationError(
@@ -367,12 +416,14 @@ def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tupl
         raise ConfigurationError(
             f"R is {R.shape[0]}x{R.shape[0]} but the input dimension is {sys.m}"
         )
-    Qs, Rs, Ns = [Q], [R], [np.zeros((sys.n, sys.m))]
-    for Ai, Bi in zip(As[:-1], Bs[:-1]):
-        Qs.append(symmetrize(Qs[-1] + Ai.T @ Q @ Ai))
-        Rs.append(symmetrize(Rs[-1] + Bi.T @ Q @ Bi + R))
-        Ns.append(Ns[-1] + Ai.T @ Q @ Bi)
-    return tuple(map(_readonly, (As, Bs, Qs, Rs, Ns)))
+    key = ("QRN", Q.tobytes(), R.tobytes())
+    cost = memo.get(key)
+    if cost is None or cost[0].shape[0] < gamma:
+        lift = _lift_recursion(sys, gamma, weights)
+        if held is None or held[0].shape[0] < gamma:
+            held = memo["AB"] = lift[:2]
+        cost = memo[key] = lift[2:]
+    return _prefix(held, gamma) + _prefix(cost, gamma)
 
 
 def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedModel]:

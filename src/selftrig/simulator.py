@@ -607,17 +607,35 @@ def _empty_stats(names) -> dict:
 def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
     """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
     standard error over runs of the sampling interval and the empiric cost.
-    ``per_loop`` holds what :func:`_event_loop` returns."""
+    ``per_loop`` holds what :func:`_event_loop` returns.  Finite states
+    near the float limit can square to an infinite cost, so a statistic
+    that is not finite raises ConfigurationError, naming the first step,
+    run and alpha index whose stage cost is not finite."""
     for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
         n_runs = len(waits)
         intervals = [_mean_interval(np.flatnonzero(w), scn.gamma) for w in waits]
-        costs = [float(np.mean(_stage_costs(x, u, spec.weights.Q, spec.weights.R)))
+        stage = [_stage_costs(x, u, spec.weights.Q, spec.weights.R)
                  for x, u in zip(states, inputs)]
-        for key, v in (("interval", intervals), ("cost", costs)):
-            stats["mean_" + key][spec.name][ai] = float(np.mean(v))
-            stats["se_" + key][spec.name][ai] = (
-                float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs = [float(np.mean(c)) for c in stage]
+            for key, v in (("interval", intervals), ("cost", costs)):
+                mean = float(np.mean(v))
+                se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
+                if not np.isfinite([mean, se]).all():
+                    raise ConfigurationError(_cost_overflow(spec.name, ai, stage))
+                stats["mean_" + key][spec.name][ai] = mean
+                stats["se_" + key][spec.name][ai] = se
+
+
+def _cost_overflow(name: str, ai: int, stage: list) -> str:
+    """Why the cost statistics of loop ``name`` at alpha index ``ai`` are not
+    finite, given each run's stage costs ``stage``."""
+    for run, c in enumerate(stage):
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            return (f"loop {name!r}: stage cost is not finite from step k={bad[0]} "
+                    f"of run {run}, alpha index {ai}")
+    return f"loop {name!r}: the stage-cost statistics overflow at alpha index {ai}"
 
 
 # Rows times steps that one event loop of a sweep advances, unless one

@@ -35,6 +35,7 @@ from .model import (
     _json_object,
     _json_string,
     _lift,
+    _memoized,
     _nonnegative,
     _number,
     _parse_json,
@@ -94,15 +95,25 @@ def downsampled_controllable(sys: LtiSystem, i: int) -> bool:
     return uncontrollable_reason(sys, i) is None
 
 
+def _spectrum(sys: LtiSystem) -> np.ndarray:
+    """The eigenvalues of ``sys.A``, computed once per plant."""
+    def eigenvalues():
+        lams = np.linalg.eigvals(sys.A)
+        lams.setflags(write=False)
+        return lams
+    return _memoized(sys, "eigvals", eigenvalues)
+
+
 def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
     """Human-readable cause when the lifted pair is uncontrollable, else None.
 
     Distinguishes an uncontrollable base pair from a root-of-unity failure.
+    The rank test and the spectrum are computed once per plant.
     """
     i = _factor(i)
-    if not is_controllable(sys.A, sys.B):
+    if not _memoized(sys, "controllable", lambda: is_controllable(sys.A, sys.B)):
         return "base pair (A, B) is not controllable"
-    bad = _unit_root_eigenvalues(np.linalg.eigvals(sys.A), i)
+    bad = _unit_root_eigenvalues(_spectrum(sys), i)
     if bad:
         lams = ", ".join(f"{lam:.6g}" for lam in bad)
         return f"eigenvalue(s) {lams} raised to the power {i} equal 1"
@@ -117,7 +128,7 @@ def select_pstar(systems, I0) -> int:
     offending eigenvalues.
     """
     factors = _wait_set(I0)
-    spectra = [np.linalg.eigvals(sys.A) for sys in systems]
+    spectra = [_spectrum(sys) for sys in systems]
     failures = {i: [lam for eigenvalues in spectra
                     for lam in _unit_root_eigenvalues(eigenvalues, i)] for i in factors}
     qualifying = [i for i in factors if not failures[i]]
@@ -213,9 +224,10 @@ def solve_periodic_riccati(
     A = Ap - Bp @ K[:, :n]
     G = symmetrize(Bp @ K[:, n:])
     H = symmetrize(Qp - Np @ K[:, :n])
+    eye = np.eye(n)
     for _ in range(RICCATI_MAX_DOUBLINGS):
         # I + G H is nonsingular because G and H are positive semidefinite.
-        W = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+        W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
         H, H_prev = symmetrize(H + A.T @ H @ W[:, :n]), H
         G = symmetrize(G + A @ W[:, n:] @ A.T)
         A = A @ W[:, :n]
@@ -356,12 +368,15 @@ def build_gain_table(
 
     Solves the periodic Riccati equation once at period ``p`` and derives
     every (P(i), L(i)) pair by a single backward step from the periodic
-    value matrix, all waits in one stacked pass.
+    value matrix, all waits in one stacked pass.  The lift to the largest
+    wait comes first, so the solve at ``p <= gamma`` reads its rows from
+    the plant's memo.
     """
     factors = _wait_set(I0)
+    lift = _lift(sys, factors[-1], weights)
     Pp, Lp = solve_periodic_riccati(sys, weights, p)
     rows = np.array(factors) - 1
-    A, B, Q, R, N = (M[rows] for M in _lift(sys, factors[-1], weights))
+    A, B, Q, R, N = (M[rows] for M in lift)
     L, G = _gain_from(Pp, A, B, R, N, factors)
     P = symmetrize(Q + _mT(A) @ Pp @ A - G @ L)
     return GainTable(

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, file outputs, round trips."""
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -407,6 +408,36 @@ class TestSweep:
             texts[seed] = [out.read_text(), (tmp_path / f"{seed}.periodic.csv").read_text()]
         assert texts[None] == texts[doc["seed"]]
         assert texts[None][0] != texts[0][0] and texts[None][1] != texts[0][1]
+
+
+_README_ALPHAS = "0,0.05,0.25,1.3,5,25,50,500,1e4,1e6"
+
+
+@pytest.mark.parametrize("scenario, runs, digests", [
+    pytest.param("integrator_sweep.json", "4", {
+        "out.csv": "7755bf54a8f8ddcb958f08afc5087621f08560affa4c865c095e25265fe06c0e",
+        "out.periodic.csv": "59bdf53d8328f298e9a6701cfd8e417ba15c6097562f730b0526dbc4798d450f",
+    }, id="integrator-sweep"),
+    pytest.param("two_loop.json", "3", {
+        "out.double_integrator.csv":
+            "905c8efc1ade34b4b899386f5181d24f00e265a31a6b8334cab320086b44f465",
+        "out.double_integrator.periodic.csv":
+            "57f522a850e1c94c8ddfc6d74bf086ba8c046800e0c2558b050c9e46358541b9",
+        "out.integrator.csv":
+            "bacfcf67c83ff7bfbfc9f640564db0d513295ef1ca7db5e62cb2f576ad16a01d",
+        "out.integrator.periodic.csv":
+            "05f979613fe808bde71c8ec35b1069a379f94b24bb93438f894a526784455a05",
+    }, id="two-loop"),
+])
+def test_sweep_csv_bytes_are_pinned(scenario, runs, digests, tmp_path):
+    """Every byte of the adaptive and the periodic CSVs of two sweeps, by
+    SHA-256: a change that moves one bit of a sweep's statistics (the lift,
+    the Riccati solve, the table, the event loop) fails here."""
+    assert run_cli("sweep", "-c", str(SCENARIOS / scenario), "--alphas", _README_ALPHAS,
+                   "--runs", runs, "-o", str(tmp_path / "out.csv")) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*.csv")}
+    assert written == digests
 
 
 @pytest.mark.parametrize("alphas", ["abc", "nan", "1,inf"])

@@ -276,6 +276,61 @@ class TestLiftMatchesStepOracle:
             assert not M.flags.writeable
 
 
+class TestLiftMemo:
+    """Each plant keeps its longest lifts in a memo; every request, in any
+    order, equals a fresh step-by-step lift bit for bit and is read-only."""
+
+    @staticmethod
+    def _assert_oracle(sys, gamma, weights, oracle_weights):
+        stacks = _lift(sys, gamma, weights)
+        assert len(stacks) == (2 if weights is None else 5)
+        for M, rows in zip(stacks, zip(*oracle_lift(sys, oracle_weights, gamma))):
+            assert M.shape[0] == gamma and bits(M) == bits(rows)
+            assert not M.flags.writeable
+        return stacks
+
+    def test_interleaved_requests_equal_the_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            sys = random_system(rng, n_max=4, m_max=2, ensure_controllable=False,
+                                max_spectral_radius=1.3)
+            w = random_weights(rng, sys.n, sys.m)
+            other = random_weights(rng, sys.n, sys.m)
+            # Lengths up, down and equal; with and without weights; the same
+            # Q and R under other alphas; another Q and R.
+            requests = [(3, None), (5, w), (2, w), (5, w), (8, None), (4, None),
+                        (4, replace(w, alpha=7.5)), (9, w), (6, other), (9, None),
+                        (1, other), (12, replace(other, alpha=0.5)), (12, w), (7, w),
+                        (12, None)]
+            for gamma, weights in requests:
+                oracle_weights = w if weights is None else weights
+                self._assert_oracle(sys, gamma, weights, oracle_weights)
+
+    def test_alphas_share_one_held_lift(self, double_integrator_weights):
+        sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]])
+        held = _lift(sys, 6, double_integrator_weights)
+        again = _lift(sys, 6, replace(double_integrator_weights, alpha=25.0))
+        assert all(a is b for a, b in zip(held, again))
+        # A shorter request copies the first rows rather than viewing them.
+        for M, full in zip(_lift(sys, 4, double_integrator_weights), held):
+            assert M.base is None or M.base.shape[0] == 4
+            assert bits(M) == bits(full[:4])
+
+    @pytest.mark.parametrize("Q, R, message", [
+        ([[1.0]], [[1.0]], "Q is 1x1 but the state dimension is 2"),
+        (np.eye(2), np.eye(2), "R is 2x2 but the input dimension is 1"),
+    ])
+    def test_weights_dimension_refusal_on_every_call(self, double_integrator_weights,
+                                                     Q, R, message):
+        sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]])
+        bad = WeightSpec(Q=Q, R=R)
+        for gamma in (3, 3, 8, 1, 8):
+            _lift(sys, gamma, double_integrator_weights)
+            _lift(sys, gamma)
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                _lift(sys, gamma, bad)
+
+
 class TestSystemValidation:
     def test_rejects_nonsquare_a(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 """Closed-loop runs: event sequencing, baselines, costs, determinism, sweeps."""
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -741,6 +742,20 @@ class TestFiniteStates:
     def test_sweep(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
             sweep_alpha(self._scenario(2), [0.0], n_runs=2)
+
+    def test_sweep_cost_overflow(self):
+        # The states stay finite near 1e308, so the event loop accepts them;
+        # their stage costs overflow, and the statistics must refuse them
+        # rather than warn and record NaN.
+        spec = LoopSpec(name="big", system=LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1e158]]),
+                        weights=WeightSpec(Q=[[1.0]], R=[[1.0]]), x0=[0.0],
+                        noise_variance=1e300)
+        scn = Scenario(loops=(spec,), I0=(1, 2), p=2, horizon=2, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"^loop 'big': stage cost is not "
+                               r"finite from step k=1 of run 0, alpha index 0$"):
+                sweep_alpha(scn, [0.0], 2)
 
 
 def test_policy_errors_name_their_step_and_loop(transient_scenario):

@@ -1,5 +1,6 @@
 """Synthesis: Riccati solve, gain tables, admissibility, certificates, serialization."""
 import dataclasses
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,9 @@ from selftrig import (
     stage_cost_sum,
     uncontrollable_reason,
 )
-from selftrig import synthesis
+from selftrig import model, synthesis
 from selftrig.scenario import load_scenario
+from selftrig.simulator import _segment_map, periodic_baseline, sweep_alpha
 from selftrig.synthesis import _accept_riccati, _gain_from
 
 from conftest import (
@@ -574,6 +576,84 @@ class TestStackedSynthesis:
             assert S.base is stack and not S.flags.writeable
         with pytest.raises(TypeError):
             cert.Si[1] = None
+
+
+def _synthesized(sys, w, I0, p) -> list:
+    """The bytes of what synthesis and simulation derive from ``sys``: the
+    periodic solve, the table, its certificate and both segment maps; or
+    the text of the error that refuses the plant."""
+    try:
+        Pp, Lp = solve_periodic_riccati(sys, w, p)
+        gt = build_gain_table(sys, w, I0, p)
+    except SynthesisError as exc:
+        return [str(exc)]
+    out = [bits(Pp), bits(Lp), bits(gt.P_stack), bits(gt.L_stack)]
+    try:
+        cert = stability_certificate(gt, sys, p)
+    except CertificateError as exc:
+        out.append(str(exc))
+    else:
+        out += [bits(list(cert.per_i_ratio.values())), bits(list(cert.Si.values())),
+                bits([cert.epsilon, cert.upper_bound])]
+    with np.errstate(all="ignore"):
+        return out + [bits(_segment_map(sys, max(I0), noisy)) for noisy in (False, True)]
+
+
+class TestLiftMemo:
+    """A plant whose memo already holds longer lifts, at other alphas and
+    other weights too, synthesizes bit for bit what a fresh copy does; and a
+    sweep lifts each (plant, Q, R) once per new longest length."""
+
+    @staticmethod
+    def _warm(sys, w, I0, p):
+        gamma = max(I0)
+        with np.errstate(all="ignore"):
+            model._lift(sys, gamma + 3, dataclasses.replace(w, alpha=w.alpha + 1.0))
+            model._lift(sys, gamma + 5)
+            model._lift(sys, gamma + 2, WeightSpec(Q=2.0 * w.Q, R=w.R))
+        try:
+            solve_periodic_riccati(sys, dataclasses.replace(w, alpha=0.0), p)
+        except SynthesisError:
+            pass
+
+    def _check(self, loops) -> int:
+        synthesized = 0
+        for sys, w, I0, p in loops:
+            fresh = _synthesized(LtiSystem(A=sys.A, B=sys.B, E=sys.E), w, I0, p)
+            self._warm(sys, w, I0, p)
+            assert _synthesized(sys, w, I0, p) == fresh
+            synthesized += len(fresh) > 1
+        return synthesized
+
+    def test_shipped_scenarios(self):
+        assert self._check(_shipped_loops()) == 4
+
+    def test_random_plants(self):
+        assert self._check(_random_loops(40)) >= 25
+
+    @pytest.mark.parametrize("name, p", [("integrator_sweep.json", None),
+                                         ("two_loop.json", None), ("two_loop.json", 3)])
+    def test_a_sweep_lifts_each_plant_once(self, name, p, monkeypatch):
+        scn, _ = load_scenario(SCENARIOS / name)
+        scn = dataclasses.replace(scn, horizon=100, p=p or scn.p)
+        lifts = defaultdict(list)
+        recursion = model._lift_recursion
+
+        def counted(sys, gamma, weights=None):
+            key = (id(sys),) if weights is None else (id(sys), weights.Q.tobytes(),
+                                                      weights.R.tobytes())
+            lifts[key].append(gamma)
+            return recursion(sys, gamma, weights)
+
+        monkeypatch.setattr(model, "_lift_recursion", counted)
+        summary = sweep_alpha(scn, [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6], 20)
+        periodic_baseline(scn, summary)
+        # One weighted lift to gamma per plant serves the 10 tables, the
+        # solves at p, the 200 baseline solves and the segment maps.
+        assert dict(lifts) == {
+            (id(spec.system), spec.weights.Q.tobytes(), spec.weights.R.tobytes()): [scn.gamma]
+            for spec in scn.loops
+        }
 
 
 class TestStackedErrors:
