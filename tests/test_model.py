@@ -297,11 +297,12 @@ class TestLiftMemo:
             w = random_weights(rng, sys.n, sys.m)
             other = random_weights(rng, sys.n, sys.m)
             # Lengths up, down and equal; with and without weights; the same
-            # Q and R under other alphas; another Q and R.
+            # Q and R under other alphas; another Q, another R, or both.
             requests = [(3, None), (5, w), (2, w), (5, w), (8, None), (4, None),
                         (4, replace(w, alpha=7.5)), (9, w), (6, other), (9, None),
                         (1, other), (12, replace(other, alpha=0.5)), (12, w), (7, w),
-                        (12, None)]
+                        (10, WeightSpec(Q=w.Q, R=other.R)), (12, None),
+                        (10, WeightSpec(Q=other.Q, R=w.R)), (11, w)]
             for gamma, weights in requests:
                 oracle_weights = w if weights is None else weights
                 self._assert_oracle(sys, gamma, weights, oracle_weights)
