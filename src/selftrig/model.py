@@ -252,7 +252,9 @@ class LtiSystem:
     ``E`` is the disturbance gain and defaults to an n-by-1 zero matrix so
     that noiseless scenarios need not mention it.  Each plant keeps a
     private memo of what depends on its matrices alone: its longest lifts
-    (see :func:`_lift`), its controllability and its spectrum.  The memo
+    (see :func:`_lift`), its controllability, its spectrum and, per period
+    and pair of weight matrices, its accepted periodic Riccati solution
+    (see :func:`selftrig.synthesis.solve_periodic_riccati`).  The memo
     is not a field, so it takes no part in ``repr`` or ``replace``, and a
     replaced plant starts an empty one.  Threads may share a plant: two
     that fill one memo entry at once store the same bits.

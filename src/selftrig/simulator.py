@@ -209,8 +209,10 @@ class LoopTrace:
 
 
 def _stage_costs(states, inputs, Q, R) -> np.ndarray:
-    x = states[: inputs.shape[0]]
-    return np.einsum("ki,ij,kj->k", x, Q, x) + np.einsum("ki,ij,kj->k", inputs, R, inputs)
+    """The stage costs of one run, or of each run of a leading run axis."""
+    x = states[..., : inputs.shape[-2], :]
+    return (np.einsum("...ki,ij,...kj->...k", x, Q, x)
+            + np.einsum("...ki,ij,...kj->...k", inputs, R, inputs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,17 +609,26 @@ def _empty_stats(names) -> dict:
 def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
     """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
     standard error over runs of the sampling interval and the empiric cost.
-    ``per_loop`` holds what :func:`_event_loop` returns.  Finite states
-    near the float limit can square to an infinite cost, so a statistic
-    that is not finite raises ConfigurationError, naming the first step,
-    run and alpha index whose stage cost is not finite."""
+    ``per_loop`` holds what :func:`_event_loop` returns; each statistic
+    takes one stacked pass over the runs.  A run's mean interval is the
+    span from its first to its last sample over the gaps between them, as
+    :func:`_mean_interval` gives.  Finite states near the float limit can
+    square to an infinite cost, so a statistic that is not finite raises
+    ConfigurationError, naming the first step, run and alpha index whose
+    stage cost is not finite."""
     for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
         n_runs = len(waits)
-        intervals = [_mean_interval(np.flatnonzero(w), scn.gamma) for w in waits]
-        stage = [_stage_costs(x, u, spec.weights.Q, spec.weights.R)
-                 for x, u in zip(states, inputs)]
+        sampled = waits != 0
+        gaps = np.count_nonzero(sampled, axis=1) - 1
+        span = (waits.shape[1] - 1 - sampled[:, ::-1].argmax(axis=1)) - sampled.argmax(axis=1)
+        intervals = np.where(gaps > 0, span / np.maximum(gaps, 1), float(scn.gamma))
+        Q, R = spec.weights.Q, spec.weights.R
         with np.errstate(over="ignore", invalid="ignore"):
-            costs = [float(np.mean(c)) for c in stage]
+            if waits.shape[1] > 1:
+                stage = _stage_costs(states, inputs, Q, R)
+            else:  # einsum sums a lone step in another order than a run of steps
+                stage = np.array([_stage_costs(x, u, Q, R) for x, u in zip(states, inputs)])
+            costs = stage.mean(axis=1)
             for key, v in (("interval", intervals), ("cost", costs)):
                 mean = float(np.mean(v))
                 se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
@@ -627,9 +638,9 @@ def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
                 stats["se_" + key][spec.name][ai] = se
 
 
-def _cost_overflow(name: str, ai: int, stage: list) -> str:
+def _cost_overflow(name: str, ai: int, stage: np.ndarray) -> str:
     """Why the cost statistics of loop ``name`` at alpha index ``ai`` are not
-    finite, given each run's stage costs ``stage``."""
+    finite, given the stage costs ``stage``, one row per run."""
     for run, c in enumerate(stage):
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:

@@ -211,15 +211,26 @@ def solve_periodic_riccati(
     matrix no longer moves, and the result must then pass
     :func:`_accept_riccati`.
 
-    Returns (Pp, Lp) with Pp symmetric positive definite and the lifted
-    closed loop Ap - Bp Lp strictly stable.
+    Returns (Pp, Lp), read-only, with Pp symmetric positive definite and
+    the lifted closed loop Ap - Bp Lp strictly stable.  Every call checks
+    the plant's controllability at ``p`` and the weights' dimensions; the
+    plant's memo then holds one accepted solution per ``(p, Q, R)``
+    (``alpha`` plays no part), so later calls skip the doubling and return
+    the same bits.  A refused solve stores nothing and is refused again.
     """
     reason = uncontrollable_reason(sys, p)
     if reason is not None:
         raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
     lift = [M[-1] for M in _lift(sys, p, weights)]
+    key = ("riccati", p, weights.Q.tobytes(), weights.R.tobytes())
+    return _memoized(sys, key, lambda: _doubling(p, lift))
+
+
+def _doubling(p: int, lift) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair (Pp, Lp) that doubling finds at period ``p`` from the
+    lift ``(Ap, Bp, Qp, Rp, Np)``, once it passes :func:`_accept_riccati`."""
     Ap, Bp, Qp, Rp, Np = lift
-    n = sys.n
+    n = Ap.shape[0]
     K = np.linalg.solve(Rp, np.hstack([Np.T, Bp.T]))
     A = Ap - Bp @ K[:, :n]
     G = symmetrize(Bp @ K[:, n:])

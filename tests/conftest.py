@@ -12,8 +12,10 @@ law of one decision, ``feasible_set`` -> ``decide`` -> ``reserve``, is
 kept with every entry check in its general form, as the bit and refusal
 reference of the package's law.  The sweep with one event loop per alpha,
 each alpha's runs scored by its own tables, and the fixed-interval
-baseline with one event loop per run are the bit references of the
-package's sweep, which runs every (alpha, run) row in one event loop.
+baseline with one event loop per run, each with its statistics taken one
+run at a time, are the bit references of the package's sweep, which runs
+every (alpha, run) row in one event loop and takes each statistic in one
+stacked pass.
 """
 import csv
 import math
@@ -402,7 +404,33 @@ def oracle_write_sweep_csv(summary, loop_name, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reference sweeps: one event loop per alpha, and one per periodic run.
+# Reference sweeps: one event loop per alpha, and one per periodic run, and
+# their statistics one run at a time.
+
+
+def oracle_record_runs(stats, ai, scn, per_loop) -> None:
+    """``simulator._record_runs`` one run at a time: each run's stage costs
+    and the mean of the gaps between its samples (gamma with fewer than two
+    samples), then each statistic's mean and standard error over runs."""
+    for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
+        n_runs = len(waits)
+        intervals = []
+        for w in waits:
+            times = np.flatnonzero(w)
+            intervals.append(float(np.mean(np.diff(times))) if times.size > 1
+                             else float(scn.gamma))
+        Q, R = spec.weights.Q, spec.weights.R
+        stage = [np.einsum("ki,ij,kj->k", x[:len(u)], Q, x[:len(u)])
+                 + np.einsum("ki,ij,kj->k", u, R, u) for x, u in zip(states, inputs)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs = [float(np.mean(c)) for c in stage]
+            for key, v in (("interval", intervals), ("cost", costs)):
+                mean = float(np.mean(v))
+                se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
+                if not np.isfinite([mean, se]).all():
+                    raise ConfigurationError(simulator._cost_overflow(spec.name, ai, stage))
+                stats["mean_" + key][spec.name][ai] = mean
+                stats["se_" + key][spec.name][ai] = se
 
 
 def oracle_sweep_alpha(scn, alphas, n_runs):
@@ -425,8 +453,8 @@ def oracle_sweep_alpha(scn, alphas, n_runs):
             return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
         keys = [(ai, r) for r in range(n_runs)]
-        simulator._record_runs(stats, ai, scn,
-                               simulator._event_loop(scn, [0] * len(names), policy, keys))
+        oracle_record_runs(stats, ai, scn,
+                           simulator._event_loop(scn, [0] * len(names), policy, keys))
     return simulator.SweepSummary(alphas=tuple(alphas), loop_names=names, n_runs=n_runs,
                                   errors=errors, **stats)
 
@@ -456,8 +484,8 @@ def oracle_periodic_baseline(scn, summary):
         matched = replace(scn, ts=int(min(max(round(interval), s), scn.p)))
         runs = [oracle_periodic_run(matched, ai, r)[0] for r in range(summary.n_runs)]
         # Per loop, each field of the one-run results joined on the run axis.
-        simulator._record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
-                                                for loop in zip(*runs)])
+        oracle_record_runs(stats, ai, scn, [[np.concatenate(field) for field in zip(*loop)]
+                                            for loop in zip(*runs)])
         for name in names:
             stats["mean_interval"][name][ai] = float(matched.ts)
     return replace(summary, **stats)

@@ -49,6 +49,7 @@ from conftest import (
     bits,
     oracle_periodic_baseline,
     oracle_periodic_run,
+    oracle_record_runs,
     oracle_sweep_alpha,
     oracle_write_sweep_csv,
     oracle_write_trace_csv,
@@ -1091,6 +1092,51 @@ class TestMergedSweep:
                                                      r"step k=2 of run 0, alpha index 1$"):
             sweep_alpha(scn, [0.0, 1.0], n_runs=2)
 
+
+
+class TestStackedStatistics:
+    """``_record_runs`` takes each statistic in one stacked pass over the
+    runs; the four statistics equal those taken one run at a time, to the
+    bit, on rows with no sample, one sample and many."""
+
+    @pytest.mark.parametrize("name, horizon", [
+        ("integrator_sweep.json", None), ("integrator_sweep.json", 10),
+        ("integrator_transient.json", None), ("two_loop.json", None), ("two_loop.json", 1),
+    ])
+    def test_sweep_and_baseline_equal_the_per_run_oracle(self, name, horizon, monkeypatch):
+        scn, _ = load_scenario(SCENARIOS / name)
+        scn = replace(scn, horizon=horizon or min(scn.horizon, 300))
+        summary = sweep_alpha(scn, _README_ALPHAS, 6)
+        baseline = periodic_baseline(scn, summary)
+        monkeypatch.setattr(simulator, "_record_runs", oracle_record_runs)
+        expected = sweep_alpha(scn, _README_ALPHAS, 6)
+        _assert_same_statistics(summary, expected)
+        _assert_same_statistics(baseline, periodic_baseline(scn, expected))
+        if horizon is not None:
+            # The largest alpha waits past the horizon: one sample per row.
+            assert summary.mean_interval[scn.loops[0].name][9] == scn.gamma
+
+    @pytest.mark.parametrize("horizon", [1, 2, 9])
+    def test_rows_with_any_sample_count(self, horizon):
+        # One off-diagonal weight makes the order of the stage-cost sums
+        # show in the last bit, which some of the 20 draws carry into the
+        # statistics.
+        spec = LoopSpec(name="c", system=LtiSystem(A=np.eye(2), B=[[0.0], [1.0]]),
+                        weights=WeightSpec(Q=[[2.0, 0.3], [0.3, 1.0]], R=[[0.7]]),
+                        x0=[1.0, 0.0])
+        scn = Scenario(loops=(spec,), I0=range(1, 4), p=3, horizon=horizon, seed=0)
+        waits = np.zeros((6, horizon), dtype=int)
+        for r, times in enumerate([[], [0], [horizon - 1], [0, horizon - 1],
+                                   range(0, horizon, 2), range(horizon)]):
+            waits[r, list(times)] = 1
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            per_loop = [[rng.normal(size=(6, horizon + 1, 2)),
+                         rng.normal(size=(6, horizon, 1)), waits]]
+            got, expected = simulator._empty_stats("c"), simulator._empty_stats("c")
+            simulator._record_runs(got, 0, scn, per_loop)
+            oracle_record_runs(expected, 0, scn, per_loop)
+            assert got == expected
 
 def _step_replay(scn, per_loop, alpha_index, runs):
     """Replay each held interval of each loop and run with step_plant, from

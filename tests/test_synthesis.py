@@ -29,7 +29,7 @@ from selftrig import (
     stage_cost_sum,
     uncontrollable_reason,
 )
-from selftrig import model, synthesis
+from selftrig import model, simulator, synthesis
 from selftrig.scenario import load_scenario
 from selftrig.simulator import _segment_map, periodic_baseline, sweep_alpha
 from selftrig.synthesis import _accept_riccati, _gain_from
@@ -654,6 +654,123 @@ class TestLiftMemo:
             (id(spec.system), spec.weights.Q.tobytes(), spec.weights.R.tobytes()): [scn.gamma]
             for spec in scn.loops
         }
+
+
+def _riccati_keys(sys) -> list:
+    return [key for key in sys._memo if key[0] == "riccati"]
+
+
+def _solved(sys, w, p) -> list:
+    """The bytes of the periodic solve at ``p``, or the text of its refusal."""
+    try:
+        return [bits(M) for M in solve_periodic_riccati(sys, w, p)]
+    except SynthesisError as exc:
+        return [str(exc)]
+
+
+class TestRiccatiMemo:
+    """Each plant's memo holds one accepted periodic Riccati solution per
+    (p, Q, R); every call still checks the plant and the weights, and a
+    refused solve is refused again."""
+
+    @staticmethod
+    def _check(loops) -> int:
+        solved = 0
+        for sys, w, I0, _ in loops:
+            fresh = LtiSystem(A=sys.A, B=sys.B, E=sys.E)
+            expected = {p: _solved(fresh, w, p) for p in I0}
+            for warm in (dataclasses.replace(w, alpha=w.alpha + 1.0),
+                         WeightSpec(Q=2.0 * w.Q, R=w.R)):
+                for p in I0:
+                    _solved(sys, warm, p)
+            for p in I0:
+                assert _solved(sys, w, p) == expected[p]
+                if len(expected[p]) > 1:
+                    solved += 1
+                    assert not any(M.flags.writeable for M in solve_periodic_riccati(sys, w, p))
+        return solved
+
+    def test_shipped_scenarios(self):
+        assert self._check(_shipped_loops()) == 15 + 5 + 2 * 5
+
+    def test_random_plants(self):
+        assert self._check(_random_loops(40)) >= 100
+
+    def test_a_sweep_runs_the_doubling_once_per_distinct_period(self, monkeypatch):
+        scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
+        doublings, calls = [], []
+        doubling, solve = synthesis._doubling, synthesis.solve_periodic_riccati
+
+        def counted_doubling(p, lift):
+            doublings.append(p)
+            return doubling(p, lift)
+
+        def counted_solve(sys, weights, p):
+            calls.append(p)
+            return solve(sys, weights, p)
+
+        monkeypatch.setattr(synthesis, "_doubling", counted_doubling)
+        monkeypatch.setattr(synthesis, "solve_periodic_riccati", counted_solve)
+        monkeypatch.setattr(simulator, "solve_periodic_riccati", counted_solve)
+        summary = sweep_alpha(scn, [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6], 20)
+        baseline = periodic_baseline(scn, summary)
+        periods = [int(ts) for ts in baseline.mean_interval["integrator"].values()]
+        assert periods == [1, 3, 5, 7, 9, 12, 13, 15, 15, 15]
+        # 10 table builds at p and one baseline solve per (alpha, run), but
+        # one doubling per distinct period; the tables' p = 15 is among them.
+        assert len(calls) == 210
+        assert sorted(doublings) == [1, 3, 5, 7, 9, 12, 13, 15]
+
+    def test_alpha_shares_an_entry_and_each_weight_pair_has_its_own(self, monkeypatch):
+        sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0], [1.0]])
+        w = WeightSpec(Q=np.eye(2), R=[[1.0]], alpha=0.5)
+        doublings = []
+        doubling = synthesis._doubling
+
+        def counted(p, lift):
+            doublings.append(p)
+            return doubling(p, lift)
+
+        monkeypatch.setattr(synthesis, "_doubling", counted)
+        first = solve_periodic_riccati(sys, w, 3)
+        assert solve_periodic_riccati(sys, dataclasses.replace(w, alpha=7.0), 3) is first
+        assert len(_riccati_keys(sys)) == 1 and doublings == [3]
+        others = [WeightSpec(Q=2.0 * w.Q, R=w.R), WeightSpec(Q=w.Q, R=2.0 * w.R)]
+        for other in others:
+            Pp, _ = solve_periodic_riccati(sys, other, 3)
+            assert bits(Pp) != bits(first[0])
+        solve_periodic_riccati(sys, w, 4)
+        assert len(_riccati_keys(sys)) == 4 and doublings == [3, 3, 3, 4]
+
+    def test_a_refusal_is_not_stored(self):
+        kinds = set()
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                sys = random_system(rng, n_max=6, m_max=2)
+                w = random_weights(rng, sys.n, sys.m)
+                for p in range(1, 7):
+                    first = _solved(sys, w, p)
+                    if len(first) == 1:
+                        assert _solved(sys, w, p) == first
+                        assert ("riccati", p, w.Q.tobytes(), w.R.tobytes()) not in sys._memo
+                        kinds.update(kind for kind in ("residual", "not stabilizing",
+                                                       "not positive definite")
+                                     if kind in first[0])
+        assert kinds == {"residual", "not stabilizing", "not positive definite"}
+
+    def test_bad_input_is_refused_on_a_warmed_plant(self, integrator, integrator_weights):
+        plant = LtiSystem(A=integrator.A, B=integrator.B)
+        solve_periodic_riccati(plant, integrator_weights, 1)
+        solve_periodic_riccati(plant, integrator_weights, 5)
+        # True equals the key's 1, so the wait is checked before the memo.
+        with pytest.raises(ConfigurationError, match=r"must be an integer, got True$"):
+            solve_periodic_riccati(plant, integrator_weights, True)
+        with pytest.raises(ConfigurationError, match=r"^Q is 2x2 but the state dimension is 1$"):
+            solve_periodic_riccati(plant, WeightSpec(Q=np.eye(2), R=[[1.0]]), 5)
+        with pytest.raises(ConfigurationError, match=r"^R is 2x2 but the input dimension is 1$"):
+            solve_periodic_riccati(plant, WeightSpec(Q=[[1.0]], R=np.eye(2)), 5)
+        assert len(_riccati_keys(plant)) == 2
 
 
 class TestStackedErrors:
