@@ -660,6 +660,18 @@ def _riccati_keys(sys) -> list:
     return [key for key in sys._memo if key[0] == "riccati"]
 
 
+def _counted_doublings(monkeypatch) -> list:
+    """The periods at which ``synthesis._doubling`` runs from now on."""
+    periods, doubling = [], synthesis._doubling
+
+    def counted(p, lift):
+        periods.append(p)
+        return doubling(p, lift)
+
+    monkeypatch.setattr(synthesis, "_doubling", counted)
+    return periods
+
+
 def _solved(sys, w, p) -> list:
     """The bytes of the periodic solve at ``p``, or the text of its refusal."""
     try:
@@ -698,18 +710,13 @@ class TestRiccatiMemo:
 
     def test_a_sweep_runs_the_doubling_once_per_distinct_period(self, monkeypatch):
         scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
-        doublings, calls = [], []
-        doubling, solve = synthesis._doubling, synthesis.solve_periodic_riccati
-
-        def counted_doubling(p, lift):
-            doublings.append(p)
-            return doubling(p, lift)
+        doublings, calls = _counted_doublings(monkeypatch), []
+        solve = synthesis.solve_periodic_riccati
 
         def counted_solve(sys, weights, p):
             calls.append(p)
             return solve(sys, weights, p)
 
-        monkeypatch.setattr(synthesis, "_doubling", counted_doubling)
         monkeypatch.setattr(synthesis, "solve_periodic_riccati", counted_solve)
         monkeypatch.setattr(simulator, "solve_periodic_riccati", counted_solve)
         summary = sweep_alpha(scn, [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6], 20)
@@ -724,14 +731,7 @@ class TestRiccatiMemo:
     def test_alpha_shares_an_entry_and_each_weight_pair_has_its_own(self, monkeypatch):
         sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0], [1.0]])
         w = WeightSpec(Q=np.eye(2), R=[[1.0]], alpha=0.5)
-        doublings = []
-        doubling = synthesis._doubling
-
-        def counted(p, lift):
-            doublings.append(p)
-            return doubling(p, lift)
-
-        monkeypatch.setattr(synthesis, "_doubling", counted)
+        doublings = _counted_doublings(monkeypatch)
         first = solve_periodic_riccati(sys, w, 3)
         assert solve_periodic_riccati(sys, dataclasses.replace(w, alpha=7.0), 3) is first
         assert len(_riccati_keys(sys)) == 1 and doublings == [3]
