@@ -99,6 +99,15 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _count(value, what: str) -> int:
+    """A count field, such as a downsampling factor, a period or a number of
+    runs: an integer (see :func:`_integer`) of at least 1."""
+    value = _integer(value, what)
+    if value < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def _wait_set(I0, what: str = "I0", empty=ConfigurationError) -> tuple:
     """The one wait-set rule: sorted distinct positive ints, no bool or float.
 
@@ -252,9 +261,9 @@ class LtiSystem:
     ``E`` is the disturbance gain and defaults to an n-by-1 zero matrix so
     that noiseless scenarios need not mention it.  Each plant keeps a
     private memo of what depends on its matrices alone: its longest lifts
-    (see :func:`_lift`), its controllability, its spectrum and, per period
-    and pair of weight matrices, its accepted periodic Riccati solution
-    (see :func:`selftrig.synthesis.solve_periodic_riccati`).  The memo
+    (see :func:`_lift`) and, per period and pair of weight matrices, its
+    accepted periodic Riccati solution (see
+    :func:`selftrig.synthesis.solve_periodic_riccati`).  The memo
     is not a field, so it takes no part in ``repr`` or ``replace``, and a
     replaced plant starts an empty one.  Threads may share a plant: two
     that fill one memo entry at once store the same bits.
@@ -335,23 +344,6 @@ class LiftedModel:
     Ni: np.ndarray
 
 
-def _factor(i) -> int:
-    """A downsampling factor, the length of one held-input lift: an integer >= 1."""
-    i = _integer(i, "downsampling factor")
-    if i < 1:
-        raise ConfigurationError(f"downsampling factor must be >= 1, got {i}")
-    return i
-
-
-def _memoized(sys: LtiSystem, key, compute):
-    """The entry ``key`` of the plant's memo, ``compute()`` on first use."""
-    try:
-        return sys._memo[key]
-    except KeyError:
-        value = sys._memo[key] = compute()
-        return value
-
-
 def _lift_recursion(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tuple:
     """The read-only stacks ``(A, B)`` of the lifts for waits 1..gamma, and with
     ``weights`` also ``(Q, R, N)``; row ``i - 1`` holds wait ``i``.
@@ -402,7 +394,7 @@ def _lift(sys: LtiSystem, gamma: int, weights: WeightSpec | None = None) -> tupl
     lift; a request no longer than the held one is served from its first
     rows, and a longer one runs the recursion and replaces it.
     """
-    gamma = _factor(gamma)
+    gamma = _count(gamma, "downsampling factor")
     memo = sys._memo
     held = memo.get("AB")
     if weights is None:

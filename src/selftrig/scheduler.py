@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigurationError, SchedulingError
-from .model import _integer, _wait_set
+from .model import _count, _integer, _wait_set
 
 
 def _check_admissible(s: int, I0, p: int) -> None:
@@ -57,9 +57,7 @@ class ReservationLedger:
     next_tx: MappingProxyType
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _integer(self.p, "shared period p"))
-        if self.p < 1:
-            raise ConfigurationError(f"shared period must be >= 1, got {self.p}")
+        object.__setattr__(self, "p", _count(self.p, "shared period p"))
         object.__setattr__(self, "I0", _wait_set(self.I0))
         order = tuple(self.loop_order)
         if len(set(order)) != len(order):

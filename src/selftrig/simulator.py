@@ -36,6 +36,7 @@ from .errors import ConfigurationError, SelfTrigError, SynthesisError
 from .model import (
     LtiSystem,
     WeightSpec,
+    _count,
     _integer,
     _lift,
     _nonnegative,
@@ -145,13 +146,11 @@ class Scenario:
             object.__setattr__(self, field, _integer(getattr(self, field), field))
         if self.ts is not None:
             object.__setattr__(self, "ts", _integer(self.ts, "ts"))
-        if self.p < 1:
-            raise ConfigurationError(f"p must be >= 1, got {self.p}")
+        _count(self.p, "p")
         _check_admissible(len(loops), self.I0, self.p)
         if self.p > self.gamma:
             raise ConfigurationError(f"p={self.p} exceeds the largest wait {self.gamma}")
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        _count(self.horizon, "horizon")
         if self.mode not in (MODE_SELF_TRIGGERED, MODE_PERIODIC):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.ts is None and self.mode == MODE_PERIODIC:
@@ -687,9 +686,7 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
         raise ConfigurationError("a sweep needs at least one alpha")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError("alphas must be ascending")
-    n_runs = _integer(n_runs, "n_runs")
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    n_runs = _count(n_runs, "n_runs")
 
     names = tuple(spec.name for spec in scn.loops)
     stats = _empty_stats(names)
@@ -714,9 +711,15 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
     sampling interval over loops, rounded and clamped to ``[s, p]``;
     ``summary.n_runs`` periodic runs per alpha then execute together on
     the sweep's substreams (those of ``scn.seed``).  The returned
-    ``mean_interval`` holds the matched ``float(ts)``.
+    ``mean_interval`` holds the matched ``float(ts)``.  A summary of other
+    loops than the scenario's raises ConfigurationError.
     """
-    names = summary.loop_names
+    names = tuple(spec.name for spec in scn.loops)
+    if summary.loop_names != names:
+        raise ConfigurationError(
+            f"the sweep summary holds loops {list(summary.loop_names)} but the "
+            f"scenario has loops {list(names)}"
+        )
     stats = _empty_stats(names)
     s = len(scn.loops)
     periods = {}

@@ -27,15 +27,14 @@ from .errors import (
 from .model import (
     LtiSystem,
     WeightSpec,
+    _count,
     _dimensions,
-    _factor,
     _float_array,
     _integer,
     _json_matrix,
     _json_object,
     _json_string,
     _lift,
-    _memoized,
     _nonnegative,
     _number,
     _parse_json,
@@ -95,25 +94,15 @@ def downsampled_controllable(sys: LtiSystem, i: int) -> bool:
     return uncontrollable_reason(sys, i) is None
 
 
-def _spectrum(sys: LtiSystem) -> np.ndarray:
-    """The eigenvalues of ``sys.A``, computed once per plant."""
-    def eigenvalues():
-        lams = np.linalg.eigvals(sys.A)
-        lams.setflags(write=False)
-        return lams
-    return _memoized(sys, "eigvals", eigenvalues)
-
-
 def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
     """Human-readable cause when the lifted pair is uncontrollable, else None.
 
     Distinguishes an uncontrollable base pair from a root-of-unity failure.
-    The rank test and the spectrum are computed once per plant.
     """
-    i = _factor(i)
-    if not _memoized(sys, "controllable", lambda: is_controllable(sys.A, sys.B)):
+    i = _count(i, "downsampling factor")
+    if not is_controllable(sys.A, sys.B):
         return "base pair (A, B) is not controllable"
-    bad = _unit_root_eigenvalues(_spectrum(sys), i)
+    bad = _unit_root_eigenvalues(np.linalg.eigvals(sys.A), i)
     if bad:
         lams = ", ".join(f"{lam:.6g}" for lam in bad)
         return f"eigenvalue(s) {lams} raised to the power {i} equal 1"
@@ -128,7 +117,7 @@ def select_pstar(systems, I0) -> int:
     offending eigenvalues.
     """
     factors = _wait_set(I0)
-    spectra = [_spectrum(sys) for sys in systems]
+    spectra = [np.linalg.eigvals(sys.A) for sys in systems]
     failures = {i: [lam for eigenvalues in spectra
                     for lam in _unit_root_eigenvalues(eigenvalues, i)] for i in factors}
     qualifying = [i for i in factors if not failures[i]]
@@ -212,18 +201,23 @@ def solve_periodic_riccati(
     :func:`_accept_riccati`.
 
     Returns (Pp, Lp), read-only, with Pp symmetric positive definite and
-    the lifted closed loop Ap - Bp Lp strictly stable.  Every call checks
-    the plant's controllability at ``p`` and the weights' dimensions; the
-    plant's memo then holds one accepted solution per ``(p, Q, R)``
-    (``alpha`` plays no part), so later calls skip the doubling and return
-    the same bits.  A refused solve stores nothing and is refused again.
+    the lifted closed loop Ap - Bp Lp strictly stable.  The plant's memo
+    holds one accepted solution per ``(p, Q, R)``, whatever ``alpha``; a
+    call that finds it checks only the wait, since the plant, ``p`` and the
+    byte lengths of Q and R decide the controllability and weight checks
+    that the entry passed.  Other calls run both checks and the doubling;
+    a refused solve stores nothing and is refused again.
     """
-    reason = uncontrollable_reason(sys, p)
-    if reason is not None:
-        raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
-    lift = [M[-1] for M in _lift(sys, p, weights)]
+    p = _count(p, "downsampling factor")
     key = ("riccati", p, weights.Q.tobytes(), weights.R.tobytes())
-    return _memoized(sys, key, lambda: _doubling(p, lift))
+    solution = sys._memo.get(key)
+    if solution is None:
+        reason = uncontrollable_reason(sys, p)
+        if reason is not None:
+            raise SynthesisError(f"cannot synthesize at period {p}: {reason}")
+        lift = [M[-1] for M in _lift(sys, p, weights)]
+        solution = sys._memo[key] = _doubling(p, lift)
+    return solution
 
 
 def _doubling(p: int, lift) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +274,7 @@ class GainTable:
     def __post_init__(self):
         context = f"table {self.loop_id!r}"
         I0 = _wait_set(self.I0, f"{context}: I0")
-        p = _integer(self.p, f"{context}: p")
+        p = _count(self.p, f"{context}: p")
         alpha = _nonnegative(self.alpha, f"{context}: alpha")
         Pp = as_matrix(self.Pp, f"{context}: Pp")
         Lp = as_matrix(self.Lp, f"{context}: Lp")

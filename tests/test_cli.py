@@ -548,6 +548,7 @@ _FILE_FAULTS = [
      "unsupported gain table schema version True (expected 1)"),
     ("tab-I0-empty", "table", _edit_doc(lambda d: d.update(I0=[])),
      "table 'integrator': I0 is empty"),
+    ("tab-p-zero", "table", _edit_doc(lambda d: d.update(p=0)), "p must be >= 1, got 0"),
     ("tab-P-string", "table", _first_entry(lambda e: e.update(P=["x"])),
      "P(1) must be a flat list of numbers"),
     ("tab-missing", "table", _edit_doc(lambda d: d.pop("epsilon")),

@@ -1,5 +1,6 @@
 """Lifted-model recursions against explicit power-sum, step-by-step and
 simulation oracles."""
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -441,6 +442,28 @@ def _booked_ledger():
 ])
 def test_non_integer_waits_and_counts_refused(make):
     with pytest.raises(ConfigurationError):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: lift_dynamics(_UNIT, 0), "downsampling factor must be >= 1, got 0",
+                 id="lift-factor"),
+    pytest.param(lambda: solve_periodic_riccati(_UNIT, _UNIT_WEIGHTS, 0),
+                 "downsampling factor must be >= 1, got 0", id="riccati-p"),
+    pytest.param(lambda: _scenario(p=0), "p must be >= 1, got 0", id="scenario-p"),
+    pytest.param(lambda: _scenario(horizon=0), "horizon must be >= 1, got 0",
+                 id="scenario-horizon"),
+    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=0),
+                 "n_runs must be >= 1, got 0", id="sweep-n-runs"),
+    pytest.param(lambda: ReservationLedger(p=0, I0=[1, 2], loop_order=("a",), next_tx={}),
+                 "shared period p must be >= 1, got 0", id="ledger-p"),
+    pytest.param(lambda: replace(_table([1, 2]), p=0), "table 'loop': p must be >= 1, got 0",
+                 id="table-p"),
+    pytest.param(lambda: replace(_table([1, 2]), p=-3), "table 'loop': p must be >= 1, got -3",
+                 id="table-p-negative"),
+])
+def test_each_count_is_at_least_one(make, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         make()
 
 

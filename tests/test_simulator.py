@@ -333,6 +333,18 @@ class TestPeriodicBaseline:
         with pytest.raises(ConfigurationError, match="needs a scenario with ts"):
             run_periodic(transient_scenario)
 
+    @pytest.mark.parametrize("swept, matched", [("two_loop.json", "integrator_sweep.json"),
+                                                ("integrator_sweep.json", "two_loop.json")])
+    def test_summary_of_other_loops_rejected(self, swept, matched):
+        swept, matched = (replace(load_scenario(SCENARIOS / name)[0], horizon=20)
+                          for name in (swept, matched))
+        summary = sweep_alpha(swept, [0.5], 2)
+        with pytest.raises(ConfigurationError) as excinfo:
+            periodic_baseline(matched, summary)
+        names = [[spec.name for spec in scn.loops] for scn in (swept, matched)]
+        assert str(excinfo.value) == (f"the sweep summary holds loops {names[0]} "
+                                      f"but the scenario has loops {names[1]}")
+
 
 def _periodic_case(case, request):
     """A scenario that a test of this module runs ``run_periodic`` on, with

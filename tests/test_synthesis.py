@@ -578,6 +578,10 @@ class TestStackedSynthesis:
             cert.Si[1] = None
 
 
+# The alphas of the README's sweep.
+_README_ALPHAS = [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6]
+
+
 def _synthesized(sys, w, I0, p) -> list:
     """The bytes of what synthesis and simulation derive from ``sys``: the
     periodic solve, the table, its certificate and both segment maps; or
@@ -646,7 +650,7 @@ class TestLiftMemo:
             return recursion(sys, gamma, weights)
 
         monkeypatch.setattr(model, "_lift_recursion", counted)
-        summary = sweep_alpha(scn, [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6], 20)
+        summary = sweep_alpha(scn, _README_ALPHAS, 20)
         periodic_baseline(scn, summary)
         # One weighted lift to gamma per plant serves the 10 tables, the
         # solves at p, the 200 baseline solves and the segment maps.
@@ -682,8 +686,9 @@ def _solved(sys, w, p) -> list:
 
 class TestRiccatiMemo:
     """Each plant's memo holds one accepted periodic Riccati solution per
-    (p, Q, R); every call still checks the plant and the weights, and a
-    refused solve is refused again."""
+    (p, Q, R); a call that finds it checks only the wait, every other call
+    checks the plant and the weights, and a refused solve is refused
+    again."""
 
     @staticmethod
     def _check(loops) -> int:
@@ -719,7 +724,7 @@ class TestRiccatiMemo:
 
         monkeypatch.setattr(synthesis, "solve_periodic_riccati", counted_solve)
         monkeypatch.setattr(simulator, "solve_periodic_riccati", counted_solve)
-        summary = sweep_alpha(scn, [0, 0.05, 0.25, 1.3, 5, 25, 50, 500, 1e4, 1e6], 20)
+        summary = sweep_alpha(scn, _README_ALPHAS, 20)
         baseline = periodic_baseline(scn, summary)
         periods = [int(ts) for ts in baseline.mean_interval["integrator"].values()]
         assert periods == [1, 3, 5, 7, 9, 12, 13, 15, 15, 15]
@@ -727,6 +732,39 @@ class TestRiccatiMemo:
         # one doubling per distinct period; the tables' p = 15 is among them.
         assert len(calls) == 210
         assert sorted(doublings) == [1, 3, 5, 7, 9, 12, 13, 15]
+
+    def test_a_sweep_leaves_only_lifts_and_solutions_in_the_memo(self):
+        scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
+        periodic_baseline(scn, sweep_alpha(scn, _README_ALPHAS, 20))
+        for spec in scn.loops:
+            kinds = {key if isinstance(key, str) else key[0] for key in spec.system._memo}
+            assert kinds == {"AB", "QRN", "riccati"}
+
+    def test_a_hit_checks_only_the_wait(self, integrator, integrator_weights, monkeypatch):
+        plant = LtiSystem(A=integrator.A, B=integrator.B)
+        solved = {p: solve_periodic_riccati(plant, integrator_weights, p) for p in (3, 7, 15)}
+        calls = []
+        for name in ("uncontrollable_reason", "_lift"):
+            def counted(*args, _name=name, _real=getattr(synthesis, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(synthesis, name, counted)
+        for p, (Pp, Lp) in solved.items():
+            hit = solve_periodic_riccati(plant, dataclasses.replace(integrator_weights,
+                                                                    alpha=2.0), p)
+            assert hit[0] is Pp and hit[1] is Lp
+        assert calls == []
+        solve_periodic_riccati(plant, integrator_weights, 4)
+        assert calls == ["uncontrollable_reason", "_lift"]
+
+    def test_a_warmed_plant_is_refused_at_an_uncontrollable_period(self):
+        plant = LtiSystem(A=[[1.0, 0.0], [0.0, -1.0]], B=[[1.0], [1.0]])
+        w = WeightSpec(Q=np.eye(2), R=[[1.0]])
+        refusal = _solved(LtiSystem(A=plant.A, B=plant.B), w, 2)
+        assert refusal[0].startswith("cannot synthesize at period 2: eigenvalue(s) -1")
+        solve_periodic_riccati(plant, w, 3)
+        assert _solved(plant, w, 2) == refusal
+        assert len(_riccati_keys(plant)) == 1
 
     def test_alpha_shares_an_entry_and_each_weight_pair_has_its_own(self, monkeypatch):
         sys = LtiSystem(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.0], [1.0]])
