@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -270,46 +271,85 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _synth_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-c", "--scenario", required=True)
+    parser.add_argument("-o", "--out", required=True, help="output directory")
+
+
+def _simulate_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-c", "--scenario", required=True)
+    parser.add_argument("-t", "--tables", help="directory of the tables synth wrote")
+    parser.add_argument("-o", "--out", required=True, help="output directory")
+    parser.add_argument("--gnuplot", action="store_true", help="emit plot.gp")
+
+
+def _sweep_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-c", "--scenario", required=True)
+    parser.add_argument("--alphas", required=True, help="comma-separated ascending list")
+    parser.add_argument("--runs", type=int, default=20)
+    parser.add_argument("--seed", type=int, help="default: the scenario's seed")
+    parser.add_argument("-o", "--out", required=True, help="output CSV path")
+
+
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-t", "--tables", required=True)
+    parser.add_argument("-c", "--scenario", required=True)
+
+
+class Command(NamedTuple):
+    """One subcommand: its name, its help line, the function that adds its
+    options to a parser, and the function that runs it."""
+
+    name: str
+    help: str
+    add_options: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {command.name: command for command in (
+    Command("synth", "synthesize gain tables from a scenario", _synth_options, cmd_synth),
+    Command("simulate", "run a scenario against stored tables", _simulate_options, cmd_simulate),
+    Command("sweep", "sweep the sampling cost alpha", _sweep_options, cmd_sweep),
+    Command("verify", "check certificates of stored tables", _verify_options, cmd_verify),
+)}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="selftrig",
         description="Self-triggered MPC: offline synthesis, simulation and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="synthesize gain tables from a scenario")
-    p_synth.add_argument("-c", "--scenario", required=True)
-    p_synth.add_argument("-o", "--out", required=True, help="output directory")
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_sim = sub.add_parser("simulate", help="run a scenario against stored tables")
-    p_sim.add_argument("-c", "--scenario", required=True)
-    p_sim.add_argument("-t", "--tables", help="directory of the tables synth wrote")
-    p_sim.add_argument("-o", "--out", required=True, help="output directory")
-    p_sim.add_argument("--gnuplot", action="store_true", help="emit plot.gp")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep the sampling cost alpha")
-    p_sweep.add_argument("-c", "--scenario", required=True)
-    p_sweep.add_argument("--alphas", required=True, help="comma-separated ascending list")
-    p_sweep.add_argument("--runs", type=int, default=20)
-    p_sweep.add_argument("--seed", type=int, help="default: the scenario's seed")
-    p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="check certificates of stored tables")
-    p_verify.add_argument("-t", "--tables", required=True)
-    p_verify.add_argument("-c", "--scenario", required=True)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for command in COMMANDS.values():
+        command.add_options(sub.add_parser(command.name, help=command.help))
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The arguments of one run; ``command`` names the command.
+
+    When ``argv`` starts with a command, only that command's parser is
+    built, the one the full parser would hand the rest of ``argv`` to.
+    Anything else goes to :func:`build_parser`, which prints the help,
+    usage and errors of the top level: no arguments, ``-h``, an unknown
+    command, or arguments the command does not know.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"selftrig {command.name}")
+        command.add_options(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = command.name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command].run(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG

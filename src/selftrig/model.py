@@ -245,8 +245,8 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def check_positive_definite(M: np.ndarray, name: str) -> None:
-    """Require min eigenvalue > PD_EIG_RTOL * max eigenvalue."""
-    eigs = np.linalg.eigvalsh(symmetrize(M))
+    """Require min eigenvalue > PD_EIG_RTOL * max eigenvalue of a symmetric ``M``."""
+    eigs = np.linalg.eigvalsh(M)
     if eigs[-1] <= 0.0 or eigs[0] <= PD_EIG_RTOL * eigs[-1]:
         raise ConfigurationError(
             f"{name} must be symmetric positive definite "
@@ -324,11 +324,12 @@ class WeightSpec:
         for M, name in ((Q, "Q"), (R, "R")):
             if M.shape[0] != M.shape[1]:
                 raise ConfigurationError(f"{name} must be square, got {M.shape}")
-            if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
+            # np.allclose(M, M.T, rtol=1e-10, atol=1e-12) on a finite M.
+            if not (np.abs(M - M.T) <= 1e-12 + 1e-10 * np.abs(M.T)).all():
                 raise ConfigurationError(f"{name} must be symmetric")
-            check_positive_definite(M, name)
-        object.__setattr__(self, "Q", _readonly(symmetrize(Q)))
-        object.__setattr__(self, "R", _readonly(symmetrize(R)))
+            S = symmetrize(M)
+            check_positive_definite(S, name)
+            object.__setattr__(self, name, _readonly(S))
         object.__setattr__(self, "alpha", _nonnegative(self.alpha, "alpha"))
 
 

@@ -156,6 +156,11 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+def oracle_is_symmetric(M) -> bool:
+    """The symmetry test ``WeightSpec`` applies to ``Q`` and ``R``."""
+    return bool(np.allclose(M, M.T, rtol=1e-10, atol=1e-12))
+
+
 def oracle_transition_pairs(sys, gamma) -> list:
     """The i-step pairs ``(A_i, B_i)`` for i = 1..gamma:
     ``A_{i+1} = A A_i``, ``B_{i+1} = A B_i + B``."""

@@ -1,4 +1,5 @@
 """End-to-end CLI checks: exit codes, file outputs, round trips."""
+import argparse
 import csv
 import hashlib
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selftrig import deserialize_gain_table, run_periodic, run_self_triggered
+from selftrig import cli, deserialize_gain_table, run_periodic, run_self_triggered, simulator
 from selftrig.cli import main
 from selftrig.scenario import load_scenario
 
@@ -393,6 +394,24 @@ class TestSweep:
             assert matched["mean_interval"] == repr(float(ts))
             assert matched["n_runs"] == row["n_runs"] == "1"
 
+    @pytest.mark.parametrize("scenario,options,builds", [
+        ("integrator_sweep.json", ["--alphas", "0,0.05,0.25,1.3,5,25,50,500,1e4,1e6",
+                                   "--runs", "20", "--seed", "20260810"], 2),
+        ("two_loop.json", ["--alphas", "0,0.5,5", "--runs", "3"], 4),
+    ])
+    def test_segment_map_built_once_per_loop_per_event_loop(self, scenario, options, builds,
+                                                            tmp_path, monkeypatch):
+        # One event loop for the adaptive rows and one for the baseline's.
+        built, segment_map = [], simulator._segment_map
+
+        def counted(sys, gamma, noisy):
+            built.append(gamma)
+            return segment_map(sys, gamma, noisy)
+
+        monkeypatch.setattr(simulator, "_segment_map", counted)
+        assert run_cli("sweep", "-c", str(SCENARIOS / scenario), *options,
+                       "-o", str(tmp_path / "s.csv")) == 0
+        assert len(built) == builds
 
     def test_seed_defaults_to_the_scenario_seed(self, tmp_path):
         doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
@@ -685,3 +704,114 @@ def test_collapsed_bounds_pass_verify(gamma, alpha, tmp_path, capsys):
     assert run_cli("verify", "-t", str(tables), "-c", str(scen)) == 0
     out = capsys.readouterr().out
     assert "(collapsed)" in out and "all certificates pass" in out
+
+
+# The front end's text at the parent of the per-command parser, recorded
+# with COLUMNS=80: each command's usage line, help and errors, and the
+# top-level usage for everything that does not start with a known command.
+_TOP_USAGE = "usage: selftrig [-h] {synth,simulate,sweep,verify} ...\n"
+_TOP_ERROR = _TOP_USAGE + "selftrig: error: "
+_USAGE = {
+    "synth": "usage: selftrig synth [-h] -c SCENARIO -o OUT\n",
+    "simulate": "usage: selftrig simulate [-h] -c SCENARIO [-t TABLES] -o OUT [--gnuplot]\n",
+    "sweep": ("usage: selftrig sweep [-h] -c SCENARIO --alphas ALPHAS [--runs RUNS]\n"
+              "                      [--seed SEED] -o OUT\n"),
+    "verify": "usage: selftrig verify [-h] -t TABLES -c SCENARIO\n",
+}
+_OPTIONS = ("\noptions:\n"
+            "  -h, --help            show this help message and exit\n")
+_SCENARIO = "  -c SCENARIO, --scenario SCENARIO\n"
+_HELP = {
+    "synth": _SCENARIO + "  -o OUT, --out OUT     output directory\n",
+    "simulate": (_SCENARIO
+                 + "  -t TABLES, --tables TABLES\n"
+                 "                        directory of the tables synth wrote\n"
+                 "  -o OUT, --out OUT     output directory\n"
+                 "  --gnuplot             emit plot.gp\n"),
+    "sweep": (_SCENARIO
+              + "  --alphas ALPHAS       comma-separated ascending list\n"
+              "  --runs RUNS\n"
+              "  --seed SEED           default: the scenario's seed\n"
+              "  -o OUT, --out OUT     output CSV path\n"),
+    "verify": "  -t TABLES, --tables TABLES\n" + _SCENARIO,
+}
+_TOP_HELP = (
+    _TOP_USAGE
+    + "\nSelf-triggered MPC: offline synthesis, simulation and verification\n"
+    "\npositional arguments:\n"
+    "  {synth,simulate,sweep,verify}\n"
+    "    synth               synthesize gain tables from a scenario\n"
+    "    simulate            run a scenario against stored tables\n"
+    "    sweep               sweep the sampling cost alpha\n"
+    "    verify              check certificates of stored tables\n"
+    + _OPTIONS
+)
+_FRONT_END = [
+    ([], 2, "", _TOP_ERROR + "the following arguments are required: command\n"),
+    (["-h"], 0, _TOP_HELP, ""),
+    (["-x"], 2, "", _TOP_ERROR + "the following arguments are required: command\n"),
+    *[([name, "-h"], 0, _USAGE[name] + _OPTIONS + _HELP[name], "") for name in _USAGE],
+    (["synth"], 2, "", _USAGE["synth"] + "selftrig synth: error: the following "
+                                         "arguments are required: -c/--scenario, -o/--out\n"),
+    (["simulate", "-c"], 2, "", _USAGE["simulate"] + "selftrig simulate: error: "
+                                                     "argument -c/--scenario: expected one argument\n"),
+    (["sweep", "--runs", "x"], 2, "", _USAGE["sweep"] + "selftrig sweep: error: "
+                                                        "argument --runs: invalid int value: 'x'\n"),
+    (["bogus"], 2, "", _TOP_ERROR + "argument command: invalid choice: 'bogus' "
+                                    "(choose from 'synth', 'simulate', 'sweep', 'verify')\n"),
+    (["synth", "-c", "a.json", "-o", "out", "extra"], 2, "",
+     _TOP_ERROR + "unrecognized arguments: extra\n"),
+    (["verify", "-t", "x", "-c", "y", "extra"], 2, "",
+     _TOP_ERROR + "unrecognized arguments: extra\n"),
+]
+
+
+class TestFrontEnd:
+    """A command named first is parsed by its own parser alone; the text,
+    streams and exit codes are those of the full parser tree."""
+
+    @pytest.mark.parametrize("argv,code,out,err", _FRONT_END,
+                             ids=[" ".join(case[0]) or "none" for case in _FRONT_END])
+    def test_help_usage_and_errors(self, argv, code, out, err, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (code, out, err)
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _counted_parsers(monkeypatch) -> list:
+        made, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return made
+
+    def test_a_command_builds_only_its_own_parser(self, synth_out, monkeypatch, capsys):
+        made = self._counted_parsers(monkeypatch)
+        assert run_cli("verify", "-t", str(synth_out), "-c", str(SCENARIOS / "two_loop.json")) == 0
+        assert made == ["selftrig verify"]
+        assert "all certificates pass" in capsys.readouterr().out
+
+    def test_top_level_help_builds_the_whole_tree(self, monkeypatch, capsys):
+        made = self._counted_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        assert len(made) == 5
+        assert capsys.readouterr().out.startswith(_TOP_USAGE)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "-c", "a.json", "-o", "out"],
+        ["simulate", "-c", "a.json", "-o", "out", "--gnuplot"],
+        ["simulate", "-c", "a.json", "-t", "tables", "-o", "out"],
+        ["sweep", "-c", "a.json", "--alphas", "0,1", "--runs", "3", "--seed", "7", "-o", "s.csv"],
+        ["sweep", "-o", "s.csv", "--alphas", "1", "-c", "a.json"],
+        ["verify", "--tables", "tables", "--scenario", "a.json"],
+    ])
+    def test_the_namespace_is_the_full_trees(self, argv):
+        assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)

@@ -33,10 +33,10 @@ from selftrig import (
     uncontrollable_reason,
     value_of,
 )
-from selftrig.model import _lift
+from selftrig.model import _lift, symmetrize
 from selftrig.scenario import load_scenario
 
-from conftest import bits, oracle_lift, random_system, random_weights
+from conftest import bits, oracle_is_symmetric, oracle_lift, random_system, random_weights
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -141,6 +141,54 @@ class TestLiftWeights:
         with pytest.raises(ConfigurationError):
             WeightSpec(Q=[[1.0]], R=[[-2.0]])
 
+
+
+class TestWeightSymmetry:
+    """``Q`` and ``R`` pass exactly when ``oracle_is_symmetric`` holds, and a
+    passing matrix is stored as its symmetric part, bit for bit."""
+
+    @staticmethod
+    def _near_symmetric(rng):
+        """Seeded SPD matrices, n = 1..6 at three scales, with one entry or
+        every upper entry moved by a multiple of the allowed asymmetry
+        ``1e-12 + 1e-10 |M|`` on either side of 1; and diagonal ones with
+        one entry at, just below or just above the absolute bound."""
+        for n in range(2, 7):
+            for d in (np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0)):
+                M = np.diag(rng.uniform(1.0, 2.0, n))
+                M[n - 1, 0] = -d
+                yield M
+        for n in range(1, 7):
+            for scale in (1e-8, 1.0, 1e8):
+                MQ = rng.normal(0.0, 1.0, (n, n))
+                base = scale * (MQ @ MQ.T + 0.5 * np.eye(n))
+                allowed = 1e-12 + 1e-10 * np.abs(base)
+                upper = np.triu_indices(n, 1)
+                for factor in (0.5, 0.9999, 1.0, 1.0001, 2.0):
+                    for every in (False, True):
+                        M = base.copy()
+                        if every:
+                            f = factor * rng.uniform(0.5, 1.5, len(upper[0]))
+                            M[upper] += f * allowed[upper]
+                        elif n > 1:
+                            k = int(rng.integers(len(upper[0])))
+                            i, j = upper[0][k], upper[1][k]
+                            M[i, j] += factor * allowed[i, j]
+                        yield M
+
+    def test_refuses_and_accepts_what_allclose_does(self):
+        verdicts = []
+        for M in self._near_symmetric(np.random.default_rng(25)):
+            symmetric = oracle_is_symmetric(M)
+            verdicts.append(symmetric)
+            for name, kwargs in (("Q", dict(Q=M, R=[[1.0]])), ("R", dict(Q=[[1.0]], R=M))):
+                if symmetric:
+                    stored = getattr(WeightSpec(**kwargs), name)
+                    assert stored.tobytes() == symmetrize(M).tobytes()
+                else:
+                    with pytest.raises(ConfigurationError, match=f"^{name} must be symmetric$"):
+                        WeightSpec(**kwargs)
+        assert 0.2 < np.mean(verdicts) < 0.8
 
 class TestStageCostSum:
     def test_unit_integrator_state_only(self, integrator, integrator_weights):
