@@ -706,9 +706,9 @@ def test_collapsed_bounds_pass_verify(gamma, alpha, tmp_path, capsys):
     assert "(collapsed)" in out and "all certificates pass" in out
 
 
-# The front end's text at the parent of the per-command parser, recorded
-# with COLUMNS=80: each command's usage line, help and errors, and the
-# top-level usage for everything that does not start with a known command.
+# The front end's text under COLUMNS=80, as the full parser tree prints it:
+# each command's usage line, help and errors, and the top-level usage for
+# everything that does not start with a known command or leaves arguments over.
 _TOP_USAGE = "usage: selftrig [-h] {synth,simulate,sweep,verify} ...\n"
 _TOP_ERROR = _TOP_USAGE + "selftrig: error: "
 _USAGE = {
