@@ -34,12 +34,11 @@ from .simulator import (
     MODE_PERIODIC,
     _build_tables,
     _check_tables,
+    _sweep,
     average_sampling_interval,
     empiric_cost,
-    periodic_baseline,
     run_periodic,
     run_self_triggered,
-    sweep_alpha,
     write_sweep_csv,
     write_trace_csv,
     write_txlog_csv,
@@ -198,7 +197,7 @@ def cmd_sweep(args) -> int:
         ) from exc
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
-    summary = sweep_alpha(scn, alphas, args.runs)
+    summary, baseline = _sweep(scn, alphas, args.runs, baseline=True)
     for alpha, msg in summary.errors.items():
         print(f"alpha={alpha:g}: synthesis failed: {msg}", file=sys.stderr)
 
@@ -217,9 +216,6 @@ def cmd_sweep(args) -> int:
 
     for name in summary.loop_names:
         write_sweep_csv(summary, name, out_path(name, periodic=False))
-
-    baseline = periodic_baseline(scn, summary)
-    for name in summary.loop_names:
         write_sweep_csv(baseline, name, out_path(name, periodic=True))
     print(f"sweep written to {out}")
     return EXIT_OK
@@ -315,12 +311,15 @@ COMMANDS = {command.name: command for command in (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: the top level and one subparser per command."""
+    """The full parser: the top level and one subparser per command.  The
+    command is optional here: :func:`_parse_args` requires it after the
+    arguments the parser does not know, so that ``selftrig -x`` names
+    ``-x``, not the missing command."""
     parser = argparse.ArgumentParser(
         prog="selftrig",
         description="Self-triggered MPC: offline synthesis, simulation and verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     for command in COMMANDS.values():
         command.add_options(sub.add_parser(command.name, help=command.help))
     return parser
@@ -333,7 +332,8 @@ def _parse_args(argv: list) -> argparse.Namespace:
     built, the one the full parser would hand the rest of ``argv`` to.
     Anything else goes to :func:`build_parser`, which prints the help,
     usage and errors of the top level: no arguments, ``-h``, an unknown
-    command, or arguments the command does not know.
+    command, or arguments the command does not know.  Unknown arguments
+    are refused before a missing command.
     """
     command = COMMANDS.get(argv[0]) if argv else None
     if command is not None:
@@ -343,7 +343,13 @@ def _parse_args(argv: list) -> argparse.Namespace:
         if not extras:
             args.command = command.name
             return args
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.command is None:
+        parser.error("the following arguments are required: command")
+    return args
 
 
 def main(argv=None) -> int:

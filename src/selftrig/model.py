@@ -244,6 +244,14 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
+def _symmetric(M: np.ndarray):
+    """Whether a finite matrix, or each matrix of a finite stack, is
+    symmetric: the test ``np.allclose(M, M.T, rtol=1e-10, atol=1e-12)``
+    makes on one matrix, in one numpy pass."""
+    T = M.swapaxes(-1, -2)
+    return (np.abs(M - T) <= 1e-12 + 1e-10 * np.abs(T)).all(axis=(-2, -1))
+
+
 def check_positive_definite(M: np.ndarray, name: str) -> None:
     """Require min eigenvalue > PD_EIG_RTOL * max eigenvalue of a symmetric ``M``."""
     eigs = np.linalg.eigvalsh(M)
@@ -324,8 +332,7 @@ class WeightSpec:
         for M, name in ((Q, "Q"), (R, "R")):
             if M.shape[0] != M.shape[1]:
                 raise ConfigurationError(f"{name} must be square, got {M.shape}")
-            # np.allclose(M, M.T, rtol=1e-10, atol=1e-12) on a finite M.
-            if not (np.abs(M - M.T) <= 1e-12 + 1e-10 * np.abs(M.T)).all():
+            if not _symmetric(M):
                 raise ConfigurationError(f"{name} must be symmetric")
             S = symmetrize(M)
             check_positive_definite(S, name)

@@ -22,7 +22,12 @@ path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
-aggregation is order-independent.
+aggregation is order-independent.  Each substream is drawn once, into
+read-only per-loop arrays of initial states and disturbances that the
+event loop takes from its caller: a sweep goes chunk by chunk of whole
+alphas, and runs the self-triggered rows of a chunk, derives each alpha's
+matched period from their statistics, then runs the periodic rows of the
+chunk on the same draws.
 """
 from __future__ import annotations
 
@@ -316,13 +321,48 @@ def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
     return np.vstack([phi, blocks.transpose(0, 3, 1, 2).reshape(gamma * n, gamma * n)])
 
 
-def _event_loop(scn: Scenario, first_samples, policy, keys) -> list:
+def _draws(scn: Scenario, keys) -> list:
+    """Each loop's random inputs for the rows ``keys``, read-only: the
+    initial states ``x0`` ``(R, n)`` and the disturbances ``Ew``
+    ``(R, T+G, n)``, zero past the horizon, or None for a noiseless loop.
+
+    Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)`` and
+    draws from the substream ``(alpha_index, run_index, j)`` of each loop
+    ``j``, in the order :func:`rng_substream` states.
+    """
+    T, R, G = scn.horizon, len(keys), scn.gamma
+    draws = []
+    for j, spec in enumerate(scn.loops):
+        sys = spec.system
+        noisy = spec.noise_variance > 0.0
+        x0 = np.empty((R, sys.n))
+        noise = np.empty((R, T, sys.w)) if noisy else None
+        for i, (alpha_index, run_index) in enumerate(keys):
+            rng = rng_substream(scn.seed, alpha_index, run_index, j)
+            if spec.x0 is None:
+                x0[i] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
+            else:
+                x0[i] = spec.x0
+            if noisy:
+                noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
+        x0.setflags(write=False)
+        Ew = None
+        if noisy:
+            Ew = np.zeros((R, T + G, sys.n))
+            Ew[:, :T] = noise @ sys.E.T
+            Ew.setflags(write=False)
+        draws.append((x0, Ew))
+    return draws
+
+
+def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     """Advance every plant from one sample to the next in each row, and
     sample each loop of each row on its own clock.
 
-    Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)``, and
-    draws from the substream ``(alpha_index, run_index, j)`` of each loop
-    ``j``.  Rows share a leading axis and never interact.  Loop ``j``
+    Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)``,
+    whose initial states and disturbances ``draws`` holds, as
+    :func:`_draws` returns them; the caller draws, so two laws can run on
+    one draw.  Rows share a leading axis and never interact.  Loop ``j``
     first samples at ``first_samples[j]``.  At ``k`` the decision rule
     ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` of the
     rows ``rows`` whose loop ``j`` samples then, and picks the inputs to
@@ -346,26 +386,13 @@ def _event_loop(scn: Scenario, first_samples, policy, keys) -> list:
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
     maps, states, inputs, waits, Ews = [], [], [], [], []
-    for j, spec in enumerate(scn.loops):
+    for spec, (x0, Ew) in zip(scn.loops, draws):
         sys = spec.system
-        noisy = spec.noise_variance > 0.0
         # Padded by G: the segment of a decision may reach past the horizon.
         states.append(np.empty((R, T + 1 + G, sys.n)))
-        noise = np.empty((R, T, sys.w)) if noisy else None
-        for i, (alpha_index, run_index) in enumerate(keys):
-            rng = rng_substream(scn.seed, alpha_index, run_index, j)
-            if spec.x0 is None:
-                states[j][i, 0] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
-            else:
-                states[j][i, 0] = spec.x0
-            if noisy:
-                noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
-        Ew = None
-        if noisy:
-            Ew = np.zeros((R, T + G, sys.n))
-            Ew[:, :T] = noise @ sys.E.T
+        states[-1][:, 0] = x0
         Ews.append(Ew)
-        maps.append(_segment_map(sys, G, noisy))
+        maps.append(_segment_map(sys, G, Ew is not None))
         inputs.append(np.zeros((R, T + G, sys.m)))
         waits.append(np.zeros((R, T), dtype=int))
 
@@ -495,14 +522,16 @@ def run_self_triggered(
         feasible[j].append(feas)
         return dec.i_star, dec.u
 
-    run = _event_loop(scn, [0] * len(names), policy, [(alpha_index, run_index)])
+    keys = [(alpha_index, run_index)]
+    run = _event_loop(scn, [0] * len(names), policy, keys, _draws(scn, keys))
     return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)
 
 
-def _periodic_runs(scn: Scenario, keys, periods) -> tuple:
+def _periodic_runs(scn: Scenario, keys, periods, draws) -> tuple:
     """The fixed-interval baseline on every row of ``keys``, row ``r`` at
-    period ``periods[r]``: what :func:`_event_loop` returns, and per loop
-    each row's periodic ``(P, L)``, from a Riccati solve of its own."""
+    period ``periods[r]``, on the :func:`_draws` ``draws``: what
+    :func:`_event_loop` returns, and per loop each row's periodic
+    ``(P, L)``, from a Riccati solve of its own."""
     gains = [[solve_periodic_riccati(spec.system, spec.weights, ts) for ts in periods]
              for spec in scn.loops]
     L = [np.array([gain for _, gain in loop]) for loop in gains]
@@ -511,7 +540,7 @@ def _periodic_runs(scn: Scenario, keys, periods) -> tuple:
     def policy(j, k, rows, x):
         return waits[rows], -(L[j][rows] @ x[:, :, None])[:, :, 0]
 
-    return _event_loop(scn, range(len(scn.loops)), policy, keys), gains
+    return _event_loop(scn, range(len(scn.loops)), policy, keys, draws), gains
 
 
 def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> SimTrace:
@@ -525,7 +554,8 @@ def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> Sim
     """
     if scn.ts is None:
         raise ConfigurationError("the periodic baseline needs a scenario with ts")
-    run, gains = _periodic_runs(scn, [(alpha_index, run_index)], [scn.ts])
+    keys = [(alpha_index, run_index)]
+    run, gains = _periodic_runs(scn, keys, [scn.ts], _draws(scn, keys))
     values = [
         [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
         for ((P, _),), (states, _, waits) in zip(gains, run)
@@ -534,10 +564,10 @@ def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> Sim
     return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 
 
-def _self_triggered_runs(scn: Scenario, tables: dict, keys) -> list:
+def _self_triggered_runs(scn: Scenario, tables: dict, keys, draws) -> list:
     """The self-triggered law on every row of ``keys``, advanced together
-    by :func:`_event_loop`; ``tables`` maps each alpha index of ``keys`` to
-    its tables in loop order.
+    by :func:`_event_loop` on the :func:`_draws` ``draws``; ``tables`` maps
+    each alpha index of ``keys`` to its tables in loop order.
 
     The law, the substreams and the decision order are those of
     :func:`run_self_triggered`, in their row-axis forms: the scheduler's
@@ -558,7 +588,7 @@ def _self_triggered_runs(scn: Scenario, tables: dict, keys) -> list:
         wait = ledger.book(j, k, rows, pick)
         return wait, -(stacks[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
-    return _event_loop(scn, [0] * len(scn.loops), policy, keys)
+    return _event_loop(scn, [0] * len(scn.loops), policy, keys, draws)
 
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
@@ -653,33 +683,66 @@ def _cost_overflow(name: str, ai: int, stage: np.ndarray) -> str:
 _ROW_STEPS = 2**20
 
 
-def _sweep_rows(scn: Scenario, alpha_indices: list, n_runs: int, stats: dict, run) -> None:
-    """Run the ``n_runs`` rows of each alpha index, and record each alpha's
-    statistics on its own rows.
+def _matched_period(scn: Scenario, intervals: dict, ai: int) -> int:
+    """The baseline's period at alpha index ``ai``: the mean over loops of
+    the mean sampling intervals ``intervals[name][ai]``, rounded and
+    clamped to ``[s, p]``."""
+    interval = np.mean([intervals[spec.name][ai] for spec in scn.loops])
+    return int(min(max(round(interval), len(scn.loops)), scn.p))
 
-    ``run(keys)`` advances the rows ``keys`` together and returns what
-    :func:`_event_loop` returns.  The rows go in chunks of whole alphas,
-    at least one alpha and otherwise at most :data:`_ROW_STEPS` row-steps
-    each, in alpha-major order; rows never interact, so the chunking
-    changes no bit.
+
+def _record_chunk(stats: dict, scn: Scenario, chunk: list, n_runs: int, per_loop: list) -> None:
+    """Record each alpha index of ``chunk`` on its own ``n_runs`` rows of
+    ``per_loop``, what :func:`_event_loop` returns."""
+    for i, ai in enumerate(chunk):
+        rows = slice(i * n_runs, (i + 1) * n_runs)
+        _record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
+
+
+def _sweep_rows(scn: Scenario, alpha_indices: list, n_runs: int, adaptive=None,
+                periodic=None) -> None:
+    """Run the ``n_runs`` rows of each alpha index under either law or
+    both, and record each alpha's statistics on its own rows.
+
+    ``adaptive`` is ``(tables, stats)``: the self-triggered rows of alpha
+    index ``ai`` run with ``tables[ai]`` and are recorded in ``stats``.
+    ``periodic`` is ``(intervals, stats)``: the fixed-interval rows of
+    ``ai`` run at :func:`_matched_period` of the mean sampling intervals
+    ``intervals`` and are recorded in ``stats``, whose ``mean_interval``
+    then holds each period.  ``intervals`` may be the adaptive half's own
+    ``mean_interval``, since ``ai``'s period depends on ``ai``'s adaptive
+    rows alone, which its chunk records first.
+
+    The rows go in chunks of whole alphas, at least one alpha and
+    otherwise at most :data:`_ROW_STEPS` row-steps each, in alpha-major
+    order.  Each chunk's rows are drawn once, by :func:`_draws`, and both
+    laws run on those draws; rows never interact, so the chunking changes
+    no bit.
     """
     size = max(1, _ROW_STEPS // (n_runs * scn.horizon))
     for c in range(0, len(alpha_indices), size):
         chunk = alpha_indices[c:c + size]
-        per_loop = run([(ai, r) for ai in chunk for r in range(n_runs)])
-        for i, ai in enumerate(chunk):
-            rows = slice(i * n_runs, (i + 1) * n_runs)
-            _record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
+        keys = [(ai, r) for ai in chunk for r in range(n_runs)]
+        draws = _draws(scn, keys)
+        if adaptive is not None:
+            tables, stats = adaptive
+            _record_chunk(stats, scn, chunk, n_runs,
+                          _self_triggered_runs(scn, tables, keys, draws))
+        if periodic is not None:
+            intervals, stats = periodic
+            periods = {ai: _matched_period(scn, intervals, ai) for ai in chunk}
+            per_loop, _ = _periodic_runs(scn, keys, [periods[ai] for ai, _ in keys], draws)
+            _record_chunk(stats, scn, chunk, n_runs, per_loop)
+            for ai, ts in periods.items():
+                for spec in scn.loops:
+                    stats["mean_interval"][spec.name][ai] = float(ts)
 
 
-def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
-    """Re-synthesize and re-run the scenario across a grid of sampling costs.
-
-    For each alpha every loop's table is rebuilt with that alpha; then the
-    ``n_runs`` independent noisy runs of every alpha execute together, on
-    substreams keyed by (alpha index, run index, loop index).  Results are
-    reproducible from ``scn.seed`` alone and equal those of
-    :func:`run_self_triggered` run by run.
+def _sweep(scn: Scenario, alphas, n_runs: int, baseline: bool) -> tuple:
+    """The adaptive sweep of ``alphas`` and, with ``baseline``, its
+    periodic baseline: the pair ``(sweep_alpha(scn, alphas, n_runs),
+    periodic_baseline(scn, that summary))``, or None in place of the
+    baseline, from one :func:`_sweep_rows` that draws each substream once.
     """
     alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
     if not alphas:
@@ -696,12 +759,26 @@ def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
             tables[ai] = _build_tables(scn, alpha)
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
-    _sweep_rows(scn, list(tables), n_runs, stats,
-                lambda keys: _self_triggered_runs(scn, tables, keys))
+    periodic = _empty_stats(names) if baseline else None
+    _sweep_rows(scn, list(tables), n_runs, adaptive=(tables, stats),
+                periodic=(stats["mean_interval"], periodic) if baseline else None)
 
-    return SweepSummary(
+    summary = SweepSummary(
         alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
     )
+    return summary, (replace(summary, **periodic) if baseline else None)
+
+
+def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
+    """Re-synthesize and re-run the scenario across a grid of sampling costs.
+
+    For each alpha every loop's table is rebuilt with that alpha; then the
+    ``n_runs`` independent noisy runs of every alpha execute together, on
+    substreams keyed by (alpha index, run index, loop index).  Results are
+    reproducible from ``scn.seed`` alone and equal those of
+    :func:`run_self_triggered` run by run.
+    """
+    return _sweep(scn, alphas, n_runs, baseline=False)[0]
 
 
 def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
@@ -721,17 +798,8 @@ def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
             f"scenario has loops {list(names)}"
         )
     stats = _empty_stats(names)
-    s = len(scn.loops)
-    periods = {}
-    for ai in range(len(summary.alphas)):
-        if ai in summary.mean_interval[names[0]]:
-            interval = np.mean([summary.mean_interval[name][ai] for name in names])
-            periods[ai] = int(min(max(round(interval), s), scn.p))
-    _sweep_rows(scn, list(periods), summary.n_runs, stats,
-                lambda keys: _periodic_runs(scn, keys, [periods[ai] for ai, _ in keys])[0])
-    for ai, ts in periods.items():
-        for name in names:
-            stats["mean_interval"][name][ai] = float(ts)
+    swept = [ai for ai in range(len(summary.alphas)) if ai in summary.mean_interval[names[0]]]
+    _sweep_rows(scn, swept, summary.n_runs, periodic=(summary.mean_interval, stats))
     return replace(summary, **stats)
 
 

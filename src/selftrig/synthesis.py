@@ -40,6 +40,7 @@ from .model import (
     _parse_json,
     _readonly,
     _schema_version,
+    _symmetric,
     _wait_set,
     as_matrix,
     symmetrize,
@@ -222,22 +223,27 @@ def solve_periodic_riccati(
 
 def _doubling(p: int, lift) -> tuple[np.ndarray, np.ndarray]:
     """The read-only pair (Pp, Lp) that doubling finds at period ``p`` from the
-    lift ``(Ap, Bp, Qp, Rp, Np)``, once it passes :func:`_accept_riccati`."""
+    lift ``(Ap, Bp, Qp, Rp, Np)``, once it passes :func:`_accept_riccati`.
+    A solve that finds a matrix singular raises SynthesisError naming ``p``."""
     Ap, Bp, Qp, Rp, Np = lift
     n = Ap.shape[0]
-    K = np.linalg.solve(Rp, np.hstack([Np.T, Bp.T]))
-    A = Ap - Bp @ K[:, :n]
-    G = symmetrize(Bp @ K[:, n:])
-    H = symmetrize(Qp - Np @ K[:, :n])
     eye = np.eye(n)
-    for _ in range(RICCATI_MAX_DOUBLINGS):
-        # I + G H is nonsingular because G and H are positive semidefinite.
-        W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
-        H, H_prev = symmetrize(H + A.T @ H @ W[:, :n]), H
-        G = symmetrize(G + A @ W[:, n:] @ A.T)
-        A = A @ W[:, :n]
-        if np.array_equal(H, H_prev):
-            break
+    try:
+        K = np.linalg.solve(Rp, np.hstack([Np.T, Bp.T]))
+        A = Ap - Bp @ K[:, :n]
+        G = symmetrize(Bp @ K[:, n:])
+        H = symmetrize(Qp - Np @ K[:, :n])
+        for _ in range(RICCATI_MAX_DOUBLINGS):
+            # I + G H is nonsingular in exact arithmetic, as G and H are
+            # positive semidefinite; rounding can still make it singular.
+            W = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            H, H_prev = symmetrize(H + A.T @ H @ W[:, :n]), H
+            G = symmetrize(G + A @ W[:, n:] @ A.T)
+            A = A @ W[:, :n]
+            if np.array_equal(H, H_prev):
+                break
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"doubling at period {p} failed: {exc}") from exc
     return _readonly(H), _readonly(_accept_riccati(H, p, *lift))
 
 
@@ -253,7 +259,8 @@ class GainTable:
     ``costs`` (``alpha / i``) and ``rows`` (each wait's row) are built with
     the stacks; the stacks, ``costs`` and ``rows`` are not constructor
     arguments.  ``gamma`` is the largest wait.  Matrices may be arrays or nested lists; one that is not
-    numeric, not finite or not of the terminal pair's shape, or an entry
+    numeric, not finite or not of the terminal pair's shape, a ``Pp`` or
+    ``P(i)`` that is not symmetric (the rule of ``WeightSpec``), or an entry
     that is not a (P, L) pair, raises ConfigurationError.  All arrays are
     read-only; tables are safe to share across threads, and compare by
     identity.
@@ -308,6 +315,13 @@ class GainTable:
         P_stack, L_stack = _readonly(Ps), _readonly(Ls)
         if not (np.isfinite(P_stack).all() and np.isfinite(L_stack).all()):
             raise ConfigurationError(f"{context}: entries have non-finite values")
+        # The law scores with all of each P(i), the certificate reads one
+        # triangle: the two see one matrix only when it is symmetric.
+        if not _symmetric(Pp):
+            raise ConfigurationError(f"{context}: Pp must be symmetric")
+        asymmetric = np.flatnonzero(~_symmetric(P_stack))
+        if asymmetric.size:
+            raise ConfigurationError(f"{context}: P({I0[asymmetric[0]]}) must be symmetric")
         entries = MappingProxyType({i: (P_stack[r], L_stack[r]) for r, i in enumerate(I0)})
         if p in entries:
             Pi, Li = entries[p]
@@ -432,8 +446,9 @@ def stability_certificate(
     ``G = F(i)' Pp F(i)``, taken by Cholesky reduction: with
     ``P(i) = C C'``, it is the largest eigenvalue of ``C^-1 G C^-T``.
     Raises CertificateError when a P(i) is not positive definite (its
-    Cholesky factorization fails) or when any contraction ratio reaches 1,
-    reporting the offending wait rather than silently clipping.
+    Cholesky factorization fails) or when any contraction ratio reaches 1
+    or is not finite, reporting the offending wait rather than silently
+    clipping.
     """
     pstar = _integer(pstar, f"loop {gt.loop_id!r}: pstar")
     if gt.p != pstar:
@@ -450,9 +465,11 @@ def stability_certificate(
     rows = np.array(gt.I0) - 1
     A, B = (M[rows] for M in _lift(sys, gt.gamma))
     P = gt.P_stack
-    F = A - B @ gt.L_stack
-    G = symmetrize(_mT(F) @ gt.Pp @ F)
-    S = _readonly(symmetrize(P - G))
+    # A gain that overflows F makes its ratio NaN, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = A - B @ gt.L_stack
+        G = symmetrize(_mT(F) @ gt.Pp @ F)
+        S = _readonly(symmetrize(P - G))
     s_eigs = np.linalg.eigvalsh(S)
     indefinite = s_eigs[:, 0] < -1e-10 * np.maximum(1.0, np.abs(s_eigs[:, -1]))
     try:
@@ -474,8 +491,16 @@ def stability_certificate(
                 f"indefinite (min eigenvalue {s_eigs[r, 0]:.3e})"
             )
     # Cholesky reduction of each pencil (G, P(i)), as in LAPACK's sygv.
-    M = np.linalg.solve(C, _mT(np.linalg.solve(C, G)))
-    ratios = dict(zip(gt.I0, np.linalg.eigvalsh(symmetrize(M))[:, -1].tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.linalg.solve(C, _mT(np.linalg.solve(C, G)))
+        ratio = np.linalg.eigvalsh(symmetrize(M))[:, -1]
+    # NaN is not below 1 either, and max() would skip it.
+    bad = np.flatnonzero(~np.isfinite(ratio))
+    if bad.size:
+        raise CertificateError(
+            f"loop {gt.loop_id!r}: contraction ratio at wait {gt.I0[bad[0]]} is not finite"
+        )
+    ratios = dict(zip(gt.I0, ratio.tolist()))
     rho_max = max(ratios.values())
     if rho_max >= 1.0:
         worst = max(ratios, key=ratios.get)

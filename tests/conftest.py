@@ -458,8 +458,8 @@ def oracle_sweep_alpha(scn, alphas, n_runs):
             return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
 
         keys = [(ai, r) for r in range(n_runs)]
-        oracle_record_runs(stats, ai, scn,
-                           simulator._event_loop(scn, [0] * len(names), policy, keys))
+        oracle_record_runs(stats, ai, scn, simulator._event_loop(
+            scn, [0] * len(names), policy, keys, simulator._draws(scn, keys)))
     return simulator.SweepSummary(alphas=tuple(alphas), loop_names=names, n_runs=n_runs,
                                   errors=errors, **stats)
 
@@ -474,7 +474,8 @@ def oracle_periodic_run(scn, alpha_index=0, run_index=0):
         return scn.ts, -(gains[j][1] @ x[0])
 
     keys = [(alpha_index, run_index)]
-    return simulator._event_loop(scn, range(len(gains)), policy, keys), gains
+    return simulator._event_loop(scn, range(len(gains)), policy, keys,
+                                 simulator._draws(scn, keys)), gains
 
 
 def oracle_periodic_baseline(scn, summary):

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from selftrig import cli, deserialize_gain_table, run_periodic, run_self_triggered, simulator
+from selftrig import (
+    SynthesisError,
+    cli,
+    deserialize_gain_table,
+    run_periodic,
+    run_self_triggered,
+    simulator,
+)
 from selftrig.cli import main
 from selftrig.scenario import load_scenario
 
@@ -89,6 +96,19 @@ class TestSynth:
         assert run_cli("synth", "-c", str(bad), "-o", str(out)) == 2
         assert "plain file stem" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.json"]
+
+    def test_singular_doubling_exits_3_and_a_sweep_records_it(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["loops"][1]["A"] = [1.0, 1e6, 1.0, 1.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("synth", "-c", str(bad), "-o", str(tmp_path / "out")) == 3
+        refusal = "loop 'double_integrator': doubling at period 5 failed: Singular matrix"
+        assert capsys.readouterr().err == f"synthesis error: {refusal}\n"
+        assert run_cli("sweep", "-c", str(bad), "--alphas", "0,0.5", "--runs", "2",
+                       "-o", str(tmp_path / "s.csv")) == 0
+        assert capsys.readouterr().err == "".join(
+            f"alpha={alpha}: synthesis failed: {refusal}\n" for alpha in ("0", "0.5"))
 
     def test_unknown_scenario_field_exits_2(self, tmp_path):
         doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
@@ -314,6 +334,48 @@ class TestVerify:
             assert "'double_integrator'" not in err
 
 
+def _double_integrator_tables(synth_out, tables, change):
+    """The tables ``synth_out`` holds, copied to ``tables``, with ``change``
+    applied to the double integrator's table document."""
+    tables.mkdir()
+    for path in synth_out.glob("*.gains.json"):
+        doc = json.loads(path.read_text())
+        if doc["loop_id"] == "double_integrator":
+            change(doc)
+        (tables / path.name).write_text(json.dumps(doc))
+
+
+def test_a_ratio_that_is_not_finite_exits_4(synth_out, tmp_path, capsys):
+    # B L(2) overflows, so the contraction ratio at wait 2 is NaN.
+    tables = tmp_path / "tables"
+    _double_integrator_tables(synth_out, tables,
+                              lambda doc: doc["entries"][1]["L"].__setitem__(0, 1e308))
+    assert run_cli("verify", "-t", str(tables), "-c", str(SCENARIOS / "two_loop.json")) == 4
+    captured = capsys.readouterr()
+    assert "all certificates pass" not in captured.out
+    assert captured.err == ("certificate failure: loop 'double_integrator': contraction "
+                            "ratio at wait 2 is not finite\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("target", ["P(1)", "Pp"])
+def test_an_asymmetric_value_matrix_exits_2(command, target, synth_out, tmp_path, capsys):
+    def change(doc):
+        matrix = doc["entries"][0]["P"] if target == "P(1)" else doc["Pp"]
+        matrix[1] = 0.0  # row 0, column 1 of a 2x2 matrix
+
+    tables = tmp_path / "tables"
+    _double_integrator_tables(synth_out, tables, change)
+    scen, out = str(SCENARIOS / "two_loop.json"), tmp_path / "run"
+    argv = {"simulate": ("simulate", "-c", scen, "-t", str(tables), "-o", str(out)),
+            "verify": ("verify", "-t", str(tables), "-c", scen)}[command]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: table {tables / 'double_integrator.gains.json'}: "
+        f"table 'double_integrator': {target} must be symmetric\n")
+    assert not out.exists()
+
+
 class TestTableAddress:
     """``simulate`` and ``verify`` read each loop's table from
     ``<loop>.gains.json`` and from no other file."""
@@ -412,6 +474,36 @@ class TestSweep:
         assert run_cli("sweep", "-c", str(SCENARIOS / scenario), *options,
                        "-o", str(tmp_path / "s.csv")) == 0
         assert len(built) == builds
+
+    @pytest.mark.parametrize("scenario,options,substreams", [
+        ("integrator_sweep.json", ["--alphas", "0,0.05,0.25,1.3,5,25,50,500,1e4,1e6",
+                                   "--runs", "20", "--seed", "20260810"], 10 * 20),
+        ("two_loop.json", ["--alphas", "0,0.5,5", "--runs", "3"], 3 * 3 * 2),
+    ])
+    def test_each_substream_is_drawn_once(self, scenario, options, substreams, tmp_path,
+                                          monkeypatch):
+        # One generator per (alpha, run, loop): the baseline replays the
+        # adaptive rows' draws instead of seeding them again.
+        keys, substream = [], simulator.rng_substream
+
+        def counted(seed, alpha_index, run_index, loop_index):
+            keys.append((alpha_index, run_index, loop_index))
+            return substream(seed, alpha_index, run_index, loop_index)
+
+        monkeypatch.setattr(simulator, "rng_substream", counted)
+        assert run_cli("sweep", "-c", str(SCENARIOS / scenario), *options,
+                       "-o", str(tmp_path / "s.csv")) == 0
+        assert len(keys) == len(set(keys)) == substreams
+
+    def test_a_refused_baseline_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        def refuse(sys, weights, p):
+            raise SynthesisError(f"refused at period {p} for this test")
+
+        monkeypatch.setattr(simulator, "solve_periodic_riccati", refuse)
+        assert run_cli("sweep", "-c", str(SCENARIOS / "two_loop.json"), "--alphas", "0,5",
+                       "--runs", "2", "-o", str(tmp_path / "s.csv")) == 3
+        assert capsys.readouterr().err.startswith("synthesis error: refused at period ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_defaults_to_the_scenario_seed(self, tmp_path):
         doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
@@ -749,7 +841,7 @@ _TOP_HELP = (
 _FRONT_END = [
     ([], 2, "", _TOP_ERROR + "the following arguments are required: command\n"),
     (["-h"], 0, _TOP_HELP, ""),
-    (["-x"], 2, "", _TOP_ERROR + "the following arguments are required: command\n"),
+    (["-x"], 2, "", _TOP_ERROR + "unrecognized arguments: -x\n"),
     *[([name, "-h"], 0, _USAGE[name] + _OPTIONS + _HELP[name], "") for name in _USAGE],
     (["synth"], 2, "", _USAGE["synth"] + "selftrig synth: error: the following "
                                          "arguments are required: -c/--scenario, -o/--out\n"),

@@ -37,6 +37,7 @@ from selftrig.scenario import load_scenario
 from selftrig.simulator import (
     SimTrace,
     TxEvent,
+    _draws,
     _event_loop,
     _self_triggered_runs,
     periodic_baseline,
@@ -777,8 +778,9 @@ def test_policy_errors_name_their_step_and_loop(transient_scenario):
             raise SchedulingError("no wait left")
         return 3, np.zeros((1, 1))
 
+    keys = [(0, 0)]
     with pytest.raises(SchedulingError, match=r"^at step k=3, loop 'integrator': no wait left$"):
-        _event_loop(transient_scenario, [0], policy, [(0, 0)])
+        _event_loop(transient_scenario, [0], policy, keys, _draws(transient_scenario, keys))
 
 
 def _value_bound_excess(scn):
@@ -885,6 +887,11 @@ def _tables(scn, alpha):
                              scn.p, loop_id=spec.name) for spec in scn.loops]
 
 
+def _self_triggered_rows(scn, tables, keys):
+    """``_self_triggered_runs`` on the draws of its own rows."""
+    return _self_triggered_runs(scn, tables, keys, _draws(scn, keys))
+
+
 def _per_run_reference(scn, tables, ai, r):
     swept = replace(scn, loops=tuple(
         replace(spec, weights=replace(spec.weights, alpha=gt.alpha))
@@ -910,7 +917,7 @@ class TestBatchedSweep:
         }[case]()
         for ai, alpha in enumerate(alphas):
             tables = _tables(scn, alpha)
-            batch = _self_triggered_runs(scn, {ai: tables}, [(ai, r) for r in range(n_runs)])
+            batch = _self_triggered_rows(scn, {ai: tables}, [(ai, r) for r in range(n_runs)])
             for r in range(n_runs):
                 ref = _per_run_reference(scn, tables, ai, r)
                 for spec, (states, inputs, sampled) in zip(scn.loops, batch):
@@ -956,7 +963,7 @@ class TestBatchedSweep:
                                x0=[0.0]) for name in ("a", "b"))
         scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=40, seed=0)
         tables = _tables(scn, 0.0)
-        (a_states, _, a_sampled), (_, _, b_sampled) = _self_triggered_runs(
+        (a_states, _, a_sampled), (_, _, b_sampled) = _self_triggered_rows(
             scn, {0: tables}, [(0, 0), (0, 1)])
         ref = _per_run_reference(scn, tables, 0, 0)
         # a takes the largest wait 5; b then finds 5 taken at k = 0 and
@@ -979,7 +986,7 @@ class TestBatchedSweep:
                       for name, x0 in (("a", 0.0), ("b", 1e200)))
         scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=30, seed=0)
         tables = _tables(scn, 0.0)
-        (_, _, a_sampled), (b_states, _, b_sampled) = _self_triggered_runs(scn, {0: tables},
+        (_, _, a_sampled), (b_states, _, b_sampled) = _self_triggered_rows(scn, {0: tables},
                                                                            [(0, 0)])
         ref = _per_run_reference(scn, tables, 0, 0)
         assert ref.loops["b"].waits[0] == 4
@@ -1035,18 +1042,22 @@ class TestMergedSweep:
         summary = sweep_alpha(scn, alphas, n_runs)
         expected = oracle_sweep_alpha(scn, alphas, n_runs)
         _assert_same_statistics(summary, expected)
-        _assert_same_statistics(periodic_baseline(scn, summary),
-                                oracle_periodic_baseline(scn, expected))
+        expected_baseline = oracle_periodic_baseline(scn, expected)
+        _assert_same_statistics(periodic_baseline(scn, summary), expected_baseline)
         assert list(summary.errors) == ([1.3] if case == "readme-refused" else [])
+        # The one sweep of both laws, as the sweep command runs it.
+        both, baseline = simulator._sweep(scn, alphas, n_runs, baseline=True)
+        _assert_same_statistics(both, expected)
+        _assert_same_statistics(baseline, expected_baseline)
 
     def test_chunks_of_whole_alphas_equal_one_chunk(self, monkeypatch):
         scn, alphas, n_runs = _channel_scenario(), [0.0, 0.5, 5.0], 3
         rows = []
         event_loop = simulator._event_loop
 
-        def counted(scn, first_samples, policy, keys):
+        def counted(scn, first_samples, policy, keys, draws):
             rows.append([ai for ai, _ in keys])
-            return event_loop(scn, first_samples, policy, keys)
+            return event_loop(scn, first_samples, policy, keys, draws)
 
         monkeypatch.setattr(simulator, "_event_loop", counted)
         results = {}
@@ -1061,6 +1072,56 @@ class TestMergedSweep:
         for summary, baseline in (results[2], results[1]):
             _assert_same_statistics(summary, results[None][0])
             _assert_same_statistics(baseline, results[None][1])
+
+    def test_one_sweep_of_both_laws_in_chunks_equals_one_chunk(self, monkeypatch):
+        # Each chunk is drawn once, then runs its adaptive rows and, on the
+        # same draws, its periodic rows.
+        scn, alphas, n_runs = replace(_noisy_two_loop(), horizon=30), [0.0, 0.5, 5.0], 3
+        calls, event_loop, draws = [], simulator._event_loop, simulator._draws
+
+        def counted_loop(scn, first_samples, policy, keys, drawn):
+            calls.append(("loop", [ai for ai, _ in keys], id(drawn)))
+            return event_loop(scn, first_samples, policy, keys, drawn)
+
+        def counted_draws(scn, keys):
+            drawn = draws(scn, keys)
+            calls.append(("draws", [ai for ai, _ in keys], id(drawn)))
+            return drawn
+
+        monkeypatch.setattr(simulator, "_event_loop", counted_loop)
+        monkeypatch.setattr(simulator, "_draws", counted_draws)
+        expected = sweep_alpha(scn, alphas, n_runs)
+        expected = expected, periodic_baseline(scn, expected)
+        for per_chunk in (None, 2, 1):
+            if per_chunk is not None:
+                monkeypatch.setattr(simulator, "_ROW_STEPS", per_chunk * n_runs * scn.horizon)
+            calls.clear()
+            summary, baseline = simulator._sweep(scn, alphas, n_runs, baseline=True)
+            _assert_same_statistics(summary, expected[0])
+            _assert_same_statistics(baseline, expected[1])
+            chunks = {None: [[0, 1, 2]], 2: [[0, 1], [2]], 1: [[0], [1], [2]]}[per_chunk]
+            assert len(calls) == 3 * len(chunks)
+            for c, chunk in enumerate(chunks):
+                rows = [ai for ai in chunk for _ in range(n_runs)]
+                drawn = calls[3 * c][2]
+                assert calls[3 * c:3 * c + 3] == [("draws", rows, drawn), ("loop", rows, drawn),
+                                                  ("loop", rows, drawn)]
+
+    def test_draws_are_read_only(self):
+        scn = _noisy_two_loop()
+        keys = [(0, 0), (0, 1), (2, 0)]
+        for spec, (x0, Ew) in zip(scn.loops, _draws(scn, keys)):
+            n = spec.system.n
+            assert x0.shape == (3, n) and Ew.shape == (3, scn.horizon + scn.gamma, n)
+            for drawn in (x0, Ew):
+                assert not drawn.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    drawn[0] = 1.0
+            assert np.all(Ew[:, scn.horizon:] == 0.0)
+        noiseless, _ = load_scenario(SCENARIOS / "two_loop.json")
+        for spec, (x0, Ew) in zip(noiseless.loops, _draws(noiseless, keys)):
+            assert Ew is None and not x0.flags.writeable
+            np.testing.assert_array_equal(x0, np.broadcast_to(spec.x0, x0.shape))
 
     @staticmethod
     def _assert_stacks_do_not_depend_on_alpha(sys, weights, I0, p):
@@ -1098,7 +1159,7 @@ class TestMergedSweep:
                         weights=WeightSpec(Q=[[1.0]], R=[[1.0]]), x0=[0.0],
                         noise_variance=1e300)
         scn = Scenario(loops=(spec,), I0=[1, 2], p=2, horizon=2, seed=2)
-        (states, _, _), = _self_triggered_runs(scn, {0: _tables(scn, 0.0)}, [(0, 0), (0, 1)])
+        (states, _, _), = _self_triggered_rows(scn, {0: _tables(scn, 0.0)}, [(0, 0), (0, 1)])
         assert np.isfinite(states).all()
         with pytest.raises(ConfigurationError, match=r"^loop 'a': state is not finite from "
                                                      r"step k=2 of run 0, alpha index 1$"):
@@ -1212,7 +1273,7 @@ class TestSegmentStepping:
 
     def test_sweep_rows_match_step_replay(self):
         scn = _channel_scenario()
-        batch = _self_triggered_runs(scn, {1: _tables(scn, 0.5)}, [(1, r) for r in range(3)])
+        batch = _self_triggered_rows(scn, {1: _tables(scn, 0.5)}, [(1, r) for r in range(3)])
         _step_replay(scn, batch, 1, range(3))
         for _, inputs, waits in batch:
             for r in range(3):

@@ -1,5 +1,6 @@
 """Synthesis: Riccati solve, gain tables, admissibility, certificates, serialization."""
 import dataclasses
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from conftest import (
     bits,
     oracle_certificate,
     oracle_gain_entries,
+    oracle_is_symmetric,
     random_system,
     random_weights,
     scalar_periodic_value,
@@ -187,6 +189,14 @@ class TestPeriodicRiccati:
         with pytest.raises(SynthesisError, match=reason):
             _accept_riccati(np.array([[P]]), lm.i, lm.Ai, lm.Bi, lm.Qi, lm.Ri, lm.Ni)
 
+    def test_a_singular_doubling_solve_names_the_period(self, double_integrator_weights):
+        # A(1, 2) = 1e6 makes I + G H singular in floating point at p = 5.
+        sys = LtiSystem(A=[[1.0, 1e6], [1.0, 1.0]], B=[[1.0], [0.5]])
+        with pytest.raises(SynthesisError,
+                           match=r"^doubling at period 5 failed: Singular matrix$"):
+            solve_periodic_riccati(sys, double_integrator_weights, 5)
+        assert not any(key[0] == "riccati" for key in sys._memo)
+
 
 class TestGainTable:
     def test_unit_integrator_full_precision(self, integrator_table):
@@ -283,6 +293,40 @@ class TestGainTable:
             entries[i] = (np.eye(2), integrator_table.L(i))
         with pytest.raises(ConfigurationError, match="shapes"):
             dataclasses.replace(integrator_table, entries=entries)
+
+    @pytest.mark.parametrize("target", ["P(1)", "P(3)", "Pp"])
+    def test_value_matrices_must_be_symmetric(self, double_integrator_table, target):
+        # The law scores with all of P(i) and the certificate reads one
+        # triangle of it, so each table holds one symmetric matrix per wait.
+        gt = double_integrator_table
+        entries, Pp = dict(gt.entries), np.array(gt.Pp)
+        if target == "Pp":
+            Pp[0, 1] = 0.0
+        else:
+            i = int(target[2])
+            P = np.array(gt.P(i))
+            P[0, 1] = 0.0
+            entries[i] = (P, gt.L(i))
+        with pytest.raises(ConfigurationError, match=rf"^table 'double_integrator': "
+                                                     rf"{re.escape(target)} must be symmetric$"):
+            dataclasses.replace(gt, entries=entries, Pp=Pp)
+
+    def test_symmetry_is_weightspecs_rule(self, double_integrator_table):
+        # Off-diagonal perturbations on both sides of the tolerance: a table
+        # loads exactly when the oracle calls its perturbed P(2) symmetric.
+        gt = double_integrator_table
+        outcomes = set()
+        for rel in (0.0, 1e-12, 5e-11, 9e-11, 2e-10, 1e-8, 1e-3):
+            P = np.array(gt.P(2))
+            P[1, 0] *= 1.0 + rel
+            try:
+                dataclasses.replace(gt, entries={**gt.entries, 2: (P, gt.L(2))})
+                loaded = True
+            except ConfigurationError:
+                loaded = False
+            assert loaded == oracle_is_symmetric(P), rel
+            outcomes.add(loaded)
+        assert outcomes == {True, False}
 
 
 def _table_from(source, sys, gt):
@@ -491,6 +535,18 @@ class TestCertificate:
         )
         with pytest.raises(CertificateError):
             stability_certificate(bad, integrator, 5)
+
+    def test_a_ratio_that_is_not_finite_names_the_wait(self, double_integrator,
+                                                        double_integrator_table):
+        # B(2) L(2) overflows, so the ratio at wait 2 is NaN, which max()
+        # would skip; no RuntimeWarning may escape either.
+        gt = double_integrator_table
+        L = np.array(gt.L(2))
+        L[0, 0] = 1e308
+        bad = dataclasses.replace(gt, entries={**gt.entries, 2: (gt.P(2), L)})
+        with pytest.raises(CertificateError, match=r"^loop 'double_integrator': contraction "
+                                                   r"ratio at wait 2 is not finite$"):
+            stability_certificate(bad, double_integrator, 5)
 
     def test_period_mismatch_rejected(self, integrator, integrator_table):
         with pytest.raises(ConfigurationError):
