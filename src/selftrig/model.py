@@ -244,12 +244,13 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _symmetric(M: np.ndarray):
-    """Whether a finite matrix, or each matrix of a finite stack, is
-    symmetric: the test ``np.allclose(M, M.T, rtol=1e-10, atol=1e-12)``
-    makes on one matrix, in one numpy pass."""
+def _symmetric(M: np.ndarray) -> bool:
+    """Whether a finite matrix, or every matrix of a finite stack, passes
+    the test ``np.allclose(M, M.T, rtol=1e-10, atol=1e-12)`` makes on one
+    matrix.  An exactly symmetric one, as synthesis writes them, passes on
+    the first comparison."""
     T = M.swapaxes(-1, -2)
-    return (np.abs(M - T) <= 1e-12 + 1e-10 * np.abs(T)).all(axis=(-2, -1))
+    return bool((M == T).all() or (np.abs(M - T) <= 1e-12 + 1e-10 * np.abs(T)).all())
 
 
 def check_positive_definite(M: np.ndarray, name: str) -> None:

@@ -12,6 +12,7 @@ anything.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -319,9 +320,9 @@ class GainTable:
         # triangle: the two see one matrix only when it is symmetric.
         if not _symmetric(Pp):
             raise ConfigurationError(f"{context}: Pp must be symmetric")
-        asymmetric = np.flatnonzero(~_symmetric(P_stack))
-        if asymmetric.size:
-            raise ConfigurationError(f"{context}: P({I0[asymmetric[0]]}) must be symmetric")
+        if not _symmetric(P_stack):
+            i = next(i for i, P in zip(I0, P_stack) if not _symmetric(P))
+            raise ConfigurationError(f"{context}: P({i}) must be symmetric")
         entries = MappingProxyType({i: (P_stack[r], L_stack[r]) for r, i in enumerate(I0)})
         if p in entries:
             Pi, Li = entries[p]
@@ -465,42 +466,41 @@ def stability_certificate(
     rows = np.array(gt.I0) - 1
     A, B = (M[rows] for M in _lift(sys, gt.gamma))
     P = gt.P_stack
-    # A gain that overflows F makes its ratio NaN, refused below.
+    # A gain that overflows F makes its ratio NaN, refused below, so
+    # overflow warns nowhere in the stages.
     with np.errstate(over="ignore", invalid="ignore"):
         F = A - B @ gt.L_stack
         G = symmetrize(_mT(F) @ gt.Pp @ F)
         S = _readonly(symmetrize(P - G))
-    s_eigs = np.linalg.eigvalsh(S)
-    indefinite = s_eigs[:, 0] < -1e-10 * np.maximum(1.0, np.abs(s_eigs[:, -1]))
-    try:
-        C = np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        C = None
-    # Name the first failing wait in I0 order, its Cholesky check first.
-    for r, i in enumerate(gt.I0 if C is None or indefinite.any() else ()):
+        s_eigs = np.linalg.eigvalsh(S)
+        indefinite = s_eigs[:, 0] < -1e-10 * np.maximum(1.0, np.abs(s_eigs[:, -1]))
         try:
-            np.linalg.cholesky(P[r])
+            C = np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
-            raise CertificateError(
-                f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
-                f"positive definite (its Cholesky factorization fails)"
-            ) from None
-        if indefinite[r]:
-            raise CertificateError(
-                f"loop {gt.loop_id!r}: accumulated-cost form at wait {i} is "
-                f"indefinite (min eigenvalue {s_eigs[r, 0]:.3e})"
-            )
-    # Cholesky reduction of each pencil (G, P(i)), as in LAPACK's sygv.
-    with np.errstate(over="ignore", invalid="ignore"):
+            C = None
+        # Name the first failing wait in I0 order, its Cholesky check first.
+        for r, i in enumerate(gt.I0 if C is None or indefinite.any() else ()):
+            try:
+                np.linalg.cholesky(P[r])
+            except np.linalg.LinAlgError:
+                raise CertificateError(
+                    f"loop {gt.loop_id!r}: value matrix P({i}) at wait {i} is not "
+                    f"positive definite (its Cholesky factorization fails)"
+                ) from None
+            if indefinite[r]:
+                raise CertificateError(
+                    f"loop {gt.loop_id!r}: accumulated-cost form at wait {i} is "
+                    f"indefinite (min eigenvalue {s_eigs[r, 0]:.3e})"
+                )
+        # Cholesky reduction of each pencil (G, P(i)), as in LAPACK's sygv.
         M = np.linalg.solve(C, _mT(np.linalg.solve(C, G)))
-        ratio = np.linalg.eigvalsh(symmetrize(M))[:, -1]
+        ratios = dict(zip(gt.I0, np.linalg.eigvalsh(symmetrize(M))[:, -1].tolist()))
     # NaN is not below 1 either, and max() would skip it.
-    bad = np.flatnonzero(~np.isfinite(ratio))
-    if bad.size:
-        raise CertificateError(
-            f"loop {gt.loop_id!r}: contraction ratio at wait {gt.I0[bad[0]]} is not finite"
-        )
-    ratios = dict(zip(gt.I0, ratio.tolist()))
+    for i, ratio in ratios.items():
+        if not math.isfinite(ratio):
+            raise CertificateError(
+                f"loop {gt.loop_id!r}: contraction ratio at wait {i} is not finite"
+            )
     rho_max = max(ratios.values())
     if rho_max >= 1.0:
         worst = max(ratios, key=ratios.get)
