@@ -7,7 +7,7 @@ until the next sample, coordinating many loops on one shared channel with
 conflict-free slot reservations.
 """
 
-from .controller import Decision, decide, partition_1d, value_of
+from .controller import Decision, decide, partition_1d
 from .errors import (
     CertificateError,
     ConfigurationError,
@@ -16,15 +16,7 @@ from .errors import (
     SelfTrigError,
     SynthesisError,
 )
-from .model import (
-    LiftedModel,
-    LtiSystem,
-    WeightSpec,
-    lift_dynamics,
-    lift_range,
-    lift_weights,
-    stage_cost_sum,
-)
+from .model import LiftedModel, LtiSystem, WeightSpec, lift_range
 from .scenario import load_scenario, scenario_from_dict
 from .scheduler import (
     ReservationLedger,
@@ -44,7 +36,6 @@ from .simulator import (
     rng_substream,
     run_periodic,
     run_self_triggered,
-    step_plant,
     sweep_alpha,
 )
 from .synthesis import (
@@ -52,9 +43,7 @@ from .synthesis import (
     StabilityCertificate,
     build_gain_table,
     deserialize_gain_table,
-    downsampled_controllable,
     is_controllable,
-    pstar_is_gamma,
     select_pstar,
     serialize_gain_table,
     solve_periodic_riccati,
@@ -88,16 +77,12 @@ __all__ = [
     "build_gain_table",
     "decide",
     "deserialize_gain_table",
-    "downsampled_controllable",
     "empiric_cost",
     "feasible_set",
     "is_controllable",
-    "lift_dynamics",
     "lift_range",
-    "lift_weights",
     "load_scenario",
     "partition_1d",
-    "pstar_is_gamma",
     "reserve",
     "rng_substream",
     "run_periodic",
@@ -107,10 +92,7 @@ __all__ = [
     "serialize_gain_table",
     "solve_periodic_riccati",
     "stability_certificate",
-    "stage_cost_sum",
-    "step_plant",
     "sweep_alpha",
     "uncontrollable_reason",
-    "value_of",
     "verify_conflict_free",
 ]

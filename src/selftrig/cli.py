@@ -187,6 +187,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_paths(out: Path, names) -> dict:
+    """Each loop's adaptive and periodic CSV paths: ``out`` with the loop's
+    name (unless it is the only loop) and ``periodic`` put before the
+    suffix.  Two loops whose paths coincide, such as ``a`` and
+    ``a.periodic``, raise ConfigurationError naming both."""
+    suffix = out.suffix or ".csv"
+    stem = str(out.with_suffix(""))
+    writer, paths = {}, {}
+    for name in names:
+        paths[name] = []
+        for law in ([], ["periodic"]):
+            parts = law if len(names) == 1 else [name, *law]
+            path = Path(stem + "".join("." + part for part in parts) + suffix)
+            if path in writer:
+                raise ConfigurationError(
+                    f"loops {writer[path]!r} and {name!r} would both write the sweep CSV {path}"
+                )
+            writer[path] = name
+            paths[name].append(path)
+    return paths
+
+
 def cmd_sweep(args) -> int:
     scn, _ = load_scenario(args.scenario)
     try:
@@ -197,26 +219,16 @@ def cmd_sweep(args) -> int:
         ) from exc
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
+    out = Path(args.out)
+    paths = _sweep_paths(out, [spec.name for spec in scn.loops])
     summary, baseline = _sweep(scn, alphas, args.runs, baseline=True)
     for alpha, msg in summary.errors.items():
         print(f"alpha={alpha:g}: synthesis failed: {msg}", file=sys.stderr)
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    single = len(summary.loop_names) == 1
-    suffix = out.suffix or ".csv"
-    stem = str(out.with_suffix(""))
-
-    def out_path(loop_name: str, periodic: bool) -> Path:
-        parts = [] if single else [loop_name]
-        if periodic:
-            parts.append("periodic")
-        tag = "." + ".".join(parts) if parts else ""
-        return Path(stem + tag + suffix)
-
-    for name in summary.loop_names:
-        write_sweep_csv(summary, name, out_path(name, periodic=False))
-        write_sweep_csv(baseline, name, out_path(name, periodic=True))
+    for name, (adaptive_path, periodic_path) in paths.items():
+        write_sweep_csv(summary, name, adaptive_path)
+        write_sweep_csv(baseline, name, periodic_path)
     print(f"sweep written to {out}")
     return EXIT_OK
 

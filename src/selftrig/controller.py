@@ -50,12 +50,6 @@ def _scores(gt: GainTable, x: np.ndarray, costs=None) -> np.ndarray:
     return (gt.costs if costs is None else costs) + ((x @ gt.P_stack) * x).sum(axis=-1).T
 
 
-def value_of(gt: GainTable, x, i: int) -> float:
-    """Predicted cost ``alpha/i + x' P(i) x`` of waiting ``i`` steps."""
-    x = as_vector(x, "x", gt.n)
-    return float(_scores(gt, x)[gt._row(i)])
-
-
 def decide(gt: GainTable, x, feasible) -> Decision:
     """Minimize the predicted cost over the feasible waits.
 

@@ -433,26 +433,3 @@ def lift_range(sys: LtiSystem, weights: WeightSpec, gamma: int) -> list[LiftedMo
     """All lifted models for factors 1..gamma, read-only views of :func:`_lift`'s rows."""
     return [LiftedModel(i, *M) for i, M in enumerate(zip(*_lift(sys, gamma, weights)), 1)]
 
-
-def lift_dynamics(sys: LtiSystem, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``i``-step transition pair (A^i, sum_{q<i} A^q B), accumulated incrementally."""
-    return tuple(M[-1] for M in _lift(sys, i))
-
-
-def lift_weights(
-    sys: LtiSystem, weights: WeightSpec, i: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulated cost matrices (Qi, Ri, Ni) for a wait of ``i`` steps."""
-    return tuple(M[-1] for M in _lift(sys, i, weights)[2:])
-
-
-def stage_cost_sum(sys: LtiSystem, weights: WeightSpec, x, u, i: int) -> float:
-    """Total stage cost of holding input ``u`` for ``i`` steps from state ``x``.
-
-    Equals the step-by-step sum of ``x'Qx + u'Ru`` along the held-input
-    trajectory, collapsed to ``x'Qi x + u'Ri u + 2 x'Ni u``.
-    """
-    x = as_vector(x, "x", sys.n)
-    u = as_vector(u, "u", sys.m)
-    Qi, Ri, Ni = lift_weights(sys, weights, i)
-    return float(x @ Qi @ x + u @ Ri @ u + 2.0 * x @ Ni @ u)

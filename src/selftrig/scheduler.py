@@ -74,10 +74,6 @@ class ReservationLedger:
         object.__setattr__(self, "next_tx", MappingProxyType(tx))
         _check_admissible(len(order), self.I0, self.p)
 
-    @property
-    def gamma(self) -> int:
-        return max(self.I0)
-
 
 def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     """Waits loop ``loop_id`` may choose at time ``k`` without collisions.

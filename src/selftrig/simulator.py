@@ -63,6 +63,9 @@ MODE_PERIODIC = "periodic"
 # A loop's name is the stem of its table and trace file names.
 _NOT_IN_STEM = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
+# The most bytes numpy addresses in one array: 2**63 - 1 on 64-bit builds.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 def rng_substream(
     seed: int, alpha_index: int = 0, run_index: int = 0, loop_index: int = 0
@@ -168,6 +171,21 @@ class Scenario:
         if self.mode == MODE_PERIODIC and self.horizon < len(loops):
             raise ConfigurationError(f"periodic mode needs horizon >= s={len(loops)}, "
                                      f"got {self.horizon}")
+        # Per run, the event loop holds each loop's states, inputs and noise
+        # in float64 arrays of at most (horizon + 1 + gamma) x max(n, m, w)
+        # and its segment map (see _segment_map); numpy refuses an array
+        # past its index limit.
+        T, G = self.horizon, self.gamma
+        for spec in loops:
+            n, m, w = spec.system.n, spec.system.m, spec.system.w
+            noise_rows = G * n if spec.noise_variance > 0.0 else 0
+            for what, size in ((f"horizon {T} with largest wait {G}", (T + 1 + G) * max(n, m, w)),
+                               (f"largest wait {G} in I0", (n + m + noise_rows) * G * n)):
+                if 8 * size > _MAX_ARRAY_BYTES:
+                    raise ConfigurationError(
+                        f"loop {spec.name!r}: {what} needs an array of {8 * size} bytes, "
+                        f"more than numpy can address ({_MAX_ARRAY_BYTES})"
+                    )
 
     @property
     def gamma(self) -> int:
@@ -207,10 +225,6 @@ class LoopTrace:
     def horizon(self) -> int:
         return self.inputs.shape[0]
 
-    def stage_costs(self, Q, R) -> np.ndarray:
-        """Per-step quadratic stage cost x'Qx + u'Ru over the horizon."""
-        return _stage_costs(self.states, self.inputs, Q, R)
-
 
 def _stage_costs(states, inputs, Q, R) -> np.ndarray:
     """The stage costs of one run, or of each run of a leading run axis."""
@@ -230,16 +244,6 @@ class SimTrace:
     @property
     def tx_log(self) -> list:
         return [(ev.k, ev.loop_id) for ev in self.tx_events]
-
-
-def step_plant(sys: LtiSystem, x, u, omega=None) -> np.ndarray:
-    """One exact plant update x+ = A x + B u (+ E w)."""
-    x = as_vector(x, "x", sys.n)
-    u = as_vector(u, "u", sys.m)
-    x_next = sys.A @ x + sys.B @ u
-    if omega is not None:
-        x_next = x_next + sys.E @ as_vector(omega, "omega", sys.w)
-    return x_next
 
 
 def _build_tables(scn: Scenario, alpha: float | None = None) -> list:
@@ -328,7 +332,8 @@ def _draws(scn: Scenario, keys) -> list:
 
     Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)`` and
     draws from the substream ``(alpha_index, run_index, j)`` of each loop
-    ``j``, in the order :func:`rng_substream` states.
+    ``j``, in the order :func:`rng_substream` states.  A loop with a fixed
+    ``x0`` and no noise draws nothing and seeds no substream.
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
     draws = []
@@ -336,13 +341,13 @@ def _draws(scn: Scenario, keys) -> list:
         sys = spec.system
         noisy = spec.noise_variance > 0.0
         x0 = np.empty((R, sys.n))
+        if spec.x0 is not None:
+            x0[:] = spec.x0
         noise = np.empty((R, T, sys.w)) if noisy else None
-        for i, (alpha_index, run_index) in enumerate(keys):
+        for i, (alpha_index, run_index) in enumerate(keys if spec.x0 is None or noisy else ()):
             rng = rng_substream(scn.seed, alpha_index, run_index, j)
             if spec.x0 is None:
                 x0[i] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
-            else:
-                x0[i] = spec.x0
             if noisy:
                 noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
         x0.setflags(write=False)
@@ -593,7 +598,7 @@ def _self_triggered_runs(scn: Scenario, tables: dict, keys, draws) -> list:
 
 def empiric_cost(trace: LoopTrace, Q, R) -> float:
     """Time-averaged quadratic stage cost (1/T) sum x'Qx + u'Ru."""
-    return float(np.mean(trace.stage_costs(Q, R)))
+    return float(np.mean(_stage_costs(trace.states, trace.inputs, Q, R)))
 
 
 def average_sampling_interval(trace: LoopTrace) -> float:

@@ -87,15 +87,6 @@ def _unit_root_eigenvalues(eigenvalues, i: int) -> list[complex]:
             if not abs(lam - 1.0) < ROOT_OF_UNITY_TOL and abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL]
 
 
-def downsampled_controllable(sys: LtiSystem, i: int) -> bool:
-    """Whether the i-step lifted pair is controllable.
-
-    Holds exactly when the base pair (A, B) is controllable and no
-    eigenvalue of A other than 1 is an i-th root of unity.
-    """
-    return uncontrollable_reason(sys, i) is None
-
-
 def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
     """Human-readable cause when the lifted pair is uncontrollable, else None.
 
@@ -131,11 +122,6 @@ def select_pstar(systems, I0) -> int:
             f"no admissible terminal period in I0={list(factors)}; offending eigenvalues: {detail}"
         )
     return max(qualifying)
-
-
-def pstar_is_gamma(systems, I0) -> bool:
-    """Whether the selected terminal period equals the maximum wait in I0."""
-    return select_pstar(systems, I0) == max(I0)
 
 
 def _mT(M: np.ndarray) -> np.ndarray:

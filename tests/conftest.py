@@ -4,9 +4,12 @@ The scalar unit-integrator oracle below never touches the package's own
 lifting or Riccati code: lifted weights come from explicit power sums and
 the periodic value is the positive root of the quadratic obtained by
 eliminating the gain from the fixed-point equations.  The step-by-step
-lift is the bit reference of the package's stacked lift; the per-wait
-table entries and certificate, built on it, are the bit references of the
-package's stacked synthesis; and the ``csv.writer`` trace, channel-log and
+lift is the bit reference of the package's stacked lift, and one plant
+step at a time, with the held-input stage cost summed along it, is the
+reference of the event loop's segment map and of the lift's collapsed
+cost; the per-wait table entries and certificate, built on the lift, are
+the bit references of the package's stacked synthesis; and the
+``csv.writer`` trace, channel-log and
 sweep writers are the byte references of its text writers.  The online
 law of one decision, ``feasible_set`` -> ``decide`` -> ``reserve``, is
 kept with every entry check in its general form, as the bit and refusal
@@ -188,6 +191,23 @@ def oracle_lift(sys, weights, gamma) -> list:
             Ni + Ai.T @ Q @ Bi,
         )
     return lifts
+
+
+def oracle_step(sys, x, u, omega=None):
+    """One plant update ``A x + B u``, plus ``E omega`` when given."""
+    x_next = sys.A @ x + sys.B @ u
+    return x_next if omega is None else x_next + sys.E @ omega
+
+
+def oracle_held_cost(sys, weights, x, u, i) -> float:
+    """The stage costs ``x'Qx + u'Ru`` of holding ``u`` for ``i`` steps from
+    ``x``, summed step by step along :func:`oracle_step`."""
+    Q, R = weights.Q, weights.R
+    total = 0.0
+    for _ in range(i):
+        total += float(x @ Q @ x + u @ R @ u)
+        x = oracle_step(sys, x, u)
+    return total
 
 
 # ---------------------------------------------------------------------------

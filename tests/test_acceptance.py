@@ -18,18 +18,22 @@ from selftrig import (
     WeightSpec,
     build_gain_table,
     decide,
-    downsampled_controllable,
-    lift_dynamics,
-    pstar_is_gamma,
     run_self_triggered,
     select_pstar,
     stability_certificate,
-    stage_cost_sum,
     sweep_alpha,
+    uncontrollable_reason,
     verify_conflict_free,
 )
+from selftrig.model import _lift
 
-from conftest import random_system, random_weights, scalar_periodic_value, scalar_table
+from conftest import (
+    oracle_transition_pairs,
+    random_system,
+    random_weights,
+    scalar_periodic_value,
+    scalar_table,
+)
 
 
 @contextmanager
@@ -137,9 +141,9 @@ def test_oracle_lifted_cost_equivalence():
             for _ in range(i):
                 total += float(xs @ w.Q @ xs + u @ w.R @ u)
                 xs = sys.A @ xs + sys.B @ u
-            collapsed = stage_cost_sum(sys, w, x, u, i)
+            Ai, Bi, Qi, Ri, Ni = (M[-1] for M in _lift(sys, i, w))
+            collapsed = float(x @ Qi @ x + u @ Ri @ u + 2.0 * x @ Ni @ u)
             assert collapsed == pytest.approx(total, rel=1e-9, abs=1e-12)
-            Ai, Bi = lift_dynamics(sys, i)
             terminal = Ai @ x + Bi @ u
             np.testing.assert_allclose(
                 xs, terminal,
@@ -156,11 +160,11 @@ def test_oracle_value_function():
         while done < 100:
             sys = random_system(rng, n_max=3, max_spectral_radius=1.2)
             p = int(rng.integers(1, 5))
-            if not downsampled_controllable(sys, p):
+            if uncontrollable_reason(sys, p) is not None:
                 continue
             w = random_weights(rng, sys.n, sys.m)
             gt = build_gain_table(sys, w, range(1, p + 1), p)
-            Ai, Bi = lift_dynamics(sys, p)
+            Ai, Bi = oracle_transition_pairs(sys, p)[-1]
             # The truncation bound needs a real stability margin to make the
             # 1e-6 tolerance meaningful after 2000 periods.
             if max(abs(np.linalg.eigvals(Ai - Bi @ gt.Lp))) > 0.97:
@@ -223,7 +227,7 @@ def test_oracle_scaling_invariance():
         while done < 50:
             sys = random_system(rng, n_max=3, max_spectral_radius=1.2)
             p = int(rng.integers(1, 5))
-            if not downsampled_controllable(sys, p):
+            if uncontrollable_reason(sys, p) is not None:
                 continue
             w = random_weights(rng, sys.n, sys.m)
             c = float(rng.uniform(1e-3, 1e3))
@@ -276,8 +280,7 @@ def test_certificates(integrator, integrator_table,
         )
         assert abs(cert1.epsilon - oracle) < 1e-9
         assert 0.85 < cert1.epsilon < 0.91
-        assert pstar_is_gamma([integrator], range(1, 6))
-        assert pstar_is_gamma([integrator, double_integrator], range(1, 6))
+        assert select_pstar([integrator], range(1, 6)) == 5
         assert select_pstar([integrator, double_integrator], range(1, 6)) == 5
         cert2 = stability_certificate(double_integrator_table,
                                       double_integrator, 5)

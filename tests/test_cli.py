@@ -223,6 +223,21 @@ class TestSimulate:
         assert "horizon >= s=2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", [2**63, 2**62])
+    def test_a_horizon_numpy_cannot_address_exits_2(self, synth_out, tmp_path, capsys,
+                                                    horizon):
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["horizon"] = horizon
+        scen = tmp_path / "long.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "-c", str(scen), "-t", str(synth_out),
+                       "-o", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: loop 'integrator': horizon {horizon} with largest wait 5 "
+            "needs an array of ")
+        assert not out.exists()
+
     def test_missing_tables_flag_exits_2(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("simulate", "-c", str(SCENARIOS / "integrator_transient.json"),
@@ -475,15 +490,23 @@ class TestSweep:
                        "-o", str(tmp_path / "s.csv")) == 0
         assert len(built) == builds
 
-    @pytest.mark.parametrize("scenario,options,substreams", [
-        ("integrator_sweep.json", ["--alphas", "0,0.05,0.25,1.3,5,25,50,500,1e4,1e6",
-                                   "--runs", "20", "--seed", "20260810"], 10 * 20),
-        ("two_loop.json", ["--alphas", "0,0.5,5", "--runs", "3"], 3 * 3 * 2),
-    ])
-    def test_each_substream_is_drawn_once(self, scenario, options, substreams, tmp_path,
-                                          monkeypatch):
-        # One generator per (alpha, run, loop): the baseline replays the
-        # adaptive rows' draws instead of seeding them again.
+    @pytest.mark.parametrize("scenario,noisy,options,substreams", [
+        ("integrator_sweep.json", (), ["--alphas", "0,0.05,0.25,1.3,5,25,50,500,1e4,1e6",
+                                       "--runs", "20", "--seed", "20260810"], 10 * 20),
+        # Both loops of two_loop.json start at a fixed x0 without noise.
+        ("two_loop.json", (), ["--alphas", "0,0.5,5", "--runs", "3"], 0),
+        ("two_loop.json", (1,), ["--alphas", "0,0.5,5", "--runs", "3"], 3 * 3),
+    ], ids=["integrator-sweep", "two-loop", "two-loop-one-noisy"])
+    def test_each_substream_is_drawn_once(self, scenario, noisy, options, substreams,
+                                          tmp_path, monkeypatch):
+        # One generator per (alpha, run, loop) that draws: the baseline
+        # replays the adaptive rows' draws instead of seeding them again,
+        # and a loop that draws nothing seeds nothing.
+        doc = json.loads((SCENARIOS / scenario).read_text())
+        for j in noisy:
+            doc["loops"][j]["noise_variance"] = 0.1
+        scen = tmp_path / scenario
+        scen.write_text(json.dumps(doc))
         keys, substream = [], simulator.rng_substream
 
         def counted(seed, alpha_index, run_index, loop_index):
@@ -491,9 +514,26 @@ class TestSweep:
             return substream(seed, alpha_index, run_index, loop_index)
 
         monkeypatch.setattr(simulator, "rng_substream", counted)
-        assert run_cli("sweep", "-c", str(SCENARIOS / scenario), *options,
+        assert run_cli("sweep", "-c", str(scen), *options,
                        "-o", str(tmp_path / "s.csv")) == 0
         assert len(keys) == len(set(keys)) == substreams
+
+    def test_colliding_csv_paths_exit_2_before_the_sweep(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # Loop a's baseline and loop a.periodic's adaptive CSV would share
+        # one file, the second write overwriting the first.
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["loops"][0]["name"], doc["loops"][1]["name"] = "a", "a.periodic"
+        scen = tmp_path / "names.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        monkeypatch.setattr(simulator, "_sweep_rows", None)  # the sweep never starts
+        assert run_cli("sweep", "-c", str(scen), "--alphas", "0,5", "--runs", "2",
+                       "-o", str(out / "s.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: loops 'a' and 'a.periodic' would both write the sweep "
+            f"CSV {out / 's.a.periodic.csv'}\n")
+        assert not out.exists()
 
     def test_a_refused_baseline_writes_no_csv(self, tmp_path, monkeypatch, capsys):
         def refuse(sys, weights, p):

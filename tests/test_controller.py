@@ -18,12 +18,11 @@ from selftrig import (
     WeightSpec,
     build_gain_table,
     decide,
-    downsampled_controllable,
     feasible_set,
     partition_1d,
     reserve,
     serialize_gain_table,
-    value_of,
+    uncontrollable_reason,
 )
 from selftrig.controller import _pick, _scores
 
@@ -38,25 +37,30 @@ from conftest import (
 )
 
 
-class TestValueOf:
+class TestValues:
+    """The predicted cost ``alpha/i + x' P(i) x`` of each wait, as ``decide``
+    reports it."""
+
     def test_scalar_fixture_wait_one(self, integrator_table):
-        v = value_of(integrator_table, [2.0], 1)
+        v = decide(integrator_table, [2.0], integrator_table.I0).values_by_i[1]
         P1, _ = scalar_table(1)
         assert v == pytest.approx(0.2 + 4.0 * P1, rel=1e-12)
         assert abs(v - 7.00) < 0.02
 
     def test_zero_state_pure_sampling_cost(self, integrator_table):
-        assert value_of(integrator_table, [0.0], 5) == pytest.approx(0.04, abs=1e-15)
+        v = decide(integrator_table, [0.0], integrator_table.I0).values_by_i[5]
+        assert v == pytest.approx(0.04, abs=1e-15)
 
     def test_scalar_fixture_wait_three(self, integrator_table):
         P3, _ = scalar_table(3)
-        v = value_of(integrator_table, [2.0], 3)
+        v = decide(integrator_table, [2.0], integrator_table.I0).values_by_i[3]
         assert v == pytest.approx(0.2 / 3 + 4.0 * P3, rel=1e-12)
         assert v == pytest.approx(7.6067498, abs=1e-6)
 
     def test_unknown_wait_raises_lookup_error(self, integrator_table):
-        with pytest.raises(GainLookupError):
-            value_of(integrator_table, [1.0], 7)
+        for lookup in (integrator_table.P, integrator_table.L):
+            with pytest.raises(GainLookupError, match="no table entry for wait 7"):
+                lookup(7)
 
 
 class TestDecide:
@@ -88,6 +92,10 @@ class TestDecide:
         with pytest.raises(GainLookupError):
             decide(integrator_table, [1.0], [1, 9])
 
+    def test_state_of_other_dimension_rejected(self, integrator_table):
+        with pytest.raises(ConfigurationError, match="x must have length 1, got 2"):
+            decide(integrator_table, [1.0, 2.0], integrator_table.I0)
+
     def test_ties_break_toward_larger_wait(self, integrator, integrator_weights):
         # With zero sampling cost and zero state every wait costs exactly 0.
         w0 = WeightSpec(Q=integrator_weights.Q, R=integrator_weights.R, alpha=0.0)
@@ -106,7 +114,7 @@ class TestDecide:
                 dec = decide(gt, x, feasible)
                 assert dec.i_star in feasible
                 for j in feasible:
-                    assert dec.value <= value_of(gt, x, j)
+                    assert dec.value <= oracle_decide(gt, x, [j])[2]
 
     def test_restriction_never_improves_value(self, double_integrator_table):
         rng = np.random.default_rng(78)
@@ -156,8 +164,7 @@ class TestPartition:
         grid = np.linspace(-3.0, 3.0, 101)
         regions = partition_1d(integrator_table, grid)
         for x, i_star in zip(grid, regions):
-            values = {i: value_of(integrator_table, [x], i)
-                      for i in integrator_table.I0}
+            values = oracle_decide(integrator_table, [x], integrator_table.I0)[3]
             best = min(values.values())
             winners = [i for i, v in values.items() if v == best]
             assert i_star == max(winners)
@@ -173,7 +180,7 @@ def test_decisions_invariant_under_joint_weight_scaling():
         sys = random_system(rng, n_max=3, max_spectral_radius=1.2)
         w = random_weights(rng, sys.n, sys.m)
         p = 3
-        if not downsampled_controllable(sys, p):
+        if uncontrollable_reason(sys, p) is not None:
             continue
         c = float(rng.uniform(0.01, 100.0))
         scaled = WeightSpec(Q=c * w.Q, R=c * w.R, alpha=c * w.alpha)
@@ -193,7 +200,7 @@ def _random_tables(n, count=3, seed=0):
         A *= min(1.0, 1.2 / max(abs(np.linalg.eigvals(A))))
         sys = LtiSystem(A=A, B=rng.normal(0, 1.0, (n, int(rng.integers(1, 3)))))
         p = int(rng.integers(2, 7))
-        if not downsampled_controllable(sys, p):
+        if uncontrollable_reason(sys, p) is not None:
             continue
         w = random_weights(rng, sys.n, sys.m)
         tables.append(build_gain_table(sys, w, range(1, p + 1), p))
@@ -209,7 +216,7 @@ def _run_axis_picks(gt, states, feasible_sets):
 
 class TestStackedScores:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_decide_and_value_of_compare_the_same_floats(self, n):
+    def test_decide_and_the_oracle_compare_the_same_floats(self, n):
         rng = np.random.default_rng(90 + n)
         for gt in _random_tables(n):
             states, sets, picks = [], [], []
@@ -219,8 +226,7 @@ class TestStackedScores:
                 feasible = sorted(rng.choice(gt.I0, size=size, replace=False))
                 dec = decide(gt, x, feasible)
                 assert sorted(dec.values_by_i) == [int(i) for i in feasible]
-                for i in feasible:
-                    assert dec.values_by_i[i] == value_of(gt, x, i)
+                assert dec.values_by_i == oracle_decide(gt, x, feasible)[3]
                 states.append(x)
                 sets.append(feasible)
                 picks.append(dec.i_star)
@@ -235,7 +241,7 @@ class TestStackedScores:
                 for i in gt.I0:
                     expected = gt.alpha / i + x0 * gt.P(i)[0, 0] * x0
                     assert dec.values_by_i[i] == expected
-                    assert value_of(gt, [x0], i) == expected
+                    assert _scores(gt, np.array([x0]))[gt.rows[i]] == expected
 
     def test_stacks_are_read_only_rows_of_the_entries(self, double_integrator_table):
         gt = double_integrator_table
@@ -294,7 +300,6 @@ class TestStackedScores:
         assert all(type(i) is int and type(v) is float
                    for i, v in dec.values_by_i.items())
         assert "np." not in repr(dec.value) + repr(dec.values_by_i)
-        assert type(value_of(gt, [0.3, -1.2], np.int64(2))) is float
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_partition_is_decide_over_the_whole_table(self):
@@ -356,7 +361,7 @@ class TestTwoFormsOfThePick:
         assert dec.i_star == i_star
         assert _run_axis_picks(gt, [x], [feasible]) == [i_star]
         # The decision still reports the raw score of its wait.
-        np.testing.assert_equal(dec.value, value_of(gt, x, i_star))
+        np.testing.assert_equal(dec.value, oracle_decide(gt, x, [i_star])[2])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -1,11 +1,61 @@
-"""The public name list stays sorted, unique and resolvable; importing the
-package needs numpy alone."""
+"""The public name list is the pinned one, sorted, unique and resolvable;
+importing the package needs numpy alone."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import selftrig
+
+
+# Adding or removing a public name restates this list.
+PUBLIC_NAMES = [
+    "CertificateError",
+    "ConfigurationError",
+    "Decision",
+    "GainLookupError",
+    "GainTable",
+    "LiftedModel",
+    "LoopSpec",
+    "LoopTrace",
+    "LtiSystem",
+    "ReservationLedger",
+    "Scenario",
+    "SchedulingError",
+    "SelfTrigError",
+    "SimTrace",
+    "StabilityCertificate",
+    "SweepSummary",
+    "SynthesisError",
+    "TxEvent",
+    "WeightSpec",
+    "average_sampling_interval",
+    "build_gain_table",
+    "decide",
+    "deserialize_gain_table",
+    "empiric_cost",
+    "feasible_set",
+    "is_controllable",
+    "lift_range",
+    "load_scenario",
+    "partition_1d",
+    "reserve",
+    "rng_substream",
+    "run_periodic",
+    "run_self_triggered",
+    "scenario_from_dict",
+    "select_pstar",
+    "serialize_gain_table",
+    "solve_periodic_riccati",
+    "stability_certificate",
+    "sweep_alpha",
+    "uncontrollable_reason",
+    "verify_conflict_free",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert selftrig.__all__ == PUBLIC_NAMES
 
 
 def test_all_is_sorted_unique_and_resolves():

@@ -18,25 +18,27 @@ from selftrig import (
     WeightSpec,
     decide,
     feasible_set,
-    lift_dynamics,
     lift_range,
-    lift_weights,
     build_gain_table,
     partition_1d,
-    downsampled_controllable,
     reserve,
     select_pstar,
     solve_periodic_riccati,
-    stage_cost_sum,
-    step_plant,
     sweep_alpha,
     uncontrollable_reason,
-    value_of,
 )
 from selftrig.model import _lift, symmetrize
 from selftrig.scenario import load_scenario
 
-from conftest import bits, oracle_is_symmetric, oracle_lift, random_system, random_weights
+from conftest import (
+    bits,
+    oracle_held_cost,
+    oracle_is_symmetric,
+    oracle_lift,
+    oracle_transition_pairs,
+    random_system,
+    random_weights,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -64,30 +66,34 @@ def brute_force_lift(sys, weights, i):
     return Ai, Bi, Qi, Ri, Ni
 
 
-def simulate_held_input(sys, x, u, i):
-    """(total stage cost under Q=R from weights, terminal state) step by step."""
-    xs = [np.asarray(x, float)]
-    for _ in range(i):
-        xs.append(sys.A @ xs[-1] + sys.B @ np.asarray(u, float))
-    return xs
+def lift_row(sys, i, weights=None) -> tuple:
+    """The last row of each stack ``_lift`` returns: the lift of wait ``i``."""
+    return tuple(M[-1] for M in _lift(sys, i, weights))
+
+
+def collapsed_cost(sys, weights, x, u, i) -> float:
+    """The held-input stage cost collapsed by the lift of wait ``i``:
+    ``x'Q_i x + u'R_i u + 2 x'N_i u``."""
+    _, _, Qi, Ri, Ni = lift_row(sys, i, weights)
+    return float(x @ Qi @ x + u @ Ri @ u + 2.0 * x @ Ni @ u)
 
 
 class TestLiftDynamics:
     def test_unit_integrator_three_steps(self, integrator):
-        Ai, Bi = lift_dynamics(integrator, 3)
+        Ai, Bi = lift_row(integrator, 3)
         assert Ai[0, 0] == pytest.approx(1.0, abs=0)
         assert Bi[0, 0] == pytest.approx(3.0, abs=0)
 
     def test_base_case_returns_system_matrices(self):
         rng = np.random.default_rng(7)
         sys = random_system(rng, ensure_controllable=False)
-        Ai, Bi = lift_dynamics(sys, 1)
+        Ai, Bi = lift_row(sys, 1)
         np.testing.assert_array_equal(Ai, sys.A)
         np.testing.assert_array_equal(Bi, sys.B)
 
     def test_two_by_two_against_direct_products(self):
         sys = LtiSystem(A=[[1.0, 0.0], [1.0, 1.0]], B=[[1.0], [0.5]])
-        Ai, Bi = lift_dynamics(sys, 2)
+        Ai, Bi = lift_row(sys, 2)
         np.testing.assert_allclose(Ai, [[1.0, 0.0], [2.0, 1.0]], atol=1e-15)
         np.testing.assert_allclose(Bi, [[2.0], [2.0]], atol=1e-15)
 
@@ -97,28 +103,28 @@ class TestLiftDynamics:
             sys = random_system(rng, ensure_controllable=False)
             w = random_weights(rng, sys.n, sys.m)
             i = int(rng.integers(1, 9))
-            Ai, Bi = lift_dynamics(sys, i)
+            Ai, Bi = lift_row(sys, i)
             Ai_ref, Bi_ref, *_ = brute_force_lift(sys, w, i)
             np.testing.assert_allclose(Ai, Ai_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(Bi, Bi_ref, rtol=1e-12, atol=1e-12)
 
     def test_rejects_nonpositive_factor(self, integrator):
         with pytest.raises(ConfigurationError):
-            lift_dynamics(integrator, 0)
+            _lift(integrator, 0)
 
 
 class TestLiftWeights:
     def test_unit_integrator_reference_values(self, integrator, integrator_weights):
-        Qi, Ri, Ni = lift_weights(integrator, integrator_weights, 2)
+        _, _, Qi, Ri, Ni = lift_row(integrator, 2, integrator_weights)
         assert (Qi[0, 0], Ri[0, 0], Ni[0, 0]) == (2.0, 3.0, 1.0)
-        Qi, Ri, Ni = lift_weights(integrator, integrator_weights, 5)
+        _, _, Qi, Ri, Ni = lift_row(integrator, 5, integrator_weights)
         assert (Qi[0, 0], Ri[0, 0], Ni[0, 0]) == (5.0, 35.0, 10.0)
 
     def test_base_case(self):
         rng = np.random.default_rng(3)
         sys = random_system(rng, ensure_controllable=False)
         w = random_weights(rng, sys.n, sys.m)
-        Qi, Ri, Ni = lift_weights(sys, w, 1)
+        _, _, Qi, Ri, Ni = lift_row(sys, 1, w)
         np.testing.assert_array_equal(Qi, w.Q)
         np.testing.assert_array_equal(Ri, w.R)
         np.testing.assert_array_equal(Ni, np.zeros((sys.n, sys.m)))
@@ -129,7 +135,7 @@ class TestLiftWeights:
             sys = random_system(rng, ensure_controllable=False)
             w = random_weights(rng, sys.n, sys.m)
             i = int(rng.integers(1, 9))
-            Qi, Ri, Ni = lift_weights(sys, w, i)
+            _, _, Qi, Ri, Ni = lift_row(sys, i, w)
             _, _, Qr, Rr, Nr = brute_force_lift(sys, w, i)
             np.testing.assert_allclose(Qi, Qr, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(Ri, Rr, rtol=1e-10, atol=1e-10)
@@ -190,19 +196,25 @@ class TestWeightSymmetry:
                         WeightSpec(**kwargs)
         assert 0.2 < np.mean(verdicts) < 0.8
 
-class TestStageCostSum:
+class TestCollapsedStageCost:
+    """The lifted weights collapse the held-input stage costs into one
+    quadratic form, equal to the step-by-step sum."""
+
     def test_unit_integrator_state_only(self, integrator, integrator_weights):
-        assert stage_cost_sum(integrator, integrator_weights, [1.0], [0.0], 3) \
+        x, u = np.array([1.0]), np.array([0.0])
+        assert collapsed_cost(integrator, integrator_weights, x, u, 3) \
             == pytest.approx(3.0, abs=1e-14)
 
     def test_zero_state_zero_input(self, integrator, integrator_weights):
+        zero = np.zeros(1)
         for i in (1, 4, 7):
-            assert stage_cost_sum(integrator, integrator_weights, [0.0], [0.0], i) == 0.0
+            assert collapsed_cost(integrator, integrator_weights, zero, zero, i) == 0.0
 
     def test_constant_input_two_steps(self, integrator, integrator_weights):
         # x=1, u=1 for 2 steps: states 1, 2 -> 1 + 4 state cost, 2 input cost.
-        total = stage_cost_sum(integrator, integrator_weights, [1.0], [1.0], 2)
-        assert total == pytest.approx(7.0, abs=1e-12)
+        one = np.ones(1)
+        assert collapsed_cost(integrator, integrator_weights, one, one, 2) \
+            == pytest.approx(7.0, abs=1e-12)
 
     def test_collapse_identity_random_instances(self):
         rng = np.random.default_rng(42)
@@ -212,21 +224,15 @@ class TestStageCostSum:
             i = int(rng.integers(1, 11))
             x = rng.normal(0, 2.0, sys.n)
             u = rng.normal(0, 2.0, sys.m)
-            xs = simulate_held_input(sys, x, u, i)
-            total = sum(
-                float(xs[l] @ w.Q @ xs[l] + u @ w.R @ u) for l in range(i)
-            )
-            collapsed = stage_cost_sum(sys, w, x, u, i)
-            assert collapsed == pytest.approx(total, rel=1e-9, abs=1e-12)
-            Ai, Bi = lift_dynamics(sys, i)
-            terminal = Ai @ x + Bi @ u
+            total = oracle_held_cost(sys, w, x, u, i)
+            assert collapsed_cost(sys, w, x, u, i) == pytest.approx(total, rel=1e-9, abs=1e-12)
+            Ai, Bi = lift_row(sys, i)
+            Ar, Br = oracle_transition_pairs(sys, i)[-1]
+            terminal = Ar @ x + Br @ u
             np.testing.assert_allclose(
-                xs[-1], terminal, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(xs[-1]).max())
+                Ai @ x + Bi @ u, terminal, rtol=1e-10,
+                atol=1e-10 * max(1.0, np.abs(terminal).max())
             )
-
-    def test_dimension_mismatch_rejected(self, integrator, integrator_weights):
-        with pytest.raises(ConfigurationError):
-            stage_cost_sum(integrator, integrator_weights, [1.0, 2.0], [0.0], 2)
 
     @pytest.mark.parametrize("Q,R,message", [
         pytest.param(np.eye(2), [[1.0]], "Q is 2x2 but the state dimension is 1", id="Q"),
@@ -243,8 +249,8 @@ class TestRecursionStructure:
         for _ in range(10):
             sys = random_system(rng, ensure_controllable=False)
             for i in range(1, 7):
-                Ai, Bi = lift_dynamics(sys, i)
-                Ai1, Bi1 = lift_dynamics(sys, i + 1)
+                Ai, Bi = lift_row(sys, i)
+                Ai1, Bi1 = lift_row(sys, i + 1)
                 np.testing.assert_allclose(Ai1, sys.A @ Ai, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(
                     Bi1, sys.A @ Bi + sys.B, rtol=1e-12, atol=1e-12
@@ -263,8 +269,7 @@ class TestRecursionStructure:
     def test_range_matches_single_queries(self, integrator, integrator_weights):
         models = lift_range(integrator, integrator_weights, 5)
         for lm in models:
-            Ai, Bi = lift_dynamics(integrator, lm.i)
-            Qi, Ri, Ni = lift_weights(integrator, integrator_weights, lm.i)
+            Ai, Bi, Qi, Ri, Ni = lift_row(integrator, lm.i, integrator_weights)
             np.testing.assert_array_equal(lm.Ai, Ai)
             np.testing.assert_array_equal(lm.Bi, Bi)
             np.testing.assert_array_equal(lm.Qi, Qi)
@@ -284,8 +289,6 @@ def _lift_matches_oracle(sys, w, gamma) -> bool:
     assert [lm.i for lm in models] == list(range(1, gamma + 1))
     for lm, row in zip(models, ref):
         assert [bits(M) for M in (lm.Ai, lm.Bi, lm.Qi, lm.Ri, lm.Ni)] == list(map(bits, row))
-    assert list(map(bits, lift_dynamics(sys, gamma))) == list(map(bits, ref[-1][:2]))
-    assert list(map(bits, lift_weights(sys, w, gamma))) == list(map(bits, ref[-1][2:]))
     return not all(np.isfinite(M).all() for M in stacks)
 
 
@@ -320,8 +323,8 @@ class TestLiftMatchesStepOracle:
             stack = getattr(models[0], f).base
             assert stack.shape[0] == 4 and not stack.flags.writeable
             assert all(getattr(lm, f).base is stack for lm in models)
-        for M in (*lift_dynamics(double_integrator, 3),
-                  *lift_weights(double_integrator, double_integrator_weights, 3)):
+        for M in (*_lift(double_integrator, 3),
+                  *_lift(double_integrator, 3, double_integrator_weights)):
             assert not M.flags.writeable
 
 
@@ -473,20 +476,16 @@ def _booked_ledger():
                  id="system-A-ragged"),
     pytest.param(lambda: lift_range(_UNIT, _UNIT_WEIGHTS, 2.0), id="lift-range-float"),
     pytest.param(lambda: lift_range(_UNIT, _UNIT_WEIGHTS, 0), id="lift-range-zero"),
-    pytest.param(lambda: lift_dynamics(_UNIT, 2.5), id="lift-dynamics-fraction"),
-    pytest.param(lambda: lift_dynamics(_UNIT, True), id="lift-dynamics-bool"),
-    pytest.param(lambda: lift_weights(_UNIT, _UNIT_WEIGHTS, np.float64(2.0)),
-                 id="lift-weights-float"),
-    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [1.0], [0.0], 2.0),
-                 id="stage-cost-float"),
-    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [1.0], [0.0], -1),
-                 id="stage-cost-negative"),
+    pytest.param(lambda: _lift(_UNIT, 2.5), id="lift-fraction"),
+    pytest.param(lambda: _lift(_UNIT, True), id="lift-bool"),
+    pytest.param(lambda: _lift(_UNIT, np.float64(2.0), _UNIT_WEIGHTS), id="lift-weights-float"),
+    pytest.param(lambda: _lift(_UNIT, -1, _UNIT_WEIGHTS), id="lift-weights-negative"),
     pytest.param(lambda: solve_periodic_riccati(_UNIT, _UNIT_WEIGHTS, 2.0),
                  id="riccati-p-float"),
     pytest.param(lambda: build_gain_table(_UNIT, _UNIT_WEIGHTS, range(1, 6), p=3.0),
                  id="build-p-float"),
     pytest.param(lambda: uncontrollable_reason(_UNIT, 2.5), id="uncontrollable-fraction"),
-    pytest.param(lambda: downsampled_controllable(_UNIT, True), id="controllable-bool"),
+    pytest.param(lambda: uncontrollable_reason(_UNIT, True), id="uncontrollable-bool"),
 ])
 def test_non_integer_waits_and_counts_refused(make):
     with pytest.raises(ConfigurationError):
@@ -494,7 +493,7 @@ def test_non_integer_waits_and_counts_refused(make):
 
 
 @pytest.mark.parametrize("make, message", [
-    pytest.param(lambda: lift_dynamics(_UNIT, 0), "downsampling factor must be >= 1, got 0",
+    pytest.param(lambda: _lift(_UNIT, 0), "downsampling factor must be >= 1, got 0",
                  id="lift-factor"),
     pytest.param(lambda: solve_periodic_riccati(_UNIT, _UNIT_WEIGHTS, 0),
                  "downsampling factor must be >= 1, got 0", id="riccati-p"),
@@ -551,13 +550,7 @@ def _entry_table(P, L):
                  id="decide-x-object-bool"),
     pytest.param(lambda: decide(_table([1, 2]), np.complex128(1.0), [1]),
                  id="decide-x-numpy-complex"),
-    pytest.param(lambda: value_of(_table([1, 2]), "2", 1), id="value-of-x-string"),
-    pytest.param(lambda: step_plant(_UNIT, "1", True), id="step-plant-string-and-bool"),
-    pytest.param(lambda: step_plant(_UNIT, [1.0], True), id="step-plant-u-bool"),
-    pytest.param(lambda: step_plant(_UNIT, [1.0], [0.0], omega=["1"]),
-                 id="step-plant-omega-string"),
-    pytest.param(lambda: stage_cost_sum(_UNIT, _UNIT_WEIGHTS, [np.True_], [0.0], 1),
-                 id="stage-cost-x-numpy-bool"),
+    pytest.param(lambda: decide(_table([1, 2]), [np.True_], [1]), id="decide-x-numpy-bool"),
     pytest.param(lambda: partition_1d(_table([1, 2]), ["1"]), id="partition-grid-string"),
 ])
 def test_non_numeric_matrices_and_vectors_refused(make):
@@ -579,7 +572,8 @@ def test_ints_floats_and_numpy_numbers_are_accepted_as_floats():
     assert _loop((np.int64(3),)).x0.tolist() == [3.0]
     x = np.array([0.5])
     assert decide(gt, x, [1]).u.tolist() == [-0.25]
-    assert step_plant(_UNIT, 2, np.float64(1.0)).tolist() == [3.0]
+    assert decide(gt, 2, [1]).u.tolist() == [-1.0]
+    assert decide(gt, np.float64(2.0), [1]).u.tolist() == [-1.0]
 
 
 def test_numpy_integers_are_accepted_as_plain_ints():

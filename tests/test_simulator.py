@@ -1,4 +1,5 @@
 """Closed-loop runs: event sequencing, baselines, costs, determinism, sweeps."""
+import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -28,7 +29,6 @@ from selftrig import (
     run_self_triggered,
     select_pstar,
     stability_certificate,
-    step_plant,
     sweep_alpha,
     simulator,
     verify_conflict_free,
@@ -40,6 +40,7 @@ from selftrig.simulator import (
     _draws,
     _event_loop,
     _self_triggered_runs,
+    _stage_costs,
     periodic_baseline,
     write_sweep_csv,
     write_trace_csv,
@@ -51,6 +52,7 @@ from conftest import (
     oracle_periodic_baseline,
     oracle_periodic_run,
     oracle_record_runs,
+    oracle_step,
     oracle_sweep_alpha,
     oracle_write_sweep_csv,
     oracle_write_trace_csv,
@@ -67,29 +69,20 @@ def transient_run(transient_scenario, integrator_table):
     return run_self_triggered(transient_scenario, {"integrator": integrator_table})
 
 
-class TestStepPlant:
+class TestStepOracle:
+    """The plant step that the segment replays below take as reference."""
+
     def test_integrator_arithmetic(self, integrator):
-        x = step_plant(integrator, [2.0], [-1.4])
+        x = oracle_step(integrator, np.array([2.0]), np.array([-1.4]))
         assert x[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_rest_state(self, integrator):
-        assert step_plant(integrator, [0.0], [0.0])[0] == 0.0
+        assert oracle_step(integrator, np.zeros(1), np.zeros(1))[0] == 0.0
 
     def test_disturbance_enters_through_gain(self):
         sys = LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1.0]])
-        x = step_plant(sys, [1.0], [0.0], [0.3])
+        x = oracle_step(sys, np.array([1.0]), np.array([0.0]), np.array([0.3]))
         assert x[0] == pytest.approx(1.3, abs=1e-15)
-
-    @pytest.mark.parametrize("x, u, omega, match", [
-        pytest.param([np.nan], [0.0], None, "x has non-finite", id="x-nan"),
-        pytest.param([np.inf], [0.0], None, "x has non-finite", id="x-inf"),
-        pytest.param([1.0], [0.0, 1.0], None, "u must have length 1", id="u-length"),
-        pytest.param([1.0], [0.0], [np.nan], "omega has non-finite", id="omega-nan"),
-    ])
-    def test_public_step_checks_its_arguments(self, x, u, omega, match):
-        sys = LtiSystem(A=[[1.0]], B=[[1.0]], E=[[1.0]])
-        with pytest.raises(ConfigurationError, match=match):
-            step_plant(sys, x, u, omega)
 
 
 class TestSingleLoopTransient:
@@ -247,8 +240,8 @@ class TestPeriodicBaseline:
         self_tr = self_trace.loops["integrator"]
         slow_tr = slow_trace.loops["integrator"]
         # Identical initial states make step 0 equal; compare afterwards.
-        assert slow_tr.stage_costs(Q, R)[1:].max() \
-            > self_tr.stage_costs(Q, R)[1:].max()
+        assert _stage_costs(slow_tr.states, slow_tr.inputs, Q, R)[1:].max() \
+            > _stage_costs(self_tr.states, self_tr.inputs, Q, R)[1:].max()
         assert empiric_cost(slow_tr, Q, R) > empiric_cost(self_tr, Q, R)
 
     def test_zero_state_stays_zero(self, integrator, integrator_weights):
@@ -554,6 +547,37 @@ class TestScenarioValidation:
                                x0=[1.0]) for name in "abc")
         with pytest.raises(ConfigurationError, match="inadmissible"):
             Scenario(loops=loops, I0=I0, p=p, horizon=10, seed=0)
+
+    @pytest.mark.parametrize("horizon, I0, noise, message", [
+        pytest.param(2**63, range(1, 6), 0.0,
+                     f"horizon {2**63} with largest wait 5 needs an array of "
+                     f"{8 * (2**63 + 6)} bytes", id="horizon-2**63"),
+        pytest.param(2**62, range(1, 6), 0.0,
+                     f"horizon {2**62} with largest wait 5 needs an array of "
+                     f"{8 * (2**62 + 6)} bytes", id="horizon-2**62"),
+        pytest.param(60, (1, 2, 2**63), 0.0,
+                     f"horizon 60 with largest wait {2**63} needs an array of "
+                     f"{8 * (2**63 + 61)} bytes", id="wait-2**63"),
+        # (1 + 1 + G) * G float64 exceeds 2**63 - 1 bytes from G = 2**30.
+        pytest.param(60, (1, 2, 2**30), 0.1,
+                     f"largest wait {2**30} in I0 needs an array of "
+                     f"{8 * (2 + 2**30) * 2**30} bytes", id="noisy-wait-2**30"),
+    ])
+    def test_sizes_numpy_cannot_address_are_refused(self, integrator, integrator_weights,
+                                                    horizon, I0, noise, message):
+        # Every size here is refused before an array is made.
+        loop = LoopSpec(name="a", system=integrator, weights=integrator_weights,
+                        x0=[1.0], noise_variance=noise)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^loop 'a': {re.escape(message)}, more than numpy "
+                                 rf"can address \({np.iinfo(np.intp).max}\)$"):
+            Scenario(loops=(loop,), I0=I0, p=2, horizon=horizon, seed=0)
+
+    def test_a_noiseless_loop_keeps_no_noise_rows_in_its_segment_map(self, integrator,
+                                                                    integrator_weights):
+        # The noisy case above, without noise: its map (2, 2**30) is addressable.
+        loop = LoopSpec(name="a", system=integrator, weights=integrator_weights, x0=[1.0])
+        assert Scenario(loops=(loop,), I0=(1, 2, 2**30), p=2, horizon=60, seed=0).gamma == 2**30
 
     def test_table_mismatch_rejected(self, transient_scenario, integrator,
                                      integrator_weights):
@@ -1212,7 +1236,7 @@ class TestStackedStatistics:
             assert got == expected
 
 def _step_replay(scn, per_loop, alpha_index, runs):
-    """Replay each held interval of each loop and run with step_plant, from
+    """Replay each held interval of each loop and run with ``oracle_step``, from
     the state at its start and the run's own substream draws, and compare
     the states it reaches."""
     for j, (spec, (states, inputs, waits)) in enumerate(zip(scn.loops, per_loop)):
@@ -1229,7 +1253,7 @@ def _step_replay(scn, per_loop, alpha_index, runs):
                 x = states[i][k0]
                 for k in range(k0, k1):
                     omega = w[k] if spec.noise_variance > 0.0 else None
-                    replay[k + 1] = x = step_plant(sys, x, inputs[i][k], omega)
+                    replay[k + 1] = x = oracle_step(sys, x, inputs[i][k], omega)
             scale = np.max(np.abs(states[i]))
             np.testing.assert_allclose(states[i], replay, rtol=0, atol=1e-12 * scale)
 

@@ -17,17 +17,12 @@ from selftrig import (
     WeightSpec,
     build_gain_table,
     deserialize_gain_table,
-    downsampled_controllable,
     is_controllable,
-    lift_dynamics,
     lift_range,
-    lift_weights,
-    pstar_is_gamma,
     select_pstar,
     serialize_gain_table,
     solve_periodic_riccati,
     stability_certificate,
-    stage_cost_sum,
     uncontrollable_reason,
 )
 from selftrig import model, simulator, synthesis
@@ -39,7 +34,10 @@ from conftest import (
     bits,
     oracle_certificate,
     oracle_gain_entries,
+    oracle_held_cost,
     oracle_is_symmetric,
+    oracle_lift,
+    oracle_transition_pairs,
     random_system,
     random_weights,
     scalar_periodic_value,
@@ -54,19 +52,18 @@ def random_lift_controllable(rng, p_max=4, n_max=3):
     while True:
         sys = random_system(rng, n_max=n_max, max_spectral_radius=1.2)
         p = int(rng.integers(1, p_max + 1))
-        if downsampled_controllable(sys, p):
+        if uncontrollable_reason(sys, p) is None:
             return sys, p
 
 
 class TestControllability:
     def test_unit_integrator_all_factors(self, integrator):
         for i in range(1, 6):
-            assert downsampled_controllable(integrator, i)
+            assert uncontrollable_reason(integrator, i) is None
 
     def test_minus_one_fails_at_even_powers(self):
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]])
-        assert downsampled_controllable(sys, 1)
-        assert not downsampled_controllable(sys, 2)
+        assert uncontrollable_reason(sys, 1) is None
         reason = uncontrollable_reason(sys, 2)
         assert "eigenvalue" in reason and "power 2" in reason
 
@@ -76,10 +73,10 @@ class TestControllability:
         assert uncontrollable_reason(sys, 3) == "base pair (A, B) is not controllable"
 
     def test_double_integrator_at_five_matches_rank_oracle(self, double_integrator):
-        Ai, Bi = lift_dynamics(double_integrator, 5)
+        Ai, Bi = oracle_transition_pairs(double_integrator, 5)[-1]
         ctrb = np.hstack([Bi, Ai @ Bi])
         assert np.linalg.matrix_rank(ctrb) == 2
-        assert downsampled_controllable(double_integrator, 5)
+        assert uncontrollable_reason(double_integrator, 5) is None
 
 
 class TestSelectPstar:
@@ -88,12 +85,11 @@ class TestSelectPstar:
 
     def test_integrator_pair(self, integrator, double_integrator):
         assert select_pstar([integrator, double_integrator], range(1, 6)) == 5
-        assert pstar_is_gamma([integrator, double_integrator], range(1, 6))
 
     def test_skips_roots_of_unity(self):
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]])
         assert select_pstar([sys], [1, 2, 3]) == 3
-        assert not pstar_is_gamma([sys], [1, 2, 4])
+        assert select_pstar([sys], [1, 2, 4]) == 1
 
     def test_error_names_offending_eigenvalue(self):
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]])
@@ -129,8 +125,7 @@ class TestPeriodicRiccati:
             sys, p = random_lift_controllable(rng)
             w = random_weights(rng, sys.n, sys.m)
             P, L = solve_periodic_riccati(sys, w, p)
-            Ai, Bi = lift_dynamics(sys, p)
-            Qi, Ri, Ni = lift_weights(sys, w, p)
+            Ai, Bi, Qi, Ri, Ni = oracle_lift(sys, w, p)[-1]
             P_ref = scipy.linalg.solve_discrete_are(Ai, Bi, Qi, Ri, s=Ni)
             np.testing.assert_allclose(P, P_ref, rtol=1e-8, atol=1e-8)
 
@@ -140,8 +135,7 @@ class TestPeriodicRiccati:
             sys, p = random_lift_controllable(rng)
             w = random_weights(rng, sys.n, sys.m)
             P, L = solve_periodic_riccati(sys, w, p)
-            Ai, Bi = lift_dynamics(sys, p)
-            Qi, Ri, Ni = lift_weights(sys, w, p)
+            Ai, Bi, Qi, Ri, Ni = oracle_lift(sys, w, p)[-1]
             G = Ai.T @ P @ Bi + Ni
             rhs = Qi + Ai.T @ P @ Ai - G @ np.linalg.solve(Ri + Bi.T @ P @ Bi, G.T)
             residual = np.max(np.abs(P - rhs)) / np.max(np.abs(P))
@@ -149,7 +143,7 @@ class TestPeriodicRiccati:
 
     def test_closed_loop_is_stable(self, integrator, integrator_weights):
         P, L = solve_periodic_riccati(integrator, integrator_weights, 5)
-        Ai, Bi = lift_dynamics(integrator, 5)
+        Ai, Bi = oracle_transition_pairs(integrator, 5)[-1]
         assert max(abs(np.linalg.eigvals(Ai - Bi @ L))) < 1.0
 
     def test_uncontrollable_period_rejected(self):
@@ -171,8 +165,7 @@ class TestPeriodicRiccati:
     def test_tiny_state_weight_matches_dare_on_lifted_model(self, integrator, p):
         w = WeightSpec(Q=[[1e-9]], R=[[1.0]])
         P, _ = solve_periodic_riccati(integrator, w, p)
-        Ai, Bi = lift_dynamics(integrator, p)
-        Qi, Ri, Ni = lift_weights(integrator, w, p)
+        Ai, Bi, Qi, Ri, Ni = oracle_lift(integrator, w, p)[-1]
         P_ref = scipy.linalg.solve_discrete_are(Ai, Bi, Qi, Ri, s=Ni)
         np.testing.assert_allclose(P, P_ref, rtol=1e-9)
 
@@ -225,10 +218,10 @@ class TestGainTable:
             x = rng.normal(0, 1.5, sys.n)
             for i in gt.I0:
                 u = -(gt.L(i) @ x)
-                Ai, Bi = lift_dynamics(sys, i)
+                Ai, Bi = oracle_transition_pairs(sys, i)[-1]
                 x_end = Ai @ x + Bi @ u
                 direct = float(x @ gt.P(i) @ x)
-                composed = stage_cost_sum(sys, w, x, u, i) + float(
+                composed = oracle_held_cost(sys, w, x, u, i) + float(
                     x_end @ gt.Pp @ x_end
                 )
                 assert direct == pytest.approx(composed, rel=1e-9, abs=1e-9)
@@ -490,7 +483,7 @@ class TestCertificate:
     def test_contraction_refusal_names_the_wait(self, integrator, integrator_table):
         # P(3) a hair below F(3)' Pp F(3): S(3) is within the indefiniteness
         # tolerance, so the contraction check is the one that refuses.
-        A3, B3 = lift_dynamics(integrator, 3)
+        A3, B3 = oracle_transition_pairs(integrator, 3)[-1]
         F3 = A3 - B3 @ integrator_table.L(3)
         entries = dict(integrator_table.entries)
         entries[3] = ((1.0 - 1e-12) * (F3.T @ integrator_table.Pp @ F3), integrator_table.L(3))
@@ -513,7 +506,7 @@ class TestCertificate:
             gt = build_gain_table(sys, w, range(1, p + 1), p)
             cert = stability_certificate(gt, sys, p)
             for i, ratio in cert.per_i_ratio.items():
-                Ai, Bi = lift_dynamics(sys, i)
+                Ai, Bi = oracle_transition_pairs(sys, i)[-1]
                 Pi, Li = gt.entries[i]
                 F = Ai - Bi @ Li
                 G = F.T @ gt.Pp @ F
