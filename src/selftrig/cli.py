@@ -5,8 +5,9 @@ Subcommands: ``synth`` (offline table synthesis with persistence),
 sweeps with periodic baselines) and ``verify`` (certificate checks on
 persisted tables).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/synthesis error,
-4 certificate failure, 5 scheduling violation.
+Exit codes: 0 success, 2 configuration error (a run that does not fit in
+memory included), 3 numeric/synthesis error, 4 certificate failure,
+5 scheduling violation.
 """
 from __future__ import annotations
 
@@ -382,6 +383,11 @@ def main(argv=None) -> int:
         code = EXIT_SCHEDULING
     except SelfTrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate.
+        print(f"configuration error: not enough memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         code = EXIT_CONFIG
     if argv is None:
         sys.exit(code)

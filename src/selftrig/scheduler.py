@@ -9,6 +9,12 @@ one residue class modulo ``p`` is excluded per opposing sensor.  With at
 most ``p`` loops and waits ``{1..s}`` available the resulting feasible set
 is never empty.
 
+Each ledger builds its residue table once: ``I0`` as a set, and the waits
+of ``I0`` in each residue class modulo ``p`` that ``I0`` meets.  The table
+is sized by ``|I0|``, not by ``p``, and every ledger that :func:`reserve`
+derives shares it.  The feasible set is then ``I0`` minus the classes of
+the opposing reservations, one set difference.
+
 A ledger is validated once, when a caller builds it.  :func:`reserve`
 derives the next ledger from a feasible wait without validating again:
 membership in the feasible set already rules out a shared slot.
@@ -73,6 +79,13 @@ class ReservationLedger:
             raise ConfigurationError(f"two sensors share a reserved slot: {tx}")
         object.__setattr__(self, "next_tx", MappingProxyType(tx))
         _check_admissible(len(order), self.I0, self.p)
+        # The residue table of feasible_set; reserve shares it with the
+        # ledgers it derives.
+        classes = {}
+        for i in self.I0:
+            classes.setdefault(i % self.p, []).append(i)
+        object.__setattr__(self, "_waits", frozenset(self.I0))
+        object.__setattr__(self, "_classes", {r: frozenset(c) for r, c in classes.items()})
 
 
 def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
@@ -90,10 +103,11 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
         raise SchedulingError(
             f"loop {loop_id!r} decides at k={k}, past its reserved slot {own}"
         )
-    p = ledger.p
+    p, classes = ledger.p, ledger._classes
     # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
-    taken = {(kq - k) % p for q, kq in next_tx.items() if q != loop_id}
-    feas = frozenset([i for i in ledger.I0 if i % p not in taken])
+    feas = ledger._waits.difference(
+        *[classes.get((kq - k) % p, ()) for q, kq in next_tx.items() if q != loop_id]
+    )
     if not feas:
         raise SchedulingError(
             f"internal invariant violation: loop {loop_id!r} has no feasible wait "

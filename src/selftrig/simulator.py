@@ -171,25 +171,36 @@ class Scenario:
         if self.mode == MODE_PERIODIC and self.horizon < len(loops):
             raise ConfigurationError(f"periodic mode needs horizon >= s={len(loops)}, "
                                      f"got {self.horizon}")
-        # Per run, the event loop holds each loop's states, inputs and noise
-        # in float64 arrays of at most (horizon + 1 + gamma) x max(n, m, w)
-        # and its segment map (see _segment_map); numpy refuses an array
-        # past its index limit.
-        T, G = self.horizon, self.gamma
-        for spec in loops:
-            n, m, w = spec.system.n, spec.system.m, spec.system.w
-            noise_rows = G * n if spec.noise_variance > 0.0 else 0
-            for what, size in ((f"horizon {T} with largest wait {G}", (T + 1 + G) * max(n, m, w)),
-                               (f"largest wait {G} in I0", (n + m + noise_rows) * G * n)):
-                if 8 * size > _MAX_ARRAY_BYTES:
-                    raise ConfigurationError(
-                        f"loop {spec.name!r}: {what} needs an array of {8 * size} bytes, "
-                        f"more than numpy can address ({_MAX_ARRAY_BYTES})"
-                    )
+        _check_addressable(self)
 
     @property
     def gamma(self) -> int:
         return max(self.I0)
+
+
+def _check_addressable(scn: Scenario, n_runs: int = 1) -> None:
+    """Refuse, before any array is made, a size numpy cannot address.
+
+    For ``n_runs`` runs, the event loop holds each loop's states, inputs
+    and noise in float64 arrays of at most ``n_runs x (horizon + 1 +
+    gamma) x max(n, m, w)``, and its segment map (see :func:`_segment_map`) once;
+    numpy refuses an array past its index limit.  A scenario is checked
+    for one run; a sweep passes ``n_runs``, the rows of one alpha, and the
+    refusal names it.
+    """
+    T, G = scn.horizon, scn.gamma
+    runs = f"{n_runs} runs (n_runs, --runs) of " if n_runs > 1 else ""
+    for spec in scn.loops:
+        n, m, w = spec.system.n, spec.system.m, spec.system.w
+        noise_rows = G * n if spec.noise_variance > 0.0 else 0
+        for what, size in ((f"{runs}horizon {T} with largest wait {G}",
+                            n_runs * (T + 1 + G) * max(n, m, w)),
+                           (f"largest wait {G} in I0", (n + m + noise_rows) * G * n)):
+            if 8 * size > _MAX_ARRAY_BYTES:
+                raise ConfigurationError(
+                    f"loop {spec.name!r}: {what} needs an array of {8 * size} bytes, "
+                    f"more than numpy can address ({_MAX_ARRAY_BYTES})"
+                )
 
 
 @dataclass(frozen=True)
@@ -755,6 +766,7 @@ def _sweep(scn: Scenario, alphas, n_runs: int, baseline: bool) -> tuple:
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigurationError("alphas must be ascending")
     n_runs = _count(n_runs, "n_runs")
+    _check_addressable(scn, n_runs)
 
     names = tuple(spec.name for spec in scn.loops)
     stats = _empty_stats(names)

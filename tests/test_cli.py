@@ -3,7 +3,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,26 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# Address space of the child in _run_cli_capped: room for the interpreter,
+# numpy and a sweep's small arrays, far less than the runs below would take.
+_ADDRESS_SPACE = 2 * 1024**3
+
+
+def _run_cli_capped(*argv):
+    """``selftrig argv`` in a child interpreter whose address space is
+    capped by RLIMIT_AS, so that a run too large for memory fails there
+    at once, not in the test process; returns ``(exit code, stderr)``."""
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE}, {_ADDRESS_SPACE})); "
+            "from selftrig.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                           capture_output=True, text=True, timeout=300)
+    return child.returncode, child.stderr
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +260,34 @@ class TestSimulate:
             f"configuration error: loop 'integrator': horizon {horizon} with largest wait 5 "
             "needs an array of ")
         assert not out.exists()
+
+    def test_a_run_too_large_for_memory_exits_2(self, synth_out, tmp_path):
+        # numpy can address the 74.5 GiB of states, but the capped child
+        # cannot allocate them.
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["horizon"] = 10**10
+        scen = tmp_path / "long.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code, err = _run_cli_capped("simulate", "-c", str(scen), "-t", str(synth_out),
+                                    "-o", str(out))
+        assert (code, err) == (2, "configuration error: not enough memory: Unable to "
+                                  "allocate 74.5 GiB for an array with shape "
+                                  "(1, 10000000006, 1) and data type float64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "an allocation failed"),
+        (MemoryError("Unable to allocate 8 EiB"), "Unable to allocate 8 EiB"),
+    ])
+    def test_a_memory_error_exits_2_with_its_message(self, monkeypatch, capsys,
+                                                     error, message):
+        def run(args):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", cli.COMMANDS["simulate"]._replace(run=run))
+        assert run_cli("simulate", "-c", "a.json", "-o", "out") == 2
+        assert capsys.readouterr().err == f"configuration error: not enough memory: {message}\n"
 
     def test_missing_tables_flag_exits_2(self, tmp_path):
         out = tmp_path / "run"
@@ -589,6 +640,19 @@ def test_sweep_csv_bytes_are_pinned(scenario, runs, digests, tmp_path):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*.csv")}
     assert written == digests
+
+
+def test_a_run_count_numpy_cannot_address_exits_2(tmp_path):
+    # Refused before the sweep builds a list or an array of its runs.
+    runs = 2**62
+    out = tmp_path / "s.csv"
+    code, err = _run_cli_capped("sweep", "-c", str(SCENARIOS / "two_loop.json"),
+                                "--alphas", "0,0.5", "--runs", str(runs), "-o", str(out))
+    assert (code, err) == (2, f"configuration error: loop 'integrator': {runs} runs "
+                              "(n_runs, --runs) of horizon 60 with largest wait 5 needs an "
+                              f"array of {8 * runs * 66} bytes, more than numpy can address "
+                              f"({2**63 - 1})\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("alphas", ["abc", "nan", "1,inf"])

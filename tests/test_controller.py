@@ -495,6 +495,53 @@ class TestOnlineLawMatchesOracle:
                 heapq.heappush(events, (k_call + wait, j))
         assert refused > 0
 
+    def test_ledgers_made_by_replace_and_reserve_chains(self):
+        # p up to three times the largest wait, so that residues modulo p
+        # are missing from I0; ledgers come from chains of reserve (which
+        # share one residue table) and from dataclasses.replace (which
+        # builds its own), now and then with another p or I0.
+        rng = np.random.default_rng(28)
+        replaced = 0
+        for _ in range(60):
+            s = int(rng.integers(1, 5))
+            gamma = int(rng.integers(max(s, 2), 13))
+            I0 = [i for i in range(1, gamma + 1) if i <= s or i == gamma or rng.random() < 0.4]
+            p = int(rng.integers(s, 3 * gamma + 1))
+            names = ("a", "b", "c", "d")[:s]
+            ledger = ReservationLedger(p=p, I0=I0, loop_order=names, next_tx={})
+            events = [(0, j) for j in range(s)]
+            for _ in range(40):
+                k, j = heapq.heappop(events)
+                for name in names:
+                    assert _outcome(lambda: _set_repr(feasible_set(ledger, name, k))) \
+                        == _outcome(lambda: _set_repr(oracle_feasible_set(ledger, name, k)))
+                wait = int(rng.choice(sorted(oracle_feasible_set(ledger, names[j], k))))
+                ledger = reserve(ledger, names[j], k, wait)
+                heapq.heappush(events, (k + wait, j))
+                if rng.random() < 0.2:
+                    # Any p of at least s and any I0 holding 1..s keep the
+                    # reservations admissible.
+                    change = [{}, {"p": int(rng.integers(s, 3 * gamma + 1))},
+                              {"I0": sorted({*range(1, s + 1), *rng.choice(I0, 2).tolist()})}]
+                    ledger = dataclasses.replace(ledger, **change[int(rng.integers(0, 3))])
+                    replaced += 1
+        assert replaced > 0
+
+    @pytest.mark.parametrize("next_tx, k", [
+        ({}, 0),
+        ({"b": 10**12 + 1}, 0),
+        ({"b": 10**12 + 1}, 10**12),
+        ({"a": 5, "b": 3 * 10**12 + 2}, 5),
+        ({"a": 2 * 10**12, "b": 7}, 7),
+    ])
+    def test_a_period_far_past_the_waits_builds_at_once(self, next_tx, k):
+        # The residue table is sized by |I0|, not by p.
+        ledger = ReservationLedger(p=10**12, I0=(1, 2), loop_order=("a", "b"),
+                                   next_tx=next_tx)
+        for name in ("a", "b"):
+            assert _outcome(lambda: _set_repr(feasible_set(ledger, name, k))) \
+                == _outcome(lambda: _set_repr(oracle_feasible_set(ledger, name, k)))
+
     @pytest.mark.parametrize("law, args", [
         ("feasible_set", ("zz", 0)),
         ("feasible_set", ("a", 2.5)),
