@@ -67,17 +67,21 @@ def _table_path(out_dir: Path, loop_id: str) -> Path:
 
 
 def _print_table(gt, cert) -> None:
-    print(
-        f"loop {gt.loop_id}: n={gt.n} m={gt.m} alpha={gt.alpha:g} "
-        f"p={gt.p} gamma={gt.gamma} epsilon={cert.epsilon:.5f}"
-    )
-    header = f"  {'i':>3}  {'L(i)':>24}  {'P(i)':>24}"
-    print(header)
-    for i in gt.I0:
-        P, L = gt.entries[i][0], gt.entries[i][1]
-        l_str = " ".join(f"{v:.2f}" for v in L.ravel())
-        p_str = " ".join(f"{v:.2f}" for v in P.ravel())
-        print(f"  {i:>3}  {l_str:>24}  {p_str:>24}")
+    """The table's header line and one line per wait, ``L(i)`` and ``P(i)``
+    row-major to two decimals, in one ``print``."""
+    k, n, m = len(gt.I0), gt.n, gt.m
+    cell = "{:.2f}".format
+    lines = [
+        f"loop {gt.loop_id}: n={n} m={m} alpha={gt.alpha:g} "
+        f"p={gt.p} gamma={gt.gamma} epsilon={cert.epsilon:.5f}",
+        f"  {'i':>3}  {'L(i)':>24}  {'P(i)':>24}",
+    ]
+    lines += [
+        f"  {i:>3}  {' '.join(map(cell, L)):>24}  {' '.join(map(cell, P)):>24}"
+        for i, L, P in zip(gt.I0, gt.L_stack.reshape(k, m * n).tolist(),
+                           gt.P_stack.reshape(k, n * n).tolist())
+    ]
+    print("\n".join(lines))
 
 
 def cmd_synth(args) -> int:

@@ -367,22 +367,31 @@ def _lift_recursion(sys: LtiSystem, gamma: int, weights: WeightSpec | None = Non
     with base case ``(A, B, Q, R, 0)``.  Q_i and R_i are re-symmetrized at
     every step to suppress accumulated floating-point asymmetry.  Row ``i``
     depends on rows ``1..i`` alone, so the first rows of a longer lift are
-    those of a shorter one, bit for bit.
+    those of a shorter one, bit for bit.  Every stack is allocated before
+    the first step is taken, so a lift too large for memory fails at once,
+    naming the shape of the stack that did not fit.
     """
     A, B = sys.A, sys.B
-    As, Bs = [A], [B]
-    for _ in range(gamma - 1):
-        As.append(A @ As[-1])
-        Bs.append(A @ Bs[-1] + B)
-    if weights is None:
-        return _readonly(As), _readonly(Bs)
-    Q, R = weights.Q, weights.R
-    Qs, Rs, Ns = [Q], [R], [np.zeros((sys.n, sys.m))]
-    for Ai, Bi in zip(As[:-1], Bs[:-1]):
-        Qs.append(symmetrize(Qs[-1] + Ai.T @ Q @ Ai))
-        Rs.append(symmetrize(Rs[-1] + Bi.T @ Q @ Bi + R))
-        Ns.append(Ns[-1] + Ai.T @ Q @ Bi)
-    return tuple(map(_readonly, (As, Bs, Qs, Rs, Ns)))
+    n, m = sys.n, sys.m
+    shapes = [(n, n), (n, m)] + ([] if weights is None else [(n, n), (m, m), (n, m)])
+    stacks = [np.empty((gamma, *shape)) for shape in shapes]
+    As, Bs = stacks[:2]
+    Ai, Bi = As[0], Bs[0] = A, B
+    for j in range(1, gamma):
+        Ai, Bi = A @ Ai, A @ Bi + B
+        As[j], Bs[j] = Ai, Bi
+    if weights is not None:
+        Q, R = weights.Q, weights.R
+        Qs, Rs, Ns = stacks[2:]
+        Qi, Ri, Ni = Qs[0], Rs[0], Ns[0] = Q, R, np.zeros((n, m))
+        for j, Ai, Bi in zip(range(1, gamma), As, Bs):
+            Qi = symmetrize(Qi + Ai.T @ Q @ Ai)
+            Ri = symmetrize(Ri + Bi.T @ Q @ Bi + R)
+            Ni = Ni + Ai.T @ Q @ Bi
+            Qs[j], Rs[j], Ns[j] = Qi, Ri, Ni
+    for M in stacks:
+        M.setflags(write=False)
+    return tuple(stacks)
 
 
 def _prefix(stacks: tuple, gamma: int) -> tuple:

@@ -861,12 +861,15 @@ def write_txlog_csv(trace: SimTrace, path) -> None:
     """Channel log CSV: k, loop_id, i_chosen, feasible set (semicolon-joined).
 
     The text is what ``csv.writer`` writes for these rows, as in
-    :func:`write_trace_csv`; each loop id is quoted once, when it needs it.
+    :func:`write_trace_csv`; each loop id is quoted once, when it needs it,
+    and each distinct feasible set is joined once.
     """
     ids = {ev.loop_id for ev in trace.tx_events}
     field = {loop_id: _csv_field(str(loop_id)) for loop_id in ids}
+    sets = {ev.feasible for ev in trace.tx_events}
+    joined = {waits: ";".join(map(str, waits)) for waits in sets}
     lines = ["k,loop_id,i_chosen,feasible_set"]
-    lines += [f"{ev.k},{field[ev.loop_id]},{ev.i_chosen},{';'.join(map(str, ev.feasible))}"
+    lines += [f"{ev.k},{field[ev.loop_id]},{ev.i_chosen},{joined[ev.feasible]}"
               for ev in trace.tx_events]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([*lines, ""]))

@@ -245,12 +245,13 @@ class GainTable:
     and ``entries`` becomes a read-only mapping of views of their rows.
     ``costs`` (``alpha / i``) and ``rows`` (each wait's row) are built with
     the stacks; the stacks, ``costs`` and ``rows`` are not constructor
-    arguments.  ``gamma`` is the largest wait.  Matrices may be arrays or nested lists; one that is not
-    numeric, not finite or not of the terminal pair's shape, a ``Pp`` or
-    ``P(i)`` that is not symmetric (the rule of ``WeightSpec``), or an entry
-    that is not a (P, L) pair, raises ConfigurationError.  All arrays are
-    read-only; tables are safe to share across threads, and compare by
-    identity.
+    arguments.  ``gamma`` is the largest wait.  As in a table file,
+    ``loop_id`` must be a ``str`` and ``n`` and ``m`` positive.  Matrices
+    may be arrays or nested lists; one that is not numeric, not finite or
+    not of the terminal pair's shape, a ``Pp`` or ``P(i)`` that is not
+    symmetric (the rule of ``WeightSpec``), or an entry that is not a
+    (P, L) pair, raises ConfigurationError.  All arrays are read-only;
+    tables are safe to share across threads, and compare by identity.
     """
 
     loop_id: str
@@ -266,7 +267,7 @@ class GainTable:
     rows: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
-        context = f"table {self.loop_id!r}"
+        context = f"table {_json_string(self.loop_id, 'gain table loop_id')!r}"
         I0 = _wait_set(self.I0, f"{context}: I0")
         p = _count(self.p, f"{context}: p")
         alpha = _nonnegative(self.alpha, f"{context}: alpha")
@@ -278,6 +279,7 @@ class GainTable:
                 f"{context}: Pp must be square and Lp must have as many columns, "
                 f"got shapes {Pp.shape} and {Lp.shape}"
             )
+        _dimensions(context, n=n, m=Lp.shape[0])
         if not isinstance(self.entries, Mapping):
             raise ConfigurationError(f"{context}: entries must map each wait to (P, L)")
         if set(self.entries) != set(I0):
@@ -511,37 +513,52 @@ def stability_certificate(
     )
 
 
-def _flat(M: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(M, dtype=float).ravel(order="C")]
+def _json_list(values, pad: str) -> str:
+    """The text ``json.dumps(values, indent=2)`` writes for a non-empty list
+    of finite floats or ints nested at indent ``pad``: one ``repr`` per
+    number."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(repr, values)) + "\n" + pad + "]"
 
 
 def serialize_gain_table(gt: GainTable, cert: StabilityCertificate) -> str:
     """Render one loop's table plus certificate scalars as JSON text.
 
-    Matrices are row-major flat lists.  Floats are written as the shortest
-    text that round-trips, so a reload reproduces bit-identical values.
+    The text is ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` of
+    the document ``{schema_version, loop_id, n, m, alpha, p, I0, entries:
+    [{i, P, L}, ...], Pp, Lp, epsilon, pstar}``: the ``json`` module's
+    two-space layout, with one number per line.  Matrices are row-major
+    flat lists, and every float is written as its ``repr``, the shortest
+    text that round-trips, so a reload reproduces bit-identical values and
+    two tables differ byte for byte only where their numbers do.  The
+    numbers are laid out here, one ``repr`` each, since the table
+    guarantees them finite; the scalars of the header go through ``json``,
+    which escapes the loop id and refuses a non-finite ``epsilon``.
     """
-    doc = {
-        "schema_version": TABLE_SCHEMA_VERSION,
-        "loop_id": gt.loop_id,
-        "n": gt.n,
-        "m": gt.m,
-        "alpha": gt.alpha,
-        "p": gt.p,
-        "I0": list(gt.I0),
-        "entries": [
-            {"i": i, "P": _flat(gt.entries[i][0]), "L": _flat(gt.entries[i][1])}
-            for i in gt.I0
-        ],
-        "Pp": _flat(gt.Pp),
-        "Lp": _flat(gt.Lp),
-        "epsilon": cert.epsilon,
-        "pstar": cert.pstar,
-    }
+    k, n, m = len(gt.I0), gt.n, gt.m
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        # indent=2 picks json's Python encoder, whose refusal names the value.
+        loop_id, alpha, epsilon, pstar = (
+            json.dumps(v, indent=2, allow_nan=False)
+            for v in (gt.loop_id, gt.alpha, cert.epsilon, cert.pstar)
+        )
     except ValueError as exc:  # a NaN or an infinity
         raise ConfigurationError(f"cannot serialize table {gt.loop_id!r}: {exc}") from None
+    pad = " " * 6
+    entries = ",\n".join(
+        f'    {{\n{pad}"i": {i},\n{pad}"P": {_json_list(P, pad)},\n'
+        f'{pad}"L": {_json_list(L, pad)}\n    }}'
+        for i, P, L in zip(gt.I0, gt.P_stack.reshape(k, n * n).tolist(),
+                           gt.L_stack.reshape(k, m * n).tolist())
+    )
+    return (
+        f'{{\n  "schema_version": {TABLE_SCHEMA_VERSION},\n  "loop_id": {loop_id},\n'
+        f'  "n": {n},\n  "m": {m},\n  "alpha": {alpha},\n  "p": {gt.p},\n'
+        f'  "I0": {_json_list(gt.I0, "  ")},\n  "entries": [\n{entries}\n  ],\n'
+        f'  "Pp": {_json_list(gt.Pp.ravel().tolist(), "  ")},\n'
+        f'  "Lp": {_json_list(gt.Lp.ravel().tolist(), "  ")},\n'
+        f'  "epsilon": {epsilon},\n  "pstar": {pstar}\n}}\n'
+    )
 
 
 def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
@@ -564,9 +581,9 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
             _json_matrix(rec["P"], n, n, f"P({i})"),
             _json_matrix(rec["L"], m, n, f"L({i})"),
         )
-    # GainTable itself refuses a bad wait set, p or alpha.
+    # GainTable itself refuses a bad loop id, wait set, p or alpha.
     gt = GainTable(
-        loop_id=_json_string(doc["loop_id"], "gain table loop_id"),
+        loop_id=doc["loop_id"],
         alpha=doc["alpha"],
         entries=entries,
         p=doc["p"],

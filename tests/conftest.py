@@ -10,7 +10,8 @@ reference of the event loop's segment map and of the lift's collapsed
 cost; the per-wait table entries and certificate, built on the lift, are
 the bit references of the package's stacked synthesis; and the
 ``csv.writer`` trace, channel-log and
-sweep writers are the byte references of its text writers.  The online
+sweep writers, the ``json.dumps`` table file and the table printout of
+numpy scalars are the byte references of its text writers.  The online
 law of one decision, ``feasible_set`` -> ``decide`` -> ``reserve``, is
 kept with every entry check in its general form, as the bit and refusal
 reference of the package's law.  The sweep with one event loop per alpha,
@@ -21,6 +22,7 @@ every (alpha, run) row in one event loop and takes each statistic in one
 stacked pass.
 """
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -37,6 +39,7 @@ from selftrig import (
     Scenario,
     SchedulingError,
     SelfTrigError,
+    StabilityCertificate,
     SynthesisError,
     WeightSpec,
     build_gain_table,
@@ -429,6 +432,54 @@ def oracle_write_sweep_csv(summary, loop_name, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Reference table writers: the whole document through json.dumps, and every
+# printed entry formatted as a numpy scalar with one print per line.
+
+
+def oracle_serialize_gain_table(gt, cert) -> str:
+    """The table file of ``gt`` and ``cert`` as ``json.dumps(doc, indent=2)``
+    writes it, with the refusal of a non-finite number."""
+    def flat(M):
+        return [float(v) for v in np.asarray(M, dtype=float).ravel(order="C")]
+
+    doc = {
+        "schema_version": 1,
+        "loop_id": gt.loop_id,
+        "n": gt.n,
+        "m": gt.m,
+        "alpha": gt.alpha,
+        "p": gt.p,
+        "I0": list(gt.I0),
+        "entries": [
+            {"i": i, "P": flat(gt.entries[i][0]), "L": flat(gt.entries[i][1])}
+            for i in gt.I0
+        ],
+        "Pp": flat(gt.Pp),
+        "Lp": flat(gt.Lp),
+        "epsilon": cert.epsilon,
+        "pstar": cert.pstar,
+    }
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot serialize table {gt.loop_id!r}: {exc}") from None
+
+
+def oracle_print_table(gt, cert) -> None:
+    """The table ``synth`` prints: a header, then each wait's L(i) and P(i)."""
+    print(
+        f"loop {gt.loop_id}: n={gt.n} m={gt.m} alpha={gt.alpha:g} "
+        f"p={gt.p} gamma={gt.gamma} epsilon={cert.epsilon:.5f}"
+    )
+    print(f"  {'i':>3}  {'L(i)':>24}  {'P(i)':>24}")
+    for i in gt.I0:
+        P, L = gt.entries[i]
+        l_str = " ".join(f"{v:.2f}" for v in L.ravel())
+        p_str = " ".join(f"{v:.2f}" for v in P.ravel())
+        print(f"  {i:>3}  {l_str:>24}  {p_str:>24}")
+
+
+# ---------------------------------------------------------------------------
 # Reference sweeps: one event loop per alpha, and one per periodic run, and
 # their statistics one run at a time.
 
@@ -544,6 +595,46 @@ def random_system(rng, n_max=4, m_max=2, ensure_controllable=True,
         sys = LtiSystem(A=A, B=B)
         if not ensure_controllable or is_controllable(sys.A, sys.B):
             return sys
+
+
+# Loop ids that json and the printout must escape or pass through as they are.
+TABLE_LOOP_IDS = ("plain", 'say "hi"', "back\\slash", "tab\there", "line\nbreak",
+                  "ünïcødé", "\u2603 snow", "")
+# Entries that stress the float text: a negative zero, the smallest
+# subnormal, a huge value, and one that prints as -0.00.
+TABLE_SPECIAL_VALUES = (-0.0, 5e-324, 1e300, -0.004)
+
+
+def random_stored_table(rng) -> tuple:
+    """A hand-built ``(GainTable, StabilityCertificate)`` of the shapes a
+    table file holds: n in 1..6, m in 1..2 and up to 20 waits, with entries
+    over many decades and some of :data:`TABLE_SPECIAL_VALUES`, a loop id
+    of :data:`TABLE_LOOP_IDS`, and ``alpha`` and ``epsilon`` given as
+    Python or numpy floats.  Each P(i) is exactly symmetric, and the row of
+    the terminal period, when there is one, is the terminal pair."""
+    n, m, k = (int(rng.integers(1, hi + 1)) for hi in (6, 2, 20))
+
+    def draw(shape, symmetric=False):
+        M = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 10, size=shape)
+        special = rng.random(shape) < 0.15
+        M[special] = rng.choice(TABLE_SPECIAL_VALUES, size=int(special.sum()))
+        if symmetric:
+            lower = np.tril_indices(shape[0], -1)
+            M[lower] = M.T[lower]
+        return M
+
+    I0 = sorted((rng.choice(40, size=k, replace=False) + 1).tolist())
+    entries = {i: (draw((n, n), True), draw((m, n))) for i in I0}
+    p = int(rng.choice(I0)) if rng.random() < 0.5 else I0[-1] + 1
+    Pp, Lp = entries.get(p) or (draw((n, n), True), draw((m, n)))
+    as_float = [float, np.float64][int(rng.integers(2))]
+    gt = GainTable(loop_id=str(rng.choice(TABLE_LOOP_IDS)),
+                   alpha=as_float(rng.choice([0.0, rng.uniform(0, 2), 1e300])),
+                   entries=entries, p=p, Pp=Pp, Lp=Lp, I0=I0)
+    epsilon = as_float(rng.choice([rng.uniform(0, 1), 1.0, 5e-324]))
+    cert = StabilityCertificate(pstar=p, epsilon=epsilon, lower_bound=0.0,
+                                upper_bound=1.0, per_i_ratio={}, Si={})
+    return gt, cert
 
 
 def random_weights(rng, n: int, m: int, alpha=None) -> WeightSpec:

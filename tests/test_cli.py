@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selftrig import (
+    GainTable,
+    StabilityCertificate,
     SynthesisError,
     cli,
     deserialize_gain_table,
@@ -22,7 +25,12 @@ from selftrig import (
 from selftrig.cli import main
 from selftrig.scenario import load_scenario
 
-from conftest import oracle_write_trace_csv, oracle_write_txlog_csv
+from conftest import (
+    oracle_print_table,
+    oracle_write_trace_csv,
+    oracle_write_txlog_csv,
+    random_stored_table,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -36,10 +44,11 @@ def run_cli(*argv):
 _ADDRESS_SPACE = 2 * 1024**3
 
 
-def _run_cli_capped(*argv):
+def _run_cli_capped(*argv, timeout=300):
     """``selftrig argv`` in a child interpreter whose address space is
     capped by RLIMIT_AS, so that a run too large for memory fails there
-    at once, not in the test process; returns ``(exit code, stderr)``."""
+    at once, not in the test process; returns ``(exit code, stderr)``.
+    A child that runs past ``timeout`` seconds fails the test."""
     code = ("import resource, sys; "
             f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE}, {_ADDRESS_SPACE})); "
             "from selftrig.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -47,7 +56,7 @@ def _run_cli_capped(*argv):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                           capture_output=True, text=True, timeout=300)
+                           capture_output=True, text=True, timeout=timeout)
     return child.returncode, child.stderr
 
 
@@ -70,6 +79,46 @@ class TestSynth:
                          "0.28", "2.08", "0.23", "2.30"):
             assert fragment in captured
         assert (tmp_path / "integrator.gains.json").exists()
+
+    def test_printed_table_bytes_equal_the_oracle(self, capsys):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            gt, cert = random_stored_table(rng)
+            oracle_print_table(gt, cert)
+            want = capsys.readouterr().out
+            cli._print_table(gt, cert)
+            assert capsys.readouterr().out == want
+
+    def test_a_value_that_rounds_to_minus_zero_prints_as_minus_zero(self, capsys):
+        P, L = np.array([[2.0]]), np.array([[-0.004]])
+        gt = GainTable(loop_id="a", alpha=0.25, entries={1: (P, L), 2: (P, -L)},
+                       p=3, Pp=P, Lp=L, I0=(1, 2))
+        cert = StabilityCertificate(pstar=3, epsilon=np.float64(0.125), lower_bound=0.0,
+                                    upper_bound=1.0, per_i_ratio={}, Si={})
+        cli._print_table(gt, cert)
+        out = capsys.readouterr().out
+        oracle_print_table(gt, cert)
+        assert out == capsys.readouterr().out == (
+            "loop a: n=1 m=1 alpha=0.25 p=3 gamma=2 epsilon=0.12500\n"
+            "    i                      L(i)                      P(i)\n"
+            "    1                     -0.00                      2.00\n"
+            "    2                      0.00                      2.00\n"
+        )
+
+    def test_a_lift_too_large_for_memory_exits_2_at_once(self, tmp_path):
+        # The lift allocates its stacks before its first step, so the capped
+        # child fails on the first stack that does not fit, not after
+        # filling memory one step at a time.
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["I0"] = [*doc["I0"], 10**8]
+        scen = tmp_path / "huge.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "tables"
+        code, err = _run_cli_capped("synth", "-c", str(scen), "-o", str(out), timeout=20)
+        assert code == 2
+        assert err.startswith("configuration error: not enough memory: Unable to allocate ")
+        assert "for an array with shape (100000000, " in err
+        assert not out.exists()
 
     def test_idempotent_outputs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 """Synthesis: Riccati solve, gain tables, admissibility, certificates, serialization."""
 import dataclasses
+import json
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -37,7 +38,9 @@ from conftest import (
     oracle_held_cost,
     oracle_is_symmetric,
     oracle_lift,
+    oracle_serialize_gain_table,
     oracle_transition_pairs,
+    random_stored_table,
     random_system,
     random_weights,
     scalar_periodic_value,
@@ -320,6 +323,26 @@ class TestGainTable:
             assert loaded == oracle_is_symmetric(P), rel
             outcomes.add(loaded)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("loop_id", [5, None, ["a"], b"a"], ids=repr)
+    def test_loop_id_must_be_a_string(self, integrator, integrator_table, loop_id):
+        # The rule of a table file's loop_id, so every table serializes to a
+        # file that loads.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"gain table loop_id must be a string, got {loop_id!r}")):
+            dataclasses.replace(integrator_table, loop_id=loop_id)
+        gt = dataclasses.replace(integrator_table, loop_id="ok")
+        text = serialize_gain_table(gt, stability_certificate(gt, integrator, 5))
+        assert deserialize_gain_table(text)[0].loop_id == "ok"
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (2, 0)])
+    def test_dimensions_must_be_positive(self, n, m):
+        # A table file's dimensions are positive, so every table loads back.
+        Pp, Lp = np.eye(n), np.zeros((m, n))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"table 'x': dimensions must be positive, got {{'n': {n}, 'm': {m}}}")):
+            GainTable(loop_id="x", alpha=0.0, entries={1: (Pp, Lp)}, p=2, Pp=Pp, Lp=Lp,
+                      I0=(1,))
 
 
 def _table_from(source, sys, gt):
@@ -951,3 +974,35 @@ class TestSerialization:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
             deserialize_gain_table("{not json")
+
+    def test_bytes_equal_the_json_module_on_random_tables(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            gt, cert = random_stored_table(rng)
+            text = serialize_gain_table(gt, cert)
+            assert text == oracle_serialize_gain_table(gt, cert)
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_numpy_scalars_in_the_header(self, integrator, integrator_table):
+        cert = stability_certificate(integrator_table, integrator, 5)
+        gt = dataclasses.replace(integrator_table, alpha=np.float64(0.1) + np.float64(0.2))
+        for epsilon in (np.float64(cert.epsilon), np.float64(1.0) / 3):
+            cert = dataclasses.replace(cert, epsilon=epsilon)
+            text = serialize_gain_table(gt, cert)
+            assert text == oracle_serialize_gain_table(gt, cert)
+            assert '"alpha": 0.30000000000000004,\n' in text
+            assert f'"epsilon": {float(epsilon)!r},\n' in text
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -np.inf])
+    def test_a_non_finite_epsilon_is_refused_with_the_json_message(self, integrator,
+                                                                   integrator_table, epsilon):
+        cert = dataclasses.replace(stability_certificate(integrator_table, integrator, 5),
+                                   epsilon=epsilon)
+        with pytest.raises(ConfigurationError) as want:
+            oracle_serialize_gain_table(integrator_table, cert)
+        with pytest.raises(ConfigurationError) as got:
+            serialize_gain_table(integrator_table, cert)
+        assert str(got.value) == str(want.value) == (
+            "cannot serialize table 'integrator': Out of range float values are not "
+            f"JSON compliant: {epsilon!r}"
+        )
