@@ -22,17 +22,20 @@ path.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
-aggregation is order-independent.  Each substream is drawn once, into
-read-only per-loop arrays of initial states and disturbances that the
-event loop takes from its caller: a sweep goes chunk by chunk of whole
-alphas, and runs the self-triggered rows of a chunk, derives each alpha's
-matched period from their statistics, then runs the periodic rows of the
-chunk on the same draws.
+aggregation is order-independent.  The keys are numpy's ``SeedSequence``
+keys, computed for every substream of a draw in one vectorized pass of its
+hash; one generator, re-keyed per substream, then draws them.  Each
+substream is drawn once, into read-only per-loop arrays of initial states
+and disturbances that the event loop takes from its caller: a sweep goes
+chunk by chunk of whole alphas, and runs the self-triggered rows of a
+chunk, derives each alpha's matched period from their statistics, then
+runs the periodic rows of the chunk on the same draws.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -67,6 +70,158 @@ _NOT_IN_STEM = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
+# numpy's SeedSequence hash, for its pool of 4 uint32 words.  Its hashmix
+# call c xors INIT_A * MULT_A**c into a word and multiplies by the next
+# power; the state words take the powers of MULT_B the same way.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# The seed fills the pool (4 calls) and mixes it lane into lane (12 calls).
+_SEED_CALLS = _POOL * _POOL
+
+
+def _powers(init: int, mult: int, first: int, count: int) -> list:
+    """``init * mult**c`` mod 2**32 for ``c`` in ``[first, first + count)``."""
+    return [init * pow(mult, c, 1 << 32) & _MASK32 for c in range(first, first + count)]
+
+
+def _word_constants(words: int) -> tuple:
+    """The xor and multiply constants of the hashmix calls that mix spawn-key
+    word ``t`` into pool lane ``d``, for ``words`` words: two ``(words, 4)``
+    uint32 arrays."""
+    powers = np.array(_powers(_INIT_A, _MULT_A, _SEED_CALLS, _POOL * words + 1),
+                      dtype=np.uint32)
+    return powers[:-1].reshape(words, _POOL), powers[1:].reshape(words, _POOL)
+
+
+_SEED_HASH = _powers(_INIT_A, _MULT_A, 0, _SEED_CALLS + 1)
+# Enough words for a spawn key of 3 entries below 2**64.
+_WORD_XOR, _WORD_MUL = _word_constants(6)
+_STATE_HASH = np.array(_powers(_INIT_B, _MULT_B, 0, _POOL + 1), dtype=np.uint32)
+
+
+def _seed_pool(seed: int) -> list:
+    """The SeedSequence pool of ``seed & (2**64 - 1)`` with a spawn key,
+    before the key's words mix in: the seed's two 32-bit words and two zero
+    words, hashed and mixed, in Python ints."""
+    seed &= 0xFFFFFFFFFFFFFFFF
+    calls = iter(zip(_SEED_HASH, _SEED_HASH[1:]))
+
+    def hashmix(value):
+        xor, mul = next(calls)
+        value = (value ^ xor) * mul & _MASK32
+        return value ^ value >> _SHIFT
+
+    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ mixed >> _SHIFT
+    return pool
+
+
+def _int_words(value: int) -> list:
+    """The little-endian 32-bit words SeedSequence takes from one
+    non-negative spawn-key entry: ``[0]`` for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _word_groups(spawn_keys) -> list:
+    """The rows of ``spawn_keys`` grouped by entropy word count, as pairs of
+    row indices and ``(rows, words)`` uint32 words.  An entry of 2**32 or
+    more takes extra words, so only a key with one is split word by word."""
+    try:
+        entries = np.fromiter(chain.from_iterable(spawn_keys), dtype=np.int64)
+    except OverflowError:
+        entries = None
+    if entries is not None and entries.size and entries.max() <= _MASK32:
+        return [(slice(None), entries.astype(np.uint32).reshape(len(spawn_keys), -1))]
+    groups = {}
+    for row, key in enumerate(spawn_keys):
+        words = [w for entry in key for w in _int_words(entry)]
+        rows, grouped = groups.setdefault(len(words), ([], []))
+        rows.append(row)
+        grouped.append(words)
+    return [(rows, np.array(words, dtype=np.uint32)) for rows, words in groups.values()]
+
+
+def _substream_keys(seed: int, spawn_keys) -> list:
+    """The Philox key of each spawn key in ``spawn_keys``, in one pass: what
+    ``SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
+    .generate_state(2, np.uint64)`` returns, as a list of two ints.
+
+    The keys are non-empty tuples of one length, of non-negative ints.  The
+    seed's part of the pool is the same for every key and is hashed once;
+    then each key word mixes into the 4 pool lanes of every key at once, in
+    uint32 arithmetic, which wraps as numpy's does.
+    """
+    state = np.empty((len(spawn_keys), _POOL), dtype="<u4")
+    pool0 = np.array(_seed_pool(seed), dtype=np.uint32)
+    for rows, words in _word_groups(spawn_keys):
+        count = words.shape[1]
+        xor, mul = ((_WORD_XOR[:count], _WORD_MUL[:count]) if count <= len(_WORD_XOR)
+                    else _word_constants(count))
+        # Every word hashed once per lane, (rows, words, lanes), then mixed
+        # into the pool one word after the other.
+        h = (words[:, :, None] ^ xor) * mul
+        h ^= h >> _SHIFT
+        h *= _MIX_R
+        pool = pool0
+        for t in range(count):
+            pool = pool * _MIX_L - h[:, t]
+            pool ^= pool >> _SHIFT
+        pool ^= _STATE_HASH[:-1]
+        pool *= _STATE_HASH[1:]
+        state[rows] = pool ^ pool >> _SHIFT
+    # Numpy reads each uint64 word of the key from two little-endian words.
+    return state.view("<u8").tolist()
+
+
+class _PhiloxKey:
+    """One substream's Philox key, in the seed-sequence form ``Philox`` reads
+    its key from; it cannot spawn, so neither can the substream's generator."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.key, dtype=np.uint64)
+
+
+def _philox(key) -> np.random.Philox:
+    """A Philox bit generator with the key ``key`` and counter 0.
+
+    ``numpy.random`` is imported on the first draw, not with this module,
+    so commands that draw nothing do not pay for it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+    return np.random.Philox(seed=_PhiloxKey(key))
+
+
+def _substream_index(value, what: str) -> int:
+    """A substream index: an integer (see :func:`_integer`) of at least 0."""
+    value = _integer(value, what)
+    if value < 0:
+        raise ConfigurationError(f"{what} must be >= 0, got {value}")
+    return value
+
+
+def _run_keys(alpha_index, run_index) -> list:
+    """The one row ``[(alpha_index, run_index)]`` of a single run."""
+    return [(_substream_index(alpha_index, "alpha_index"),
+             _substream_index(run_index, "run_index"))]
+
+
 def rng_substream(
     seed: int, alpha_index: int = 0, run_index: int = 0, loop_index: int = 0
 ) -> np.random.Generator:
@@ -76,13 +231,19 @@ def rng_substream(
     spawn_key=(alpha_index, run_index, loop_index)) keys a Philox 4x64
     counter-based bit generator; normal draws use numpy's standard_normal.
     Per run and loop, the initial state (when random) is drawn first,
-    then the whole disturbance sequence.
+    then the whole disturbance sequence.  The key comes from the same
+    one-pass kernel that keys every substream of a draw, so no
+    SeedSequence is built; the generator therefore cannot ``spawn``.
+
+    ``seed`` is an integer and each index a non-negative integer (an
+    ``int`` or ``numpy.integer``, not a bool or float); anything else is a
+    ConfigurationError naming the argument.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-        spawn_key=(int(alpha_index), int(run_index), int(loop_index)),
-    )
-    return np.random.Generator(np.random.Philox(seed=ss))
+    seed = _integer(seed, "seed")
+    spawn_key = tuple(_substream_index(value, what) for value, what in (
+        (alpha_index, "alpha_index"), (run_index, "run_index"), (loop_index, "loop_index")))
+    key, = _substream_keys(seed, [spawn_key])
+    return np.random.Generator(_philox(key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,26 +505,42 @@ def _draws(scn: Scenario, keys) -> list:
     Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)`` and
     draws from the substream ``(alpha_index, run_index, j)`` of each loop
     ``j``, in the order :func:`rng_substream` states.  A loop with a fixed
-    ``x0`` and no noise draws nothing and seeds no substream.
+    ``x0`` and no noise draws nothing and keys no substream.  One pass of
+    :func:`_substream_keys` keys every substream of the call; one Philox
+    generator is then re-keyed per (row, loop), with its counter and
+    buffer reset, and draws that row's x0 and disturbances in one call into
+    a per-loop block, which is scaled per loop.
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
+    drawing = [j for j, spec in enumerate(scn.loops)
+               if spec.x0 is None or spec.noise_variance > 0.0]
+    substreams = iter(_substream_keys(scn.seed, [(alpha_index, run_index, j) for j in drawing
+                                                 for alpha_index, run_index in keys]))
+    bitgen = _philox([0, 0])
+    rng = np.random.Generator(bitgen)
+    # A new generator's state: counter 0 and an empty buffer.  Setting it
+    # with a substream's key starts that substream afresh.
+    state = bitgen.state
     draws = []
-    for j, spec in enumerate(scn.loops):
+    for spec in scn.loops:
         sys = spec.system
         noisy = spec.noise_variance > 0.0
         x0 = np.empty((R, sys.n))
         if spec.x0 is not None:
             x0[:] = spec.x0
-        noise = np.empty((R, T, sys.w)) if noisy else None
-        for i, (alpha_index, run_index) in enumerate(keys if spec.x0 is None or noisy else ()):
-            rng = rng_substream(scn.seed, alpha_index, run_index, j)
-            if spec.x0 is None:
-                x0[i] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
-            if noisy:
-                noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
+        n0 = sys.n if spec.x0 is None else 0
+        if n0 or noisy:
+            block = np.empty((R, n0 + (T * sys.w if noisy else 0)))
+            for row in block:
+                state["state"]["key"] = next(substreams)
+                bitgen.state = state
+                rng.standard_normal(out=row)
+            if n0:
+                x0[:] = block[:, :n0] * np.sqrt(spec.x0_variance)
         x0.setflags(write=False)
         Ew = None
         if noisy:
+            noise = block[:, n0:].reshape(R, T, sys.w) * np.sqrt(spec.noise_variance)
             Ew = np.zeros((R, T + G, sys.n))
             Ew[:, :T] = noise @ sys.E.T
             Ew.setflags(write=False)
@@ -497,6 +674,8 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
     order = np.lexsort((j, k))
     order = order[k[order] > 0].tolist()
     sets = [feas for tr in traces for feas in tr.feasible_sets]
+    # Each distinct feasible set is sorted once.
+    ordered = {feas: tuple(sorted(feas)) for feas in set(sets)}
     names = list(loops)
     tx_events = []
     for ev_k, ev_j, ev_i, e in zip(k[order].tolist(), j[order].tolist(),
@@ -505,7 +684,7 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
         # __setattr__ is skipped.
         ev = object.__new__(TxEvent)
         ev.__dict__.update(k=ev_k, loop_id=names[ev_j], i_chosen=ev_i,
-                           feasible=tuple(sorted(sets[e])))
+                           feasible=ordered[sets[e]])
         tx_events.append(ev)
     return SimTrace(loops=loops, tx_events=tuple(tx_events), mode=mode)
 
@@ -521,8 +700,11 @@ def run_self_triggered(
     At k = 0 every loop decides in increasing loop order, seeing the
     reservations already made by lower-index loops; these initial samples
     consume no channel slots.  Afterwards each loop re-decides exactly at
-    its reserved slots, which are logged as transmissions.
+    its reserved slots, which are logged as transmissions.  The run draws
+    from the substreams ``(alpha_index, run_index, j)``; each index follows
+    the rule of :func:`rng_substream`.
     """
+    keys = _run_keys(alpha_index, run_index)
     gts = _check_tables(scn, tables)
     names = tuple(spec.name for spec in scn.loops)
     ledger = ReservationLedger(p=scn.p, I0=scn.I0, loop_order=names, next_tx={})
@@ -538,7 +720,6 @@ def run_self_triggered(
         feasible[j].append(feas)
         return dec.i_star, dec.u
 
-    keys = [(alpha_index, run_index)]
     run = _event_loop(scn, [0] * len(names), policy, keys, _draws(scn, keys))
     return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)
 
@@ -568,9 +749,9 @@ def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> Sim
     before a loop's first sample.  Substream indices match those of
     :func:`run_self_triggered` so baselines share noise realizations.
     """
+    keys = _run_keys(alpha_index, run_index)
     if scn.ts is None:
         raise ConfigurationError("the periodic baseline needs a scenario with ts")
-    keys = [(alpha_index, run_index)]
     run, gains = _periodic_runs(scn, keys, [scn.ts], _draws(scn, keys))
     values = [
         [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]

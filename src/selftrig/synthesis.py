@@ -413,7 +413,8 @@ class StabilityCertificate:
     collapse to alpha/gamma when the terminal period equals gamma.
     ``Si`` maps i to P(i) - F(i)' Pp F(i), the accumulated-stage-cost
     quadratic form (positive semidefinite); it is a read-only mapping of
-    read-only views of one stack.
+    read-only views of one stack.  ``pstar`` is an integer, kept as an
+    ``int``, as a table file stores it (a bool or float is refused).
     """
 
     pstar: int
@@ -423,6 +424,8 @@ class StabilityCertificate:
     per_i_ratio: dict
     Si: Mapping
 
+    def __post_init__(self):
+        object.__setattr__(self, "pstar", _integer(self.pstar, "certificate pstar"))
 
 
 def stability_certificate(

@@ -19,7 +19,9 @@ each alpha's runs scored by its own tables, and the fixed-interval
 baseline with one event loop per run, each with its statistics taken one
 run at a time, are the bit references of the package's sweep, which runs
 every (alpha, run) row in one event loop and takes each statistic in one
-stacked pass.
+stacked pass.  One ``SeedSequence`` -> ``Philox`` generator per (row,
+loop), drawing x0 and then the disturbances, is the bit reference of the
+package's draws, which key every substream of a draw in one pass.
 """
 import csv
 import json
@@ -533,6 +535,43 @@ def oracle_sweep_alpha(scn, alphas, n_runs):
             scn, [0] * len(names), policy, keys, simulator._draws(scn, keys)))
     return simulator.SweepSummary(alphas=tuple(alphas), loop_names=names, n_runs=n_runs,
                                   errors=errors, **stats)
+
+
+def oracle_rng_substream(seed, alpha_index=0, run_index=0, loop_index=0):
+    """The generator of one (alpha, run, loop) substream, keyed by numpy's
+    own ``SeedSequence``."""
+    ss = np.random.SeedSequence(
+        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
+        spawn_key=(int(alpha_index), int(run_index), int(loop_index)),
+    )
+    return np.random.Generator(np.random.Philox(seed=ss))
+
+
+def oracle_draws(scn, keys):
+    """Each loop's ``(x0, Ew)`` for the rows ``keys``, one generator per
+    (row, loop) that draws: x0 first when it is random, then the
+    disturbances, each scaled as it is drawn."""
+    T, R, G = scn.horizon, len(keys), scn.gamma
+    draws = []
+    for j, spec in enumerate(scn.loops):
+        sys = spec.system
+        noisy = spec.noise_variance > 0.0
+        x0 = np.empty((R, sys.n))
+        if spec.x0 is not None:
+            x0[:] = spec.x0
+        noise = np.empty((R, T, sys.w)) if noisy else None
+        for i, (alpha_index, run_index) in enumerate(keys if spec.x0 is None or noisy else ()):
+            rng = oracle_rng_substream(scn.seed, alpha_index, run_index, j)
+            if spec.x0 is None:
+                x0[i] = rng.standard_normal(sys.n) * np.sqrt(spec.x0_variance)
+            if noisy:
+                noise[i] = rng.standard_normal((T, sys.w)) * np.sqrt(spec.noise_variance)
+        Ew = None
+        if noisy:
+            Ew = np.zeros((R, T + G, sys.n))
+            Ew[:, :T] = noise @ sys.E.T
+        draws.append((x0, Ew))
+    return draws
 
 
 def oracle_periodic_run(scn, alpha_index=0, run_index=0):

@@ -599,24 +599,32 @@ class TestSweep:
     ], ids=["integrator-sweep", "two-loop", "two-loop-one-noisy"])
     def test_each_substream_is_drawn_once(self, scenario, noisy, options, substreams,
                                           tmp_path, monkeypatch):
-        # One generator per (alpha, run, loop) that draws: the baseline
-        # replays the adaptive rows' draws instead of seeding them again,
-        # and a loop that draws nothing seeds nothing.
+        # One key per (alpha, run, loop) that draws, all of a draw's keys in
+        # one pass: the baseline replays the adaptive rows' draws instead of
+        # keying them again, and a loop that draws nothing keys nothing.
         doc = json.loads((SCENARIOS / scenario).read_text())
         for j in noisy:
             doc["loops"][j]["noise_variance"] = 0.1
         scen = tmp_path / scenario
         scen.write_text(json.dumps(doc))
-        keys, substream = [], simulator.rng_substream
+        keys, passes, draws = [], [], []
+        substream_keys, draw = simulator._substream_keys, simulator._draws
 
-        def counted(seed, alpha_index, run_index, loop_index):
-            keys.append((alpha_index, run_index, loop_index))
-            return substream(seed, alpha_index, run_index, loop_index)
+        def counted_keys(seed, spawn_keys):
+            keys.extend(spawn_keys)
+            passes.append(len(spawn_keys))
+            return substream_keys(seed, spawn_keys)
 
-        monkeypatch.setattr(simulator, "rng_substream", counted)
+        def counted_draws(scn, rows):
+            draws.append(len(rows))
+            return draw(scn, rows)
+
+        monkeypatch.setattr(simulator, "_substream_keys", counted_keys)
+        monkeypatch.setattr(simulator, "_draws", counted_draws)
         assert run_cli("sweep", "-c", str(scen), *options,
                        "-o", str(tmp_path / "s.csv")) == 0
         assert len(keys) == len(set(keys)) == substreams
+        assert len(passes) == len(draws) == 1
 
     def test_colliding_csv_paths_exit_2_before_the_sweep(self, tmp_path, capsys,
                                                          monkeypatch):

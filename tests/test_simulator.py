@@ -49,9 +49,11 @@ from selftrig.simulator import (
 
 from conftest import (
     bits,
+    oracle_draws,
     oracle_periodic_baseline,
     oracle_periodic_run,
     oracle_record_runs,
+    oracle_rng_substream,
     oracle_step,
     oracle_sweep_alpha,
     oracle_write_sweep_csv,
@@ -458,6 +460,135 @@ class TestDeterminism:
             "0xcccf31bca866490c",
             "0x90c9cede64858d12",
         ]
+
+
+# Seeds and spawn-key entries at the edges of SeedSequence's 32-bit words:
+# -1 is masked to 2**64 - 1, and an entry of 2**32 or more takes more words.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1]
+_EDGE_ENTRIES = [0, 2**32 - 1, 2**32 + 5, 2**40]
+
+
+def _random_draw_scenario(rng, n_loops, horizon):
+    """A scenario of ``n_loops`` loops with n and w from 1 to 3, each noisy
+    or noiseless, with a fixed or a random x0."""
+    loops = []
+    for j in range(n_loops):
+        n, w = (int(v) for v in rng.integers(1, 4, size=2))
+        sys = LtiSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)),
+                        E=rng.normal(size=(n, w)))
+        random_x0, noisy = rng.integers(0, 2, size=2)
+        start = ({"x0_variance": float(rng.uniform(0.1, 4.0))} if random_x0
+                 else {"x0": rng.normal(size=n)})
+        loops.append(LoopSpec(name=f"l{j}", system=sys, weights=random_weights(rng, n, 1),
+                              noise_variance=float(rng.uniform(0.1, 2.0)) if noisy else 0.0,
+                              **start))
+    return Scenario(loops=tuple(loops), I0=range(1, 6), p=5, horizon=horizon,
+                    seed=int(rng.integers(-2**63, 2**63)))
+
+
+def _assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (x0, Ew), (x0_want, Ew_want) in zip(got, want):
+        assert bits(x0) == bits(x0_want)
+        assert (Ew is None) == (Ew_want is None)
+        if Ew is not None:
+            assert Ew.shape == Ew_want.shape and bits(Ew) == bits(Ew_want)
+
+
+class TestSubstreamKeys:
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_keys_equal_the_seed_sequence(self, seed):
+        # Keys of one, two and three words per entry, in one call and in
+        # no particular order.
+        spawn_keys = [(a, r, loop) for a in _EDGE_ENTRIES for r in _EDGE_ENTRIES
+                      for loop in (0, 3)]
+        spawn_keys = spawn_keys[::-1] + [(2**64, 0, 2**200), (1, 2, 3)]
+        got = simulator._substream_keys(seed, spawn_keys)
+        assert len(got) == len(spawn_keys)
+        for key, pair in zip(spawn_keys, got):
+            want = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=key)
+            assert pair == want.generate_state(2, np.uint64).tolist(), key
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_generator_equals_the_oracle(self, seed):
+        for key in [(0, 0, 0), (3, 1, 2), (2**32 - 1, 2**32 + 5, 2**40)]:
+            got, want = rng_substream(seed, *key), oracle_rng_substream(seed, *key)
+            assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+            assert bits(got.standard_normal(9)) == bits(want.standard_normal(9))
+
+    @pytest.mark.parametrize("args,message", [
+        ((42, 1.5), "alpha_index must be an integer, got 1.5"),
+        ((42, 0, True), "run_index must be an integer, got True"),
+        ((42, 0, 0, 2.0), "loop_index must be an integer, got 2.0"),
+        ((42.9,), "seed must be an integer, got 42.9"),
+        ((False,), "seed must be an integer, got False"),
+        ((42, -1), "alpha_index must be >= 0, got -1"),
+        ((42, 0, 0, np.int64(-3)), "loop_index must be >= 0, got -3"),
+    ])
+    def test_rng_substream_refuses_what_is_not_an_index(self, args, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            rng_substream(*args)
+
+    def test_numpy_integers_are_indices(self):
+        got = rng_substream(np.int32(42), np.int64(3), np.uint8(1), np.int16(2))
+        assert bits(got.standard_normal(4)) == bits(rng_substream(42, 3, 1, 2).standard_normal(4))
+
+    @pytest.mark.parametrize("run", [run_self_triggered, run_periodic])
+    @pytest.mark.parametrize("index,message", [
+        ({"alpha_index": 1.5}, "alpha_index must be an integer, got 1.5"),
+        ({"run_index": -2}, "run_index must be >= 0, got -2"),
+    ])
+    def test_single_runs_refuse_what_is_not_an_index(self, run, index, message,
+                                                      transient_scenario, integrator_table):
+        # A noiseless loop with a fixed x0 draws nothing; the index is
+        # refused all the same.
+        scn = replace(transient_scenario, ts=3)
+        args = (scn, {"integrator": integrator_table}) if run is run_self_triggered else (scn,)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run(*args, **index)
+
+    def test_a_substream_generator_cannot_spawn(self):
+        with pytest.raises(TypeError, match="spawn"):
+            rng_substream(42, 3, 1, 2).spawn(1)
+
+    @pytest.mark.parametrize("name", ["integrator_sweep", "integrator_transient", "two_loop"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_draws_of_shipped_scenarios_equal_the_oracle(self, name, noisy):
+        scn, _ = load_scenario(SCENARIOS / f"{name}.json")
+        if noisy:
+            scn = replace(scn, loops=tuple(replace(spec, noise_variance=0.3)
+                                           for spec in scn.loops))
+        keys = [(ai, r) for ai in range(3) for r in range(4)]
+        keys = keys[5:] + keys[:5]
+        _assert_same_draws(_draws(scn, keys), oracle_draws(scn, keys))
+
+    def test_draws_of_random_shapes_equal_the_oracle(self):
+        rng = np.random.default_rng(30)
+        for case in range(40):
+            scn = _random_draw_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 30)))
+            n_rows = 1 if case % 2 else 200
+            keys = [(int(a), int(r)) for a, r in rng.permutation(
+                [(a, r) for a in range(10) for r in range(40)])[:n_rows]]
+            _assert_same_draws(_draws(scn, keys), oracle_draws(scn, keys))
+
+    def test_large_indices_draw_as_the_oracle(self):
+        scn = replace(_noisy_two_loop(), horizon=7)
+        keys = [(2**32 + 5, 0), (0, 2**40), (1, 1), (2**64, 2**32 - 1)]
+        _assert_same_draws(_draws(scn, keys), oracle_draws(scn, keys))
+
+    def test_two_draws_in_one_process_are_equal(self):
+        # The generator of one draw is re-keyed for each substream; nothing
+        # carries over to the next draw, whatever was drawn in between.
+        rng = np.random.default_rng(31)
+        scn = _random_draw_scenario(rng, 3, 12)
+        scn = replace(scn, loops=tuple(replace(spec, noise_variance=0.5)
+                                       for spec in scn.loops))
+        keys = [(0, 0), (4, 2), (1, 7)]
+        first = _draws(scn, keys)
+        _draws(replace(scn, seed=scn.seed + 1), keys[::-1])
+        rng_substream(scn.seed, 0, 0, 0).standard_normal(5)
+        _assert_same_draws(_draws(scn, keys), first)
+        _assert_same_draws(first, oracle_draws(scn, keys))
 
 
 class TestScenarioValidation:

@@ -993,6 +993,22 @@ class TestSerialization:
             assert '"alpha": 0.30000000000000004,\n' in text
             assert f'"epsilon": {float(epsilon)!r},\n' in text
 
+    @pytest.mark.parametrize("pstar", [2.0, True, 2.5, "2", None])
+    def test_a_certificate_refuses_a_pstar_a_table_file_cannot_hold(self, integrator,
+                                                                    integrator_table, pstar):
+        cert = stability_certificate(integrator_table, integrator, 5)
+        with pytest.raises(ConfigurationError,
+                           match=f"^certificate pstar must be an integer, got {re.escape(repr(pstar))}$"):
+            dataclasses.replace(cert, pstar=pstar)
+
+    def test_a_numpy_integer_pstar_is_kept_as_an_int(self, integrator, integrator_table):
+        cert = dataclasses.replace(stability_certificate(integrator_table, integrator, 5),
+                                   pstar=np.int64(5))
+        assert type(cert.pstar) is int and cert.pstar == 5
+        text = serialize_gain_table(integrator_table, cert)
+        assert text == oracle_serialize_gain_table(integrator_table, cert)
+        assert deserialize_gain_table(text)[2] == 5
+
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -np.inf])
     def test_a_non_finite_epsilon_is_refused_with_the_json_message(self, integrator,
                                                                    integrator_table, epsilon):
