@@ -36,7 +36,7 @@ from .simulator import (
     rng_substream,
     run_periodic,
     run_self_triggered,
-    sweep_alpha,
+    sweep,
 )
 from .synthesis import (
     GainTable,
@@ -92,7 +92,7 @@ __all__ = [
     "serialize_gain_table",
     "solve_periodic_riccati",
     "stability_certificate",
-    "sweep_alpha",
+    "sweep",
     "uncontrollable_reason",
     "verify_conflict_free",
 ]

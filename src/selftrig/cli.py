@@ -35,11 +35,11 @@ from .simulator import (
     MODE_PERIODIC,
     _build_tables,
     _check_tables,
-    _sweep,
     average_sampling_interval,
     empiric_cost,
     run_periodic,
     run_self_triggered,
+    sweep,
     write_sweep_csv,
     write_trace_csv,
     write_txlog_csv,
@@ -86,7 +86,6 @@ def _print_table(gt, cert) -> None:
 
 def cmd_synth(args) -> int:
     scn, _ = load_scenario(args.scenario)
-    tables = _build_tables(scn)
     systems = [spec.system for spec in scn.loops]
     pstar = select_pstar(systems, scn.I0)
     if scn.p != pstar:
@@ -94,6 +93,7 @@ def cmd_synth(args) -> int:
             f"scenario period p={scn.p} differs from the admissible terminal "
             f"period {pstar}; the stability construction requires p == {pstar}"
         )
+    tables = _build_tables(scn)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec, gt in zip(scn.loops, tables):
@@ -226,7 +226,7 @@ def cmd_sweep(args) -> int:
         scn = replace(scn, seed=args.seed)
     out = Path(args.out)
     paths = _sweep_paths(out, [spec.name for spec in scn.loops])
-    summary, baseline = _sweep(scn, alphas, args.runs, baseline=True)
+    summary, baseline = sweep(scn, alphas, args.runs)
     for alpha, msg in summary.errors.items():
         print(f"alpha={alpha:g}: synthesis failed: {msg}", file=sys.stderr)
 

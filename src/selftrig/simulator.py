@@ -896,19 +896,17 @@ def _record_chunk(stats: dict, scn: Scenario, chunk: list, n_runs: int, per_loop
         _record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
 
 
-def _sweep_rows(scn: Scenario, alpha_indices: list, n_runs: int, adaptive=None,
-                periodic=None) -> None:
-    """Run the ``n_runs`` rows of each alpha index under either law or
-    both, and record each alpha's statistics on its own rows.
+def _sweep_rows(scn: Scenario, tables: dict, n_runs: int, adaptive: dict,
+                periodic: dict) -> None:
+    """Run the ``n_runs`` rows of each alpha index of ``tables`` under both
+    laws, and record each alpha's statistics on its own rows.
 
-    ``adaptive`` is ``(tables, stats)``: the self-triggered rows of alpha
-    index ``ai`` run with ``tables[ai]`` and are recorded in ``stats``.
-    ``periodic`` is ``(intervals, stats)``: the fixed-interval rows of
-    ``ai`` run at :func:`_matched_period` of the mean sampling intervals
-    ``intervals`` and are recorded in ``stats``, whose ``mean_interval``
-    then holds each period.  ``intervals`` may be the adaptive half's own
-    ``mean_interval``, since ``ai``'s period depends on ``ai``'s adaptive
-    rows alone, which its chunk records first.
+    The self-triggered rows of alpha index ``ai`` run with ``tables[ai]``
+    and are recorded in ``adaptive``.  The fixed-interval rows of ``ai``
+    then run at :func:`_matched_period` of ``adaptive``'s mean sampling
+    intervals, which depend on ``ai``'s adaptive rows alone, and are
+    recorded in ``periodic``, whose ``mean_interval`` then holds each
+    period.
 
     The rows go in chunks of whole alphas, at least one alpha and
     otherwise at most :data:`_ROW_STEPS` row-steps each, in alpha-major
@@ -916,30 +914,36 @@ def _sweep_rows(scn: Scenario, alpha_indices: list, n_runs: int, adaptive=None,
     laws run on those draws; rows never interact, so the chunking changes
     no bit.
     """
+    alpha_indices = list(tables)
     size = max(1, _ROW_STEPS // (n_runs * scn.horizon))
     for c in range(0, len(alpha_indices), size):
         chunk = alpha_indices[c:c + size]
         keys = [(ai, r) for ai in chunk for r in range(n_runs)]
         draws = _draws(scn, keys)
-        if adaptive is not None:
-            tables, stats = adaptive
-            _record_chunk(stats, scn, chunk, n_runs,
-                          _self_triggered_runs(scn, tables, keys, draws))
-        if periodic is not None:
-            intervals, stats = periodic
-            periods = {ai: _matched_period(scn, intervals, ai) for ai in chunk}
-            per_loop, _ = _periodic_runs(scn, keys, [periods[ai] for ai, _ in keys], draws)
-            _record_chunk(stats, scn, chunk, n_runs, per_loop)
-            for ai, ts in periods.items():
-                for spec in scn.loops:
-                    stats["mean_interval"][spec.name][ai] = float(ts)
+        _record_chunk(adaptive, scn, chunk, n_runs,
+                      _self_triggered_runs(scn, tables, keys, draws))
+        periods = {ai: _matched_period(scn, adaptive["mean_interval"], ai) for ai in chunk}
+        per_loop, _ = _periodic_runs(scn, keys, [periods[ai] for ai, _ in keys], draws)
+        _record_chunk(periodic, scn, chunk, n_runs, per_loop)
+        for ai, ts in periods.items():
+            for spec in scn.loops:
+                periodic["mean_interval"][spec.name][ai] = float(ts)
 
 
-def _sweep(scn: Scenario, alphas, n_runs: int, baseline: bool) -> tuple:
-    """The adaptive sweep of ``alphas`` and, with ``baseline``, its
-    periodic baseline: the pair ``(sweep_alpha(scn, alphas, n_runs),
-    periodic_baseline(scn, that summary))``, or None in place of the
-    baseline, from one :func:`_sweep_rows` that draws each substream once.
+def sweep(scn: Scenario, alphas, n_runs: int) -> tuple[SweepSummary, SweepSummary]:
+    """Re-synthesize and re-run the scenario across a grid of sampling
+    costs, under the self-triggered law and under fixed-interval sampling
+    matched to it; returns the pair ``(adaptive, periodic)`` of summaries.
+
+    For each alpha every loop's table is rebuilt with that alpha; an alpha
+    whose synthesis fails is recorded in ``errors`` and skipped.  The
+    ``n_runs`` independent noisy runs of every alpha then execute together,
+    on substreams keyed by (alpha index, run index, loop index), and equal
+    those of :func:`run_self_triggered` run by run.  At each alpha the
+    periodic runs use the same substreams with the period ``ts``: the mean
+    sampling interval over loops, rounded and clamped to ``[s, p]``; the
+    periodic summary's ``mean_interval`` holds ``float(ts)``.  Results are
+    reproducible from ``scn.seed`` alone.
     """
     alphas = [_nonnegative(a, "sweep alpha") for a in alphas]
     if not alphas:
@@ -950,55 +954,19 @@ def _sweep(scn: Scenario, alphas, n_runs: int, baseline: bool) -> tuple:
     _check_addressable(scn, n_runs)
 
     names = tuple(spec.name for spec in scn.loops)
-    stats = _empty_stats(names)
+    adaptive, periodic = _empty_stats(names), _empty_stats(names)
     errors, tables = {}, {}
     for ai, alpha in enumerate(alphas):
         try:
             tables[ai] = _build_tables(scn, alpha)
         except SelfTrigError as exc:
             errors[alpha] = str(exc)
-    periodic = _empty_stats(names) if baseline else None
-    _sweep_rows(scn, list(tables), n_runs, adaptive=(tables, stats),
-                periodic=(stats["mean_interval"], periodic) if baseline else None)
+    _sweep_rows(scn, tables, n_runs, adaptive, periodic)
 
     summary = SweepSummary(
-        alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **stats
+        alphas=tuple(alphas), loop_names=names, n_runs=n_runs, errors=errors, **adaptive
     )
-    return summary, (replace(summary, **periodic) if baseline else None)
-
-
-def sweep_alpha(scn: Scenario, alphas, n_runs: int) -> SweepSummary:
-    """Re-synthesize and re-run the scenario across a grid of sampling costs.
-
-    For each alpha every loop's table is rebuilt with that alpha; then the
-    ``n_runs`` independent noisy runs of every alpha execute together, on
-    substreams keyed by (alpha index, run index, loop index).  Results are
-    reproducible from ``scn.seed`` alone and equal those of
-    :func:`run_self_triggered` run by run.
-    """
-    return _sweep(scn, alphas, n_runs, baseline=False)[0]
-
-
-def periodic_baseline(scn: Scenario, summary: SweepSummary) -> SweepSummary:
-    """Fixed-interval baseline matched to each alpha of an adaptive sweep.
-
-    At every alpha the sweep has results for, the period ``ts`` is the mean
-    sampling interval over loops, rounded and clamped to ``[s, p]``;
-    ``summary.n_runs`` periodic runs per alpha then execute together on
-    the sweep's substreams (those of ``scn.seed``).  The returned
-    ``mean_interval`` holds the matched ``float(ts)``.  A summary of other
-    loops than the scenario's raises ConfigurationError.
-    """
-    names = tuple(spec.name for spec in scn.loops)
-    if summary.loop_names != names:
-        raise ConfigurationError(
-            f"the sweep summary holds loops {list(summary.loop_names)} but the "
-            f"scenario has loops {list(names)}"
-        )
-    stats = _empty_stats(names)
-    swept = [ai for ai in range(len(summary.alphas)) if ai in summary.mean_interval[names[0]]]
-    _sweep_rows(scn, swept, summary.n_runs, periodic=(summary.mean_interval, stats))
-    return replace(summary, **stats)
+    return summary, replace(summary, **periodic)
 
 
 def write_trace_csv(trace: LoopTrace, path) -> None:

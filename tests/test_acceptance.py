@@ -21,7 +21,7 @@ from selftrig import (
     run_self_triggered,
     select_pstar,
     stability_certificate,
-    sweep_alpha,
+    sweep,
     uncontrollable_reason,
     verify_conflict_free,
 )
@@ -256,7 +256,7 @@ def test_sweep_monotonicity(integrator):
         )
         alphas = [0.0, 0.05, 0.25, 1.3, 5.0, 25.0, 50.0, 500.0, 1e4, 1e6]
         t0 = time.perf_counter()
-        summary = sweep_alpha(scn, alphas, n_runs=20)
+        summary, _ = sweep(scn, alphas, n_runs=20)
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0, f"sweep took {elapsed:.1f} s"
         assert not summary.errors

@@ -1,12 +1,16 @@
 """End-to-end CLI checks: exit codes, file outputs, round trips."""
 import argparse
+import copy
 import csv
 import hashlib
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +112,11 @@ class TestSynth:
     def test_a_lift_too_large_for_memory_exits_2_at_once(self, tmp_path):
         # The lift allocates its stacks before its first step, so the capped
         # child fails on the first stack that does not fit, not after
-        # filling memory one step at a time.
+        # filling memory one step at a time.  p is the admissible terminal
+        # period, so the period check passes and the tables are built.
         doc = json.loads((SCENARIOS / "two_loop.json").read_text())
         doc["I0"] = [*doc["I0"], 10**8]
+        doc["p"] = 10**8
         scen = tmp_path / "huge.json"
         scen.write_text(json.dumps(doc))
         out = tmp_path / "tables"
@@ -139,7 +145,14 @@ class TestSynth:
         assert code == 2
         assert "inadmissible" in capsys.readouterr().err
 
-    def test_root_of_unity_period_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("I0, message", [
+        # The period is checked before any table is built, so a root of
+        # unity at p reads as the other admissible period.
+        ([1, 2], "scenario period p=2 differs from the admissible terminal period 1; "
+                 "the stability construction requires p == 1"),
+        ([2], "no admissible terminal period in I0=[2]; offending eigenvalues: i=2: -1+0j"),
+    ])
+    def test_root_of_unity_period_exits_3(self, I0, message, tmp_path, capsys):
         doc = {
             "schema_version": 1,
             "name": "oscillator",
@@ -148,15 +161,32 @@ class TestSynth:
                 "A": [-1.0], "B": [1.0], "Q": [1.0], "R": [1.0],
                 "alpha": 0.1, "x0": [1.0],
             }],
-            "I0": [1, 2], "p": 2, "horizon": 20, "seed": 0,
+            "I0": I0, "p": 2, "horizon": 20, "seed": 0,
             "mode": "self_triggered",
         }
         bad = tmp_path / "osc.json"
         bad.write_text(json.dumps(doc))
         code = run_cli("synth", "-c", str(bad), "-o", str(tmp_path / "out"))
         assert code == 3
-        err = capsys.readouterr().err
-        assert "power 2" in err and "-1" in err
+        assert capsys.readouterr().err == f"synthesis error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_period_that_is_not_admissible_exits_3_before_any_table(
+            self, tmp_path, capsys, monkeypatch):
+        # Building the tables would lift both loops 10**6 steps first.
+        def refuse(scn, alpha=None):
+            raise AssertionError("tables built before the period check")
+
+        monkeypatch.setattr(cli, "_build_tables", refuse)
+        doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+        doc["I0"] = [*doc["I0"], 10**6]
+        scen = tmp_path / "long_wait.json"
+        scen.write_text(json.dumps(doc))
+        assert run_cli("synth", "-c", str(scen), "-o", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "synthesis error: scenario period p=5 differs from the admissible terminal "
+            "period 1000000; the stability construction requires p == 1000000\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["a/b", "../escaped", "", "a\\b", "bell\x07"])
     def test_loop_name_that_is_not_a_file_stem_exits_2(self, name, tmp_path, capsys):
@@ -921,6 +951,98 @@ def test_non_finite_table_exits_2(command, synth_out, tmp_path, capsys):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "'integrator'" in err and "non-finite" in err
+
+
+# Values a field of a scenario or table file is set to by the mutation test.
+_PROBE_VALUES = (0, -1, 1, 1.5, 1e308, -1e308, 1e-320, 2**63, 2**64, 10**6, -10**6, "x", "",
+                 [], [0], [[1.0]], {}, True, False, None, float("nan"))
+# Fields that size an array or a run, named by their innermost member name.
+_SIZE_FIELDS = {"I0", "p", "horizon", "n", "m", "w", "i"}
+# (command, field) pairs that run for a long time when the field is 10**6.
+_SLOW_BY_DESIGN = {("sweep", "I0"), ("sweep", "horizon"), ("simulate", "horizon")}
+
+
+def _field_paths(doc, path=()):
+    """The path of every field below the root of ``doc``, depth first: each
+    object member and each list element."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+def _with_field(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_every_field_mutation_exits_with_a_documented_code(synth_out, tmp_path):
+    """Each field of ``two_loop.json``, ``integrator_transient.json`` and of
+    the integrator's table of ``two_loop.json``, set to one value of
+    :data:`_PROBE_VALUES` drawn by a seeded generator, goes through every
+    command that reads the file: ``synth``, ``simulate`` and ``sweep`` for a
+    scenario, ``verify`` and ``simulate`` for a table.  Every call returns
+    0, 2, 3, 4 or 5 and raises nothing.  A size field set to 2**63 or more
+    runs in a child whose memory is capped.  A value near the float limit
+    may overflow on the way to its refusal or its result; numpy's overflow
+    and invalid-value warnings are recorded, not raised, and they are the
+    only warnings.
+
+    Left out because they are slow by design, not refused: a ``sweep`` with
+    a wait (an ``I0`` entry) or a ``horizon`` of 10**6, which lifts each
+    plant or runs each row 10**6 steps, and a ``simulate`` with a
+    ``horizon`` of 10**6.
+    """
+    rng = random.Random(2015)
+    transient_tables = tmp_path / "transient_tables"
+    assert run_cli("synth", "-c", str(SCENARIOS / "integrator_transient.json"),
+                   "-o", str(transient_tables)) == 0
+    scen, tables, out = tmp_path / "scenario.json", tmp_path / "tables", tmp_path / "out"
+    shutil.copytree(synth_out, tables)
+    table = tables / "integrator.gains.json"
+    # Per file: the file the mutation is written to, its source, and the
+    # commands that read it.
+    files = [(scen, SCENARIOS / name, {
+        "synth": ("synth", "-c", str(scen), "-o", str(out)),
+        "simulate": ("simulate", "-c", str(scen), "-t", str(stored), "-o", str(out)),
+        "sweep": ("sweep", "-c", str(scen), "--alphas", "0,1", "--runs", "2",
+                  "-o", str(out / "s.csv")),
+    }) for name, stored in (("two_loop.json", synth_out),
+                            ("integrator_transient.json", transient_tables))]
+    files.append((table, synth_out / table.name, {
+        "verify": ("verify", "-t", str(tables), "-c", str(scen)),
+        "simulate": ("simulate", "-c", str(scen), "-t", str(tables), "-o", str(out)),
+    }))
+    codes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for target, source, commands in files:
+            # A table's commands read the scenario it was built for.
+            scen.write_text((SCENARIOS / "two_loop.json").read_text())
+            doc = json.loads(source.read_text())
+            for path in _field_paths(doc):
+                value = rng.choice(_PROBE_VALUES)
+                target.write_text(json.dumps(_with_field(doc, path, value)))
+                field = next(key for key in reversed(path) if isinstance(key, str))
+                integer = isinstance(value, int) and not isinstance(value, bool)
+                for command, argv in commands.items():
+                    if integer and value == 10**6 and (command, field) in _SLOW_BY_DESIGN:
+                        continue
+                    if integer and value >= 2**63 and field in _SIZE_FIELDS:
+                        code, _ = _run_cli_capped(*argv, timeout=60)
+                    else:
+                        code = run_cli(*argv)
+                    assert code in (0, 2, 3, 4, 5), (source.name, path, value, command)
+                    shutil.rmtree(out, ignore_errors=True)
+                    codes.append(code)
+    assert len(codes) > 300 and {0, 2, 3} <= set(codes)
+    assert all(w.category is RuntimeWarning and str(w.message).startswith(
+        ("overflow encountered", "invalid value encountered")) for w in caught)
 
 
 @pytest.mark.parametrize("q", [1e-6, 1e-9])

@@ -48,7 +48,7 @@ PUBLIC_NAMES = [
     "serialize_gain_table",
     "solve_periodic_riccati",
     "stability_certificate",
-    "sweep_alpha",
+    "sweep",
     "uncontrollable_reason",
     "verify_conflict_free",
 ]

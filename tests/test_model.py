@@ -24,7 +24,7 @@ from selftrig import (
     reserve,
     select_pstar,
     solve_periodic_riccati,
-    sweep_alpha,
+    sweep,
     uncontrollable_reason,
 )
 from selftrig.model import _lift, symmetrize
@@ -449,7 +449,7 @@ def _booked_ledger():
                  id="reserve-wait-float"),
     pytest.param(lambda: feasible_set(_booked_ledger(), "b", 2.5), id="feasible-set-k-fraction"),
     pytest.param(lambda: reserve(_booked_ledger(), "b", 2.5, 1), id="reserve-k-fraction"),
-    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=2.5),
+    pytest.param(lambda: sweep(_scenario(), [0.1], n_runs=2.5),
                  id="sweep-n-runs-fraction"),
     pytest.param(lambda: decide(_table([1, 2]), [0.0], [1.5]), id="decide-wait-fraction"),
     pytest.param(lambda: build_gain_table(LtiSystem(A=[[1.0]], B=[[1.0]]),
@@ -464,7 +464,7 @@ def _booked_ledger():
                                           WeightSpec(Q=[[1.0]], R=[[1.0]]), 3, 3),
                  id="build-I0-not-a-set"),
     pytest.param(lambda: decide(_table([1, 2]), [0.0], 3), id="decide-waits-not-a-set"),
-    pytest.param(lambda: sweep_alpha(_scenario(), ["x"], n_runs=1),
+    pytest.param(lambda: sweep(_scenario(), ["x"], n_runs=1),
                  id="sweep-alpha-string"),
     pytest.param(lambda: WeightSpec(Q=[[1.0]], R=[[1.0]], alpha="0.2"),
                  id="weights-alpha-string"),
@@ -500,7 +500,7 @@ def test_non_integer_waits_and_counts_refused(make):
     pytest.param(lambda: _scenario(p=0), "p must be >= 1, got 0", id="scenario-p"),
     pytest.param(lambda: _scenario(horizon=0), "horizon must be >= 1, got 0",
                  id="scenario-horizon"),
-    pytest.param(lambda: sweep_alpha(_scenario(), [0.1], n_runs=0),
+    pytest.param(lambda: sweep(_scenario(), [0.1], n_runs=0),
                  "n_runs must be >= 1, got 0", id="sweep-n-runs"),
     pytest.param(lambda: ReservationLedger(p=0, I0=[1, 2], loop_order=("a",), next_tx={}),
                  "shared period p must be >= 1, got 0", id="ledger-p"),

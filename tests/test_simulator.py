@@ -29,7 +29,7 @@ from selftrig import (
     run_self_triggered,
     select_pstar,
     stability_certificate,
-    sweep_alpha,
+    sweep,
     simulator,
     verify_conflict_free,
 )
@@ -41,7 +41,6 @@ from selftrig.simulator import (
     _event_loop,
     _self_triggered_runs,
     _stage_costs,
-    periodic_baseline,
     write_sweep_csv,
     write_trace_csv,
     write_txlog_csv,
@@ -328,18 +327,6 @@ class TestPeriodicBaseline:
     def test_scenario_without_ts_rejected(self, transient_scenario):
         with pytest.raises(ConfigurationError, match="needs a scenario with ts"):
             run_periodic(transient_scenario)
-
-    @pytest.mark.parametrize("swept, matched", [("two_loop.json", "integrator_sweep.json"),
-                                                ("integrator_sweep.json", "two_loop.json")])
-    def test_summary_of_other_loops_rejected(self, swept, matched):
-        swept, matched = (replace(load_scenario(SCENARIOS / name)[0], horizon=20)
-                          for name in (swept, matched))
-        summary = sweep_alpha(swept, [0.5], 2)
-        with pytest.raises(ConfigurationError) as excinfo:
-            periodic_baseline(matched, summary)
-        names = [[spec.name for spec in scn.loops] for scn in (swept, matched)]
-        assert str(excinfo.value) == (f"the sweep summary holds loops {names[0]} "
-                                      f"but the scenario has loops {names[1]}")
 
 
 def _periodic_case(case, request):
@@ -800,9 +787,9 @@ class TestSweepCsv:
         _refuse_alpha_1_3(monkeypatch)
         scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
         alphas = _README_ALPHAS
-        summary = sweep_alpha(scn, alphas, n_runs=20)
-        assert list(summary.errors) == [1.3]
-        for result in (summary, periodic_baseline(scn, summary)):
+        summary, baseline = sweep(scn, alphas, n_runs=20)
+        assert list(summary.errors) == list(baseline.errors) == [1.3]
+        for result in (summary, baseline):
             write_sweep_csv(result, "integrator", tmp_path / "new.csv")
             oracle_write_sweep_csv(result, "integrator", tmp_path / "oracle.csv")
             text = (tmp_path / "new.csv").read_bytes()
@@ -818,11 +805,10 @@ class TestSweep:
                             x0_variance=25.0, noise_variance=0.1),),
             I0=range(1, 6), p=5, horizon=200, seed=11,
         )
-        a = sweep_alpha(scn, [0.0, 1.0], n_runs=3)
-        b = sweep_alpha(scn, [0.0, 1.0], n_runs=3)
-        assert a.mean_cost == b.mean_cost
-        assert a.mean_interval == b.mean_interval
-        assert not a.errors
+        for a, b in zip(sweep(scn, [0.0, 1.0], n_runs=3), sweep(scn, [0.0, 1.0], n_runs=3)):
+            assert a.mean_cost == b.mean_cost
+            assert a.mean_interval == b.mean_interval
+            assert not a.errors
 
     def test_synthesis_failure_recorded_and_sweep_continues(self):
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]])
@@ -831,17 +817,17 @@ class TestSweep:
             loops=(LoopSpec(name="osc", system=sys, weights=w, x0=[1.0]),),
             I0=[1, 2], p=2, horizon=50, seed=0,
         )
-        summary = sweep_alpha(scn, [0.0, 1.0], n_runs=1)
-        assert set(summary.errors) == {0.0, 1.0}
-        assert summary.mean_cost["osc"] == {}
+        for summary in sweep(scn, [0.0, 1.0], n_runs=1):
+            assert set(summary.errors) == {0.0, 1.0}
+            assert summary.mean_cost["osc"] == {}
 
     def test_rejects_descending_alphas(self, transient_scenario):
         with pytest.raises(ConfigurationError):
-            sweep_alpha(transient_scenario, [1.0, 0.5], n_runs=1)
+            sweep(transient_scenario, [1.0, 0.5], n_runs=1)
 
     def test_rejects_an_empty_sweep(self, transient_scenario):
         with pytest.raises(ConfigurationError, match="at least one alpha"):
-            sweep_alpha(transient_scenario, [], n_runs=1)
+            sweep(transient_scenario, [], n_runs=1)
 
     def test_synthesis_error_names_its_loop(self, integrator, integrator_weights):
         osc = LtiSystem(A=[[-1.0]], B=[[1.0]])
@@ -851,7 +837,7 @@ class TestSweep:
                    LoopSpec(name="osc", system=osc, weights=integrator_weights, x0=[1.0])),
             I0=[1, 2], p=2, horizon=20, seed=0,
         )
-        summary = sweep_alpha(scn, [0.0, 1.0], n_runs=1)
+        summary, _ = sweep(scn, [0.0, 1.0], n_runs=1)
         assert set(summary.errors) == {0.0, 1.0}
         assert all(msg.startswith("loop 'osc': ") for msg in summary.errors.values())
 
@@ -874,7 +860,7 @@ def test_array_holding_values_compare_by_identity(
             trace,
             ReservationLedger(p=5, I0=range(1, 6), loop_order=("a", "b"),
                               next_tx={"a": 3}),
-            sweep_alpha(two_loop_scenario, [0.0], n_runs=1),
+            *sweep(two_loop_scenario, [0.0], n_runs=1),
         )
 
     for a, b in zip(values(), values()):
@@ -910,7 +896,7 @@ class TestFiniteStates:
 
     def test_sweep(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
-            sweep_alpha(self._scenario(2), [0.0], n_runs=2)
+            sweep(self._scenario(2), [0.0], n_runs=2)
 
     def test_sweep_cost_overflow(self):
         # The states stay finite near 1e308, so the event loop accepts them;
@@ -924,7 +910,7 @@ class TestFiniteStates:
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match=r"^loop 'big': stage cost is not "
                                r"finite from step k=1 of run 0, alpha index 0$"):
-                sweep_alpha(scn, [0.0], 2)
+                sweep(scn, [0.0], 2)
 
 
 def test_policy_errors_name_their_step_and_loop(transient_scenario):
@@ -1096,7 +1082,7 @@ class TestBatchedSweep:
                "channel": _channel_scenario}[case]()
         alphas, n_runs, seed = [0.0, 0.25, 25.0], 5, 11
         scn = replace(scn, seed=seed)
-        summary = sweep_alpha(scn, alphas, n_runs)
+        summary, _ = sweep(scn, alphas, n_runs)
         for ai, alpha in enumerate(alphas):
             tables = _tables(scn, alpha)
             traces = [_per_run_reference(scn, tables, ai, r) for r in range(n_runs)]
@@ -1194,19 +1180,16 @@ class TestMergedSweep:
             "readme-refused": lambda: (load_scenario(SCENARIOS / "integrator_sweep.json")[0],
                                        _README_ALPHAS, 20),
         }[case]()
-        summary = sweep_alpha(scn, alphas, n_runs)
+        summary, baseline = sweep(scn, alphas, n_runs)
         expected = oracle_sweep_alpha(scn, alphas, n_runs)
         _assert_same_statistics(summary, expected)
-        expected_baseline = oracle_periodic_baseline(scn, expected)
-        _assert_same_statistics(periodic_baseline(scn, summary), expected_baseline)
+        _assert_same_statistics(baseline, oracle_periodic_baseline(scn, expected))
         assert list(summary.errors) == ([1.3] if case == "readme-refused" else [])
-        # The one sweep of both laws, as the sweep command runs it.
-        both, baseline = simulator._sweep(scn, alphas, n_runs, baseline=True)
-        _assert_same_statistics(both, expected)
-        _assert_same_statistics(baseline, expected_baseline)
 
-    def test_chunks_of_whole_alphas_equal_one_chunk(self, monkeypatch):
+    def test_chunks_of_whole_alphas_equal_the_oracles(self, monkeypatch):
         scn, alphas, n_runs = _channel_scenario(), [0.0, 0.5, 5.0], 3
+        expected = oracle_sweep_alpha(scn, alphas, n_runs)
+        expected = expected, oracle_periodic_baseline(scn, expected)
         rows = []
         event_loop = simulator._event_loop
 
@@ -1215,23 +1198,23 @@ class TestMergedSweep:
             return event_loop(scn, first_samples, policy, keys, draws)
 
         monkeypatch.setattr(simulator, "_event_loop", counted)
-        results = {}
         for per_chunk in (None, 2, 1):
             if per_chunk is not None:
                 monkeypatch.setattr(simulator, "_ROW_STEPS", per_chunk * n_runs * scn.horizon)
             rows.clear()
-            summary = sweep_alpha(scn, alphas, n_runs)
-            results[per_chunk] = summary, periodic_baseline(scn, summary)
+            summary, baseline = sweep(scn, alphas, n_runs)
+            _assert_same_statistics(summary, expected[0])
+            _assert_same_statistics(baseline, expected[1])
             chunks = {None: [[0, 1, 2]], 2: [[0, 1], [2]], 1: [[0], [1], [2]]}[per_chunk]
-            assert rows == 2 * [[ai for ai in chunk for _ in range(n_runs)] for chunk in chunks]
-        for summary, baseline in (results[2], results[1]):
-            _assert_same_statistics(summary, results[None][0])
-            _assert_same_statistics(baseline, results[None][1])
+            assert rows == [[ai for ai in chunk for _ in range(n_runs)]
+                            for chunk in chunks for _ in range(2)]
 
-    def test_one_sweep_of_both_laws_in_chunks_equals_one_chunk(self, monkeypatch):
+    def test_one_sweep_of_both_laws_in_chunks_equals_the_oracles(self, monkeypatch):
         # Each chunk is drawn once, then runs its adaptive rows and, on the
         # same draws, its periodic rows.
         scn, alphas, n_runs = replace(_noisy_two_loop(), horizon=30), [0.0, 0.5, 5.0], 3
+        expected = oracle_sweep_alpha(scn, alphas, n_runs)
+        expected = expected, oracle_periodic_baseline(scn, expected)
         calls, event_loop, draws = [], simulator._event_loop, simulator._draws
 
         def counted_loop(scn, first_samples, policy, keys, drawn):
@@ -1245,13 +1228,11 @@ class TestMergedSweep:
 
         monkeypatch.setattr(simulator, "_event_loop", counted_loop)
         monkeypatch.setattr(simulator, "_draws", counted_draws)
-        expected = sweep_alpha(scn, alphas, n_runs)
-        expected = expected, periodic_baseline(scn, expected)
         for per_chunk in (None, 2, 1):
             if per_chunk is not None:
                 monkeypatch.setattr(simulator, "_ROW_STEPS", per_chunk * n_runs * scn.horizon)
             calls.clear()
-            summary, baseline = simulator._sweep(scn, alphas, n_runs, baseline=True)
+            summary, baseline = sweep(scn, alphas, n_runs)
             _assert_same_statistics(summary, expected[0])
             _assert_same_statistics(baseline, expected[1])
             chunks = {None: [[0, 1, 2]], 2: [[0, 1], [2]], 1: [[0], [1], [2]]}[per_chunk]
@@ -1318,7 +1299,7 @@ class TestMergedSweep:
         assert np.isfinite(states).all()
         with pytest.raises(ConfigurationError, match=r"^loop 'a': state is not finite from "
                                                      r"step k=2 of run 0, alpha index 1$"):
-            sweep_alpha(scn, [0.0, 1.0], n_runs=2)
+            sweep(scn, [0.0, 1.0], n_runs=2)
 
 
 
@@ -1334,12 +1315,11 @@ class TestStackedStatistics:
     def test_sweep_and_baseline_equal_the_per_run_oracle(self, name, horizon, monkeypatch):
         scn, _ = load_scenario(SCENARIOS / name)
         scn = replace(scn, horizon=horizon or min(scn.horizon, 300))
-        summary = sweep_alpha(scn, _README_ALPHAS, 6)
-        baseline = periodic_baseline(scn, summary)
+        summary, baseline = sweep(scn, _README_ALPHAS, 6)
         monkeypatch.setattr(simulator, "_record_runs", oracle_record_runs)
-        expected = sweep_alpha(scn, _README_ALPHAS, 6)
+        expected, expected_baseline = sweep(scn, _README_ALPHAS, 6)
         _assert_same_statistics(summary, expected)
-        _assert_same_statistics(baseline, periodic_baseline(scn, expected))
+        _assert_same_statistics(baseline, expected_baseline)
         if horizon is not None:
             # The largest alpha waits past the horizon: one sample per row.
             assert summary.mean_interval[scn.loops[0].name][9] == scn.gamma

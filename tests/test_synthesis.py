@@ -28,7 +28,7 @@ from selftrig import (
 )
 from selftrig import model, simulator, synthesis
 from selftrig.scenario import load_scenario
-from selftrig.simulator import _segment_map, periodic_baseline, sweep_alpha
+from selftrig.simulator import _segment_map, sweep
 from selftrig.synthesis import _accept_riccati, _gain_from
 
 from conftest import (
@@ -722,8 +722,7 @@ class TestLiftMemo:
             return recursion(sys, gamma, weights)
 
         monkeypatch.setattr(model, "_lift_recursion", counted)
-        summary = sweep_alpha(scn, _README_ALPHAS, 20)
-        periodic_baseline(scn, summary)
+        sweep(scn, _README_ALPHAS, 20)
         # One weighted lift to gamma per plant serves the 10 tables, the
         # solves at p, the 200 baseline solves and the segment maps.
         assert dict(lifts) == {
@@ -796,8 +795,7 @@ class TestRiccatiMemo:
 
         monkeypatch.setattr(synthesis, "solve_periodic_riccati", counted_solve)
         monkeypatch.setattr(simulator, "solve_periodic_riccati", counted_solve)
-        summary = sweep_alpha(scn, _README_ALPHAS, 20)
-        baseline = periodic_baseline(scn, summary)
+        _, baseline = sweep(scn, _README_ALPHAS, 20)
         periods = [int(ts) for ts in baseline.mean_interval["integrator"].values()]
         assert periods == [1, 3, 5, 7, 9, 12, 13, 15, 15, 15]
         # 10 table builds at p and one baseline solve per (alpha, run), but
@@ -807,7 +805,7 @@ class TestRiccatiMemo:
 
     def test_a_sweep_leaves_only_lifts_and_solutions_in_the_memo(self):
         scn, _ = load_scenario(SCENARIOS / "integrator_sweep.json")
-        periodic_baseline(scn, sweep_alpha(scn, _README_ALPHAS, 20))
+        sweep(scn, _README_ALPHAS, 20)
         for spec in scn.loops:
             kinds = {key if isinstance(key, str) else key[0] for key in spec.system._memo}
             assert kinds == {"AB", "QRN", "riccati"}
