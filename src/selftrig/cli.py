@@ -35,8 +35,8 @@ from .simulator import (
     MODE_PERIODIC,
     _build_tables,
     _check_tables,
+    _stage_costs,
     average_sampling_interval,
-    empiric_cost,
     run_periodic,
     run_self_triggered,
     sweep,
@@ -161,22 +161,34 @@ def cmd_simulate(args) -> int:
         trace = run_self_triggered(scn, tables)
     if not verify_conflict_free(trace.tx_log):
         raise SchedulingError("simulated transmission log has a slot conflict")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for spec in scn.loops:
         tr = trace.loops[spec.name]
-        write_trace_csv(tr, out_dir / f"{spec.name}.trace.csv")
-        final_x = tr.states[-1]
+        # A state near the float limit can square to a value or stage cost that
+        # is not finite: as a sweep does, refuse the run before any output.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stage = _stage_costs(tr.states, tr.inputs, spec.weights.Q, spec.weights.R)
+            cost = float(np.mean(stage))
+        bad = ~np.isfinite(stage)
+        bad[tr.sample_times] |= ~np.isfinite(tr.values)
+        if bad.any():
+            raise ConfigurationError(f"loop {spec.name!r}: value or stage cost is not "
+                                     f"finite from step k={bad.argmax()}")
+        if not math.isfinite(cost):
+            raise ConfigurationError(f"loop {spec.name!r}: the empiric cost overflows")
         summary[spec.name] = {
             "first_wait": int(tr.waits[0]),
             "final_wait": int(tr.waits[-1]),
             "n_samples": int(tr.sample_times.size),
             "avg_interval": average_sampling_interval(tr),
-            "empiric_cost": empiric_cost(tr, spec.weights.Q, spec.weights.R),
+            "empiric_cost": cost,
             "final_value": float(tr.values[-1]),
-            "final_state_norm": float(np.linalg.norm(final_x)),
+            "final_state_norm": float(np.linalg.norm(tr.states[-1])),
         }
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for spec in scn.loops:
+        write_trace_csv(trace.loops[spec.name], out_dir / f"{spec.name}.trace.csv")
     write_txlog_csv(trace, out_dir / "tx_log.csv")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     if args.gnuplot:

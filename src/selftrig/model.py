@@ -108,15 +108,16 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _wait_set(I0, what: str = "I0", empty=ConfigurationError) -> tuple:
-    """The one wait-set rule: sorted distinct positive ints, no bool or float.
+def _wait_set(I0, what: str = "I0", empty=ConfigurationError, increasing=False) -> tuple:
+    """The one wait-set rule: sorted distinct positive ints, no bool or float;
+    with ``increasing``, they must also be listed in increasing order.
 
     An empty set raises ``empty``; every other refusal is a
     ConfigurationError.  A frozenset of plain ints, as ``feasible_set``
     returns, takes a shorter path to the same result.
     """
     if type(I0) is frozenset and I0 and set(map(type, I0)) == {int}:
-        waits = tuple(sorted(I0))
+        values = waits = tuple(sorted(I0))
     else:
         try:
             values = tuple(I0)
@@ -129,6 +130,8 @@ def _wait_set(I0, what: str = "I0", empty=ConfigurationError) -> tuple:
         waits = tuple(sorted(set(map(int, values))))
     if waits[0] < 1:
         raise ConfigurationError(f"{what} must hold positive integers, got {I0!r}")
+    if increasing and waits != values:
+        raise ConfigurationError(f"{what} must be strictly increasing, got {I0!r}")
     return waits
 
 

@@ -753,10 +753,9 @@ def run_periodic(scn: Scenario, alpha_index: int = 0, run_index: int = 0) -> Sim
     if scn.ts is None:
         raise ConfigurationError("the periodic baseline needs a scenario with ts")
     run, gains = _periodic_runs(scn, keys, [scn.ts], _draws(scn, keys))
-    values = [
-        [float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
-        for ((P, _),), (states, _, waits) in zip(gains, run)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value may overflow, as decide's may
+        values = [[float(x @ P @ x) for x in states[0, np.flatnonzero(waits[0])]]
+                  for ((P, _),), (states, _, waits) in zip(gains, run)]
     feasible = [[frozenset({scn.ts})] * len(v) for v in values]
     return _sim_trace(scn, MODE_PERIODIC, run, values, feasible)
 

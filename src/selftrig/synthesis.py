@@ -83,8 +83,9 @@ def is_controllable(A: np.ndarray, B: np.ndarray) -> bool:
 
 def _unit_root_eigenvalues(eigenvalues, i: int) -> list[complex]:
     """The ``eigenvalues`` other than 1 whose i-th power is 1 (within tolerance)."""
-    return [complex(lam) for lam in eigenvalues
-            if not abs(lam - 1.0) < ROOT_OF_UNITY_TOL and abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed power is not 1
+        return [complex(lam) for lam in eigenvalues if not abs(lam - 1.0) < ROOT_OF_UNITY_TOL
+                and abs(lam**i - 1.0) < ROOT_OF_UNITY_TOL]
 
 
 def uncontrollable_reason(sys: LtiSystem, i: int) -> str | None:
@@ -238,37 +239,34 @@ def _doubling(p: int, lift) -> tuple[np.ndarray, np.ndarray]:
 class GainTable:
     """Per-loop lookup table of value matrices and feedback gains.
 
-    ``entries`` maps each admissible wait i to its pair (P(i), L(i));
-    (Pp, Lp) is the terminal-period pair the closed loop reverts to.
-    The constructor copies the matrices once: ``P_stack`` (|I0|, n, n) and
-    ``L_stack`` (|I0|, m, n) hold the entries row by row in ``I0`` order,
-    and ``entries`` becomes a read-only mapping of views of their rows.
-    ``costs`` (``alpha / i``) and ``rows`` (each wait's row) are built with
-    the stacks; the stacks, ``costs`` and ``rows`` are not constructor
-    arguments.  ``gamma`` is the largest wait.  As in a table file,
-    ``loop_id`` must be a ``str`` and ``n`` and ``m`` positive.  Matrices
-    may be arrays or nested lists; one that is not numeric, not finite or
-    not of the terminal pair's shape, a ``Pp`` or ``P(i)`` that is not
-    symmetric (the rule of ``WeightSpec``), or an entry that is not a
-    (P, L) pair, raises ConfigurationError.  All arrays are read-only;
-    tables are safe to share across threads, and compare by identity.
+    Row ``r`` of ``P_stack`` (|I0|, n, n) and of ``L_stack`` (|I0|, m, n)
+    holds P(i) and L(i) of the ``r``-th wait of ``I0``, which must be
+    strictly increasing; (Pp, Lp) is the terminal-period pair the closed
+    loop reverts to.  ``costs`` (``alpha / i``) and ``rows`` (each wait's
+    row) are derived, not constructor arguments; ``gamma`` is the largest
+    wait.  As in a table file, ``loop_id`` must be a ``str`` and ``n`` and
+    ``m`` positive.  Matrices may be arrays or nested lists; one that is
+    not numeric, not finite or not of the terminal pair's shape (a stack
+    with one row per wait), or a ``Pp`` or ``P(i)`` that is not symmetric
+    (the rule of ``WeightSpec``), raises ConfigurationError.  The
+    constructor copies each matrix once; all arrays are read-only, tables
+    are safe to share across threads, and compare by identity.
     """
 
     loop_id: str
     alpha: float
-    entries: Mapping
+    P_stack: np.ndarray = field(repr=False)
+    L_stack: np.ndarray = field(repr=False)
     p: int
     Pp: np.ndarray
     Lp: np.ndarray
     I0: tuple
-    P_stack: np.ndarray = field(init=False, repr=False)
-    L_stack: np.ndarray = field(init=False, repr=False)
     costs: np.ndarray = field(init=False, repr=False)
     rows: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
         context = f"table {_json_string(self.loop_id, 'gain table loop_id')!r}"
-        I0 = _wait_set(self.I0, f"{context}: I0")
+        I0 = _wait_set(self.I0, f"{context}: I0", increasing=True)
         p = _count(self.p, f"{context}: p")
         alpha = _nonnegative(self.alpha, f"{context}: alpha")
         Pp = as_matrix(self.Pp, f"{context}: Pp")
@@ -280,28 +278,18 @@ class GainTable:
                 f"got shapes {Pp.shape} and {Lp.shape}"
             )
         _dimensions(context, n=n, m=Lp.shape[0])
-        if not isinstance(self.entries, Mapping):
-            raise ConfigurationError(f"{context}: entries must map each wait to (P, L)")
-        if set(self.entries) != set(I0):
+        try:
+            P_stack, L_stack = (_readonly(_float_array(S)) for S in (self.P_stack, self.L_stack))
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
-                f"{context}: entries {list(self.entries)} do not match I0 {list(I0)}"
+                f"{context}: P_stack and L_stack must be stacks of numeric matrices"
+            ) from None
+        shapes = (len(I0), *Pp.shape), (len(I0), *Lp.shape)
+        if (P_stack.shape, L_stack.shape) != shapes:
+            raise ConfigurationError(
+                f"{context}: P_stack and L_stack must have shapes {shapes[0]} and "
+                f"{shapes[1]}, got {P_stack.shape} and {L_stack.shape}"
             )
-        Ps, Ls = [], []
-        for i in I0:
-            try:
-                P, L = self.entries[i]
-                Ps.append(_float_array(P))
-                Ls.append(_float_array(L))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigurationError(
-                    f"{context}: entry {i} is not a pair (P, L) of numeric matrices"
-                ) from None
-            if Ps[-1].shape != Pp.shape or Ls[-1].shape != Lp.shape:
-                raise ConfigurationError(
-                    f"{context}: entries must match the shapes of Pp {Pp.shape} "
-                    f"and Lp {Lp.shape}"
-                )
-        P_stack, L_stack = _readonly(Ps), _readonly(Ls)
         if not (np.isfinite(P_stack).all() and np.isfinite(L_stack).all()):
             raise ConfigurationError(f"{context}: entries have non-finite values")
         # The law scores with all of each P(i), the certificate reads one
@@ -311,31 +299,22 @@ class GainTable:
         if not _symmetric(P_stack):
             i = next(i for i, P in zip(I0, P_stack) if not _symmetric(P))
             raise ConfigurationError(f"{context}: P({i}) must be symmetric")
-        entries = MappingProxyType({i: (P_stack[r], L_stack[r]) for r, i in enumerate(I0)})
-        if p in entries:
-            Pi, Li = entries[p]
+        rows = MappingProxyType({i: r for r, i in enumerate(I0)})
+        if p in rows:
             drift = max(
-                np.max(np.abs(Pi - Pp)) / max(1.0, np.max(np.abs(Pp))),
-                np.max(np.abs(Li - Lp)) / max(1.0, np.max(np.abs(Lp))),
+                np.max(np.abs(P_stack[rows[p]] - Pp)) / max(1.0, np.max(np.abs(Pp))),
+                np.max(np.abs(L_stack[rows[p]] - Lp)) / max(1.0, np.max(np.abs(Lp))),
             )
             if drift > 1e-8:
                 raise SynthesisError(
                     f"table row at i=p={p} deviates from the periodic solution "
                     f"by {drift:.3e} (relative)"
                 )
-        for name, value in (
-            ("I0", I0),
-            ("p", p),
-            ("alpha", alpha),
-            ("Pp", _readonly(Pp)),
-            ("Lp", _readonly(Lp)),
-            ("entries", entries),
-            ("P_stack", P_stack),
-            ("L_stack", L_stack),
-            ("costs", _readonly(alpha / np.array(I0))),
-            ("rows", MappingProxyType({i: r for r, i in enumerate(I0)})),
-        ):
-            object.__setattr__(self, name, value)
+        # A frozen dataclass refuses assignment, so the checked fields go in directly.
+        self.__dict__.update(
+            I0=I0, p=p, alpha=alpha, Pp=_readonly(Pp), Lp=_readonly(Lp), P_stack=P_stack,
+            L_stack=L_stack, costs=_readonly(alpha / np.array(I0)), rows=rows,
+        )
 
     @property
     def n(self) -> int:
@@ -390,7 +369,8 @@ def build_gain_table(
     return GainTable(
         loop_id=loop_id,
         alpha=weights.alpha,
-        entries={i: (P[r], L[r]) for r, i in enumerate(factors)},
+        P_stack=P,
+        L_stack=L,
         p=p,
         Pp=Pp,
         Lp=Lp,
@@ -584,15 +564,20 @@ def deserialize_gain_table(text: str) -> tuple[GainTable, float, int]:
             _json_matrix(rec["P"], n, n, f"P({i})"),
             _json_matrix(rec["L"], m, n, f"L({i})"),
         )
-    # GainTable itself refuses a bad loop id, wait set, p or alpha.
+    # Entries pair with I0 by wait and stack in its order; GainTable checks the rest.
+    context = f"table {_json_string(doc['loop_id'], 'gain table loop_id')!r}"
+    I0 = _wait_set(doc["I0"], f"{context}: I0")
+    if set(entries) != set(I0):
+        raise ConfigurationError(f"{context}: entries {list(entries)} do not match I0 {list(I0)}")
     gt = GainTable(
         loop_id=doc["loop_id"],
         alpha=doc["alpha"],
-        entries=entries,
+        P_stack=np.array([entries[i][0] for i in I0]),
+        L_stack=np.array([entries[i][1] for i in I0]),
         p=doc["p"],
         Pp=_json_matrix(doc["Pp"], n, n, "Pp"),
         Lp=_json_matrix(doc["Lp"], m, n, "Lp"),
-        I0=doc["I0"],
+        I0=I0,
     )
     epsilon = _number(doc["epsilon"], "gain table epsilon")
     return gt, epsilon, _integer(doc["pstar"], "gain table pstar")

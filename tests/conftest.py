@@ -243,7 +243,7 @@ def oracle_certificate(gt, sys, pstar):
     pairs = oracle_transition_pairs(sys, gt.gamma)
     for i in gt.I0:
         Ai, Bi = pairs[i - 1]
-        Pi, Li = gt.entries[i]
+        Pi, Li = gt.P(i), gt.L(i)
         F = Ai - Bi @ Li
         G = _sym(F.T @ gt.Pp @ F)
         try:
@@ -453,7 +453,7 @@ def oracle_serialize_gain_table(gt, cert) -> str:
         "p": gt.p,
         "I0": list(gt.I0),
         "entries": [
-            {"i": i, "P": flat(gt.entries[i][0]), "L": flat(gt.entries[i][1])}
+            {"i": i, "P": flat(gt.P(i)), "L": flat(gt.L(i))}
             for i in gt.I0
         ],
         "Pp": flat(gt.Pp),
@@ -475,7 +475,7 @@ def oracle_print_table(gt, cert) -> None:
     )
     print(f"  {'i':>3}  {'L(i)':>24}  {'P(i)':>24}")
     for i in gt.I0:
-        P, L = gt.entries[i]
+        P, L = gt.P(i), gt.L(i)
         l_str = " ".join(f"{v:.2f}" for v in L.ravel())
         p_str = " ".join(f"{v:.2f}" for v in P.ravel())
         print(f"  {i:>3}  {l_str:>24}  {p_str:>24}")
@@ -663,13 +663,14 @@ def random_stored_table(rng) -> tuple:
         return M
 
     I0 = sorted((rng.choice(40, size=k, replace=False) + 1).tolist())
-    entries = {i: (draw((n, n), True), draw((m, n))) for i in I0}
+    pairs = {i: (draw((n, n), True), draw((m, n))) for i in I0}
     p = int(rng.choice(I0)) if rng.random() < 0.5 else I0[-1] + 1
-    Pp, Lp = entries.get(p) or (draw((n, n), True), draw((m, n)))
+    Pp, Lp = pairs.get(p) or (draw((n, n), True), draw((m, n)))
     as_float = [float, np.float64][int(rng.integers(2))]
     gt = GainTable(loop_id=str(rng.choice(TABLE_LOOP_IDS)),
                    alpha=as_float(rng.choice([0.0, rng.uniform(0, 2), 1e300])),
-                   entries=entries, p=p, Pp=Pp, Lp=Lp, I0=I0)
+                   P_stack=[pairs[i][0] for i in I0], L_stack=[pairs[i][1] for i in I0],
+                   p=p, Pp=Pp, Lp=Lp, I0=I0)
     epsilon = as_float(rng.choice([rng.uniform(0, 1), 1.0, 5e-324]))
     cert = StabilityCertificate(pstar=p, epsilon=epsilon, lower_bound=0.0,
                                 upper_bound=1.0, per_i_ratio={}, Si={})

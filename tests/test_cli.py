@@ -95,7 +95,7 @@ class TestSynth:
 
     def test_a_value_that_rounds_to_minus_zero_prints_as_minus_zero(self, capsys):
         P, L = np.array([[2.0]]), np.array([[-0.004]])
-        gt = GainTable(loop_id="a", alpha=0.25, entries={1: (P, L), 2: (P, -L)},
+        gt = GainTable(loop_id="a", alpha=0.25, P_stack=[P, P], L_stack=[L, -L],
                        p=3, Pp=P, Lp=L, I0=(1, 2))
         cert = StabilityCertificate(pstar=3, epsilon=np.float64(0.125), lower_bound=0.0,
                                     upper_bound=1.0, per_i_ratio={}, Si={})
@@ -302,6 +302,36 @@ class TestSimulate:
                        "-o", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["integrator"]["empiric_cost"] == 0.0
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"x0": [1e308]}, "value or stage cost is not finite from step k=0"),
+        ({"x0": [1e308], "mode": "periodic", "ts": 2},
+         "value or stage cost is not finite from step k=0"),
+        # Every step's stage cost is finite, their sum is not.
+        ({"noise_variance": 1e306, "horizon": 1000}, "the empiric cost overflows"),
+    ], ids=["self-triggered", "periodic", "sum"])
+    def test_a_cost_that_overflows_exits_2(self, tmp_path, capsys, edit, message):
+        # As a sweep does, simulate refuses a run whose value or stage cost
+        # left the floats, before it writes anything, and no overflow
+        # warning escapes on the way.
+        tables = tmp_path / "tables"
+        assert run_cli("synth", "-c", str(SCENARIOS / "integrator_transient.json"),
+                       "-o", str(tables)) == 0
+        doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
+        loop = {key: edit[key] for key in ("x0", "noise_variance") if key in edit}
+        doc["loops"][0].update(loop)
+        doc.update({key: value for key, value in edit.items() if key not in loop})
+        scen = tmp_path / "huge.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "-c", str(scen), "-t", str(tables),
+                           "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: loop 'integrator': {message}\n")
+        assert not out.exists()
 
     def test_periodic_mode_runs_without_tables(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
@@ -881,6 +911,18 @@ _FILE_FAULTS = [
      "gain table entries[0] fields mismatch (missing ['L'], unknown ['V'])"),
     ("tab-entry-twice", "table", _edit_doc(lambda d: d["entries"].append(d["entries"][0])),
      "gain table entries[5]: a second entry for wait 1"),
+    ("tab-I0-short", "table", _edit_doc(lambda d: d.update(I0=d["I0"][:-1])),
+     "table 'integrator': entries [1, 2, 3, 4, 5] do not match I0 [1, 2, 3, 4]"),
+    ("tab-entry-not-in-I0", "table", _edit_doc(lambda d: d["entries"][4].update(i=6)),
+     "table 'integrator': entries [1, 2, 3, 4, 6] do not match I0 [1, 2, 3, 4, 5]"),
+    ("tab-I0-zero", "table", _edit_doc(lambda d: d.update(I0=[1, 2, 3, 4, 0])),
+     "table 'integrator': I0 must hold positive integers, got [1, 2, 3, 4, 0]"),
+    ("tab-entry-i-fraction", "table", _edit_doc(lambda d: d["entries"][1].update(i=2.5)),
+     "gain table entries[1]: i must be an integer, got 2.5"),
+    ("tab-P-length", "table", _first_entry(lambda e: e.update(P=[1.0, 2.0])),
+     "P(1) needs 1 row-major entries (1x1), got 2"),
+    ("tab-L-length", "table", _edit_doc(lambda d: d["entries"][2].update(L=[])),
+     "L(3) needs 1 row-major entries (1x1), got 0"),
 ]
 _COMMANDS = {"scenario": ("synth", "verify", "simulate"), "table": ("verify", "simulate")}
 

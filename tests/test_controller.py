@@ -243,7 +243,7 @@ class TestStackedScores:
                     assert dec.values_by_i[i] == expected
                     assert _scores(gt, np.array([x0]))[gt.rows[i]] == expected
 
-    def test_stacks_are_read_only_rows_of_the_entries(self, double_integrator_table):
+    def test_stacks_are_read_only_rows_of_the_table(self, double_integrator_table):
         gt = double_integrator_table
         assert gt.P_stack.shape == (len(gt.I0), gt.n, gt.n)
         assert gt.L_stack.shape == (len(gt.I0), gt.m, gt.n)
@@ -260,7 +260,7 @@ class TestStackedScores:
         with pytest.raises(TypeError):
             gt.rows[99] = 0
 
-    def test_stacks_take_no_part_in_construction_or_equality(
+    def test_costs_are_derived_and_stacks_take_no_part_in_equality(
         self, integrator_table, double_integrator, double_integrator_weights
     ):
         # Tables compare by identity, so two builds with n > 1 compare
@@ -272,15 +272,15 @@ class TestStackedScores:
         gt = integrator_table
         assert "P_stack" not in repr(gt)
         with pytest.raises(TypeError):
-            GainTable(loop_id="x", alpha=0.0, entries=gt.entries, p=gt.p, Pp=gt.Pp,
-                      Lp=gt.Lp, I0=gt.I0, costs=gt.costs)
+            GainTable(loop_id="x", alpha=0.0, P_stack=gt.P_stack, L_stack=gt.L_stack,
+                      p=gt.p, Pp=gt.Pp, Lp=gt.Lp, I0=gt.I0, costs=gt.costs)
         doubled = dataclasses.replace(gt, alpha=2.0 * gt.alpha)
         np.testing.assert_array_equal(doubled.costs, 2.0 * gt.alpha / np.array(gt.I0))
         assert doubled.P_stack is not gt.P_stack
 
     def test_serialization_is_unchanged(self):
         P, L = np.array([[2.0]]), np.array([[0.5]])
-        gt = GainTable(loop_id="a", alpha=0.25, entries={1: (P, L), 2: (2 * P, L)},
+        gt = GainTable(loop_id="a", alpha=0.25, P_stack=[P, 2 * P], L_stack=[L, L],
                        p=2, Pp=2 * P, Lp=L, I0=(1, 2))
         cert = StabilityCertificate(pstar=2, epsilon=0.125, lower_bound=0.0,
                                     upper_bound=1.0, per_i_ratio={}, Si={})
@@ -320,12 +320,10 @@ class TestStackedScores:
 def _fixed_table(P_by_wait):
     """A table over the waits 1..len(P_by_wait) holding the given ``P(i)``
     and zero gains."""
-    n = len(P_by_wait[0])
-    entries = {i: (np.array(P, dtype=float), np.zeros((1, n)))
-               for i, P in enumerate(P_by_wait, start=1)}
-    Pp, Lp = entries[len(entries)]
-    return GainTable(loop_id="fixed", alpha=0.0, entries=entries, p=len(entries),
-                     Pp=Pp, Lp=Lp, I0=tuple(entries))
+    k, n = len(P_by_wait), len(P_by_wait[0])
+    return GainTable(loop_id="fixed", alpha=0.0, P_stack=P_by_wait,
+                     L_stack=np.zeros((k, 1, n)), p=k, Pp=P_by_wait[-1],
+                     Lp=np.zeros((1, n)), I0=tuple(range(1, k + 1)))
 
 
 # The state and the P(i) of the two-state cases with undefined scores.

@@ -417,7 +417,7 @@ def _scenario(**overrides):
 
 def _table(I0):
     P, L = np.eye(1), np.eye(1)
-    return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L), 2: (P, L)},
+    return GainTable(loop_id="loop", alpha=0.0, P_stack=[P, P], L_stack=[L, L],
                      p=2, Pp=P, Lp=L, I0=I0)
 
 
@@ -519,7 +519,7 @@ def _loop(x0):
 
 
 def _entry_table(P, L):
-    return GainTable(loop_id="loop", alpha=0.0, entries={1: (P, L)}, p=2,
+    return GainTable(loop_id="loop", alpha=0.0, P_stack=[P], L_stack=[L], p=2,
                      Pp=np.eye(1), Lp=np.eye(1), I0=(1,))
 
 

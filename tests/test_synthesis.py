@@ -12,6 +12,7 @@ import scipy.linalg
 from selftrig import (
     CertificateError,
     ConfigurationError,
+    GainLookupError,
     GainTable,
     LtiSystem,
     SynthesisError,
@@ -98,6 +99,24 @@ class TestSelectPstar:
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]])
         with pytest.raises(SynthesisError, match="-1"):
             select_pstar([sys], [2, 4])
+
+    def test_a_power_that_overflows_is_no_root_of_unity(self):
+        # 1e200**i overflows from i = 2; the suite turns warnings into
+        # errors, so an overflow warning would fail this test.
+        sys = LtiSystem(A=[[1e200]], B=[[1.0]])
+        assert select_pstar([sys], range(1, 6)) == 5
+        assert [uncontrollable_reason(sys, i) for i in range(1, 6)] == [None] * 5
+        # On and near the unit circle the list is the direct test's.
+        near = np.array([-1.0, 1j, -1j, np.exp(2j * np.pi / 3), np.exp(2j * np.pi / 5),
+                         1.0, 1.0 + 1e-9, -1.0 + 1e-10, -1.0 + 1e-6, 1j * (1.0 + 1e-12),
+                         0.5, 2.0, 1e200, -1e200 + 1e200j])
+        for i in range(1, 7):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = [complex(lam) for lam in near if not abs(lam - 1.0) < 1e-8
+                        and abs(lam**i - 1.0) < 1e-8]
+            assert synthesis._unit_root_eigenvalues(near, i) == want
+        assert synthesis._unit_root_eigenvalues(near, 4) == [-1.0, 1j, -1j, -1.0 + 1e-10,
+                                                             1j * (1.0 + 1e-12)]
 
 
 class TestPeriodicRiccati:
@@ -269,43 +288,59 @@ class TestGainTable:
         gt = build_gain_table(integrator, integrator_weights, [1, 2], 5)
         assert gt.I0 == (1, 2) and gt.p == 5
 
-    def test_entries_must_match_index_set(self, integrator_table):
-        with pytest.raises(ConfigurationError):
-            GainTable(
-                loop_id="x",
-                alpha=0.0,
-                entries={1: (integrator_table.P(1), integrator_table.L(1))},
-                p=5,
-                Pp=integrator_table.Pp,
-                Lp=integrator_table.Lp,
-                I0=(1, 2),
-            )
+    def test_stacks_need_one_row_per_wait(self, integrator_table):
+        gt = integrator_table
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "table 'x': P_stack and L_stack must have shapes (2, 1, 1) and (2, 1, 1), "
+                "got (1, 1, 1) and (1, 1, 1)")):
+            GainTable(loop_id="x", alpha=0.0, P_stack=gt.P_stack[:1], L_stack=gt.L_stack[:1],
+                      p=5, Pp=gt.Pp, Lp=gt.Lp, I0=(1, 2))
 
+    @pytest.mark.parametrize("waits, message", [
+        ([2], "table 'integrator': P_stack and L_stack must be stacks of numeric matrices"),
+        ([1, 2, 3, 4, 5], "table 'integrator': P_stack and L_stack must have shapes "
+                          "(5, 1, 1) and (5, 1, 1), got (5, 2, 2) and (5, 1, 1)"),
+    ], ids=["ragged", "uniform"])
+    def test_stacks_must_match_terminal_shapes(self, integrator_table, waits, message):
+        gt = integrator_table
+        P = [np.eye(2) if i in waits else gt.P(i) for i in gt.I0]
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(gt, P_stack=P)
 
-    @pytest.mark.parametrize("waits", [[2], [1, 2, 3, 4, 5]], ids=["ragged", "uniform"])
-    def test_entries_must_match_terminal_shapes(self, integrator_table, waits):
-        entries = dict(integrator_table.entries)
-        for i in waits:
-            entries[i] = (np.eye(2), integrator_table.L(i))
-        with pytest.raises(ConfigurationError, match="shapes"):
-            dataclasses.replace(integrator_table, entries=entries)
+    @pytest.mark.parametrize("I0", [(2, 1, 3, 4, 5), (1, 2, 2, 3, 4, 5), range(5, 0, -1)],
+                             ids=repr)
+    def test_I0_must_be_strictly_increasing(self, integrator_table, I0):
+        # Row r holds the r-th wait, so a wait set out of order would pair
+        # rows with the wrong waits.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"table 'integrator': I0 must be strictly increasing, got {I0!r}")):
+            dataclasses.replace(integrator_table, I0=I0)
+        # In order, any iterable of ints passes, a one-shot iterator too.
+        for waits in ([1, 2, 3, 4, 5], np.arange(1, 6), range(1, 6), iter(range(1, 6))):
+            assert dataclasses.replace(integrator_table, I0=waits).I0 == (1, 2, 3, 4, 5)
+
+    def test_replace_rederives_rows_and_costs(self, double_integrator_table):
+        gt = double_integrator_table
+        tail = dataclasses.replace(gt, I0=gt.I0[2:], P_stack=gt.P_stack[2:],
+                                   L_stack=gt.L_stack[2:], alpha=2.0 * gt.alpha)
+        assert tail.I0 == gt.I0[2:] and dict(tail.rows) == {i: r for r, i in enumerate(tail.I0)}
+        assert tail.costs.tolist() == [2.0 * gt.alpha / i for i in tail.I0]
+        for i in tail.I0:
+            assert bits(tail.P(i)) == bits(gt.P(i)) and bits(tail.L(i)) == bits(gt.L(i))
+        with pytest.raises(GainLookupError):
+            tail.P(gt.I0[0])
 
     @pytest.mark.parametrize("target", ["P(1)", "P(3)", "Pp"])
     def test_value_matrices_must_be_symmetric(self, double_integrator_table, target):
         # The law scores with all of P(i) and the certificate reads one
         # triangle of it, so each table holds one symmetric matrix per wait.
         gt = double_integrator_table
-        entries, Pp = dict(gt.entries), np.array(gt.Pp)
-        if target == "Pp":
-            Pp[0, 1] = 0.0
-        else:
-            i = int(target[2])
-            P = np.array(gt.P(i))
-            P[0, 1] = 0.0
-            entries[i] = (P, gt.L(i))
+        P_stack, Pp = np.array(gt.P_stack), np.array(gt.Pp)
+        M = Pp if target == "Pp" else P_stack[gt.rows[int(target[2])]]
+        M[0, 1] = 0.0
         with pytest.raises(ConfigurationError, match=rf"^table 'double_integrator': "
                                                      rf"{re.escape(target)} must be symmetric$"):
-            dataclasses.replace(gt, entries=entries, Pp=Pp)
+            dataclasses.replace(gt, P_stack=P_stack, Pp=Pp)
 
     def test_symmetry_is_weightspecs_rule(self, double_integrator_table):
         # Off-diagonal perturbations on both sides of the tolerance: a table
@@ -316,7 +351,7 @@ class TestGainTable:
             P = np.array(gt.P(2))
             P[1, 0] *= 1.0 + rel
             try:
-                dataclasses.replace(gt, entries={**gt.entries, 2: (P, gt.L(2))})
+                _with_rows(gt, P={2: P})
                 loaded = True
             except ConfigurationError:
                 loaded = False
@@ -341,8 +376,18 @@ class TestGainTable:
         Pp, Lp = np.eye(n), np.zeros((m, n))
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"table 'x': dimensions must be positive, got {{'n': {n}, 'm': {m}}}")):
-            GainTable(loop_id="x", alpha=0.0, entries={1: (Pp, Lp)}, p=2, Pp=Pp, Lp=Lp,
+            GainTable(loop_id="x", alpha=0.0, P_stack=[Pp], L_stack=[Lp], p=2, Pp=Pp, Lp=Lp,
                       I0=(1,))
+
+
+def _with_rows(gt, P=(), L=()):
+    """``gt`` with the ``P(i)`` of each wait ``i`` of the mapping ``P`` and
+    the ``L(i)`` of each wait of ``L`` replaced, through its stacks."""
+    stacks = np.array(gt.P_stack), np.array(gt.L_stack)
+    for stack, rows in zip(stacks, (dict(P), dict(L))):
+        for i, M in rows.items():
+            stack[gt.rows[i]] = M
+    return dataclasses.replace(gt, P_stack=stacks[0], L_stack=stacks[1])
 
 
 def _table_from(source, sys, gt):
@@ -354,84 +399,84 @@ def _table_from(source, sys, gt):
     if source == "deserialize":
         text = serialize_gain_table(gt, stability_certificate(gt, sys, gt.p))
         return deserialize_gain_table(text)[0], None
-    given = dict(
-        entries={i: (np.array(gt.P(i)), np.array(gt.L(i))) for i in gt.I0},
-        Pp=np.array(gt.Pp), Lp=np.array(gt.Lp),
-    )
+    given = {name: np.array(getattr(gt, name)) for name in ("P_stack", "L_stack", "Pp", "Lp")}
     return GainTable(loop_id=gt.loop_id, alpha=gt.alpha, p=gt.p, I0=gt.I0, **given), given
 
 
 class TestGainTableStorage:
-    """A table holds one read-only copy of its matrices: the stacks, which
-    ``entries`` views."""
+    """A table holds one read-only copy of its matrices: the stacks, whose
+    rows ``P(i)`` and ``L(i)`` return, and the terminal pair."""
 
     @pytest.mark.parametrize("source", ["build", "deserialize", "constructor"])
-    def test_entries_are_read_only_views_of_the_stacks(
-        self, source, double_integrator, double_integrator_table
-    ):
+    def test_matrices_are_read_only(self, source, double_integrator,
+                                    double_integrator_table):
         gt, _ = _table_from(source, double_integrator, double_integrator_table)
-        for i in gt.I0:
-            P, L = gt.entries[i]
-            assert np.shares_memory(P, gt.P_stack) and np.shares_memory(L, gt.L_stack)
-            for M in (P, L):
-                assert not M.flags.writeable
-                with pytest.raises(ValueError):
-                    M[0, 0] = 7.0
-        for M in (gt.Pp, gt.Lp):
+        rows = [M for i in gt.I0 for M in (gt.P(i), gt.L(i))]
+        for M in (gt.P_stack, gt.L_stack, gt.Pp, gt.Lp, gt.costs, *rows):
             assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[(0,) * M.ndim] = 7.0
+        for M in rows:
+            assert np.shares_memory(M, gt.P_stack) or np.shares_memory(M, gt.L_stack)
         with pytest.raises(TypeError):
-            gt.entries[gt.I0[0]] = None
-        with pytest.raises(TypeError):
-            gt.entries[99] = None
+            gt.rows[99] = 0
 
     def test_caller_arrays_stay_the_callers(self, double_integrator,
                                             double_integrator_table):
         gt, given = _table_from("constructor", double_integrator, double_integrator_table)
         cert = stability_certificate(gt, double_integrator, gt.p)
         text = serialize_gain_table(gt, cert)
-        before = {i: (gt.P(i).copy(), gt.L(i).copy()) for i in gt.I0}
-        for P, L in given["entries"].values():
-            P[0, 0] = L[0, 0] = 7.0
-        given["Pp"][0, 0] = given["Lp"][0, 0] = 7.0
-        given["entries"][3] = None
-        given["entries"][99] = None
-        for i in gt.I0:
-            for M, ref in zip((gt.P(i), gt.L(i)), before[i]):
-                np.testing.assert_array_equal(M, ref)
-            for M, ref in zip(gt.entries[i], before[i]):
-                np.testing.assert_array_equal(M, ref)
-        assert set(gt.entries) == set(gt.I0)
+        before = {name: getattr(gt, name).copy() for name in given}
+        for name, M in given.items():
+            assert not np.shares_memory(M, getattr(gt, name))
+            M[...] = 7.0
+        for name, M in before.items():
+            assert bits(getattr(gt, name)) == bits(M)
         assert serialize_gain_table(gt, cert) == text
 
-    @pytest.mark.parametrize("case", ["not-a-pair", "one-matrix", "non-numeric",
-                                      "object-strings", "non-finite-Pp", "not-a-mapping",
-                                      "Lp-columns"])
-    def test_malformed_input_is_refused(self, case, integrator_table):
+    @pytest.mark.parametrize("case, message", [pytest.param(*case, id=case[0]) for case in [
+        ("ragged-stack", "P_stack and L_stack must be stacks of numeric matrices"),
+        ("non-numeric", "P_stack and L_stack must be stacks of numeric matrices"),
+        ("stack-string", "P_stack and L_stack must be stacks of numeric matrices"),
+        ("one-matrix", "P_stack and L_stack must have shapes (5, 1, 1) and (5, 1, 1), "
+                       "got (1, 1) and (5, 1, 1)"),
+        ("L-transposed", "P_stack and L_stack must have shapes (5, 1, 1) and (5, 1, 1), "
+                         "got (5, 1, 1) and (1, 5, 1)"),
+        ("non-finite-stack", "entries have non-finite values"),
+        ("object-strings", "Pp must be a matrix of numbers"),
+        ("non-finite-Pp", "Pp has non-finite entries"),
+        ("Lp-columns", "Pp must be square and Lp must have as many columns"),
+    ]])
+    def test_malformed_input_is_refused(self, case, message, integrator_table):
         gt = integrator_table
         fields = dict(loop_id="x", alpha=gt.alpha, p=gt.p, I0=gt.I0, Pp=gt.Pp, Lp=gt.Lp,
-                      entries=dict(gt.entries))
-        if case == "not-a-pair":
-            fields["entries"][2] = (gt.P(2), gt.L(2), gt.L(2))
-        elif case == "one-matrix":
-            fields["entries"][2] = gt.P(2)
+                      P_stack=gt.P_stack.tolist(), L_stack=gt.L_stack)
+        if case == "ragged-stack":
+            fields["P_stack"][2] = [[1.0, 0.0]]
         elif case == "non-numeric":
-            fields["entries"][2] = ([["a"]], gt.L(2))
+            fields["P_stack"][2] = [["a"]]
+        elif case == "stack-string":
+            fields["L_stack"] = "x"
+        elif case == "one-matrix":
+            fields["P_stack"] = gt.P(2)
+        elif case == "L-transposed":
+            fields["L_stack"] = gt.L_stack.swapaxes(0, 1)
+        elif case == "non-finite-stack":
+            fields["P_stack"][2] = [[np.inf]]
         elif case == "object-strings":
             fields["Pp"] = np.array([["1.0x"]], dtype=object)
         elif case == "non-finite-Pp":
             fields["Pp"] = [[np.inf]]
-        elif case == "not-a-mapping":
-            fields["entries"] = [fields["entries"][i] for i in gt.I0]
         else:
             fields["Lp"] = [[1.0, 2.0]]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"^table 'x': {re.escape(message)}"):
             GainTable(**fields)
 
     def test_nested_lists_are_accepted(self, double_integrator_table):
         gt = double_integrator_table
         listed = GainTable(
             loop_id=gt.loop_id, alpha=gt.alpha, p=gt.p, I0=list(gt.I0),
-            entries={i: (gt.P(i).tolist(), gt.L(i).tolist()) for i in gt.I0},
+            P_stack=gt.P_stack.tolist(), L_stack=gt.L_stack.tolist(),
             Pp=gt.Pp.tolist(), Lp=gt.Lp.tolist(),
         )
         for name in ("P_stack", "L_stack", "Pp", "Lp", "costs"):
@@ -508,9 +553,8 @@ class TestCertificate:
         # tolerance, so the contraction check is the one that refuses.
         A3, B3 = oracle_transition_pairs(integrator, 3)[-1]
         F3 = A3 - B3 @ integrator_table.L(3)
-        entries = dict(integrator_table.entries)
-        entries[3] = ((1.0 - 1e-12) * (F3.T @ integrator_table.Pp @ F3), integrator_table.L(3))
-        gt = dataclasses.replace(integrator_table, entries=entries)
+        gt = _with_rows(integrator_table,
+                        P={3: (1.0 - 1e-12) * (F3.T @ integrator_table.Pp @ F3)})
         message = r"^loop 'integrator': contraction fails at wait 3 \(ratio 1 >= 1\)$"
         with pytest.raises(CertificateError, match=message) as got:
             stability_certificate(gt, integrator, 5)
@@ -530,7 +574,7 @@ class TestCertificate:
             cert = stability_certificate(gt, sys, p)
             for i, ratio in cert.per_i_ratio.items():
                 Ai, Bi = oracle_transition_pairs(sys, i)[-1]
-                Pi, Li = gt.entries[i]
+                Pi, Li = gt.P(i), gt.L(i)
                 F = Ai - Bi @ Li
                 G = F.T @ gt.Pp @ F
                 G = 0.5 * (G + G.T)
@@ -538,12 +582,13 @@ class TestCertificate:
                 assert abs(ratio - ref) <= 1e-12 * abs(ref), (plant, i)
 
     def test_corrupted_gain_fails_certificate(self, integrator, integrator_table):
-        bad_entries = dict(integrator_table.entries)
-        bad_entries[1] = (integrator_table.P(1), integrator_table.L(1) + 5.0)
+        L_stack = np.array(integrator_table.L_stack)
+        L_stack[integrator_table.rows[1]] += 5.0
         bad = GainTable(
             loop_id="bad",
             alpha=integrator_table.alpha,
-            entries=bad_entries,
+            P_stack=integrator_table.P_stack,
+            L_stack=L_stack,
             p=integrator_table.p,
             Pp=integrator_table.Pp,
             Lp=integrator_table.Lp,
@@ -559,7 +604,7 @@ class TestCertificate:
         gt = double_integrator_table
         L = np.array(gt.L(2))
         L[0, 0] = 1e308
-        bad = dataclasses.replace(gt, entries={**gt.entries, 2: (gt.P(2), L)})
+        bad = _with_rows(gt, L={2: L})
         with pytest.raises(CertificateError, match=r"^loop 'double_integrator': contraction "
                                                    r"ratio at wait 2 is not finite$"):
             stability_certificate(bad, double_integrator, 5)
@@ -902,12 +947,8 @@ class TestStackedErrors:
         self, integrator, integrator_table, non_pd, bad_gain, message
     ):
         gt = integrator_table
-        entries = dict(gt.entries)
-        for i in non_pd:
-            entries[i] = ([[-1.0]], entries[i][1])
-        for i in bad_gain:
-            entries[i] = (entries[i][0], gt.L(i) + 5.0)
-        bad = dataclasses.replace(gt, entries=entries)
+        bad = _with_rows(gt, P={i: [[-1.0]] for i in non_pd},
+                         L={i: gt.L(i) + 5.0 for i in bad_gain})
         with pytest.raises(CertificateError) as want:
             oracle_certificate(bad, integrator, 5)
         with pytest.raises(CertificateError, match=message) as got:
@@ -972,6 +1013,22 @@ class TestSerialization:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
             deserialize_gain_table("{not json")
+
+    def test_reader_orders_the_entries_by_wait(self, double_integrator,
+                                               double_integrator_table):
+        # The file format pairs each entry with its wait, so a file listing
+        # I0 and the entries in any order loads as the ordered table.
+        gt = double_integrator_table
+        cert = stability_certificate(gt, double_integrator, 5)
+        text = serialize_gain_table(gt, cert)
+        doc = json.loads(text)
+        doc["I0"].reverse()
+        doc["entries"] = doc["entries"][2:] + doc["entries"][:2]
+        back = deserialize_gain_table(json.dumps(doc))[0]
+        assert back.I0 == gt.I0 and dict(back.rows) == dict(gt.rows)
+        for name in ("P_stack", "L_stack", "Pp", "Lp", "costs"):
+            assert bits(getattr(back, name)) == bits(getattr(gt, name))
+        assert serialize_gain_table(back, cert) == text
 
     def test_bytes_equal_the_json_module_on_random_tables(self):
         rng = np.random.default_rng(29)
