@@ -31,8 +31,6 @@ from .simulator import (
     SimTrace,
     SweepSummary,
     TxEvent,
-    average_sampling_interval,
-    empiric_cost,
     rng_substream,
     run_periodic,
     run_self_triggered,
@@ -73,11 +71,9 @@ __all__ = [
     "SynthesisError",
     "TxEvent",
     "WeightSpec",
-    "average_sampling_interval",
     "build_gain_table",
     "decide",
     "deserialize_gain_table",
-    "empiric_cost",
     "feasible_set",
     "is_controllable",
     "lift_range",

@@ -35,8 +35,8 @@ from .simulator import (
     MODE_PERIODIC,
     _build_tables,
     _check_tables,
-    _stage_costs,
-    average_sampling_interval,
+    _refuse_nonfinite,
+    _row_statistics,
     run_periodic,
     run_self_triggered,
     sweep,
@@ -147,6 +147,19 @@ def _write_gnuplot(out_dir: Path, loops) -> None:
     (out_dir / "plot.gp").write_text("\n".join(lines) + "\n")
 
 
+def _state_norm(name: str, x: np.ndarray) -> float:
+    """The norm of loop ``name``'s finite state ``x``: numpy's, or where that
+    overflows, rescaled by ``max|x|``; past the largest float, refused."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm):
+        scale = float(np.abs(x).max())
+        norm = scale * float(np.linalg.norm(x / scale))
+    if math.isinf(norm):
+        raise ConfigurationError(f"loop {name!r}: the final state norm overflows")
+    return norm
+
+
 def cmd_simulate(args) -> int:
     scn, _ = load_scenario(args.scenario)
     if scn.mode == MODE_PERIODIC:
@@ -164,33 +177,32 @@ def cmd_simulate(args) -> int:
     summary = {}
     for spec in scn.loops:
         tr = trace.loops[spec.name]
+        waits = np.zeros((1, tr.horizon), dtype=int)
+        waits[0, tr.sample_times] = tr.waits
+        stage, intervals, costs = _row_statistics(tr.states[None], tr.inputs[None], waits,
+                                                  spec.weights.Q, spec.weights.R, scn.gamma)
         # A state near the float limit can square to a value or stage cost that
         # is not finite: as a sweep does, refuse the run before any output.
-        with np.errstate(over="ignore", invalid="ignore"):
-            stage = _stage_costs(tr.states, tr.inputs, spec.weights.Q, spec.weights.R)
-            cost = float(np.mean(stage))
-        bad = ~np.isfinite(stage)
-        bad[tr.sample_times] |= ~np.isfinite(tr.values)
-        if bad.any():
-            raise ConfigurationError(f"loop {spec.name!r}: value or stage cost is not "
-                                     f"finite from step k={bad.argmax()}")
-        if not math.isfinite(cost):
+        finite = np.isfinite(stage)
+        finite[0, tr.sample_times] &= np.isfinite(tr.values)
+        _refuse_nonfinite(spec.name, "value or stage cost", finite)
+        if not np.isfinite(costs[0]):
             raise ConfigurationError(f"loop {spec.name!r}: the empiric cost overflows")
         summary[spec.name] = {
             "first_wait": int(tr.waits[0]),
             "final_wait": int(tr.waits[-1]),
             "n_samples": int(tr.sample_times.size),
-            "avg_interval": average_sampling_interval(tr),
-            "empiric_cost": cost,
+            "avg_interval": float(intervals[0]),
+            "empiric_cost": float(costs[0]),
             "final_value": float(tr.values[-1]),
-            "final_state_norm": float(np.linalg.norm(tr.states[-1])),
+            "final_state_norm": _state_norm(spec.name, tr.states[-1]),
         }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in scn.loops:
         write_trace_csv(trace.loops[spec.name], out_dir / f"{spec.name}.trace.csv")
     write_txlog_csv(trace, out_dir / "tx_log.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     if args.gnuplot:
         _write_gnuplot(out_dir, scn.loops)
     for name, stats in summary.items():

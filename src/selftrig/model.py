@@ -336,9 +336,12 @@ class WeightSpec:
         for M, name in ((Q, "Q"), (R, "R")):
             if M.shape[0] != M.shape[1]:
                 raise ConfigurationError(f"{name} must be square, got {M.shape}")
-            if not _symmetric(M):
-                raise ConfigurationError(f"{name} must be symmetric")
-            S = symmetrize(M)
+            with np.errstate(over="ignore", invalid="ignore"):  # near the float limit
+                if not _symmetric(M):
+                    raise ConfigurationError(f"{name} must be symmetric")
+                S = symmetrize(M)
+            if not _all_finite(S):
+                raise ConfigurationError(f"{name} is too large: its symmetric part is not finite")
             check_positive_definite(S, name)
             object.__setattr__(self, name, _readonly(S))
         object.__setattr__(self, "alpha", _nonnegative(self.alpha, "alpha"))
@@ -380,18 +383,20 @@ def _lift_recursion(sys: LtiSystem, gamma: int, weights: WeightSpec | None = Non
     stacks = [np.empty((gamma, *shape)) for shape in shapes]
     As, Bs = stacks[:2]
     Ai, Bi = As[0], Bs[0] = A, B
-    for j in range(1, gamma):
-        Ai, Bi = A @ Ai, A @ Bi + B
-        As[j], Bs[j] = Ai, Bi
-    if weights is not None:
-        Q, R = weights.Q, weights.R
-        Qs, Rs, Ns = stacks[2:]
-        Qi, Ri, Ni = Qs[0], Rs[0], Ns[0] = Q, R, np.zeros((n, m))
-        for j, Ai, Bi in zip(range(1, gamma), As, Bs):
-            Qi = symmetrize(Qi + Ai.T @ Q @ Ai)
-            Ri = symmetrize(Ri + Bi.T @ Q @ Bi + R)
-            Ni = Ni + Ai.T @ Q @ Bi
-            Qs[j], Rs[j], Ns[j] = Qi, Ri, Ni
+    # An unstable plant's long lift may overflow silently; its readers refuse it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, gamma):
+            Ai, Bi = A @ Ai, A @ Bi + B
+            As[j], Bs[j] = Ai, Bi
+        if weights is not None:
+            Q, R = weights.Q, weights.R
+            Qs, Rs, Ns = stacks[2:]
+            Qi, Ri, Ni = Qs[0], Rs[0], Ns[0] = Q, R, np.zeros((n, m))
+            for j, Ai, Bi in zip(range(1, gamma), As, Bs):
+                Qi = symmetrize(Qi + Ai.T @ Q @ Ai)
+                Ri = symmetrize(Ri + Bi.T @ Q @ Bi + R)
+                Ni = Ni + Ai.T @ Q @ Bi
+                Qs[j], Rs[j], Ns[j] = Qi, Ri, Ni
     for M in stacks:
         M.setflags(write=False)
     return tuple(stacks)

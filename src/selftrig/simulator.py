@@ -16,9 +16,10 @@ scheduler's residue mask and the controller's argmin, each row scored with
 its alpha's sampling costs) and fixed-interval sampling with each row's
 periodic Riccati gain, which also serves a single periodic run.  Initial
 states are assumed known to the controller at k = 0 without consuming
-channel slots, so coordinated start-up needs no transmissions.  Sweeps
-over the sampling cost aggregate both laws through one per-run statistics
-path.
+channel slots, so coordinated start-up needs no transmissions.  One
+stacked pass takes each loop's per-run statistics, for a single run as
+for every run of a sweep, and one helper raises every "is not finite"
+refusal of a step.
 
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
@@ -385,7 +386,6 @@ class LoopTrace:
     """
 
     name: str
-    gamma: int
     states: np.ndarray
     inputs: np.ndarray
     sample_times: np.ndarray
@@ -457,18 +457,23 @@ def _check_tables(scn: Scenario, tables: dict) -> list:
     return ordered
 
 
+def _refuse_nonfinite(name: str, what: str, finite: np.ndarray, keys=None) -> None:
+    """Refuse loop ``name`` when ``finite`` ``(R, T)`` is False anywhere: the one
+    "is not finite" refusal.  It names the first step of the first such row
+    and, given ``keys`` (one ``(alpha_index, run_index)`` per row), its run
+    and alpha index."""
+    if not finite.all():
+        row, k = np.argwhere(~finite)[0]
+        of_row = "" if keys is None else " of run {1}, alpha index {0}".format(*keys[row])
+        raise ConfigurationError(f"loop {name!r}: {what} is not finite from step k={k}{of_row}")
+
+
 def _check_finite(name: str, states: np.ndarray, keys) -> None:
     """Refuse rows whose state left the finite floats, naming the first bad
     step (and its run and alpha index, when several rows were advanced
     together)."""
-    finite = np.isfinite(states).all(axis=-1)
-    if not finite.all():
-        row, k = np.argwhere(~finite)[0]
-        alpha_index, run = keys[row]
-        of_row = f" of run {run}, alpha index {alpha_index}" if len(keys) > 1 else ""
-        raise ConfigurationError(
-            f"loop {name!r}: state is not finite from step k={k}{of_row}"
-        )
+    _refuse_nonfinite(name, "state", np.isfinite(states).all(axis=-1),
+                      keys if len(keys) > 1 else None)
 
 
 def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
@@ -484,8 +489,7 @@ def _segment_map(sys: LtiSystem, gamma: int, noisy: bool) -> np.ndarray:
     overflow for an unstable plant, silently.
     """
     n, m = sys.n, sys.m
-    with np.errstate(over="ignore", invalid="ignore"):
-        A, B = _lift(sys, gamma)
+    A, B = _lift(sys, gamma)
     # [A_l | B_l] (n, n+m) for each l, moved to rows (n+m) x blocks (l, n).
     lifted = np.concatenate([A, B], axis=2)
     phi = lifted.transpose(2, 0, 1).reshape(n + m, gamma * n)
@@ -657,7 +661,6 @@ def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
         inputs.setflags(write=False)
         loops[spec.name] = LoopTrace(
             name=spec.name,
-            gamma=scn.gamma,
             states=states,
             inputs=inputs,
             sample_times=times,
@@ -787,24 +790,23 @@ def _self_triggered_runs(scn: Scenario, tables: dict, keys, draws) -> list:
     return _event_loop(scn, [0] * len(scn.loops), policy, keys, draws)
 
 
-def empiric_cost(trace: LoopTrace, Q, R) -> float:
-    """Time-averaged quadratic stage cost (1/T) sum x'Qx + u'Ru."""
-    return float(np.mean(_stage_costs(trace.states, trace.inputs, Q, R)))
-
-
-def average_sampling_interval(trace: LoopTrace) -> float:
-    """Mean gap between consecutive sampling instants.
-
-    Undefined with fewer than two samples; reported as gamma (the
-    guaranteed maximum wait) in that case.
-    """
-    return _mean_interval(trace.sample_times, trace.gamma)
-
-
-def _mean_interval(sample_times: np.ndarray, gamma: int) -> float:
-    if sample_times.size < 2:
-        return float(gamma)
-    return float(np.mean(np.diff(sample_times)))
+def _row_statistics(states, inputs, waits, Q, R, gamma: int) -> tuple:
+    """One loop's statistics on the rows of an :func:`_event_loop` result, in
+    one stacked pass: the stage costs ``x'Qx + u'Ru`` ``(R, T)``, which may
+    overflow silently, and each row's mean sampling interval and empiric
+    cost (its mean stage cost), ``(R,)`` each.  A mean interval is the span
+    from the first to the last sample over the gaps between them, or
+    ``gamma``, the largest wait, with fewer than two samples."""
+    sampled = waits != 0
+    gaps = np.count_nonzero(sampled, axis=1) - 1
+    span = (waits.shape[1] - 1 - sampled[:, ::-1].argmax(axis=1)) - sampled.argmax(axis=1)
+    intervals = np.where(gaps > 0, span / np.maximum(gaps, 1), float(gamma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if waits.shape[1] > 1:
+            stage = _stage_costs(states, inputs, Q, R)
+        else:  # einsum sums a lone step in another order than a run of steps
+            stage = np.array([_stage_costs(x, u, Q, R) for x, u in zip(states, inputs)])
+        return stage, intervals, stage.mean(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -833,45 +835,27 @@ def _empty_stats(names) -> dict:
 
 def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
     """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
-    standard error over runs of the sampling interval and the empiric cost.
-    ``per_loop`` holds what :func:`_event_loop` returns; each statistic
-    takes one stacked pass over the runs.  A run's mean interval is the
-    span from its first to its last sample over the gaps between them, as
-    :func:`_mean_interval` gives.  Finite states near the float limit can
-    square to an infinite cost, so a statistic that is not finite raises
-    ConfigurationError, naming the first step, run and alpha index whose
-    stage cost is not finite."""
+    standard error over runs of the sampling interval and the empiric cost,
+    from :func:`_row_statistics` of ``per_loop``, what :func:`_event_loop`
+    returns.  Finite states near the float limit can square to an infinite
+    cost, so a statistic that is not finite raises ConfigurationError,
+    naming the first step, run and alpha index whose stage cost is not
+    finite."""
     for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
         n_runs = len(waits)
-        sampled = waits != 0
-        gaps = np.count_nonzero(sampled, axis=1) - 1
-        span = (waits.shape[1] - 1 - sampled[:, ::-1].argmax(axis=1)) - sampled.argmax(axis=1)
-        intervals = np.where(gaps > 0, span / np.maximum(gaps, 1), float(scn.gamma))
-        Q, R = spec.weights.Q, spec.weights.R
+        stage, intervals, costs = _row_statistics(states, inputs, waits, spec.weights.Q,
+                                                  spec.weights.R, scn.gamma)
         with np.errstate(over="ignore", invalid="ignore"):
-            if waits.shape[1] > 1:
-                stage = _stage_costs(states, inputs, Q, R)
-            else:  # einsum sums a lone step in another order than a run of steps
-                stage = np.array([_stage_costs(x, u, Q, R) for x, u in zip(states, inputs)])
-            costs = stage.mean(axis=1)
             for key, v in (("interval", intervals), ("cost", costs)):
                 mean = float(np.mean(v))
                 se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
                 if not np.isfinite([mean, se]).all():
-                    raise ConfigurationError(_cost_overflow(spec.name, ai, stage))
+                    _refuse_nonfinite(spec.name, "stage cost", np.isfinite(stage),
+                                      [(ai, run) for run in range(n_runs)])
+                    raise ConfigurationError(f"loop {spec.name!r}: the stage-cost "
+                                             f"statistics overflow at alpha index {ai}")
                 stats["mean_" + key][spec.name][ai] = mean
                 stats["se_" + key][spec.name][ai] = se
-
-
-def _cost_overflow(name: str, ai: int, stage: np.ndarray) -> str:
-    """Why the cost statistics of loop ``name`` at alpha index ``ai`` are not
-    finite, given the stage costs ``stage``, one row per run."""
-    for run, c in enumerate(stage):
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
-            return (f"loop {name!r}: stage cost is not finite from step k={bad[0]} "
-                    f"of run {run}, alpha index {ai}")
-    return f"loop {name!r}: the stage-cost statistics overflow at alpha index {ai}"
 
 
 # Rows times steps that one event loop of a sweep advances, unless one

@@ -19,7 +19,9 @@ each alpha's runs scored by its own tables, and the fixed-interval
 baseline with one event loop per run, each with its statistics taken one
 run at a time, are the bit references of the package's sweep, which runs
 every (alpha, run) row in one event loop and takes each statistic in one
-stacked pass.  One ``SeedSequence`` -> ``Philox`` generator per (row,
+stacked pass; one run's empiric cost and mean sampling interval, taken
+from its trace, are the bit references of what ``simulate`` reports.
+One ``SeedSequence`` -> ``Philox`` generator per (row,
 loop), drawing x0 and then the disturbances, is the bit reference of the
 package's draws, which key every substream of a draw in one pass.
 """
@@ -486,6 +488,30 @@ def oracle_print_table(gt, cert) -> None:
 # their statistics one run at a time.
 
 
+def oracle_empiric_cost(trace, Q, R) -> float:
+    """The time-averaged stage cost (1/T) sum x'Qx + u'Ru of one run's trace."""
+    x, u = trace.states[:trace.horizon], trace.inputs
+    return float(np.mean(np.einsum("ki,ij,kj->k", x, Q, x) + np.einsum("ki,ij,kj->k", u, R, u)))
+
+
+def oracle_average_sampling_interval(trace, gamma) -> float:
+    """The mean gap between one run's samples; ``gamma`` with fewer than two."""
+    if trace.sample_times.size < 2:
+        return float(gamma)
+    return float(np.mean(np.diff(trace.sample_times)))
+
+
+def oracle_cost_refusal(name, ai, stage) -> str:
+    """Why the cost statistics of loop ``name`` at alpha index ``ai`` are not
+    finite, given the stage costs ``stage``, one row per run."""
+    for run, c in enumerate(stage):
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            return (f"loop {name!r}: stage cost is not finite from step k={bad[0]} "
+                    f"of run {run}, alpha index {ai}")
+    return f"loop {name!r}: the stage-cost statistics overflow at alpha index {ai}"
+
+
 def oracle_record_runs(stats, ai, scn, per_loop) -> None:
     """``simulator._record_runs`` one run at a time: each run's stage costs
     and the mean of the gaps between its samples (gamma with fewer than two
@@ -506,7 +532,7 @@ def oracle_record_runs(stats, ai, scn, per_loop) -> None:
                 mean = float(np.mean(v))
                 se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
                 if not np.isfinite([mean, se]).all():
-                    raise ConfigurationError(simulator._cost_overflow(spec.name, ai, stage))
+                    raise ConfigurationError(oracle_cost_refusal(spec.name, ai, stage))
                 stats["mean_" + key][spec.name][ai] = mean
                 stats["se_" + key][spec.name][ai] = se
 

@@ -30,6 +30,9 @@ from selftrig.cli import main
 from selftrig.scenario import load_scenario
 
 from conftest import (
+    bits,
+    oracle_average_sampling_interval,
+    oracle_empiric_cost,
     oracle_print_table,
     oracle_write_trace_csv,
     oracle_write_txlog_csv,
@@ -230,6 +233,21 @@ class TestSynth:
         assert not (tmp_path / "out").exists()
 
 
+def test_a_weight_whose_symmetric_part_overflows_exits_2_at_load(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "two_loop.json").read_text())
+    doc["loops"][1]["Q"] = [1e308, 0.0, 0.0, 1e308]
+    scen = tmp_path / "huge_q.json"
+    scen.write_text(json.dumps(doc))
+    for argv in (("synth", "-c", str(scen), "-o", str(tmp_path / "tables")),
+                 ("sweep", "-c", str(scen), "--alphas", "0,1", "--runs", "2",
+                  "-o", str(tmp_path / "s.csv"))):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: loop 'double_integrator': Q is too large: its "
+            "symmetric part is not finite\n")
+    assert list(tmp_path.iterdir()) == [scen]
+
+
 class TestSimulate:
     def test_single_loop_transient_summary(self, tmp_path, capsys):
         tables = tmp_path / "tables"
@@ -332,6 +350,101 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"configuration error: loop 'integrator': {message}\n")
         assert not out.exists()
+
+    @staticmethod
+    def _summary(out):
+        """``summary.json`` of a run, refusing the tokens NaN and Infinity."""
+        def refuse(token):
+            raise AssertionError(f"summary.json holds {token}")
+        return json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("name", ["integrator_transient", "two_loop", "integrator_sweep"])
+    def test_statistics_equal_the_one_run_oracles(self, name, tmp_path):
+        # Each loop's avg_interval and empiric_cost, bit for bit, under the
+        # self-triggered law and under every period ts in [s, p], at
+        # horizons 1, 2 and the scenario's own (periodic ones need T >= s).
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        tables = tmp_path / "tables"
+        assert run_cli("synth", "-c", str(SCENARIOS / f"{name}.json"), "-o", str(tables)) == 0
+        gts = {}
+        for path in tables.glob("*.gains.json"):
+            gt, _, _ = deserialize_gain_table(path.read_text())
+            gts[gt.loop_id] = gt
+        s = len(doc["loops"])
+        modes = [{"mode": "self_triggered"}]
+        modes += [{"mode": "periodic", "ts": ts} for ts in range(s, doc["p"] + 1)]
+        scen, out = tmp_path / "scenario.json", tmp_path / "run"
+        checked = 0
+        for horizon in (1, 2, doc["horizon"]):
+            for mode in modes:
+                periodic = mode["mode"] == "periodic"
+                if periodic and horizon < s:
+                    continue
+                scen.write_text(json.dumps({**doc, **mode, "horizon": horizon}))
+                assert run_cli("simulate", "-c", str(scen), "-t", str(tables),
+                               "-o", str(out)) == 0
+                summary = self._summary(out)
+                scn = load_scenario(scen)[0]
+                trace = run_periodic(scn) if periodic else run_self_triggered(scn, gts)
+                for spec in scn.loops:
+                    tr = trace.loops[spec.name]
+                    stats = summary[spec.name]
+                    assert bits(stats["avg_interval"]) \
+                        == bits(oracle_average_sampling_interval(tr, scn.gamma))
+                    assert bits(stats["empiric_cost"]) \
+                        == bits(oracle_empiric_cost(tr, spec.weights.Q, spec.weights.R))
+                    checked += 1
+        assert checked == {"integrator_transient": 18, "two_loop": 22,
+                           "integrator_sweep": 48}[name]
+
+    def test_a_state_norm_whose_square_overflows_is_rescaled(self, tmp_path):
+        # The state decays from 1e200 to about 1e182; its square overflows,
+        # its norm does not.
+        doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
+        doc["loops"][0].update(A=[0.5], Q=[1e-300], x0=[1e200])
+        scen = tmp_path / "big.json"
+        scen.write_text(json.dumps(doc))
+        tables, out = tmp_path / "tables", tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("synth", "-c", str(scen), "-o", str(tables)) == 0
+            assert run_cli("simulate", "-c", str(scen), "-t", str(tables),
+                           "-o", str(out)) == 0
+        norm = self._summary(out)["integrator"]["final_state_norm"]
+        final = float(np.loadtxt(out / "integrator.trace.csv", delimiter=",", skiprows=1,
+                                 usecols=1)[-1])
+        assert 1e150 < norm < 1e200
+        assert norm == pytest.approx(abs(0.5 * final), rel=1e-6)
+
+    def test_a_state_norm_past_the_largest_float_exits_2(self, tmp_path, capsys):
+        # Both entries of the final state are near 1.48e308, finite, and the
+        # state's norm is not; only the last disturbance reaches that state,
+        # so the stage costs and the value stay finite.
+        doc = {"schema_version": 1, "name": "norm", "loops": [{
+            "name": "a", "n": 2, "m": 1, "w": 1, "A": [0.5, 1.0, 0.0, 0.5], "B": [0.0, 1.0],
+            "E": [1.1e154, 1.1e154], "Q": [1.0, 0.0, 0.0, 1.0], "R": [1.0], "alpha": 0.0,
+            "x0": [0.0, 0.0], "noise_variance": 1e308}],
+            "I0": [1, 2], "p": 2, "horizon": 1, "seed": 2, "mode": "periodic", "ts": 1}
+        scen = tmp_path / "norm.json"
+        scen.write_text(json.dumps(doc))
+        final = run_periodic(load_scenario(scen)[0]).loops["a"].states[-1]
+        assert np.isfinite(final).all() and abs(final).min() > 1.3e308
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "-c", str(scen), "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: loop 'a': the final state norm overflows\n")
+        assert not out.exists()
+
+    def test_the_state_norm_is_numpys_where_it_does_not_overflow(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5):
+            for scale in (1e-300, 1e-5, 1.0, 1e100, 1e150):
+                x = scale * rng.standard_normal(n)
+                assert bits(cli._state_norm("a", x)) == bits(np.linalg.norm(x))
+        assert cli._state_norm("a", np.array([3e200, -4e200])) == pytest.approx(5e200)
 
     def test_periodic_mode_runs_without_tables(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "integrator_transient.json").read_text())
@@ -1031,9 +1144,8 @@ def test_every_field_mutation_exits_with_a_documented_code(synth_out, tmp_path):
     scenario, ``verify`` and ``simulate`` for a table.  Every call returns
     0, 2, 3, 4 or 5 and raises nothing.  A size field set to 2**63 or more
     runs in a child whose memory is capped.  A value near the float limit
-    may overflow on the way to its refusal or its result; numpy's overflow
-    and invalid-value warnings are recorded, not raised, and they are the
-    only warnings.
+    may overflow on the way to its refusal or its result, silently: every
+    warning is recorded, and the test fails on any.
 
     Left out because they are slow by design, not refused: a ``sweep`` with
     a wait (an ``I0`` entry) or a ``horizon`` of 10**6, which lifts each
@@ -1083,8 +1195,7 @@ def test_every_field_mutation_exits_with_a_documented_code(synth_out, tmp_path):
                     shutil.rmtree(out, ignore_errors=True)
                     codes.append(code)
     assert len(codes) > 300 and {0, 2, 3} <= set(codes)
-    assert all(w.category is RuntimeWarning and str(w.message).startswith(
-        ("overflow encountered", "invalid value encountered")) for w in caught)
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
 
 
 @pytest.mark.parametrize("q", [1e-6, 1e-9])

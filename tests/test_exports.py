@@ -29,11 +29,9 @@ PUBLIC_NAMES = [
     "SynthesisError",
     "TxEvent",
     "WeightSpec",
-    "average_sampling_interval",
     "build_gain_table",
     "decide",
     "deserialize_gain_table",
-    "empiric_cost",
     "feasible_set",
     "is_controllable",
     "lift_range",

@@ -196,6 +196,29 @@ class TestWeightSymmetry:
                         WeightSpec(**kwargs)
         assert 0.2 < np.mean(verdicts) < 0.8
 
+    @pytest.mark.parametrize("name", ["Q", "R"])
+    @pytest.mark.parametrize("M", [[[1e308, 0.0], [0.0, 1e308]], [[9e307]]],
+                             ids=["diagonal-1e308", "9e307"])
+    def test_refuses_a_symmetric_part_past_the_largest_float(self, name, M):
+        # M + M' overflows, so the symmetric part is not finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=f"^{name} is too large: its "
+                               "symmetric part is not finite$"):
+                WeightSpec(**{"Q": [[1.0]], "R": [[1.0]], name: M})
+
+    def test_refuses_a_huge_asymmetry_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="^Q must be symmetric$"):
+                WeightSpec(Q=[[1.0, 1e308], [-1e308, 1.0]], R=[[1.0]])
+
+    def test_keeps_a_large_finite_weight(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = WeightSpec(Q=[[1e307]], R=[[1.0]])
+        assert w.Q.tobytes() == np.array([[1e307]]).tobytes()
+
 class TestCollapsedStageCost:
     """The lifted weights collapse the held-input stage costs into one
     quadratic form, equal to the step-by-step sum."""

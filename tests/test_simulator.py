@@ -19,10 +19,8 @@ from selftrig import (
     ReservationLedger,
     Scenario,
     WeightSpec,
-    average_sampling_interval,
     build_gain_table,
     decide,
-    empiric_cost,
     lift_range,
     rng_substream,
     run_periodic,
@@ -39,6 +37,7 @@ from selftrig.simulator import (
     TxEvent,
     _draws,
     _event_loop,
+    _row_statistics,
     _self_triggered_runs,
     _stage_costs,
     write_sweep_csv,
@@ -48,7 +47,9 @@ from selftrig.simulator import (
 
 from conftest import (
     bits,
+    oracle_average_sampling_interval,
     oracle_draws,
+    oracle_empiric_cost,
     oracle_periodic_baseline,
     oracle_periodic_run,
     oracle_record_runs,
@@ -102,16 +103,16 @@ class TestSingleLoopTransient:
         assert all(b <= a + 1e-12 for a, b in zip(tr.values[1:], tr.values[2:]))
         assert abs(tr.values[-1] - 0.04) <= 1e-6
 
-    def test_interval_strictly_inside_range(self, transient_run):
+    def test_interval_strictly_inside_range(self, transient_run, transient_scenario):
         tr = transient_run.loops["integrator"]
-        assert 1.0 < average_sampling_interval(tr) < 5.0
+        assert 1.0 < oracle_average_sampling_interval(tr, transient_scenario.gamma) < 5.0
 
-    def test_trace_shapes_and_gaps(self, transient_run):
+    def test_trace_shapes_and_gaps(self, transient_run, transient_scenario):
         tr = transient_run.loops["integrator"]
         assert tr.states.shape == (61, 1)
         assert tr.inputs.shape == (60, 1)
         gaps = np.diff(tr.sample_times)
-        assert gaps.min() >= 1 and gaps.max() <= tr.gamma
+        assert gaps.min() >= 1 and gaps.max() <= transient_scenario.gamma
 
     def test_input_constant_between_samples(self, transient_run):
         tr = transient_run.loops["integrator"]
@@ -243,7 +244,7 @@ class TestPeriodicBaseline:
         # Identical initial states make step 0 equal; compare afterwards.
         assert _stage_costs(slow_tr.states, slow_tr.inputs, Q, R)[1:].max() \
             > _stage_costs(self_tr.states, self_tr.inputs, Q, R)[1:].max()
-        assert empiric_cost(slow_tr, Q, R) > empiric_cost(self_tr, Q, R)
+        assert oracle_empiric_cost(slow_tr, Q, R) > oracle_empiric_cost(self_tr, Q, R)
 
     def test_zero_state_stays_zero(self, integrator, integrator_weights):
         scn = Scenario(
@@ -364,8 +365,8 @@ class TestCostStatistics:
             I0=range(1, 6), p=5, horizon=20, seed=0,
         )
         tr = run_self_triggered(scn, {"integrator": integrator_table})
-        assert empiric_cost(tr.loops["integrator"], integrator_weights.Q,
-                            integrator_weights.R) == 0.0
+        assert oracle_empiric_cost(tr.loops["integrator"], integrator_weights.Q,
+                                   integrator_weights.R) == 0.0
 
     def test_single_step_arithmetic(self, integrator, integrator_table):
         w = WeightSpec(Q=[[1.0]], R=[[0.1]], alpha=0.2)
@@ -377,8 +378,8 @@ class TestCostStatistics:
         gt = build_gain_table(integrator, w, range(1, 6), 5, loop_id="integrator")
         tr = run_self_triggered(scn, {"integrator": gt}).loops["integrator"]
         u = tr.inputs[0, 0]
-        assert empiric_cost(tr, w.Q, w.R) == pytest.approx(4.0 + 0.1 * u * u,
-                                                           rel=1e-12)
+        assert oracle_empiric_cost(tr, w.Q, w.R) == pytest.approx(4.0 + 0.1 * u * u,
+                                                                  rel=1e-12)
 
     def test_against_independent_accumulation(self, transient_run, integrator_weights):
         tr = transient_run.loops["integrator"]
@@ -386,27 +387,30 @@ class TestCostStatistics:
         for k in range(tr.horizon):
             x, u = tr.states[k], tr.inputs[k]
             total += float(x @ integrator_weights.Q @ x + u @ integrator_weights.R @ u)
-        assert empiric_cost(tr, integrator_weights.Q, integrator_weights.R) \
+        assert oracle_empiric_cost(tr, integrator_weights.Q, integrator_weights.R) \
             == pytest.approx(total / tr.horizon, rel=1e-12)
 
-    def test_average_interval_arithmetic(self, transient_run):
-        tr = transient_run.loops["integrator"]
-        samples = np.array([0, 1, 3, 8])
-        fake = tr.__class__(
-            name="x", gamma=5, states=tr.states, inputs=tr.inputs,
-            sample_times=samples, waits=tr.waits[:4], values=tr.values[:4],
-            feasible_sets=tr.feasible_sets[:4],
-        )
-        assert average_sampling_interval(fake) == pytest.approx(8.0 / 3.0)
+    @staticmethod
+    def _intervals(tr, weights, rows, gamma):
+        """The mean sampling intervals of ``tr``'s states and inputs sampled
+        at each row of sample times ``rows``."""
+        waits = np.zeros((len(rows), tr.horizon), dtype=int)
+        for r, times in enumerate(rows):
+            waits[r, times] = 1
+        n = len(rows)
+        _, intervals, _ = _row_statistics(np.repeat(tr.states[None], n, axis=0),
+                                          np.repeat(tr.inputs[None], n, axis=0),
+                                          waits, weights.Q, weights.R, gamma)
+        return intervals.tolist()
 
-    def test_single_sample_reports_gamma(self, transient_run):
+    def test_average_interval_arithmetic(self, transient_run, integrator_weights):
         tr = transient_run.loops["integrator"]
-        fake = tr.__class__(
-            name="x", gamma=5, states=tr.states, inputs=tr.inputs,
-            sample_times=np.array([0]), waits=tr.waits[:1], values=tr.values[:1],
-            feasible_sets=tr.feasible_sets[:1],
-        )
-        assert average_sampling_interval(fake) == 5.0
+        intervals = self._intervals(tr, integrator_weights, [[0, 1, 3, 8], [2, 9]], 5)
+        assert intervals == [pytest.approx(8.0 / 3.0), 7.0]
+
+    def test_single_sample_reports_gamma(self, transient_run, integrator_weights):
+        tr = transient_run.loops["integrator"]
+        assert self._intervals(tr, integrator_weights, [[0], [9]], 5) == [5.0, 5.0]
 
 
 class TestDeterminism:
@@ -708,7 +712,7 @@ class TestScenarioValidation:
 class TestTraceCsv:
     def test_exact_text(self, tmp_path):
         trace = LoopTrace(
-            name="a", gamma=2,
+            name="a",
             states=np.array([[0.1, -2.5], [1e-05, 0.0], [2.0, 0.1 + 0.2], [9.0, 9.0]]),
             inputs=np.array([[-2.5], [-2.5], [1e-05]]),
             sample_times=np.array([0, 2]), waits=np.array([2, 1]),
@@ -743,7 +747,7 @@ class TestTraceCsv:
         if horizon >= 6 and not np.issubdtype(dtype, np.integer):
             inputs[1:5] = np.array([0.0, -0.0, -0.0, 0.0])[:, None]
         return LoopTrace(
-            name="a", gamma=5, states=states, inputs=inputs, sample_times=times,
+            name="a", states=states, inputs=inputs, sample_times=times,
             waits=held, values=rng.choice(cls.AWKWARD, size=times.size),
             feasible_sets=(frozenset({1}),) * times.size,
         )
@@ -1088,8 +1092,9 @@ class TestBatchedSweep:
             traces = [_per_run_reference(scn, tables, ai, r) for r in range(n_runs)]
             for spec in scn.loops:
                 loop = [t.loops[spec.name] for t in traces]
-                interval = float(np.mean([average_sampling_interval(t) for t in loop]))
-                cost = float(np.mean([empiric_cost(t, spec.weights.Q, spec.weights.R)
+                interval = float(np.mean([oracle_average_sampling_interval(t, scn.gamma)
+                                          for t in loop]))
+                cost = float(np.mean([oracle_empiric_cost(t, spec.weights.Q, spec.weights.R)
                                       for t in loop]))
                 assert summary.mean_interval[spec.name][ai] == interval
                 if case == "integrator_sweep":
