@@ -13,7 +13,9 @@ Each ledger builds its residue table once: ``I0`` as a set, and the waits
 of ``I0`` in each residue class modulo ``p`` that ``I0`` meets.  The table
 is sized by ``|I0|``, not by ``p``, and every ledger that :func:`reserve`
 derives shares it.  The feasible set is then ``I0`` minus the classes of
-the opposing reservations, one set difference.
+the opposing reservations, one set difference, kept in the ledger's
+private memo: :func:`reserve`'s feasibility check asks for the set the
+deciding loop has just asked for, and finds it there.
 
 A ledger is validated once, when a caller builds it.  :func:`reserve`
 derives the next ledger from a feasible wait without validating again:
@@ -86,13 +88,21 @@ class ReservationLedger:
             classes.setdefault(i % self.p, []).append(i)
         object.__setattr__(self, "_waits", frozenset(self.I0))
         object.__setattr__(self, "_classes", {r: frozenset(c) for r, c in classes.items()})
+        # The memo of feasible_set, per (loop_id, k); each ledger has its own.
+        object.__setattr__(self, "_feasible", {})
 
 
 def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
     """Waits loop ``loop_id`` may choose at time ``k`` without collisions.
 
     Guaranteed non-empty for admissible ledgers; an empty result indicates
-    a broken internal invariant and raises.
+    a broken internal invariant and raises.  Every call checks its
+    arguments; the result is then kept in the ledger's private memo, keyed
+    by ``(loop_id, k)``, so asking again (as :func:`reserve` does) returns
+    the same set without recomputing it.  The memo is not a field: it takes
+    no part in ``repr`` or ``replace``, and a replaced or derived ledger
+    starts an empty one.  Threads may share a ledger: two that fill one
+    memo entry at once store equal sets.
     """
     if loop_id not in ledger.loop_order:
         raise ConfigurationError(f"unknown loop {loop_id!r}")
@@ -103,6 +113,10 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
         raise SchedulingError(
             f"loop {loop_id!r} decides at k={k}, past its reserved slot {own}"
         )
+    memo = ledger._feasible
+    feas = memo.get((loop_id, k))
+    if feas is not None:
+        return feas
     p, classes = ledger.p, ledger._classes
     # (i - (kq - k)) % p == 0 exactly when i and kq - k share a residue.
     feas = ledger._waits.difference(
@@ -113,6 +127,7 @@ def feasible_set(ledger: ReservationLedger, loop_id: str, k: int) -> frozenset:
             f"internal invariant violation: loop {loop_id!r} has no feasible wait "
             f"at k={k} (reservations {dict(ledger.next_tx)})"
         )
+    memo[loop_id, k] = feas
     return feas
 
 
@@ -122,7 +137,9 @@ def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> Reservat
     Returns a new ledger and leaves ``ledger`` unchanged.  The wait must be
     feasible at time k, which is the only collision check: a feasible wait
     never lands on another sensor's slot, so the new ledger is derived
-    without validating it again.
+    without validating it again.  The check calls :func:`feasible_set`,
+    which answers from ``ledger``'s memo when the loop has just asked; the
+    new ledger starts an empty memo.
     """
     i = _integer(i, "wait")
     if i not in feasible_set(ledger, loop_id, k):
@@ -132,7 +149,7 @@ def reserve(ledger: ReservationLedger, loop_id: str, k: int, i: int) -> Reservat
     next_tx = ledger.next_tx.copy()
     next_tx[loop_id] = int(k) + i
     booked = object.__new__(ReservationLedger)
-    booked.__dict__.update(ledger.__dict__, next_tx=MappingProxyType(next_tx))
+    booked.__dict__.update(ledger.__dict__, next_tx=MappingProxyType(next_tx), _feasible={})
     return booked
 
 

@@ -513,7 +513,9 @@ def _draws(scn: Scenario, keys) -> list:
     :func:`_substream_keys` keys every substream of the call; one Philox
     generator is then re-keyed per (row, loop), with its counter and
     buffer reset, and draws that row's x0 and disturbances in one call into
-    a per-loop block, which is scaled per loop.
+    a per-loop block, which is scaled per loop.  With one disturbance
+    (``w == 1``) the map through ``E`` is one product per state column,
+    bit for bit what ``noise @ E.T`` gives; otherwise it is that matmul.
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
     drawing = [j for j, spec in enumerate(scn.loops)
@@ -546,7 +548,15 @@ def _draws(scn: Scenario, keys) -> list:
         if noisy:
             noise = block[:, n0:].reshape(R, T, sys.w) * np.sqrt(spec.noise_variance)
             Ew = np.zeros((R, T + G, sys.n))
-            Ew[:, :T] = noise @ sys.E.T
+            if sys.w == 1:
+                # What noise @ E.T computes with one disturbance, 0.0 + e*w
+                # (so -0.0 reads 0.0), one state column at a time, in place.
+                mapped = Ew[:, :T]
+                for c, e in enumerate(sys.E[:, 0].tolist()):
+                    np.multiply(noise[:, :, 0], e, out=mapped[:, :, c])
+                mapped += 0.0
+            else:
+                Ew[:, :T] = noise @ sys.E.T
             Ew.setflags(write=False)
         draws.append((x0, Ew))
     return draws
@@ -561,16 +571,19 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     :func:`_draws` returns them; the caller draws, so two laws can run on
     one draw.  Rows share a leading axis and never interact.  Loop ``j``
     first samples at ``first_samples[j]``.  At ``k`` the decision rule
-    ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` of the
-    rows ``rows`` whose loop ``j`` samples then, and picks the inputs to
-    hold and the waits until their next samples.  Loops sampling at the
-    same ``k`` decide in increasing index order.
+    ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` ``(R', n)``
+    of the rows ``rows`` whose loop ``j`` samples then, and picks the inputs
+    ``u`` ``(R', m)`` to hold and the waits until their next samples.
+    Loops sampling at the same ``k`` decide in increasing index order.
 
     The loop jumps from one decision time to the next.  Each decision
     writes the next ``gamma`` states of its rows with one product by the
     loop's :func:`_segment_map`, and their next decision, at most
     ``gamma`` steps on, overwrites whatever lies beyond it; a zero-input
     segment at ``k = 0`` covers the steps before a loop's first sample.
+    The operand of a product is the rows' states, their inputs and, for a
+    noisy loop, their next ``gamma`` disturbances, read from one read-only
+    strided view of ``Ew`` built once per loop.
     The scenario and the drawn noise are finite when the rows start, so
     the segments run without checks; one finiteness check per loop follows
     the rows, on the kept steps only.  A policy's error is raised again
@@ -582,32 +595,37 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     contiguous.
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
-    maps, states, inputs, waits, Ews = [], [], [], [], []
+    maps, states, inputs, waits, windows = [], [], [], [], []
     for spec, (x0, Ew) in zip(scn.loops, draws):
         sys = spec.system
         # Padded by G: the segment of a decision may reach past the horizon.
         states.append(np.empty((R, T + 1 + G, sys.n)))
         states[-1][:, 0] = x0
-        Ews.append(Ew)
         maps.append(_segment_map(sys, G, Ew is not None))
         inputs.append(np.zeros((R, T + G, sys.m)))
         waits.append(np.zeros((R, T), dtype=int))
-
-    def advance(j, rows, k):
-        """Hold the input at ``k`` of ``rows`` for the next G steps."""
-        Ew, n = Ews[j], states[j].shape[2]
-        z = [states[j][rows, k], inputs[j][rows, k]]
         if Ew is not None:
-            z.append(Ew[rows, k:k + G].reshape(-1, G * n))
+            # Row r, step k: Ew(k), ..., Ew(k+G-1) of row r, one read-only
+            # view; its strides hold for the C layout only.
+            Ew = np.ascontiguousarray(Ew)
+            Ew = np.lib.stride_tricks.as_strided(Ew, (R, T, G * sys.n), Ew.strides,
+                                                 writeable=False)
+        windows.append(Ew)
+
+    def advance(j, rows, k, x, u):
+        """Hold the inputs ``u`` from ``k`` on in ``rows``, whose states at
+        ``k`` are ``x``, for the next G steps."""
+        Ew = windows[j]
+        z = (x, u) if Ew is None else (x, u, Ew[rows, k])
         # einsum rounds each row alike whatever the row count, so a row's
         # states do not depend on how many rows advance with it.  It also
         # raises no floating-point warnings: the discarded tail of an
         # unstable plant may overflow silently.
         segment = np.einsum("ri,ij->rj", np.concatenate(z, axis=1), maps[j])
-        states[j][rows, k + 1:k + 1 + G] = segment.reshape(-1, G, n)
+        states[j][rows, k + 1:k + 1 + G] = segment.reshape(len(x), G, -1)
 
     for j in range(len(maps)):
-        advance(j, slice(None), 0)
+        advance(j, slice(None), 0, states[j][:, 0], inputs[j][:, 0])
     next_sample = [np.full(R, k0) for k0 in first_samples]
     due = list(first_samples)
     k = min(due)
@@ -624,16 +642,17 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
                     deciding = (next_sample[j] == k).nonzero()[0]
                     if deciding.size < R:
                         rows = deciding
+                x = states[j][rows, k]
                 try:
-                    wait, u = policy(j, k, rows, states[j][rows, k])
+                    wait, u = policy(j, k, rows, x)
                 except SelfTrigError as exc:
                     # A state that left the floats fails the policy first; the
                     # first non-finite step so far is the cause to report.
                     for spec, loop_states in zip(scn.loops, states):
                         _check_finite(spec.name, loop_states[:, :k + 1], keys)
                     raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
-                inputs[j][rows, k:k + G] = u[..., None, :]
-                advance(j, rows, k)
+                inputs[j][rows, k:k + G] = u[:, None]
+                advance(j, rows, k, x, u)
                 waits[j][rows, k] = wait
                 if R == 1:
                     due[j] = k + int(waits[j][0, k])
@@ -721,7 +740,7 @@ def run_self_triggered(
         ledger = reserve(ledger, name, k, dec.i_star)
         values[j].append(dec.value)
         feasible[j].append(feas)
-        return dec.i_star, dec.u
+        return dec.i_star, dec.u[None]
 
     run = _event_loop(scn, [0] * len(names), policy, keys, _draws(scn, keys))
     return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)

@@ -607,7 +607,7 @@ def oracle_periodic_run(scn, alpha_index=0, run_index=0):
     gains = [solve_periodic_riccati(spec.system, spec.weights, scn.ts) for spec in scn.loops]
 
     def policy(j, k, rows, x):
-        return scn.ts, -(gains[j][1] @ x[0])
+        return scn.ts, -(gains[j][1] @ x[0])[None]
 
     keys = [(alpha_index, run_index)]
     return simulator._event_loop(scn, range(len(gains)), policy, keys,

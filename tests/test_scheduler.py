@@ -1,4 +1,6 @@
 """Slot reservations, feasible wait sets, conflict audits."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,61 @@ class TestReserve:
         updated = reserve(ledger, "l1", 0, 3)
         assert "l1" not in ledger.next_tx
         assert updated.next_tx["l1"] == 3
+
+
+class TestFeasibilityMemo:
+    """``feasible_set`` keeps its result in a private memo of the ledger;
+    every check still runs on every call, and nothing else sees the memo."""
+
+    def test_a_second_call_returns_the_first_set(self):
+        ledger = ledger_two_loops(l1=3, l2=7)
+        first = feasible_set(ledger, "l1", 3)
+        assert feasible_set(ledger, "l1", np.int64(3)) is first
+        assert feasible_set(ledger, "l2", 3) == frozenset({1, 2, 3, 4})
+
+    def test_a_reserved_ledger_starts_an_empty_memo(self):
+        ledger = ledger_two_loops(l2=7)
+        feasible_set(ledger, "l1", 0)
+        assert ledger._feasible
+        booked = reserve(ledger, "l1", 0, 3)
+        assert booked._feasible == {} and booked._feasible is not ledger._feasible
+        # The derived ledger computes its own set: l1's slot at 3 now
+        # excludes a residue for l2.
+        assert feasible_set(booked, "l2", 1) == frozenset({1, 3, 4, 5})
+        assert feasible_set(ledger, "l2", 1) == frozenset({1, 2, 3, 4, 5})
+
+    @pytest.mark.parametrize("loop_id, k, error, message", [
+        ("zz", 3, ConfigurationError, "unknown loop 'zz'"),
+        ("l1", True, ConfigurationError, "decision time k must be an integer, got True"),
+        ("l1", 1.0, ConfigurationError, "decision time k must be an integer, got 1.0"),
+        ("l1", 3.0, ConfigurationError, "decision time k must be an integer, got 3.0"),
+        ("l1", 4, SchedulingError, "loop 'l1' decides at k=4, past its reserved slot 3"),
+    ])
+    def test_refusals_are_kept_with_a_memo_present(self, loop_id, k, error, message):
+        ledger = ledger_two_loops(l1=3, l2=7)
+        for memo_k in (1, 3):
+            feasible_set(ledger, "l1", memo_k)
+        with pytest.raises(error) as excinfo:
+            feasible_set(ledger, loop_id, k)
+        assert str(excinfo.value) == message
+
+    def test_an_infeasible_reservation_is_refused_with_a_memo_present(self):
+        ledger = ledger_two_loops(l1=3, l2=7)
+        assert 4 not in feasible_set(ledger, "l1", 3)
+        for _ in range(2):
+            with pytest.raises(SchedulingError) as excinfo:
+                reserve(ledger, "l1", 3, 4)
+            assert str(excinfo.value) == "loop 'l1' attempted infeasible wait 4 at k=3"
+
+    def test_repr_equality_and_replace_ignore_the_memo(self):
+        ledger = ledger_two_loops(l1=3)
+        before = repr(ledger)
+        feasible_set(ledger, "l2", 0)
+        assert repr(ledger) == before and "_feasible" not in before
+        assert "_feasible" not in {f.name for f in dataclasses.fields(ledger)}
+        replaced = dataclasses.replace(ledger)
+        assert ledger == ledger and replaced != ledger
+        assert replaced._feasible == {} and repr(replaced) == before
 
 
 class TestLedgerAdmissibility:

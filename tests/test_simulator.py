@@ -3,6 +3,7 @@ import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from selftrig import (
     WeightSpec,
     build_gain_table,
     decide,
+    feasible_set,
     lift_range,
+    reserve,
     rng_substream,
     run_periodic,
     run_self_triggered,
@@ -48,11 +51,14 @@ from selftrig.simulator import (
 from conftest import (
     bits,
     oracle_average_sampling_interval,
+    oracle_decide,
     oracle_draws,
     oracle_empiric_cost,
+    oracle_feasible_set,
     oracle_periodic_baseline,
     oracle_periodic_run,
     oracle_record_runs,
+    oracle_reserve,
     oracle_rng_substream,
     oracle_step,
     oracle_sweep_alpha,
@@ -217,6 +223,70 @@ class TestTwoLoops:
             assert all(type(i) is int for i in ev.feasible)
         with pytest.raises(FrozenInstanceError):
             tr.tx_events[0].k = 0
+
+
+def _saturated_channel_scenario():
+    """The shape of the benchmark's channel workload with a short horizon:
+    three scalar loops and the double integrator, noisy, on one p = 5
+    channel, so each decision meets three opposing reservations."""
+    two_loop, _ = load_scenario(SCENARIOS / "two_loop.json")
+    double = replace(two_loop.loops[1], x0=None, x0_variance=25.0, noise_variance=0.1)
+    scalars = tuple(
+        LoopSpec(name=f"scalar_a{a}", system=LtiSystem(A=[[a]], B=[[1.0]], E=[[1.0]]),
+                 weights=WeightSpec(Q=[[1.0]], R=[[1.0]], alpha=0.2),
+                 x0_variance=25.0, noise_variance=0.1)
+        for a in (0.8, 1.0, 1.1))
+    return Scenario(loops=(*scalars, double), I0=range(1, 6), p=5, horizon=400, seed=1)
+
+
+class TestReplayThroughThePublicLaw:
+    """A simulated run, replayed sample by sample in (k, loop) order on fresh
+    ledgers, through ``feasible_set -> decide -> reserve`` and through the
+    oracle law in ``conftest``: both give the trace's waits, sorted feasible
+    sets and values bit for bit, and its held inputs."""
+
+    @pytest.mark.parametrize("case", ["two_loop", "two_loop_ties", "saturated_channel"])
+    def test_every_sample_replays(self, case):
+        scn, _ = load_scenario(SCENARIOS / "two_loop.json")
+        if case == "two_loop_ties":
+            # At x = 0 with alpha = 0 every wait scores 0.0: each of the
+            # integrator's decisions is a tie, which goes to the larger wait.
+            integrator = replace(scn.loops[0], x0=[0.0],
+                                 weights=replace(scn.loops[0].weights, alpha=0.0))
+            scn = replace(scn, loops=(integrator, scn.loops[1]))
+        elif case == "saturated_channel":
+            scn = _saturated_channel_scenario()
+        tables = {gt.loop_id: gt for gt in simulator._build_tables(scn)}
+        trace = run_self_triggered(scn, tables)
+        names = tuple(trace.loops)
+        events = sorted((k, j) for j, name in enumerate(names)
+                        for k in trace.loops[name].sample_times.tolist())
+        ledger = ReservationLedger(p=scn.p, I0=scn.I0, loop_order=names, next_tx={})
+        # The oracle reads only these four fields of a ledger.
+        oracle = SimpleNamespace(p=scn.p, I0=scn.I0, loop_order=names, next_tx={})
+        seen = dict.fromkeys(names, 0)
+        for k, j in events:
+            name = names[j]
+            tr, sample = trace.loops[name], seen[name]
+            seen[name] += 1
+            x = tr.states[k]
+            feas = feasible_set(ledger, name, k)
+            dec = decide(tables[name], x, feas)
+            ledger = reserve(ledger, name, k, dec.i_star)
+            oracle_feas = oracle_feasible_set(oracle, name, k)
+            i_star, u, value, _ = oracle_decide(tables[name], x, oracle_feas)
+            oracle.next_tx = oracle_reserve(oracle, name, k, i_star)
+            for got in ((feas, dec.i_star, dec.u, dec.value), (oracle_feas, i_star, u, value)):
+                assert sorted(got[0]) == sorted(tr.feasible_sets[sample]), (case, k, name)
+                assert got[1] == tr.waits[sample]
+                assert bits(got[2]) == bits(tr.inputs[k])
+                assert bits([got[3]]) == bits(tr.values[sample:sample + 1])
+        assert seen == {name: trace.loops[name].sample_times.size for name in names}
+        assert dict(ledger.next_tx) == oracle.next_tx
+        if case == "saturated_channel":
+            # Three opposing reservations leave as few as two waits.
+            assert min(len(feas) for tr in trace.loops.values()
+                       for feas in tr.feasible_sets[1:]) <= 2
 
 
 class TestPeriodicBaseline:
@@ -562,6 +632,29 @@ class TestSubstreamKeys:
                 [(a, r) for a in range(10) for r in range(40)])[:n_rows]]
             _assert_same_draws(_draws(scn, keys), oracle_draws(scn, keys))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 200])
+    def test_one_disturbance_with_zero_gains_draws_as_the_oracle(self, n, n_rows):
+        # A negative draw times a zero entry of E is -0.0; the oracle's
+        # matmul adds it to 0.0, so every zero of Ew is +0.0.
+        rng = np.random.default_rng(34 + n)
+        E = rng.normal(size=(n, 1))
+        E[0, 0] = 0.0
+        if n > 1:
+            E[-1, 0] = -0.0
+        sys = LtiSystem(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 1)), E=E)
+        loops = (LoopSpec(name="zero_gain", system=sys, weights=random_weights(rng, n, 1),
+                          x0_variance=2.0, noise_variance=0.7),
+                 LoopSpec(name="plain", system=replace(sys, E=np.ones((n, 1))),
+                          weights=random_weights(rng, n, 1), x0=np.ones(n), noise_variance=0.3))
+        scn = Scenario(loops=loops, I0=range(1, 6), p=5, horizon=40, seed=34)
+        keys = [(ai, r) for ai in range(4) for r in range(50)][:n_rows]
+        got = _draws(scn, keys)
+        _assert_same_draws(got, oracle_draws(scn, keys))
+        Ew = got[0][1]
+        assert not Ew.flags.writeable
+        assert (Ew[:, :, 0] == 0.0).all() and not np.signbit(Ew[:, :, 0]).any()
+
     def test_large_indices_draw_as_the_oracle(self):
         scn = replace(_noisy_two_loop(), horizon=7)
         keys = [(2**32 + 5, 0), (0, 2**40), (1, 1), (2**64, 2**32 - 1)]
@@ -897,6 +990,30 @@ class TestFiniteStates:
                                   loop_id="a")
             with pytest.raises(ConfigurationError, match=r"^loop 'a'.* from step k=1$"):
                 run_self_triggered(scn, {"a": gt})
+
+    @pytest.mark.parametrize("horizon, context", [
+        (1, None),
+        (3, "x has non-finite entries"),
+    ])
+    def test_two_loops_name_the_loop_that_failed_first(self, horizon, context):
+        # Loop a stays finite (2e290) and b overflows (2e308) at k = 1.  At
+        # horizon 1 the check after the run refuses b; at horizon 3 b's next
+        # decision meets its state first, and decide's refusal is the context.
+        sys = LtiSystem(A=[[2.0]], B=[[1.0]])
+        w = WeightSpec(Q=[[1.0]], R=[[1.0]])
+        scn = Scenario(loops=tuple(LoopSpec(name=name, system=sys, weights=w, x0=[x0])
+                                   for name, x0 in (("a", 1e290), ("b", 1e308))),
+                       I0=[1, 2, 3], p=3, horizon=horizon, seed=0)
+        tables = {spec.name: build_gain_table(sys, w, [1, 2, 3], 3, loop_id=spec.name)
+                  for spec in scn.loops}
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_self_triggered(scn, tables)
+        assert str(excinfo.value) == "loop 'b': state is not finite from step k=1"
+        cause = excinfo.value.__context__
+        if context is None:
+            assert cause is None
+        else:
+            assert type(cause) is ConfigurationError and str(cause) == context
 
     def test_sweep(self):
         with pytest.raises(ConfigurationError, match=r"loop 'a'.* from step k=1 of run 0"):
