@@ -7,9 +7,7 @@ minimizing wait within that set and applies the matching state feedback,
 one matrix-vector product.  The pick has two forms of one rule: a scalar
 loop for one state (:func:`decide`) and an argmin over a run axis
 (:func:`_pick`, for :func:`partition_1d` and the sweep's runs).
-Everything is a pure function of an immutable gain table; :func:`decide`
-keeps the rows of each feasible set it has checked in a private memo of
-the table.
+Everything is a pure function of an immutable gain table.
 """
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GainLookupError, SchedulingError
-from .model import _plain_int_set, _wait_set, as_vector
+from .model import _wait_set, as_vector
 from .synthesis import GainTable
 
 _FLOAT_MAX = sys.float_info.max
@@ -61,35 +59,21 @@ def decide(gt: GainTable, x, feasible) -> Decision:
     ranks as the largest float.  With x = 0 the quadratic terms vanish and
     the rule reduces to the largest feasible wait with u = 0.
     ``value`` is the raw score of the chosen wait.
-
-    A feasible set that is a frozenset of plain ints, as
-    :func:`~selftrig.scheduler.feasible_set` returns, is checked once per
-    table: its sorted waits and their stack rows are then kept in the
-    table's private memo.  The memo is not a field, so it takes no part in
-    ``repr`` or ``replace``, and a replaced table starts an empty one.  A
-    set that only compares equal to a kept one (``frozenset({True, 2})``)
-    and a refused set never meet it, so every refusal stands.  Threads may
-    share a table: two that fill one memo entry at once store equal rows.
     """
-    memo = gt._feasible if _plain_int_set(feasible) else None
-    pairs = None if memo is None else memo.get(feasible)
-    if pairs is None:
-        feas = _wait_set(feasible, "feasible set", empty=SchedulingError)
-        rows = gt.rows
-        try:
-            pairs = tuple((i, rows[i]) for i in feas)
-        except KeyError:
-            unknown = [i for i in feas if i not in rows]
-            raise GainLookupError(
-                f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
-            ) from None
-        if memo is not None:
-            memo[feasible] = pairs
+    feas = _wait_set(feasible, "feasible set", empty=SchedulingError)
+    rows = gt.rows
+    try:
+        picked = [rows[i] for i in feas]
+    except KeyError:
+        unknown = [i for i in feas if i not in rows]
+        raise GainLookupError(
+            f"loop {gt.loop_id!r}: feasible waits {unknown} have no table entry"
+        ) from None
     x = as_vector(x, "x", gt.n)
     scores = _scores(gt, x).tolist()
     values = {}
     best = _FLOAT_MAX  # no ranked score exceeds it, so the first wait sets it
-    for i, r in pairs:
+    for i, r in zip(feas, picked):
         v = values[i] = scores[r]
         v = v if v < _FLOAT_MAX else _FLOAT_MAX
         if v <= best:

@@ -31,9 +31,6 @@ def _readonly(M: np.ndarray) -> np.ndarray:
 # refused apart.
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 _F64 = np.dtype(float)
-# The size up to which _all_finite tests each entry in Python.
-_FEW = 8
-_INT = frozenset({int})
 
 
 def _float_array(value) -> np.ndarray:
@@ -57,10 +54,7 @@ def _float_array(value) -> np.ndarray:
 
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry is finite; on a state-sized array this costs half
-    of ``np.isfinite(a).all()``, and up to :data:`_FEW` entries, read as
-    Python floats, half of that again."""
-    if a.size <= _FEW:
-        return all(map(math.isfinite, a.ravel().tolist()))
+    of ``np.isfinite(a).all()``."""
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
@@ -114,13 +108,6 @@ def _count(value, what: str) -> int:
     return value
 
 
-def _plain_int_set(I0) -> bool:
-    """Whether ``I0`` is a non-empty frozenset of plain ints, as
-    ``feasible_set`` returns: no bool, float or numpy entry, each of which
-    may compare and hash equal to an int."""
-    return type(I0) is frozenset and bool(I0) and set(map(type, I0)) == _INT
-
-
 def _wait_set(I0, what: str = "I0", empty=ConfigurationError, increasing=False) -> tuple:
     """The one wait-set rule: sorted distinct positive ints, no bool or float;
     with ``increasing``, they must also be listed in increasing order.
@@ -129,7 +116,7 @@ def _wait_set(I0, what: str = "I0", empty=ConfigurationError, increasing=False) 
     ConfigurationError.  A frozenset of plain ints, as ``feasible_set``
     returns, takes a shorter path to the same result.
     """
-    if _plain_int_set(I0):
+    if type(I0) is frozenset and I0 and set(map(type, I0)) == {int}:
         values = waits = tuple(sorted(I0))
     else:
         try:

@@ -250,9 +250,7 @@ class GainTable:
     with one row per wait), or a ``Pp`` or ``P(i)`` that is not symmetric
     (the rule of ``WeightSpec``), raises ConfigurationError.  The
     constructor copies each matrix once; all arrays are read-only, tables
-    are safe to share across threads, and compare by identity.  A table
-    keeps a private memo of the feasible sets :func:`~selftrig.controller.decide`
-    has checked; it is not a field.
+    are safe to share across threads, and compare by identity.
     """
 
     loop_id: str
@@ -316,7 +314,6 @@ class GainTable:
         self.__dict__.update(
             I0=I0, p=p, alpha=alpha, Pp=_readonly(Pp), Lp=_readonly(Lp), P_stack=P_stack,
             L_stack=L_stack, costs=_readonly(alpha / np.array(I0)), rows=rows,
-            _feasible={},
         )
 
     @property

@@ -2,8 +2,6 @@
 import dataclasses
 import heapq
 import json
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -332,98 +330,6 @@ def _fixed_table(P_by_wait):
 _HUGE_X = [1e160, 3e160]
 _COUPLED = [[2.0, -1.0], [-1.0, 2.0]]
 _TINY = (1e-200 * np.eye(2)).tolist()
-
-
-class TestTableMemo:
-    """``decide`` keeps, per table, the sorted waits and rows of each
-    frozenset of plain ints it was given; a set that only compares equal to
-    one of them, and a set that was refused, never meet the memo."""
-
-    @pytest.mark.parametrize("feasible, error, message", [
-        (frozenset({True, 2}), ConfigurationError,
-         "feasible set entries must be integers, got frozenset({True, 2})"),
-        (frozenset({1.0, 2}), ConfigurationError,
-         "feasible set entries must be integers, got frozenset({1.0, 2})"),
-    ])
-    def test_equal_sets_of_other_types_are_still_refused(self, integrator, integrator_weights,
-                                                         feasible, error, message):
-        gt = build_gain_table(integrator, integrator_weights, range(1, 6), 5)
-        memoized = frozenset({1, 2})
-        assert feasible == memoized and hash(feasible) == hash(memoized)
-        decide(gt, [2.0], memoized)
-        assert memoized in gt._feasible
-        with pytest.raises(error) as excinfo:
-            decide(gt, [2.0], feasible)
-        assert str(excinfo.value) == message
-
-    def test_a_refused_set_is_not_memoized(self, integrator, integrator_weights):
-        gt = build_gain_table(integrator, integrator_weights, range(1, 6), 5)
-        for _ in range(2):
-            with pytest.raises(GainLookupError) as excinfo:
-                decide(gt, [2.0], frozenset({1, 9}))
-            assert str(excinfo.value) == (
-                "loop 'loop': feasible waits [9] have no table entry")
-            with pytest.raises(SchedulingError):
-                decide(gt, [2.0], frozenset())
-        assert gt._feasible == {}
-
-    def test_a_memo_hit_decides_as_the_first_call_and_the_oracle(self, double_integrator_table):
-        gt = double_integrator_table
-        rng = np.random.default_rng(34)
-        sets = [frozenset({1, 2, 4, 5}), frozenset({3}), frozenset(range(1, 6))]
-        for _ in range(30):
-            feas = sets[int(rng.integers(0, len(sets)))]
-            x = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)
-            assert _decision_bits(*_decided(gt, x, feas)) == _decision_bits(
-                *oracle_decide(gt, x, feas))
-            assert gt._feasible[feas] == tuple((i, gt.rows[i]) for i in sorted(feas))
-
-    def test_threads_sharing_a_table_and_a_ledger_fill_both_memos_alike(
-            self, double_integrator, double_integrator_weights):
-        gt = build_gain_table(double_integrator, double_integrator_weights, range(1, 6), 5)
-        ledger = ReservationLedger(p=5, I0=range(1, 6), loop_order=("a", "b", "c"),
-                                   next_tx={"b": 7, "c": 9})
-        rng = np.random.default_rng(34)
-        calls = [("a" if r % 2 else "b", int(k), rng.normal(size=2))
-                 for r, k in enumerate(rng.integers(0, 8, size=40))]
-        want = [(_set_repr(oracle_feasible_set(ledger, name, k)),
-                 _decision_bits(*oracle_decide(gt, x, oracle_feasible_set(ledger, name, k))))
-                for name, k, x in calls]
-        got, errors = [], []
-
-        def work(order):
-            try:
-                for c in order:
-                    name, k, x = calls[c]
-                    feas = feasible_set(ledger, name, k)
-                    got.append((c, _set_repr(feas), _decision_bits(*_decided(gt, x, feas))))
-            except Exception as exc:  # reported below, with the thread's call order
-                errors.append((order, exc))
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(rng.permutation(len(calls)).tolist(),))
-                       for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads) and not errors
-        assert len(got) == 8 * len(calls)
-        assert all((feas, dec) == want[c] for c, feas, dec in got)
-
-    def test_repr_equality_and_replace_ignore_the_memo(self, integrator, integrator_weights):
-        gt = build_gain_table(integrator, integrator_weights, range(1, 6), 5)
-        before = repr(gt)
-        decide(gt, [2.0], frozenset({2, 3}))
-        assert repr(gt) == before and "_feasible" not in before
-        assert "_feasible" not in {f.name for f in dataclasses.fields(gt)}
-        replaced = dataclasses.replace(gt)
-        assert gt == gt and replaced != gt
-        assert replaced._feasible == {} and repr(replaced) == before
 
 
 class TestTwoFormsOfThePick:
