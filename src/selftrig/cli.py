@@ -6,8 +6,8 @@ sweeps with periodic baselines) and ``verify`` (certificate checks on
 persisted tables).
 
 Exit codes: 0 success, 2 configuration error (a run that does not fit in
-memory included), 3 numeric/synthesis error, 4 certificate failure,
-5 scheduling violation.
+memory and an output that cannot be written included), 3 numeric/synthesis
+error, 4 certificate failure, 5 scheduling violation.
 """
 from __future__ import annotations
 
@@ -416,6 +416,12 @@ def main(argv=None) -> int:
         # numpy's message names the size and shape it could not allocate.
         print(f"configuration error: not enough memory: {str(exc) or 'an allocation failed'}",
               file=sys.stderr)
+        code = EXIT_CONFIG
+    except OSError as exc:
+        # Every file a command reads goes through model._read_text, which
+        # raises ConfigurationError, so this one is an output; the message
+        # names the path.
+        print(f"configuration error: cannot write the output: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     if argv is None:
         sys.exit(code)

@@ -25,7 +25,9 @@ Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
 aggregation is order-independent.  The keys are numpy's ``SeedSequence``
 keys, computed for every substream of a draw in one vectorized pass of its
-hash; one generator, re-keyed per substream, then draws them.  Each
+hash; one generator, re-keyed per substream, then draws them.
+``numpy.random`` is imported on the first draw, not with this module, so
+commands that draw nothing do not pay for it.  Each
 substream is drawn once, into read-only per-loop arrays of initial states
 and disturbances that the event loop takes from its caller: a sweep goes
 chunk by chunk of whole alphas, and runs the self-triggered rows of a
@@ -186,29 +188,6 @@ def _substream_keys(seed: int, spawn_keys) -> list:
     return state.view("<u8").tolist()
 
 
-class _PhiloxKey:
-    """One substream's Philox key, in the seed-sequence form ``Philox`` reads
-    its key from; it cannot spawn, so neither can the substream's generator."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self.key, dtype=np.uint64)
-
-
-def _philox(key) -> np.random.Philox:
-    """A Philox bit generator with the key ``key`` and counter 0.
-
-    ``numpy.random`` is imported on the first draw, not with this module,
-    so commands that draw nothing do not pay for it.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_PhiloxKey)
-    return np.random.Philox(seed=_PhiloxKey(key))
-
-
 def _substream_index(value, what: str) -> int:
     """A substream index: an integer (see :func:`_integer`) of at least 0."""
     value = _integer(value, what)
@@ -244,7 +223,7 @@ def rng_substream(
     spawn_key = tuple(_substream_index(value, what) for value, what in (
         (alpha_index, "alpha_index"), (run_index, "run_index"), (loop_index, "loop_index")))
     key, = _substream_keys(seed, [spawn_key])
-    return np.random.Generator(_philox(key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,7 +403,13 @@ def _build_tables(scn: Scenario, alpha: float | None = None) -> list:
     synthesis error names its loop."""
     tables = []
     for spec in scn.loops:
-        weights = spec.weights if alpha is None else replace(spec.weights, alpha=alpha)
+        weights = spec.weights
+        if alpha is not None:
+            # The loop's Q and R were checked when it was built, and a
+            # sweep's alpha when the sweep began (GainTable checks it again),
+            # so the copy skips WeightSpec's checks.
+            weights = object.__new__(WeightSpec)
+            weights.__dict__.update(spec.weights.__dict__, alpha=alpha)
         try:
             tables.append(build_gain_table(spec.system, weights, scn.I0, scn.p,
                                            loop_id=spec.name))
@@ -522,7 +507,7 @@ def _draws(scn: Scenario, keys) -> list:
                if spec.x0 is None or spec.noise_variance > 0.0]
     substreams = iter(_substream_keys(scn.seed, [(alpha_index, run_index, j) for j in drawing
                                                  for alpha_index, run_index in keys]))
-    bitgen = _philox([0, 0])
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     # A new generator's state: counter 0 and an empty buffer.  Setting it
     # with a substream's key starts that substream afresh.
@@ -852,31 +837,6 @@ def _empty_stats(names) -> dict:
     return {key: {name: {} for name in names} for key in keys}
 
 
-def _record_runs(stats: dict, ai: int, scn: Scenario, per_loop: list) -> None:
-    """Store, at alpha index ``ai`` of ``stats``, each loop's mean and
-    standard error over runs of the sampling interval and the empiric cost,
-    from :func:`_row_statistics` of ``per_loop``, what :func:`_event_loop`
-    returns.  Finite states near the float limit can square to an infinite
-    cost, so a statistic that is not finite raises ConfigurationError,
-    naming the first step, run and alpha index whose stage cost is not
-    finite."""
-    for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
-        n_runs = len(waits)
-        stage, intervals, costs = _row_statistics(states, inputs, waits, spec.weights.Q,
-                                                  spec.weights.R, scn.gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for key, v in (("interval", intervals), ("cost", costs)):
-                mean = float(np.mean(v))
-                se = float(np.std(v, ddof=1) / np.sqrt(n_runs)) if n_runs > 1 else 0.0
-                if not np.isfinite([mean, se]).all():
-                    _refuse_nonfinite(spec.name, "stage cost", np.isfinite(stage),
-                                      [(ai, run) for run in range(n_runs)])
-                    raise ConfigurationError(f"loop {spec.name!r}: the stage-cost "
-                                             f"statistics overflow at alpha index {ai}")
-                stats["mean_" + key][spec.name][ai] = mean
-                stats["se_" + key][spec.name][ai] = se
-
-
 # Rows times steps that one event loop of a sweep advances, unless one
 # alpha's runs alone take more.
 _ROW_STEPS = 2**20
@@ -891,11 +851,41 @@ def _matched_period(scn: Scenario, intervals: dict, ai: int) -> int:
 
 
 def _record_chunk(stats: dict, scn: Scenario, chunk: list, n_runs: int, per_loop: list) -> None:
-    """Record each alpha index of ``chunk`` on its own ``n_runs`` rows of
-    ``per_loop``, what :func:`_event_loop` returns."""
-    for i, ai in enumerate(chunk):
-        rows = slice(i * n_runs, (i + 1) * n_runs)
-        _record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
+    """Store, at each alpha index of ``chunk``, each loop's mean and
+    standard error over that alpha's own ``n_runs`` rows of ``per_loop``,
+    what :func:`_event_loop` returns, of the sampling interval and the
+    empiric cost.  One :func:`_row_statistics` pass per loop covers every
+    row of the chunk; the means and standard errors of every alpha are
+    then taken along a run axis.  Finite states near the float limit can
+    square to an infinite cost, so a statistic that is not finite raises
+    ConfigurationError for the first alpha of the chunk, then loop, that
+    has one, naming the first step and run of that alpha whose stage cost
+    is not finite."""
+    stages, moments = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
+            stage, intervals, costs = _row_statistics(states, inputs, waits, spec.weights.Q,
+                                                      spec.weights.R, scn.gamma)
+            stages.append(stage)
+            for v in (intervals, costs):
+                v = v.reshape(len(chunk), n_runs)
+                se = (np.std(v, axis=1, ddof=1) / np.sqrt(n_runs) if n_runs > 1
+                      else np.zeros(len(chunk)))
+                moments.append((np.mean(v, axis=1), se))
+    # [loop, interval or cost, mean or standard error, alpha]
+    moments = np.array(moments).reshape(len(scn.loops), 2, 2, len(chunk))
+    finite = np.isfinite(moments).all(axis=(1, 2))
+    if not finite.all():
+        i, j = np.argwhere(~finite.T)[0]
+        ai, name, rows = chunk[i], scn.loops[j].name, slice(i * n_runs, (i + 1) * n_runs)
+        _refuse_nonfinite(name, "stage cost", np.isfinite(stages[j][rows]),
+                          [(ai, run) for run in range(n_runs)])
+        raise ConfigurationError(f"loop {name!r}: the stage-cost statistics overflow "
+                                 f"at alpha index {ai}")
+    for spec, loop_moments in zip(scn.loops, moments.tolist()):
+        for key, (mean, se) in zip(("interval", "cost"), loop_moments):
+            stats["mean_" + key][spec.name].update(zip(chunk, mean))
+            stats["se_" + key][spec.name].update(zip(chunk, se))
 
 
 def _sweep_rows(scn: Scenario, tables: dict, n_runs: int, adaptive: dict,

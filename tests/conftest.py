@@ -513,9 +513,12 @@ def oracle_cost_refusal(name, ai, stage) -> str:
 
 
 def oracle_record_runs(stats, ai, scn, per_loop) -> None:
-    """``simulator._record_runs`` one run at a time: each run's stage costs
-    and the mean of the gaps between its samples (gamma with fewer than two
-    samples), then each statistic's mean and standard error over runs."""
+    """What ``simulator._record_chunk`` stores at alpha index ``ai`` from
+    that alpha's rows ``per_loop``, one run at a time: each run's stage
+    costs and the mean of the gaps between its samples (gamma with fewer
+    than two samples), then each statistic's mean and standard error over
+    runs, and the same refusal, in the same order of loops, when one is not
+    finite."""
     for spec, (states, inputs, waits) in zip(scn.loops, per_loop):
         n_runs = len(waits)
         intervals = []
@@ -535,6 +538,15 @@ def oracle_record_runs(stats, ai, scn, per_loop) -> None:
                     raise ConfigurationError(oracle_cost_refusal(spec.name, ai, stage))
                 stats["mean_" + key][spec.name][ai] = mean
                 stats["se_" + key][spec.name][ai] = se
+
+
+def oracle_record_chunk(stats, scn, chunk, n_runs, per_loop) -> None:
+    """``simulator._record_chunk`` one alpha at a time: each alpha index of
+    ``chunk`` recorded by :func:`oracle_record_runs` on its own ``n_runs``
+    rows, in chunk order."""
+    for i, ai in enumerate(chunk):
+        rows = slice(i * n_runs, (i + 1) * n_runs)
+        oracle_record_runs(stats, ai, scn, [[field[rows] for field in loop] for loop in per_loop])
 
 
 def oracle_sweep_alpha(scn, alphas, n_runs):

@@ -51,19 +51,26 @@ def run_cli(*argv):
 _ADDRESS_SPACE = 2 * 1024**3
 
 
-def _run_cli_capped(*argv, timeout=300):
-    """``selftrig argv`` in a child interpreter whose address space is
-    capped by RLIMIT_AS, so that a run too large for memory fails there
-    at once, not in the test process; returns ``(exit code, stderr)``.
-    A child that runs past ``timeout`` seconds fails the test."""
-    code = ("import resource, sys; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE}, {_ADDRESS_SPACE})); "
-            "from selftrig.cli import main; sys.exit(main(sys.argv[1:]))")
+def _run_child(code, *argv, timeout=300):
+    """The Python source ``code`` in a child interpreter that imports this
+    package, with ``argv`` as its arguments: the finished process, with
+    its output as text.  A child that runs past ``timeout`` seconds fails
+    the test."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                           capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _run_cli_capped(*argv, timeout=300):
+    """``selftrig argv`` in a child interpreter whose address space is
+    capped by RLIMIT_AS, so that a run too large for memory fails there
+    at once, not in the test process; returns ``(exit code, stderr)``."""
+    code = ("import resource, sys; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_SPACE}, {_ADDRESS_SPACE})); "
+            "from selftrig.cli import main; sys.exit(main(sys.argv[1:]))")
+    child = _run_child(code, *argv, timeout=timeout)
     return child.returncode, child.stderr
 
 
@@ -662,6 +669,47 @@ def test_an_asymmetric_value_matrix_exits_2(command, target, synth_out, tmp_path
         f"configuration error: table {tables / 'double_integrator.gains.json'}: "
         f"table 'double_integrator': {target} must be symmetric\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options, out, named", [
+    ("simulate", ["-t", "{tables}"], "f", "f"),
+    ("synth", [], "f/x", "f/x"),
+    ("sweep", ["--alphas", "0", "--runs", "2"], "f/s.csv", "f"),
+])
+def test_an_output_that_cannot_be_written_exits_2(command, options, out, named, synth_out,
+                                                   tmp_path):
+    # The file f stands where simulate's output directory, or a parent of
+    # synth's directory or sweep's CSV, must go.
+    (tmp_path / "f").write_text("kept")
+    options = [option.format(tables=synth_out) for option in options]
+    code, err = _run_cli_capped(command, "-c", str(SCENARIOS / "two_loop.json"), *options,
+                                "-o", str(tmp_path / out))
+    assert code == 2
+    assert err.startswith("configuration error: cannot write the output: ")
+    assert err.endswith(f"{str(tmp_path / named)!r}\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (tmp_path / "f").read_text() == "kept"
+
+
+def test_numpy_random_is_imported_by_the_first_draw():
+    # synth and verify draw nothing, so they do not pay for numpy.random;
+    # simulate draws, and imports it then.
+    code = """if True:
+        import sys, tempfile
+        import selftrig, selftrig.cli
+        loaded = ["numpy.random" in sys.modules]
+        with tempfile.TemporaryDirectory() as out:
+            scenario = sys.argv[1]
+            for argv in (["synth", "-c", scenario, "-o", out + "/t"],
+                         ["verify", "-c", scenario, "-t", out + "/t"],
+                         ["simulate", "-c", scenario, "-t", out + "/t", "-o", out + "/r"]):
+                assert selftrig.cli.main(argv) == 0
+                loaded.append("numpy.random" in sys.modules)
+        print(loaded)
+    """
+    child = _run_child(code, str(SCENARIOS / "two_loop.json"))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
 class TestTableAddress:

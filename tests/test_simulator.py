@@ -57,7 +57,7 @@ from conftest import (
     oracle_feasible_set,
     oracle_periodic_baseline,
     oracle_periodic_run,
-    oracle_record_runs,
+    oracle_record_chunk,
     oracle_reserve,
     oracle_rng_substream,
     oracle_step,
@@ -1426,9 +1426,10 @@ class TestMergedSweep:
 
 
 class TestStackedStatistics:
-    """``_record_runs`` takes each statistic in one stacked pass over the
-    runs; the four statistics equal those taken one run at a time, to the
-    bit, on rows with no sample, one sample and many."""
+    """``_record_chunk`` takes each statistic of every alpha of a chunk in
+    one stacked pass over the chunk's rows; the four statistics, and each
+    refusal, equal those taken one alpha and one run at a time, to the bit,
+    on rows with no sample, one sample and many."""
 
     @pytest.mark.parametrize("name, horizon", [
         ("integrator_sweep.json", None), ("integrator_sweep.json", 10),
@@ -1438,7 +1439,7 @@ class TestStackedStatistics:
         scn, _ = load_scenario(SCENARIOS / name)
         scn = replace(scn, horizon=horizon or min(scn.horizon, 300))
         summary, baseline = sweep(scn, _README_ALPHAS, 6)
-        monkeypatch.setattr(simulator, "_record_runs", oracle_record_runs)
+        monkeypatch.setattr(simulator, "_record_chunk", oracle_record_chunk)
         expected, expected_baseline = sweep(scn, _README_ALPHAS, 6)
         _assert_same_statistics(summary, expected)
         _assert_same_statistics(baseline, expected_baseline)
@@ -1446,27 +1447,82 @@ class TestStackedStatistics:
             # The largest alpha waits past the horizon: one sample per row.
             assert summary.mean_interval[scn.loops[0].name][9] == scn.gamma
 
-    @pytest.mark.parametrize("horizon", [1, 2, 9])
-    def test_rows_with_any_sample_count(self, horizon):
+    # Alpha indices of one chunk, out of step with their positions.
+    _CHUNK = [0, 1, 3, 4, 7, 9]
+
+    @staticmethod
+    def _scenario(horizon, names="c"):
         # One off-diagonal weight makes the order of the stage-cost sums
         # show in the last bit, which some of the 20 draws carry into the
         # statistics.
-        spec = LoopSpec(name="c", system=LtiSystem(A=np.eye(2), B=[[0.0], [1.0]]),
-                        weights=WeightSpec(Q=[[2.0, 0.3], [0.3, 1.0]], R=[[0.7]]),
-                        x0=[1.0, 0.0])
-        scn = Scenario(loops=(spec,), I0=range(1, 4), p=3, horizon=horizon, seed=0)
-        waits = np.zeros((6, horizon), dtype=int)
-        for r, times in enumerate([[], [0], [horizon - 1], [0, horizon - 1],
-                                   range(0, horizon, 2), range(horizon)]):
-            waits[r, list(times)] = 1
+        specs = tuple(LoopSpec(name=name, system=LtiSystem(A=np.eye(2), B=[[0.0], [1.0]]),
+                               weights=WeightSpec(Q=[[2.0, 0.3], [0.3, 1.0]], R=[[0.7]]),
+                               x0=[1.0, 0.0]) for name in names)
+        return Scenario(loops=specs, I0=range(1, 4), p=3, horizon=horizon, seed=0)
+
+    @staticmethod
+    def _waits(rows, horizon):
+        """Row ``r`` samples on the ``r % 6``-th of six patterns: never, at
+        the first step, at the last, at both, every other step, every step."""
+        waits = np.zeros((rows, horizon), dtype=int)
+        patterns = [[], [0], [horizon - 1], [0, horizon - 1], range(0, horizon, 2),
+                    range(horizon)]
+        for r in range(rows):
+            waits[r, list(patterns[r % 6])] = 1
+        return waits
+
+    @staticmethod
+    def _outcome(record, scn, n_runs, per_loop):
+        """The statistics ``record`` stores for :attr:`_CHUNK`, or the text
+        of its refusal."""
+        stats = simulator._empty_stats([spec.name for spec in scn.loops])
+        try:
+            record(stats, scn, TestStackedStatistics._CHUNK, n_runs, per_loop)
+        except ConfigurationError as exc:
+            return str(exc)
+        return stats
+
+    @pytest.mark.parametrize("n_runs", [1, 6, 20])
+    @pytest.mark.parametrize("horizon", [1, 2, 9])
+    def test_rows_with_any_sample_count(self, horizon, n_runs):
+        scn = self._scenario(horizon)
+        rows = len(self._CHUNK) * n_runs
+        waits = self._waits(rows, horizon)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            per_loop = [[rng.normal(size=(6, horizon + 1, 2)),
-                         rng.normal(size=(6, horizon, 1)), waits]]
-            got, expected = simulator._empty_stats("c"), simulator._empty_stats("c")
-            simulator._record_runs(got, 0, scn, per_loop)
-            oracle_record_runs(expected, 0, scn, per_loop)
-            assert got == expected
+            per_loop = [[rng.normal(size=(rows, horizon + 1, 2)),
+                         rng.normal(size=(rows, horizon, 1)), waits]]
+            got = self._outcome(simulator._record_chunk, scn, n_runs, per_loop)
+            assert isinstance(got, dict)
+            assert got == self._outcome(oracle_record_chunk, scn, n_runs, per_loop)
+
+    @pytest.mark.parametrize("n_runs", [1, 2, 5])
+    def test_refusals_name_the_first_alpha_then_loop(self, n_runs):
+        # A state of 1e200 squares past the largest float in one step; a
+        # state of 9e153 squares to 1.62e308, so a row of them has finite
+        # stage costs whose sum overflows.
+        horizon = 3
+        scn = self._scenario(horizon, names="ab")
+        rows = len(self._CHUNK) * n_runs
+        waits = self._waits(rows, horizon)
+        refusals = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            per_loop = [[rng.normal(size=(rows, horizon + 1, 2)),
+                         rng.normal(size=(rows, horizon, 1)), waits] for _ in "ab"]
+            for _ in range(rng.integers(1, 4)):
+                states = per_loop[rng.integers(2)][0]
+                row = rng.integers(rows)
+                if rng.integers(2):
+                    states[row, rng.integers(horizon), 0] = 1e200
+                else:
+                    states[row, :, 0] = 9e153
+            got = self._outcome(simulator._record_chunk, scn, n_runs, per_loop)
+            assert isinstance(got, str)
+            assert got == self._outcome(oracle_record_chunk, scn, n_runs, per_loop)
+            refusals.add("statistics overflow" in got)
+        assert refusals == {False, True}
+
 
 def _step_replay(scn, per_loop, alpha_index, runs):
     """Replay each held interval of each loop and run with ``oracle_step``, from
