@@ -160,8 +160,35 @@ def _state_norm(name: str, x: np.ndarray) -> float:
     return norm
 
 
+def _check_outputs(out_dir: Path, paths) -> None:
+    """Refuse, before any work and without making anything, outputs that
+    cannot be written: a directory ``out_dir`` whose nearest existing path
+    (itself or a parent) is not a directory, and any of ``paths`` where
+    something other than a regular file stands.  The one-line message names
+    the path in the way."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigurationError(
+                    f"cannot write the output: not a directory: {str(path)!r}")
+            break
+    for path in paths:
+        if path.exists() and not path.is_file():
+            raise ConfigurationError(
+                f"cannot write the output: not a regular file: {str(path)!r}")
+
+
+def _simulate_paths(out_dir: Path, scn, gnuplot: bool) -> list:
+    """The files ``simulate`` writes into ``out_dir``, in writing order."""
+    names = [f"{spec.name}.trace.csv" for spec in scn.loops]
+    names += ["tx_log.csv", "summary.json", *(["plot.gp"] if gnuplot else [])]
+    return [out_dir / name for name in names]
+
+
 def cmd_simulate(args) -> int:
     scn, _ = load_scenario(args.scenario)
+    out_dir = Path(args.out)
+    _check_outputs(out_dir, _simulate_paths(out_dir, scn, args.gnuplot))
     if scn.mode == MODE_PERIODIC:
         trace = run_periodic(scn)
     else:
@@ -197,7 +224,6 @@ def cmd_simulate(args) -> int:
             "final_value": float(tr.values[-1]),
             "final_state_norm": _state_norm(spec.name, tr.states[-1]),
         }
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec in scn.loops:
         write_trace_csv(trace.loops[spec.name], out_dir / f"{spec.name}.trace.csv")
@@ -220,7 +246,8 @@ def _sweep_paths(out: Path, names) -> dict:
     """Each loop's adaptive and periodic CSV paths: ``out`` with the loop's
     name (unless it is the only loop) and ``periodic`` put before the
     suffix.  Two loops whose paths coincide, such as ``a`` and
-    ``a.periodic``, raise ConfigurationError naming both."""
+    ``a.periodic``, raise ConfigurationError naming both, and so does a
+    path that cannot be written (see :func:`_check_outputs`)."""
     suffix = out.suffix or ".csv"
     stem = str(out.with_suffix(""))
     writer, paths = {}, {}
@@ -235,6 +262,7 @@ def _sweep_paths(out: Path, names) -> dict:
                 )
             writer[path] = name
             paths[name].append(path)
+    _check_outputs(out.parent, writer)
     return paths
 
 

@@ -88,7 +88,8 @@ def decide(gt: GainTable, x, feasible) -> Decision:
 
 
 def _pick(scores: np.ndarray, taken=None) -> np.ndarray:
-    """Row of the chosen wait for each run of ``scores`` ``(R, |I0|)``.
+    """Row of the chosen wait for each run of ``scores`` ``(R, |I0|)``, or
+    for the one run of ``scores`` ``(|I0|,)``.
 
     The rule of the online law: the least score among the waits not
     ``taken`` (a boolean mask shaped like ``scores``; ``None`` takes none),
@@ -100,7 +101,7 @@ def _pick(scores: np.ndarray, taken=None) -> np.ndarray:
     if taken is not None:
         ranked[taken] = np.inf
     # Argmin over the reversed waits, so that ties go to the larger wait.
-    return ranked.shape[1] - 1 - ranked[:, ::-1].argmin(axis=1)
+    return ranked.shape[-1] - 1 - ranked[..., ::-1].argmin(axis=-1)
 
 
 def partition_1d(gt: GainTable, x_grid) -> np.ndarray:

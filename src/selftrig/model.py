@@ -52,9 +52,19 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+# Below this many entries a vector's finiteness is tested in Python, which
+# beats one numpy pass there (0.3 against 0.9 us at 2 entries, 0.8 against
+# 0.9 us at 16).
+_SMALL_VECTOR = 16
+
+
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry is finite; on a state-sized array this costs half
-    of ``np.isfinite(a).all()``."""
+    """Whether every entry is finite, exactly as ``np.isfinite(a).all()``
+    says: for a vector of fewer than :data:`_SMALL_VECTOR` entries by
+    ``math.isfinite`` over its floats, otherwise in one numpy pass, which on
+    a state-sized array costs half of ``np.isfinite(a).all()``."""
+    if a.ndim == 1 and a.size < _SMALL_VECTOR:
+        return all(map(math.isfinite, a.tolist()))
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 

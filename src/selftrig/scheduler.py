@@ -160,7 +160,8 @@ class _RunLedger:
     per loop, and ``booked`` marks the loops that have reserved one.
     :meth:`taken` is the residue test of :func:`feasible_set` and
     :meth:`book` the booking of :func:`reserve`, for the runs ``rows``
-    (an index array or a slice) at once.
+    (an index array or a slice) at once, or for the one run ``rows`` (an
+    int), without its run axis.
     """
 
     def __init__(self, p: int, I0: tuple, s: int, n_runs: int):
@@ -170,15 +171,16 @@ class _RunLedger:
         self.booked = np.zeros((n_runs, s), dtype=bool)
 
     def taken(self, j: int, k: int, rows):
-        """Mask ``(R, |I0|)`` of the waits that loop ``j`` may not take at
-        ``k``: wait ``i`` is taken when ``(i - (next_tx[q] - k)) % p == 0``
-        for a booked loop ``q != j``.  ``None`` when there is one loop."""
+        """Mask ``(R, |I0|)`` (``(|I0|,)`` for one run) of the waits that
+        loop ``j`` may not take at ``k``: wait ``i`` is taken when
+        ``(i - (next_tx[q] - k)) % p == 0`` for a booked loop ``q != j``.
+        ``None`` when there is one loop."""
         if self.next_tx.shape[1] == 1:
             return None
-        offset = (self.next_tx[rows] - k)[:, :, None]
-        taken = ((self.waits - offset) % self.p == 0) & self.booked[rows][:, :, None]
-        taken[:, j] = False
-        return taken.any(axis=1)
+        offset = (self.next_tx[rows] - k)[..., None]
+        taken = ((self.waits - offset) % self.p == 0) & self.booked[rows][..., None]
+        taken[..., j, :] = False
+        return taken.any(axis=-2)
 
     def book(self, j: int, k: int, rows, pick) -> np.ndarray:
         """Book loop ``j``'s next slot at ``k`` plus the wait in row

@@ -3,12 +3,16 @@ periodic baseline.
 
 One event loop advances the plants from one decision to the next, for the
 rows of a leading row axis: one row is one (alpha index, run index) pair,
-so a single run and every run of a sweep take the same path.  Whenever a
+so a single run and every run of a sweep share one event loop.  Whenever a
 loop's next sample comes up in a row, its state is "transmitted" and a
 decision policy picks the input to hold and the wait until the next
 sample.  A held input makes the steps up to the largest wait one lifted
 linear map, so a decision costs one product, not one plant update per
-step.  There are three policies: the self-triggered law through the
+step.  A policy gets the states ``x`` ``(R', n)`` of the deciding rows and
+returns their waits and inputs ``u`` ``(R', m)``; with one row (a single
+run, or a sweep of one alpha and one run) the loop takes a one-row body,
+and the policy gets ``x`` ``(n,)`` and returns one scalar wait and ``u``
+``(m,)``.  There are three policies: the self-triggered law through the
 reservation ledger for one run (table argmin over the waits the ledger
 allows, then a reservation), and two row-form policies that serve the
 sweeps: the self-triggered law over every row of every alpha (the
@@ -558,7 +562,9 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     first samples at ``first_samples[j]``.  At ``k`` the decision rule
     ``policy(j, k, rows, x) -> (waits, u)`` gets the states ``x`` ``(R', n)``
     of the rows ``rows`` whose loop ``j`` samples then, and picks the inputs
-    ``u`` ``(R', m)`` to hold and the waits until their next samples.
+    ``u`` ``(R', m)`` to hold and the waits until their next samples.  With
+    one row (``R == 1``) the rule gets ``rows = 0`` and the state ``x``
+    ``(n,)``, and returns one scalar wait and ``u`` ``(m,)``.
     Loops sampling at the same ``k`` decide in increasing index order.
 
     The loop jumps from one decision time to the next.  Each decision
@@ -568,7 +574,9 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     segment at ``k = 0`` covers the steps before a loop's first sample.
     The operand of a product is the rows' states, their inputs and, for a
     noisy loop, their next ``gamma`` disturbances, read from one read-only
-    strided view of ``Ew`` built once per loop.
+    strided view of ``Ew`` built once per loop.  One row takes its own
+    body (:func:`_one_row`), which keeps each decision and writes the
+    inputs and waits once, after the run.
     The scenario and the drawn noise are finite when the rows start, so
     the segments run without checks; one finiteness check per loop follows
     the rows, on the kept steps only.  A policy's error is raised again
@@ -597,6 +605,32 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
                                                  writeable=False)
         windows.append(Ew)
 
+    def failed(j, k, exc):
+        """Raise the policy error ``exc`` of loop ``j`` at ``k`` again, with
+        its step and loop, after the finiteness check of every state so far."""
+        # A state that left the floats fails the policy first; the first
+        # non-finite step so far is the cause to report.
+        for spec, loop_states in zip(scn.loops, states):
+            _check_finite(spec.name, loop_states[:, :k + 1], keys)
+        raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
+
+    # Overflow is part of the pick rule and of the finiteness checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if R == 1:
+            _one_row(T, G, first_samples, policy, failed, maps, states, inputs, waits, windows)
+        else:
+            _rows(T, G, first_samples, policy, failed, maps, states, inputs, waits, windows)
+
+    kept = [(x[:, :T + 1], u[:, :T], w) for x, u, w in zip(states, inputs, waits)]
+    for spec, (loop_states, _, _) in zip(scn.loops, kept):
+        _check_finite(spec.name, loop_states, keys)
+    return kept
+
+
+def _rows(T, G, first_samples, policy, failed, maps, states, inputs, waits, windows) -> None:
+    """The body of :func:`_event_loop` for ``R > 1`` rows, on its arrays."""
+    R = states[0].shape[0]
+
     def advance(j, rows, k, x, u):
         """Hold the inputs ``u`` from ``k`` on in ``rows``, whose states at
         ``k`` are ``x``, for the next G steps."""
@@ -614,42 +648,71 @@ def _event_loop(scn: Scenario, first_samples, policy, keys, draws) -> list:
     next_sample = [np.full(R, k0) for k0 in first_samples]
     due = list(first_samples)
     k = min(due)
-    # Overflow is part of the pick rule and of the finiteness checks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < T:
-            for j in range(len(maps)):
-                if due[j] != k:
-                    continue
-                # When every row decides, basic slicing stands in for the index
-                # array; one row also keeps a scalar clock.
-                rows = slice(None)
-                if R > 1:
-                    deciding = (next_sample[j] == k).nonzero()[0]
-                    if deciding.size < R:
-                        rows = deciding
-                x = states[j][rows, k]
-                try:
-                    wait, u = policy(j, k, rows, x)
-                except SelfTrigError as exc:
-                    # A state that left the floats fails the policy first; the
-                    # first non-finite step so far is the cause to report.
-                    for spec, loop_states in zip(scn.loops, states):
-                        _check_finite(spec.name, loop_states[:, :k + 1], keys)
-                    raise type(exc)(f"at step k={k}, loop {scn.loops[j].name!r}: {exc}") from exc
-                inputs[j][rows, k:k + G] = u[:, None]
-                advance(j, rows, k, x, u)
-                waits[j][rows, k] = wait
-                if R == 1:
-                    due[j] = k + int(waits[j][0, k])
-                else:
-                    next_sample[j][rows] = k + wait
-                    due[j] = next_sample[j].min()
-            k = min(due)
+    while k < T:
+        for j in range(len(maps)):
+            if due[j] != k:
+                continue
+            # When every row decides, basic slicing stands in for the index
+            # array.
+            rows = slice(None)
+            deciding = (next_sample[j] == k).nonzero()[0]
+            if deciding.size < R:
+                rows = deciding
+            x = states[j][rows, k]
+            try:
+                wait, u = policy(j, k, rows, x)
+            except SelfTrigError as exc:
+                failed(j, k, exc)
+            inputs[j][rows, k:k + G] = u[:, None]
+            advance(j, rows, k, x, u)
+            waits[j][rows, k] = wait
+            next_sample[j][rows] = k + wait
+            due[j] = next_sample[j].min()
+        k = min(due)
 
-    kept = [(x[:, :T + 1], u[:, :T], w) for x, u, w in zip(states, inputs, waits)]
-    for spec, (loop_states, _, _) in zip(scn.loops, kept):
-        _check_finite(spec.name, loop_states, keys)
-    return kept
+
+def _one_row(T, G, first_samples, policy, failed, maps, states, inputs, waits, windows) -> None:
+    """The body of :func:`_event_loop` for one row, on its arrays: each
+    loop's states ``(T+1+G, n)`` with a scalar clock, one ``einsum`` per
+    decision, and each decision's ``(k, wait, u)`` kept in a list; the
+    inputs and waits are written once, after the run."""
+    xs = [loop_states[0] for loop_states in states]
+    noise = [None if Ew is None else Ew[0] for Ew in windows]
+    made = [[] for _ in maps]
+
+    def advance(j, k, x, u):
+        """Hold the input ``u`` from ``k`` on, from the state ``x`` at ``k``,
+        for the next G steps."""
+        Ew = noise[j]
+        z = (x, u) if Ew is None else (x, u, Ew[k])
+        # The one-row form of the rows' product; it too raises no
+        # floating-point warnings.
+        xs[j][k + 1:k + 1 + G] = np.einsum("i,ij->j", np.concatenate(z),
+                                           maps[j]).reshape(G, -1)
+
+    for j in range(len(maps)):
+        advance(j, 0, xs[j][0], inputs[j][0, 0])
+    due = list(first_samples)
+    k = min(due)
+    while k < T:
+        for j in range(len(maps)):
+            if due[j] != k:
+                continue
+            x = xs[j][k]
+            try:
+                wait, u = policy(j, k, 0, x)
+            except SelfTrigError as exc:
+                failed(j, k, exc)
+            advance(j, k, x, u)
+            made[j].append((k, wait, u))
+            due[j] = k + wait
+        k = min(due)
+    for j, decisions in enumerate(made):
+        if decisions:
+            ks, chosen, us = zip(*decisions)
+            waits[j][0, list(ks)] = chosen
+            # Each input holds from its decision to the next, the last to T.
+            inputs[j][0, ks[0]:T] = np.repeat(us, np.diff([*ks, T]), axis=0)
 
 
 def _sim_trace(scn: Scenario, mode: str, run, values, feasible) -> SimTrace:
@@ -721,11 +784,11 @@ def run_self_triggered(
         nonlocal ledger
         name = names[j]
         feas = feasible_set(ledger, name, k)
-        dec = decide(gts[j], x[0], feas)
+        dec = decide(gts[j], x, feas)
         ledger = reserve(ledger, name, k, dec.i_star)
         values[j].append(dec.value)
         feasible[j].append(feas)
-        return dec.i_star, dec.u[None]
+        return dec.i_star, dec.u
 
     run = _event_loop(scn, [0] * len(names), policy, keys, _draws(scn, keys))
     return _sim_trace(scn, MODE_SELF_TRIGGERED, run, values, feasible)
@@ -742,7 +805,7 @@ def _periodic_runs(scn: Scenario, keys, periods, draws) -> tuple:
     waits = np.array(periods)
 
     def policy(j, k, rows, x):
-        return waits[rows], -(L[j][rows] @ x[:, :, None])[:, :, 0]
+        return waits[rows], -(L[j][rows] @ x[..., None])[..., 0]
 
     return _event_loop(scn, range(len(scn.loops)), policy, keys, draws), gains
 
@@ -789,7 +852,7 @@ def _self_triggered_runs(scn: Scenario, tables: dict, keys, draws) -> list:
         taken = ledger.taken(j, k, rows)
         pick = _pick(_scores(stacks[j], x, costs[j][rows]), taken)
         wait = ledger.book(j, k, rows, pick)
-        return wait, -(stacks[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
+        return wait, -(stacks[j].L_stack[pick] @ x[..., None])[..., 0]
 
     return _event_loop(scn, [0] * len(scn.loops), policy, keys, draws)
 

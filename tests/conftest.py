@@ -566,7 +566,7 @@ def oracle_sweep_alpha(scn, alphas, n_runs):
         def policy(j, k, rows, x, tables=tables, ledger=ledger):
             pick = _pick(_scores(tables[j], x), ledger.taken(j, k, rows))
             wait = ledger.book(j, k, rows, pick)
-            return wait, -(tables[j].L_stack[pick] @ x[:, :, None])[:, :, 0]
+            return wait, -(tables[j].L_stack[pick] @ x[..., None])[..., 0]
 
         keys = [(ai, r) for r in range(n_runs)]
         oracle_record_runs(stats, ai, scn, simulator._event_loop(
@@ -619,7 +619,7 @@ def oracle_periodic_run(scn, alpha_index=0, run_index=0):
     gains = [solve_periodic_riccati(spec.system, spec.weights, scn.ts) for spec in scn.loops]
 
     def policy(j, k, rows, x):
-        return scn.ts, -(gains[j][1] @ x[0])[None]
+        return scn.ts, -(gains[j][1] @ x)
 
     keys = [(alpha_index, run_index)]
     return simulator._event_loop(scn, range(len(gains)), policy, keys,

@@ -691,6 +691,88 @@ def test_an_output_that_cannot_be_written_exits_2(command, options, out, named, 
     assert (tmp_path / "f").read_text() == "kept"
 
 
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with its kind, and a file's bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file()
+            else "dir" if path.is_dir() else "other" for path in sorted(root.rglob("*"))}
+
+
+_SIMULATE_NAMES = ["integrator.trace.csv", "double_integrator.trace.csv", "tx_log.csv",
+                   "summary.json", "plot.gp"]
+_SWEEP_NAMES = ["s.integrator.csv", "s.integrator.periodic.csv", "s.double_integrator.csv",
+                "s.double_integrator.periodic.csv"]
+
+
+class TestOutputsRefusedBeforeTheWork:
+    """``simulate`` and ``sweep`` refuse an output they could not write
+    before any work: the work is replaced by a stub that fails the test if
+    it runs.  Each refusal exits 2 with one line naming the path in the way,
+    and leaves the target directory as it was."""
+
+    @staticmethod
+    def _run(command, target, monkeypatch, capsys, synth_out):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{command} ran its work before refusing the output")
+
+        monkeypatch.setattr(cli, {"simulate": "run_self_triggered", "sweep": "sweep"}[command],
+                            work)
+        argv = {"simulate": ["-t", str(synth_out), "--gnuplot"],
+                "sweep": ["--alphas", "0,0.5", "--runs", "100000"]}[command]
+        code = run_cli(command, "-c", str(SCENARIOS / "two_loop.json"), *argv,
+                       "-o", str(target))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    @pytest.mark.parametrize("command, name", [
+        *(("simulate", name) for name in _SIMULATE_NAMES),
+        *(("sweep", name) for name in _SWEEP_NAMES),
+    ])
+    def test_an_output_name_that_is_not_a_regular_file(self, command, name, kind, tmp_path,
+                                                       monkeypatch, capsys, synth_out):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "kept.txt").write_text("kept")
+        if kind == "directory":
+            (run / name).mkdir()
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes on this platform")
+            os.mkfifo(run / name)
+        before = _tree(tmp_path)
+        target = run if command == "simulate" else run / "s.csv"
+        code, err = self._run(command, target, monkeypatch, capsys, synth_out)
+        assert code == 2
+        assert err == (f"configuration error: cannot write the output: not a regular file: "
+                       f"{str(run / name)!r}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command, out, named", [
+        ("simulate", "f", "f"),
+        ("simulate", "f/run", "f"),
+        ("simulate", "f/x/run", "f"),
+        ("sweep", "f/s.csv", "f"),
+        ("sweep", "f/x/s.csv", "f"),
+    ])
+    def test_an_output_directory_under_a_file(self, command, out, named, tmp_path,
+                                              monkeypatch, capsys, synth_out):
+        (tmp_path / "f").write_text("kept")
+        before = _tree(tmp_path)
+        code, err = self._run(command, tmp_path / out, monkeypatch, capsys, synth_out)
+        assert code == 2
+        assert err == (f"configuration error: cannot write the output: not a directory: "
+                       f"{str(tmp_path / named)!r}\n")
+        assert _tree(tmp_path) == before
+
+    def test_regular_files_in_the_way_are_written_over(self, tmp_path, synth_out):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in _SIMULATE_NAMES:
+            (run / name).write_text("old")
+        assert run_cli("simulate", "-c", str(SCENARIOS / "two_loop.json"), "-t",
+                       str(synth_out), "--gnuplot", "-o", str(run)) == 0
+        assert all((run / name).read_text() != "old" for name in _SIMULATE_NAMES)
+
+
 def test_numpy_random_is_imported_by_the_first_draw():
     # synth and verify draw nothing, so they do not pay for numpy.random;
     # simulate draws, and imports it then.

@@ -2,6 +2,7 @@
 import dataclasses
 import heapq
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,19 @@ class TestStackedScores:
     def test_partition_refuses_bad_grids(self, integrator_table, grid):
         with pytest.raises(ConfigurationError):
             partition_1d(integrator_table, grid)
+
+
+@pytest.mark.parametrize("x", [[np.inf, -np.inf], [np.nan, 0.0], [np.inf]],
+                         ids=["inf-and-minus-inf", "nan", "inf-of-the-wrong-length"])
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+def test_decide_refuses_a_state_that_is_not_finite(double_integrator_table, x, as_array):
+    # The refusal comes before the length check and before any score, so no
+    # floating-point warning escapes, whatever the form of x.
+    gt = double_integrator_table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=r"^x has non-finite entries$"):
+            decide(gt, np.array(x) if as_array else x, gt.I0)
 
 
 def _fixed_table(P_by_wait):

@@ -27,7 +27,7 @@ from selftrig import (
     sweep,
     uncontrollable_reason,
 )
-from selftrig.model import _lift, symmetrize
+from selftrig.model import _SMALL_VECTOR, _all_finite, _lift, symmetrize
 from selftrig.scenario import load_scenario
 
 from conftest import (
@@ -605,3 +605,21 @@ def test_numpy_integers_are_accepted_as_plain_ints():
     assert all(type(v) is int for v in (*scn.I0, scn.p, scn.horizon))
     assert [lm.i for lm in lift_range(_UNIT, _UNIT_WEIGHTS, np.int64(3))] == [1, 2, 3]
     assert uncontrollable_reason(_UNIT, np.int32(2)) is None
+
+
+_SMALLEST_SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize("size", [1, 2, _SMALL_VECTOR - 1, _SMALL_VECTOR, 3 * _SMALL_VECTOR])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, -0.0, _SMALLEST_SUBNORMAL,
+                                   -2.5e-310, 1.7976931348623157e308, None])
+def test_all_finite_is_numpys_finiteness_test(size, entry):
+    # Either side of the size cut, and as a vector or a matrix, the answer
+    # is np.isfinite(a).all() exactly.
+    rng = np.random.default_rng(size)
+    for position in sorted({0, size // 2, size - 1}):
+        a = rng.normal(size=size)
+        if entry is not None:
+            a[position] = entry
+        for arr in (a, a[::-1].copy(), a.reshape(1, -1), a.reshape(-1, 1)):
+            assert _all_finite(arr) == np.isfinite(arr).all()

@@ -1038,7 +1038,7 @@ def test_policy_errors_name_their_step_and_loop(transient_scenario):
     def policy(j, k, rows, x):
         if k == 3:
             raise SchedulingError("no wait left")
-        return 3, np.zeros((1, 1))
+        return 3, np.zeros(1)
 
     keys = [(0, 0)]
     with pytest.raises(SchedulingError, match=r"^at step k=3, loop 'integrator': no wait left$"):
@@ -1609,3 +1609,66 @@ class TestSegmentStepping:
         with np.errstate(over="ignore", invalid="ignore"):
             tail = [x := sys.A @ x + sys.B @ u for _ in range(scn.gamma)]
         assert not np.isfinite(tail).all()
+
+
+class TestOneRowBody:
+    """One row runs in the event loop's one-row body, chosen by the row
+    count alone: a row keyed alone equals the same row of a multi-row event
+    loop, bit for bit for a scalar state and within 1e-12 of the state's
+    scale for two states, and its policy gets one state vector."""
+
+    @staticmethod
+    def _assert_row(scn, alone, rows, r):
+        for spec, (states, inputs, waits), (all_states, all_inputs, all_waits) in zip(
+                scn.loops, alone, rows):
+            assert states.shape[0] == inputs.shape[0] == waits.shape[0] == 1
+            np.testing.assert_array_equal(waits[0], all_waits[r])
+            if spec.system.n == 1:
+                assert bits(states[0]) == bits(all_states[r])
+                assert bits(inputs[0]) == bits(all_inputs[r])
+            else:
+                scale = np.max(np.abs(all_states[r]))
+                np.testing.assert_allclose(states[0], all_states[r], rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(inputs[0], all_inputs[r], rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("case", ["channel", "integrator_sweep"])
+    def test_periodic_rows(self, case):
+        scn = {"channel": _channel_scenario, "integrator_sweep": _integrator_sweep_scenario}[case]()
+        s, p = len(scn.loops), scn.p
+        keys = [(ai, r) for ai in (0, 2) for r in range(3)]
+        periods = [s + (i % (p - s + 1)) for i in range(len(keys))]
+        rows, _ = simulator._periodic_runs(scn, keys, periods, _draws(scn, keys))
+        for r, key in enumerate(keys):
+            alone, _ = simulator._periodic_runs(scn, [key], [periods[r]], _draws(scn, [key]))
+            self._assert_row(scn, alone, rows, r)
+
+    @pytest.mark.parametrize("case", ["channel", "two_loop", "integrator_sweep"])
+    def test_sweep_law_rows(self, case):
+        scn = {"channel": _channel_scenario, "integrator_sweep": _integrator_sweep_scenario,
+               "two_loop": lambda: load_scenario(SCENARIOS / "two_loop.json")[0]}[case]()
+        tables = {1: _tables(scn, 0.5)}
+        keys = [(1, r) for r in range(4)]
+        rows = _self_triggered_rows(scn, tables, keys)
+        for r, key in enumerate(keys):
+            self._assert_row(scn, _self_triggered_rows(scn, tables, [key]), rows, r)
+
+    def test_a_one_row_policy_gets_a_state_vector(self):
+        scn = _channel_scenario()
+        seen = []
+
+        def policy(j, k, rows, x):
+            seen.append((rows, x.shape))
+            m = scn.loops[j].system.m
+            return (5, np.zeros(m)) if x.ndim == 1 else (np.full(len(x), 5), np.zeros((len(x), m)))
+
+        for keys in ([(0, 0)], [(0, 0), (0, 1)]):
+            seen.clear()
+            run = _event_loop(scn, [0, 1, 2, 3], policy, keys, _draws(scn, keys))
+            shapes = {(spec.system.n,) if len(keys) == 1 else (len(keys), spec.system.n)
+                      for spec in scn.loops}
+            assert {shape for _, shape in seen} == shapes
+            if len(keys) == 1:
+                assert {rows for rows, _ in seen} == {0}
+            for j, (_, inputs, waits) in enumerate(run):
+                np.testing.assert_array_equal(np.flatnonzero(waits[0]),
+                                              range(j, scn.horizon, 5))
