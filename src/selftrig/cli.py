@@ -86,6 +86,8 @@ def _print_table(gt, cert) -> None:
 
 def cmd_synth(args) -> int:
     scn, _ = load_scenario(args.scenario)
+    out_dir = Path(args.out)
+    _check_outputs(out_dir, [_table_path(out_dir, spec.name) for spec in scn.loops])
     systems = [spec.system for spec in scn.loops]
     pstar = select_pstar(systems, scn.I0)
     if scn.p != pstar:
@@ -94,7 +96,6 @@ def cmd_synth(args) -> int:
             f"period {pstar}; the stability construction requires p == {pstar}"
         )
     tables = _build_tables(scn)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for spec, gt in zip(scn.loops, tables):
         cert = stability_certificate(gt, spec.system, pstar)

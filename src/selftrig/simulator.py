@@ -28,15 +28,16 @@ refusal of a step.
 Randomness is fully reproducible: every (alpha index, run index, loop
 index) triple keys its own Philox counter-based substream, so sweep
 aggregation is order-independent.  The keys are numpy's ``SeedSequence``
-keys, computed for every substream of a draw in one vectorized pass of its
-hash; one generator, re-keyed per substream, then draws them.
+keys: ``SeedSequence`` hashes the seed and keys a call with an index of
+2**32 or more itself; otherwise the three one-word indices of every
+substream of a draw mix in at once.  One re-keyed generator draws them.
 ``numpy.random`` is imported on the first draw, not with this module, so
-commands that draw nothing do not pay for it.  Each
-substream is drawn once, into read-only per-loop arrays of initial states
-and disturbances that the event loop takes from its caller: a sweep goes
-chunk by chunk of whole alphas, and runs the self-triggered rows of a
-chunk, derives each alpha's matched period from their statistics, then
-runs the periodic rows of the chunk on the same draws.
+commands that draw nothing do not pay for it.  Each substream is drawn
+once, into read-only per-loop arrays of initial states and disturbances
+that the event loop takes from its caller: a sweep goes chunk by chunk of
+whole alphas, and runs the self-triggered rows of a chunk, derives each
+alpha's matched period from their statistics, then runs the periodic rows
+of the chunk on the same draws.
 """
 from __future__ import annotations
 
@@ -86,110 +87,57 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SHIFT = 16
 _MASK32 = 0xFFFFFFFF
-# The seed fills the pool (4 calls) and mixes it lane into lane (12 calls).
-_SEED_CALLS = _POOL * _POOL
+_KEY_WORDS = 3  # a spawn key's entries: alpha, run and loop index
 
 
-def _powers(init: int, mult: int, first: int, count: int) -> list:
+def _powers(init: int, mult: int, first: int, count: int) -> np.ndarray:
     """``init * mult**c`` mod 2**32 for ``c`` in ``[first, first + count)``."""
-    return [init * pow(mult, c, 1 << 32) & _MASK32 for c in range(first, first + count)]
+    return np.uint32(init) * np.uint32(mult) ** np.arange(first, first + count, dtype=np.uint32)
 
 
-def _word_constants(words: int) -> tuple:
-    """The xor and multiply constants of the hashmix calls that mix spawn-key
-    word ``t`` into pool lane ``d``, for ``words`` words: two ``(words, 4)``
-    uint32 arrays."""
-    powers = np.array(_powers(_INIT_A, _MULT_A, _SEED_CALLS, _POOL * words + 1),
-                      dtype=np.uint32)
-    return powers[:-1].reshape(words, _POOL), powers[1:].reshape(words, _POOL)
+# The hashmix calls that mix key word t into pool lane d, (words, lanes):
+# they follow the seed's 16 (4 fill the pool, 12 mix it lane into lane).
+_WORD_HASH = _powers(_INIT_A, _MULT_A, _POOL * _POOL, _POOL * _KEY_WORDS + 1)
+_WORD_XOR = _WORD_HASH[:-1].reshape(_KEY_WORDS, _POOL)
+_WORD_MUL = _WORD_HASH[1:].reshape(_KEY_WORDS, _POOL)
+_STATE_HASH = _powers(_INIT_B, _MULT_B, 0, _POOL + 1)
 
 
-_SEED_HASH = _powers(_INIT_A, _MULT_A, 0, _SEED_CALLS + 1)
-# Enough words for a spawn key of 3 entries below 2**64.
-_WORD_XOR, _WORD_MUL = _word_constants(6)
-_STATE_HASH = np.array(_powers(_INIT_B, _MULT_B, 0, _POOL + 1), dtype=np.uint32)
+def _substream_keys(seed: int, spawn_keys) -> list:
+    """The Philox key of each spawn key (three non-negative ints) in
+    ``spawn_keys``: what ``SeedSequence(entropy=seed & (2**64 - 1),
+    spawn_key=key).generate_state(2, np.uint64)`` returns, as two ints.
 
-
-def _seed_pool(seed: int) -> list:
-    """The SeedSequence pool of ``seed & (2**64 - 1)`` with a spawn key,
-    before the key's words mix in: the seed's two 32-bit words and two zero
-    words, hashed and mixed, in Python ints."""
+    numpy's ``SeedSequence`` hashes the seed into the pool every key
+    starts from.  A call with an entry of 2**32 or more, which takes more
+    than one word, is keyed by ``SeedSequence`` itself.  Otherwise the
+    three one-word entries mix into the 4 pool lanes of all keys at once,
+    in uint32 arithmetic, which wraps as numpy's does.
+    """
+    if not spawn_keys:
+        return []
     seed &= 0xFFFFFFFFFFFFFFFF
-    calls = iter(zip(_SEED_HASH, _SEED_HASH[1:]))
-
-    def hashmix(value):
-        xor, mul = next(calls)
-        value = (value ^ xor) * mul & _MASK32
-        return value ^ value >> _SHIFT
-
-    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _MASK32
-                pool[dst] = mixed ^ mixed >> _SHIFT
-    return pool
-
-
-def _int_words(value: int) -> list:
-    """The little-endian 32-bit words SeedSequence takes from one
-    non-negative spawn-key entry: ``[0]`` for 0."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _word_groups(spawn_keys) -> list:
-    """The rows of ``spawn_keys`` grouped by entropy word count, as pairs of
-    row indices and ``(rows, words)`` uint32 words.  An entry of 2**32 or
-    more takes extra words, so only a key with one is split word by word."""
     try:
         entries = np.fromiter(chain.from_iterable(spawn_keys), dtype=np.int64)
     except OverflowError:
         entries = None
-    if entries is not None and entries.size and entries.max() <= _MASK32:
-        return [(slice(None), entries.astype(np.uint32).reshape(len(spawn_keys), -1))]
-    groups = {}
-    for row, key in enumerate(spawn_keys):
-        words = [w for entry in key for w in _int_words(entry)]
-        rows, grouped = groups.setdefault(len(words), ([], []))
-        rows.append(row)
-        grouped.append(words)
-    return [(rows, np.array(words, dtype=np.uint32)) for rows, words in groups.values()]
-
-
-def _substream_keys(seed: int, spawn_keys) -> list:
-    """The Philox key of each spawn key in ``spawn_keys``, in one pass: what
-    ``SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
-    .generate_state(2, np.uint64)`` returns, as a list of two ints.
-
-    The keys are non-empty tuples of one length, of non-negative ints.  The
-    seed's part of the pool is the same for every key and is hashed once;
-    then each key word mixes into the 4 pool lanes of every key at once, in
-    uint32 arithmetic, which wraps as numpy's does.
-    """
-    state = np.empty((len(spawn_keys), _POOL), dtype="<u4")
-    pool0 = np.array(_seed_pool(seed), dtype=np.uint32)
-    for rows, words in _word_groups(spawn_keys):
-        count = words.shape[1]
-        xor, mul = ((_WORD_XOR[:count], _WORD_MUL[:count]) if count <= len(_WORD_XOR)
-                    else _word_constants(count))
-        # Every word hashed once per lane, (rows, words, lanes), then mixed
-        # into the pool one word after the other.
-        h = (words[:, :, None] ^ xor) * mul
-        h ^= h >> _SHIFT
-        h *= _MIX_R
-        pool = pool0
-        for t in range(count):
-            pool = pool * _MIX_L - h[:, t]
-            pool ^= pool >> _SHIFT
-        pool ^= _STATE_HASH[:-1]
-        pool *= _STATE_HASH[1:]
-        state[rows] = pool ^ pool >> _SHIFT
+    if entries is None or entries.max() > _MASK32:
+        return [np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64).tolist()
+                for key in spawn_keys]
+    words = entries.astype(np.uint32).reshape(len(spawn_keys), _KEY_WORDS)
+    # Each word hashed once per lane, (keys, words, lanes), then mixed in turn.
+    h = (words[:, :, None] ^ _WORD_XOR) * _WORD_MUL
+    h ^= h >> _SHIFT
+    h *= _MIX_R
+    pool = np.random.SeedSequence(seed).pool
+    for t in range(_KEY_WORDS):
+        pool = pool * _MIX_L - h[:, t]
+        pool ^= pool >> _SHIFT
+    pool ^= _STATE_HASH[:-1]
+    pool *= _STATE_HASH[1:]
+    pool ^= pool >> _SHIFT
     # Numpy reads each uint64 word of the key from two little-endian words.
-    return state.view("<u8").tolist()
+    return pool.astype("<u4", copy=False).view("<u8").tolist()
 
 
 def _substream_index(value, what: str) -> int:
@@ -215,9 +163,10 @@ def rng_substream(
     spawn_key=(alpha_index, run_index, loop_index)) keys a Philox 4x64
     counter-based bit generator; normal draws use numpy's standard_normal.
     Per run and loop, the initial state (when random) is drawn first,
-    then the whole disturbance sequence.  The key comes from the same
-    one-pass kernel that keys every substream of a draw, so no
-    SeedSequence is built; the generator therefore cannot ``spawn``.
+    then the whole disturbance sequence.  :func:`_substream_keys` gives
+    the key: numpy's ``SeedSequence`` hashes the seed and keys an index of
+    2**32 or more; else the three one-word indices mix in at once.  With
+    no SeedSequence of its own, the generator cannot ``spawn``.
 
     ``seed`` is an integer and each index a non-negative integer (an
     ``int`` or ``numpy.integer``, not a bool or float); anything else is a

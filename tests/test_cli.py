@@ -673,7 +673,7 @@ def test_an_asymmetric_value_matrix_exits_2(command, target, synth_out, tmp_path
 
 @pytest.mark.parametrize("command, options, out, named", [
     ("simulate", ["-t", "{tables}"], "f", "f"),
-    ("synth", [], "f/x", "f/x"),
+    ("synth", [], "f/x", "f"),
     ("sweep", ["--alphas", "0", "--runs", "2"], "f/s.csv", "f"),
 ])
 def test_an_output_that_cannot_be_written_exits_2(command, options, out, named, synth_out,
@@ -697,6 +697,7 @@ def _tree(root: Path) -> dict:
             else "dir" if path.is_dir() else "other" for path in sorted(root.rglob("*"))}
 
 
+_SYNTH_NAMES = ["integrator.gains.json", "double_integrator.gains.json"]
 _SIMULATE_NAMES = ["integrator.trace.csv", "double_integrator.trace.csv", "tx_log.csv",
                    "summary.json", "plot.gp"]
 _SWEEP_NAMES = ["s.integrator.csv", "s.integrator.periodic.csv", "s.double_integrator.csv",
@@ -704,19 +705,19 @@ _SWEEP_NAMES = ["s.integrator.csv", "s.integrator.periodic.csv", "s.double_integ
 
 
 class TestOutputsRefusedBeforeTheWork:
-    """``simulate`` and ``sweep`` refuse an output they could not write
-    before any work: the work is replaced by a stub that fails the test if
-    it runs.  Each refusal exits 2 with one line naming the path in the way,
-    and leaves the target directory as it was."""
+    """``synth``, ``simulate`` and ``sweep`` refuse an output they could not
+    write before any work: the work is replaced by a stub that fails the
+    test if it runs.  Each refusal exits 2 with one line naming the path in
+    the way, and leaves the target directory as it was."""
 
     @staticmethod
     def _run(command, target, monkeypatch, capsys, synth_out):
         def work(*args, **kwargs):
             raise AssertionError(f"{command} ran its work before refusing the output")
 
-        monkeypatch.setattr(cli, {"simulate": "run_self_triggered", "sweep": "sweep"}[command],
-                            work)
-        argv = {"simulate": ["-t", str(synth_out), "--gnuplot"],
+        monkeypatch.setattr(cli, {"synth": "_build_tables", "simulate": "run_self_triggered",
+                                  "sweep": "sweep"}[command], work)
+        argv = {"synth": [], "simulate": ["-t", str(synth_out), "--gnuplot"],
                 "sweep": ["--alphas", "0,0.5", "--runs", "100000"]}[command]
         code = run_cli(command, "-c", str(SCENARIOS / "two_loop.json"), *argv,
                        "-o", str(target))
@@ -724,6 +725,7 @@ class TestOutputsRefusedBeforeTheWork:
 
     @pytest.mark.parametrize("kind", ["directory", "fifo"])
     @pytest.mark.parametrize("command, name", [
+        *(("synth", name) for name in _SYNTH_NAMES),
         *(("simulate", name) for name in _SIMULATE_NAMES),
         *(("sweep", name) for name in _SWEEP_NAMES),
     ])
@@ -739,7 +741,7 @@ class TestOutputsRefusedBeforeTheWork:
                 pytest.skip("no named pipes on this platform")
             os.mkfifo(run / name)
         before = _tree(tmp_path)
-        target = run if command == "simulate" else run / "s.csv"
+        target = run / "s.csv" if command == "sweep" else run
         code, err = self._run(command, target, monkeypatch, capsys, synth_out)
         assert code == 2
         assert err == (f"configuration error: cannot write the output: not a regular file: "
@@ -747,6 +749,9 @@ class TestOutputsRefusedBeforeTheWork:
         assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("command, out, named", [
+        ("synth", "f", "f"),
+        ("synth", "f/tables", "f"),
+        ("synth", "f/x/tables", "f"),
         ("simulate", "f", "f"),
         ("simulate", "f/run", "f"),
         ("simulate", "f/x/run", "f"),

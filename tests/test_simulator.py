@@ -570,6 +570,44 @@ class TestSubstreamKeys:
             want = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=key)
             assert pair == want.generate_state(2, np.uint64).tolist(), key
 
+    @staticmethod
+    def _count_seed_sequences(monkeypatch):
+        """The spawn key of every ``SeedSequence`` built from here on, ``()``
+        for none, and numpy's own class."""
+        built, seed_sequence = [], np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(tuple(kwargs.get("spawn_key", ())))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        return built, seed_sequence
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1])
+    def test_one_word_entries_build_one_seed_sequence(self, seed, monkeypatch):
+        # numpy hashes the seed once, and 200 keys mix into its pool at once.
+        spawn_keys = [(a, r, 2**32 - 1 - a) for a in range(10) for r in range(20)]
+        built, seed_sequence = self._count_seed_sequences(monkeypatch)
+        got = simulator._substream_keys(seed, spawn_keys)
+        assert built == [()]
+        for key, pair in zip(spawn_keys, got, strict=True):
+            want = seed_sequence(seed & (2**64 - 1), spawn_key=key)
+            assert pair == want.generate_state(2, np.uint64).tolist(), key
+
+    def test_an_entry_of_two_words_keys_each_by_the_seed_sequence(self, monkeypatch):
+        spawn_keys = [(a, r, 1) for a in range(3) for r in range(4)] + [(2, 2**32, 0)]
+        built, seed_sequence = self._count_seed_sequences(monkeypatch)
+        got = simulator._substream_keys(42, spawn_keys)
+        assert built == spawn_keys
+        for key, pair in zip(spawn_keys, got, strict=True):
+            want = seed_sequence(42, spawn_key=key)
+            assert pair == want.generate_state(2, np.uint64).tolist(), key
+
+    def test_no_keys_build_nothing(self, monkeypatch):
+        built, _ = self._count_seed_sequences(monkeypatch)
+        assert simulator._substream_keys(42, []) == []
+        assert built == []
+
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_generator_equals_the_oracle(self, seed):
         for key in [(0, 0, 0), (3, 1, 2), (2**32 - 1, 2**32 + 5, 2**40)]:
