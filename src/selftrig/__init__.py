@@ -7,7 +7,8 @@ until the next sample, coordinating many loops on one shared channel with
 conflict-free slot reservations.
 """
 
-from .controller import Decision, decide, partition_1d
+import importlib
+
 from .errors import (
     CertificateError,
     ConfigurationError,
@@ -17,25 +18,7 @@ from .errors import (
     SynthesisError,
 )
 from .model import LiftedModel, LtiSystem, WeightSpec, lift_range
-from .scenario import load_scenario, scenario_from_dict
-from .scheduler import (
-    ReservationLedger,
-    feasible_set,
-    reserve,
-    verify_conflict_free,
-)
-from .simulator import (
-    LoopSpec,
-    LoopTrace,
-    Scenario,
-    SimTrace,
-    SweepSummary,
-    TxEvent,
-    rng_substream,
-    run_periodic,
-    run_self_triggered,
-    sweep,
-)
+from .scenario import LoopSpec, Scenario, load_scenario, scenario_from_dict
 from .synthesis import (
     GainTable,
     StabilityCertificate,
@@ -48,6 +31,31 @@ from .synthesis import (
     stability_certificate,
     uncontrollable_reason,
 )
+
+# The names of these modules are bound on first access, so that reading
+# scenarios and tables loads none of them.
+_LAZY = {
+    "controller": ("Decision", "decide", "partition_1d"),
+    "scheduler": ("ReservationLedger", "feasible_set", "reserve", "verify_conflict_free"),
+    "simulator": ("LoopTrace", "SimTrace", "SweepSummary", "TxEvent", "rng_substream",
+                  "run_periodic", "run_self_triggered", "sweep"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the home module of a lazy public name and keep the name."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

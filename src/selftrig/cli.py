@@ -12,6 +12,7 @@ error, 4 certificate failure, 5 scheduling violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,10 +30,9 @@ from .errors import (
     SynthesisError,
 )
 from .model import _read_text
-from .scenario import load_scenario
+from .scenario import MODE_PERIODIC, load_scenario
 from .scheduler import verify_conflict_free
 from .simulator import (
-    MODE_PERIODIC,
     _build_tables,
     _check_tables,
     _refuse_nonfinite,
@@ -395,23 +395,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, the one the full parser would hand the
+    rest of ``argv`` to, built once per process.  Each parse fills a new
+    namespace from the parser's defaults, so no call sees another's
+    arguments."""
+    parser = argparse.ArgumentParser(prog=f"selftrig {name}")
+    COMMANDS[name].add_options(parser)
+    return parser
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
     """The arguments of one run; ``command`` names the command.
 
     When ``argv`` starts with a command, only that command's parser is
-    built, the one the full parser would hand the rest of ``argv`` to.
-    Anything else goes to :func:`build_parser`, which prints the help,
-    usage and errors of the top level: no arguments, ``-h``, an unknown
-    command, or arguments the command does not know.  Unknown arguments
-    are refused before a missing command.
+    used (see :func:`_command_parser`).  Anything else goes to
+    :func:`build_parser`, which prints the help, usage and errors of the
+    top level: no arguments, ``-h``, an unknown command, or arguments the
+    command does not know.  Unknown arguments are refused before a missing
+    command.
     """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"selftrig {command.name}")
-        command.add_options(parser)
-        args, extras = parser.parse_known_args(argv[1:])
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        args, extras = _command_parser(name).parse_known_args(argv[1:])
         if not extras:
-            args.command = command.name
+            args.command = name
             return args
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)

@@ -145,6 +145,24 @@ def _wait_set(I0, what: str = "I0", empty=ConfigurationError, increasing=False) 
     return waits
 
 
+def _check_admissible(s: int, I0, p: int) -> None:
+    """Admissibility of ``s`` loops sharing one channel, the one home of
+    the rule for scenarios and ledgers alike.
+
+    With s >= 2 loops the waits 1..s must all be in I0 and s must not
+    exceed p; otherwise non-emptiness of the feasible sets is not
+    guaranteed.
+    """
+    if s < 2:
+        return
+    missing = [i for i in range(1, s + 1) if i not in I0]
+    if missing or s > p:
+        raise ConfigurationError(
+            f"inadmissible network: {s} loops sharing one channel need waits "
+            f"{{1..{s}}} in I0 and s <= p (I0={list(I0)}, p={p})"
+        )
+
+
 def _number(value, what: str) -> float:
     """A finite ``int``, ``float`` or numpy number field; booleans and
     strings are rejected."""

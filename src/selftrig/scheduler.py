@@ -31,24 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigurationError, SchedulingError
-from .model import _count, _integer, _wait_set
-
-
-def _check_admissible(s: int, I0, p: int) -> None:
-    """Admissibility of ``s`` loops sharing one channel.
-
-    With s >= 2 loops the waits 1..s must all be in I0 and s must not
-    exceed p; otherwise non-emptiness of the feasible sets is not
-    guaranteed.
-    """
-    if s < 2:
-        return
-    missing = [i for i in range(1, s + 1) if i not in I0]
-    if missing or s > p:
-        raise ConfigurationError(
-            f"inadmissible network: {s} loops sharing one channel need waits "
-            f"{{1..{s}}} in I0 and s <= p (I0={list(I0)}, p={p})"
-        )
+from .model import _check_admissible, _count, _integer, _wait_set
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ keys: ``SeedSequence`` hashes the seed and keys a call with an index of
 2**32 or more itself; otherwise the three one-word indices of every
 substream of a draw mix in at once.  One re-keyed generator draws them.
 ``numpy.random`` is imported on the first draw, not with this module, so
-commands that draw nothing do not pay for it.  Each substream is drawn
+commands and runs that draw nothing do not pay for it.  Each substream is drawn
 once, into read-only per-loop arrays of initial states and disturbances
 that the event loop takes from its caller: a sweep goes chunk by chunk of
 whole alphas, and runs the self-triggered rows of a chunk, derives each
@@ -41,7 +41,6 @@ of the chunk on the same draws.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -49,34 +48,10 @@ import numpy as np
 
 from .controller import _pick, _scores, decide
 from .errors import ConfigurationError, SelfTrigError, SynthesisError
-from .model import (
-    LtiSystem,
-    WeightSpec,
-    _count,
-    _integer,
-    _lift,
-    _nonnegative,
-    _wait_set,
-    as_vector,
-)
-from .scheduler import (
-    ReservationLedger,
-    _check_admissible,
-    _RunLedger,
-    feasible_set,
-    reserve,
-)
+from .model import LtiSystem, WeightSpec, _count, _integer, _lift, _nonnegative
+from .scenario import MODE_PERIODIC, MODE_SELF_TRIGGERED, Scenario, _check_addressable
+from .scheduler import ReservationLedger, _RunLedger, feasible_set, reserve
 from .synthesis import build_gain_table, solve_periodic_riccati
-
-MODE_SELF_TRIGGERED = "self_triggered"
-MODE_PERIODIC = "periodic"
-
-# A loop's name is the stem of its table and trace file names.
-_NOT_IN_STEM = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
-
-# The most bytes numpy addresses in one array: 2**63 - 1 on 64-bit builds.
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
-
 
 # numpy's SeedSequence hash, for its pool of 4 uint32 words.  Its hashmix
 # call c xors INIT_A * MULT_A**c into a word and multiplies by the next
@@ -177,124 +152,6 @@ def rng_substream(
         (alpha_index, "alpha_index"), (run_index, "run_index"), (loop_index, "loop_index")))
     key, = _substream_keys(seed, [spawn_key])
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
-@dataclass(frozen=True, eq=False)
-class LoopSpec:
-    """One plant with its weights, initial condition and disturbance level.
-
-    Exactly one of ``x0`` (fixed initial state) or ``x0_variance`` (each
-    component drawn i.i.d. zero-mean normal) must be given.  ``name`` must
-    be a plain file stem: non-empty, without ``/``, ``\\`` or control
-    characters.
-    """
-
-    name: str
-    system: LtiSystem
-    weights: WeightSpec
-    x0: np.ndarray | None = None
-    x0_variance: float | None = None
-    noise_variance: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name or _NOT_IN_STEM.search(self.name):
-            raise ConfigurationError(
-                f"loop name {self.name!r} is not a plain file stem: give a non-empty "
-                "name without '/', '\\' or control characters"
-            )
-        if (self.x0 is None) == (self.x0_variance is None):
-            raise ConfigurationError(
-                f"loop {self.name!r}: give exactly one of x0 or x0_variance"
-            )
-        context = f"loop {self.name!r}"
-        if self.x0 is not None:
-            x0 = as_vector(self.x0, f"{context}: x0", self.system.n)
-            object.__setattr__(self, "x0", x0)
-        else:
-            x0_variance = _nonnegative(self.x0_variance, f"{context}: x0_variance")
-            object.__setattr__(self, "x0_variance", x0_variance)
-        noise = _nonnegative(self.noise_variance, f"{context}: noise_variance")
-        object.__setattr__(self, "noise_variance", noise)
-        if self.weights.Q.shape[0] != self.system.n:
-            raise ConfigurationError(f"{context}: Q does not match state dim")
-        if self.weights.R.shape[0] != self.system.m:
-            raise ConfigurationError(f"{context}: R does not match input dim")
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """Everything needed to reproduce one experiment: the one home of the
-    seed of its runs and of the fixed-interval baseline's period ``ts``."""
-
-    loops: tuple
-    I0: tuple
-    p: int
-    horizon: int
-    seed: int
-    mode: str = MODE_SELF_TRIGGERED
-    ts: int | None = None
-    name: str = "scenario"
-
-    def __post_init__(self):
-        loops = tuple(self.loops)
-        if not loops:
-            raise ConfigurationError("scenario needs at least one loop")
-        names = [lp.name for lp in loops]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate loop names: {names}")
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "I0", _wait_set(self.I0))
-        for field in ("p", "horizon", "seed"):
-            object.__setattr__(self, field, _integer(getattr(self, field), field))
-        if self.ts is not None:
-            object.__setattr__(self, "ts", _integer(self.ts, "ts"))
-        _count(self.p, "p")
-        _check_admissible(len(loops), self.I0, self.p)
-        if self.p > self.gamma:
-            raise ConfigurationError(f"p={self.p} exceeds the largest wait {self.gamma}")
-        _count(self.horizon, "horizon")
-        if self.mode not in (MODE_SELF_TRIGGERED, MODE_PERIODIC):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.ts is None and self.mode == MODE_PERIODIC:
-            raise ConfigurationError("periodic mode needs ts")
-        # Phase offsets 0..s-1 give each loop its own slot when s <= ts.
-        if self.ts is not None and not len(loops) <= self.ts <= self.p:
-            raise ConfigurationError(f"ts must lie in [s={len(loops)}, p={self.p}], "
-                                     f"got {self.ts}")
-        # Loop j first samples at k = j, so each loop samples once when T >= s.
-        if self.mode == MODE_PERIODIC and self.horizon < len(loops):
-            raise ConfigurationError(f"periodic mode needs horizon >= s={len(loops)}, "
-                                     f"got {self.horizon}")
-        _check_addressable(self)
-
-    @property
-    def gamma(self) -> int:
-        return max(self.I0)
-
-
-def _check_addressable(scn: Scenario, n_runs: int = 1) -> None:
-    """Refuse, before any array is made, a size numpy cannot address.
-
-    For ``n_runs`` runs, the event loop holds each loop's states, inputs
-    and noise in float64 arrays of at most ``n_runs x (horizon + 1 +
-    gamma) x max(n, m, w)``, and its segment map (see :func:`_segment_map`) once;
-    numpy refuses an array past its index limit.  A scenario is checked
-    for one run; a sweep passes ``n_runs``, the rows of one alpha, and the
-    refusal names it.
-    """
-    T, G = scn.horizon, scn.gamma
-    runs = f"{n_runs} runs (n_runs, --runs) of " if n_runs > 1 else ""
-    for spec in scn.loops:
-        n, m, w = spec.system.n, spec.system.m, spec.system.w
-        noise_rows = G * n if spec.noise_variance > 0.0 else 0
-        for what, size in ((f"{runs}horizon {T} with largest wait {G}",
-                            n_runs * (T + 1 + G) * max(n, m, w)),
-                           (f"largest wait {G} in I0", (n + m + noise_rows) * G * n)):
-            if 8 * size > _MAX_ARRAY_BYTES:
-                raise ConfigurationError(
-                    f"loop {spec.name!r}: {what} needs an array of {8 * size} bytes, "
-                    f"more than numpy can address ({_MAX_ARRAY_BYTES})"
-                )
 
 
 @dataclass(frozen=True)
@@ -447,24 +304,27 @@ def _draws(scn: Scenario, keys) -> list:
     Row ``r`` is the run keyed ``keys[r] = (alpha_index, run_index)`` and
     draws from the substream ``(alpha_index, run_index, j)`` of each loop
     ``j``, in the order :func:`rng_substream` states.  A loop with a fixed
-    ``x0`` and no noise draws nothing and keys no substream.  One pass of
-    :func:`_substream_keys` keys every substream of the call; one Philox
-    generator is then re-keyed per (row, loop), with its counter and
-    buffer reset, and draws that row's x0 and disturbances in one call into
-    a per-loop block, which is scaled per loop.  With one disturbance
+    ``x0`` and no noise draws nothing and keys no substream; when no loop
+    draws, no generator is built.  One pass of :func:`_substream_keys` keys
+    every substream of the call; one Philox generator is then re-keyed per
+    (row, loop), with its counter and buffer reset, and draws that row's
+    x0 and disturbances in one call into a per-loop block, which is scaled
+    per loop.  With one disturbance
     (``w == 1``) the map through ``E`` is one product per state column,
     bit for bit what ``noise @ E.T`` gives; otherwise it is that matmul.
     """
     T, R, G = scn.horizon, len(keys), scn.gamma
     drawing = [j for j, spec in enumerate(scn.loops)
                if spec.x0 is None or spec.noise_variance > 0.0]
-    substreams = iter(_substream_keys(scn.seed, [(alpha_index, run_index, j) for j in drawing
-                                                 for alpha_index, run_index in keys]))
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    # A new generator's state: counter 0 and an empty buffer.  Setting it
-    # with a substream's key starts that substream afresh.
-    state = bitgen.state
+    if drawing:
+        substreams = iter(_substream_keys(scn.seed, [(alpha_index, run_index, j)
+                                                     for j in drawing
+                                                     for alpha_index, run_index in keys]))
+        bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        rng = np.random.Generator(bitgen)
+        # A new generator's state: counter 0 and an empty buffer.  Setting
+        # it with a substream's key starts that substream afresh.
+        state = bitgen.state
     draws = []
     for spec in scn.loops:
         sys = spec.system

@@ -778,9 +778,14 @@ class TestOutputsRefusedBeforeTheWork:
         assert all((run / name).read_text() != "old" for name in _SIMULATE_NAMES)
 
 
-def test_numpy_random_is_imported_by_the_first_draw():
+@pytest.mark.parametrize("scenario, loaded", [
+    ("two_loop.json", [False, False, False, False]),
+    ("integrator_sweep.json", [False, False, False, True]),
+], ids=["fixed-x0-noiseless", "random-x0-noisy"])
+def test_numpy_random_is_imported_by_the_first_draw(scenario, loaded):
     # synth and verify draw nothing, so they do not pay for numpy.random;
-    # simulate draws, and imports it then.
+    # simulate imports it with its first draw, and only a scenario with a
+    # random x0 or noise draws.
     code = """if True:
         import sys, tempfile
         import selftrig, selftrig.cli
@@ -794,9 +799,9 @@ def test_numpy_random_is_imported_by_the_first_draw():
                 loaded.append("numpy.random" in sys.modules)
         print(loaded)
     """
-    child = _run_child(code, str(SCENARIOS / "two_loop.json"))
+    child = _run_child(code, str(SCENARIOS / scenario))
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-1] == "[False, False, False, True]"
+    assert child.stdout.splitlines()[-1] == str(loaded)
 
 
 class TestTableAddress:
@@ -909,7 +914,8 @@ class TestSweep:
                                           tmp_path, monkeypatch):
         # One key per (alpha, run, loop) that draws, all of a draw's keys in
         # one pass: the baseline replays the adaptive rows' draws instead of
-        # keying them again, and a loop that draws nothing keys nothing.
+        # keying them again, a loop that draws nothing keys nothing, and a
+        # draw in which no loop draws makes no pass.
         doc = json.loads((SCENARIOS / scenario).read_text())
         for j in noisy:
             doc["loops"][j]["noise_variance"] = 0.1
@@ -932,7 +938,8 @@ class TestSweep:
         assert run_cli("sweep", "-c", str(scen), *options,
                        "-o", str(tmp_path / "s.csv")) == 0
         assert len(keys) == len(set(keys)) == substreams
-        assert len(passes) == len(draws) == 1
+        assert len(draws) == 1
+        assert passes == ([substreams] if substreams else [])
 
     def test_colliding_csv_paths_exit_2_before_the_sweep(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -1456,10 +1463,13 @@ class TestFrontEnd:
         return made
 
     def test_a_command_builds_only_its_own_parser(self, synth_out, monkeypatch, capsys):
+        cli._command_parser.cache_clear()
         made = self._counted_parsers(monkeypatch)
-        assert run_cli("verify", "-t", str(synth_out), "-c", str(SCENARIOS / "two_loop.json")) == 0
+        for _ in range(2):
+            assert run_cli("verify", "-t", str(synth_out),
+                           "-c", str(SCENARIOS / "two_loop.json")) == 0
         assert made == ["selftrig verify"]
-        assert "all certificates pass" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("all certificates pass") == 2
 
     def test_top_level_help_builds_the_whole_tree(self, monkeypatch, capsys):
         made = self._counted_parsers(monkeypatch)
@@ -1478,3 +1488,42 @@ class TestFrontEnd:
     ])
     def test_the_namespace_is_the_full_trees(self, argv):
         assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+class TestParserCache:
+    """Each command's parser is built once per process; in-process
+    ``cli.main`` calls still parse independently of each other."""
+
+    def test_a_flag_does_not_carry_over(self, synth_out, tmp_path):
+        scen = str(SCENARIOS / "two_loop.json")
+        for out, flags in ((tmp_path / "with", ("--gnuplot",)), (tmp_path / "without", ())):
+            assert run_cli("simulate", "-c", scen, "-t", str(synth_out), "-o", str(out),
+                           *flags) == 0
+        assert (tmp_path / "with" / "plot.gp").exists()
+        assert not (tmp_path / "without" / "plot.gp").exists()
+
+    def test_a_seed_does_not_carry_over(self, tmp_path):
+        doc = json.loads((SCENARIOS / "integrator_sweep.json").read_text())
+        doc["horizon"] = 200
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps(doc))
+        texts = {}
+        for seed in (5, None, doc["seed"]):
+            out = tmp_path / f"{seed}.csv"
+            flags = () if seed is None else ("--seed", str(seed))
+            assert run_cli("sweep", "-c", str(scen), "--alphas", "0,2.5", "--runs", "2",
+                           *flags, "-o", str(out)) == 0
+            texts[seed] = out.read_text()
+        assert texts[None] == texts[doc["seed"]] != texts[5]
+
+    def test_usage_errors_after_a_good_call(self, synth_out, tmp_path, monkeypatch, capsys):
+        assert run_cli("verify", "-t", str(synth_out), "-c", str(SCENARIOS / "two_loop.json")) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        for argv, code, out, err in _FRONT_END:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out, captured.err) == (code, out, err), argv
+        assert list(tmp_path.iterdir()) == []
