@@ -251,6 +251,9 @@ class GainTable:
     (the rule of ``WeightSpec``), raises ConfigurationError.  The
     constructor copies each matrix once; all arrays are read-only, tables
     are safe to share across threads, and compare by identity.
+    A table with ``n == 1`` also keeps, derived and not a field, its costs
+    and P(i) and L(i) columns as tuples of Python floats, which ``decide``
+    scores with.
     """
 
     loop_id: str
@@ -310,10 +313,16 @@ class GainTable:
                     f"table row at i=p={p} deviates from the periodic solution "
                     f"by {drift:.3e} (relative)"
                 )
-        # A frozen dataclass refuses assignment, so the checked fields go in directly.
+        costs = alpha / np.array(I0)
+        # A frozen dataclass refuses assignment, so the checked fields and
+        # the derived scalars go in directly.
         self.__dict__.update(
             I0=I0, p=p, alpha=alpha, Pp=_readonly(Pp), Lp=_readonly(Lp), P_stack=P_stack,
-            L_stack=L_stack, costs=_readonly(alpha / np.array(I0)), rows=rows,
+            L_stack=L_stack, costs=_readonly(costs), rows=rows,
+            _scalar=None if n > 1 else (
+                tuple(costs.tolist()), tuple(P_stack[:, 0, 0].tolist()),
+                tuple(map(tuple, L_stack[:, :, 0].tolist())),
+            ),
         )
 
     @property

@@ -2,6 +2,7 @@
 import dataclasses
 import heapq
 import json
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from selftrig import (
     WeightSpec,
     build_gain_table,
     decide,
+    deserialize_gain_table,
     feasible_set,
     partition_1d,
     reserve,
@@ -302,7 +304,6 @@ class TestStackedScores:
                    for i, v in dec.values_by_i.items())
         assert "np." not in repr(dec.value) + repr(dec.values_by_i)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_partition_is_decide_over_the_whole_table(self):
         rng = np.random.default_rng(94)
         for gt in _random_tables(1):
@@ -385,6 +386,159 @@ class TestTwoFormsOfThePick:
         # A taken wait ranks above every score; with every wait taken the
         # rule still names a row, the largest wait.
         assert _pick(scores, taken).tolist() == [1, 2, 2]
+
+
+def _scalar_tables(m):
+    """Scalar-state tables with ``m`` inputs over the waits (1, 2, 4, 5),
+    whose P(i) and L(i) are signed zeros, subnormals, huge, tiny, negative
+    and ordinary values; one has every P(i) equal, for exact ties.  An
+    alpha of -0.0 gives costs of -0.0, whose sum with a quadratic term of
+    -0.0 is -0.0 only without the 0.0 start of numpy's add.reduce."""
+    rng = np.random.default_rng(40 + m)
+    picks = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 0.7, 2.5, -1.5]
+    rows = [rng.choice(picks, 4) for _ in range(6)] + [np.full(4, 0.7)]
+    tables = []
+    for j, P in enumerate(rows):
+        L = rng.choice(picks, (4, m, 1))
+        tables.append(GainTable(
+            loop_id=f"scalar{j}", alpha=(0.0, -0.0, 0.3, 1e308)[j % 4],
+            P_stack=P.reshape(4, 1, 1), L_stack=L, p=5, Pp=P[-1:].reshape(1, 1),
+            Lp=L[-1], I0=(1, 2, 4, 5)))
+    return tables
+
+
+def _negative_zero(v: float) -> bool:
+    return v == 0.0 and math.copysign(1.0, v) < 0.0
+
+
+# Signed zeros, subnormals, and states whose scores overflow or vanish.
+_SCALAR_STATES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                  1e200, -1e154, 1.0, -2.5, 0.3)
+
+
+class TestScalarForm:
+    """``decide`` on a table with ``n == 1`` scores in Python floats: the
+    stacked form's floats and input, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_decisions_match_the_stacked_form_bit_for_bit(self, m):
+        decided = 0
+        for gt in _scalar_tables(m):
+            assert gt._scalar is not None
+            for x0 in _SCALAR_STATES:
+                for feasible in (gt.I0, (2, 5), (1, 4), (4,)):
+                    dec = _decided(gt, [x0], feasible)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        old = oracle_decide(gt, [x0], feasible)
+                        scores = _scores(gt, np.array([x0]))
+                        picks = _run_axis_picks(gt, [[x0]], [feasible])
+                    assert _decision_bits(*dec) == _decision_bits(*old), (gt.loop_id, x0)
+                    assert bits(list(dec[3].values())) == bits(scores[[gt.rows[i] for i in dec[3]]])
+                    assert picks == [dec[0]]
+                    decided += 1
+        assert decided == 7 * len(_SCALAR_STATES) * 4
+
+    def test_the_cases_the_scalar_form_must_meet_occur(self):
+        # Each case below has decisions in the comparison above: a score
+        # or an input without its 0.0 start, or a flipped tie rule,
+        # changes some bits there.
+        seen = set()
+        for gt in _scalar_tables(2):
+            for x0 in _SCALAR_STATES:
+                quadratic = [x0 * P * x0 for P in gt.P_stack[:, 0, 0].tolist()]
+                scores = gt.costs + np.array(quadratic)
+                seen.add("inf" if np.isinf(scores).any() else "finite")
+                if len(set(scores.tolist())) < len(scores):
+                    seen.add("tie")
+                if any(_negative_zero(c) and _negative_zero(q)
+                       for c, q in zip(gt.costs.tolist(), quadratic)):
+                    seen.add("-0.0 cost plus -0.0 quadratic term")
+                if any(_negative_zero(x0 * w) for w in gt.L_stack.ravel().tolist()):
+                    seen.add("-0.0 input product")
+        assert seen == {"inf", "finite", "tie", "-0.0 cost plus -0.0 quadratic term",
+                        "-0.0 input product"}
+
+    def test_a_zero_state_keeps_the_sign_of_matmul(self, integrator_table):
+        gt = integrator_table
+        for x0 in (0.0, -0.0):
+            x = np.array([x0])
+            dec = decide(gt, x, gt.I0)
+            assert dec.i_star == gt.gamma
+            assert bits(dec.u) == bits(-(gt.L(gt.gamma) @ x))
+            assert bits(list(dec.values_by_i.values())) == bits(_scores(gt, x))
+
+    def test_huge_states_rank_as_the_largest_float_without_a_warning(
+        self, integrator_table, double_integrator_table
+    ):
+        # pyproject turns every warning into an error, so these calls also
+        # show that the public law reports no overflow.
+        for gt in (integrator_table, double_integrator_table):
+            for sign in (1.0, -1.0):
+                x = np.full(gt.n, sign * 1e200)
+                dec = decide(gt, x, (1, 2, 4))
+                assert dec.i_star == 4 and dec.value == np.inf
+                assert np.isfinite(dec.u).all()
+        assert partition_1d(integrator_table, [1e200, 0.0, -1e200]).tolist() == [5, 5, 5]
+
+
+class TestScalarData:
+    """The table's derived scalars follow the table and are no part of its
+    fields, its text or its comparisons."""
+
+    def test_none_beyond_one_state_and_tuples_of_floats_for_one(
+        self, integrator_table, double_integrator_table
+    ):
+        assert double_integrator_table._scalar is None
+        assert all(gt._scalar is None for n in (2, 3) for gt in _random_tables(n, count=1))
+        for gt in (integrator_table, *_scalar_tables(3)):
+            costs, P, L = gt._scalar
+            assert type(costs) is type(P) is type(L) is tuple
+            assert all(type(row) is tuple and len(row) == gt.m for row in L)
+            assert all(type(v) is float for v in (*costs, *P, *(w for row in L for w in row)))
+            assert bits(costs) == bits(gt.costs)
+            assert bits(P) == bits(gt.P_stack[:, 0, 0])
+            assert bits(L) == bits(gt.L_stack[:, :, 0])
+
+    def test_not_a_field_and_not_in_repr_or_text(self, integrator_table):
+        gt = integrator_table
+        assert "_scalar" not in {f.name for f in dataclasses.fields(gt)}
+        assert "_scalar" not in repr(gt)
+        cert = StabilityCertificate(pstar=5, epsilon=0.5, lower_bound=0.0,
+                                    upper_bound=1.0, per_i_ratio={}, Si={})
+        text = serialize_gain_table(gt, cert)
+        assert "_scalar" not in text and "scalar" not in json.loads(text)
+        # Tables still compare by identity only.
+        again = deserialize_gain_table(text)[0]
+        assert gt == gt and again != gt
+
+    @pytest.mark.parametrize("change", ["P_stack", "L_stack", "alpha"])
+    def test_replace_decides_as_a_fresh_table(self, integrator_table, change):
+        gt = integrator_table
+        new = {"P_stack": gt.P_stack[::-1].copy(), "L_stack": 3.0 * gt.L_stack,
+               "alpha": 40.0 * gt.alpha}[change]
+        if change != "alpha":  # the row of p stays the periodic pair
+            new[gt.rows[gt.p]] = getattr(gt, change)[gt.rows[gt.p]]
+        replaced = dataclasses.replace(gt, **{change: new})
+        fields = dict(loop_id=gt.loop_id, alpha=gt.alpha, P_stack=gt.P_stack,
+                      L_stack=gt.L_stack, p=gt.p, Pp=gt.Pp, Lp=gt.Lp, I0=gt.I0)
+        fresh = GainTable(**{**fields, change: new})
+        changed = 0
+        for x0 in (0.0, -0.0, 0.05, -0.4, 1.3, 2.0, -7.5, 1e200):
+            for feasible in (gt.I0, (1, 3), (2, 5)):
+                dec = _decision_bits(*_decided(replaced, [x0], feasible))
+                assert dec == _decision_bits(*_decided(fresh, [x0], feasible))
+                changed += dec != _decision_bits(*_decided(gt, [x0], feasible))
+        assert changed > 0
+
+    def test_a_table_read_back_decides_as_the_one_written(self):
+        cert = StabilityCertificate(pstar=5, epsilon=0.5, lower_bound=0.0,
+                                    upper_bound=1.0, per_i_ratio={}, Si={})
+        for gt in (*_scalar_tables(2), *_random_tables(1)):
+            again = deserialize_gain_table(serialize_gain_table(gt, cert))[0]
+            assert again._scalar == gt._scalar
+            for x0 in _SCALAR_STATES:
+                assert _decision_bits(*_decided(again, [x0], again.I0)) \
+                    == _decision_bits(*_decided(gt, [x0], gt.I0))
 
 
 def _outcome(call):
